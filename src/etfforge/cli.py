@@ -293,7 +293,7 @@ def _render_export(m: PolyphaseMatrix, args) -> tuple[bool, str]:
     if args.to == "polyphase":
         return False, format_polyphase(m)
     if args.to == "gq":
-        return False, format_incidence(gq_from_polyphase(m))
+        return False, format_incidence(gq_from_polyphase(m).toarray())
     if args.to == "incidence":
         return True, format_incidence(m.modulus_squared())
     gammas = _select_characters(m.group, args.character)

@@ -373,10 +373,13 @@ def brouwer_polyphase(q: int, size_guard: int = 7) -> PolyphaseMatrix:
     return PolyphaseMatrix(group, support, exps)
 
 
-def gq_from_polyphase(m: PolyphaseMatrix) -> np.ndarray:
+def gq_from_polyphase(m: PolyphaseMatrix) -> "scipy.sparse.csr_matrix":
     """Stack I_v (x) ones(1, f) on the filter bank lift: the point-block
     incidence of a generalized quadrangle with a spread when |.|^2 is a
-    BIBD(v, k, 1) with k = f and the polyphase identities hold."""
+    BIBD(v, k, 1) with k = f and the polyphase identities hold.  Returns
+    an int64 CSR matrix; call .toarray() for the dense incidence."""
+    from scipy.sparse import identity, kron, vstack
+
     x = m.modulus_squared()
     row_sums = x.sum(axis=1)
     k = int(row_sums[0])
@@ -385,14 +388,17 @@ def gq_from_polyphase(m: PolyphaseMatrix) -> np.ndarray:
     f = m.group.order
     if k != f:
         raise ValueError(f"group order {f} must equal block size {k}")
-    spread = np.kron(np.eye(m.cols, dtype=np.int64), np.ones((1, f), dtype=np.int64))
-    return np.vstack([spread, m.filter_bank_lift()])
+    spread = kron(identity(m.cols, dtype=np.int64), np.ones((1, f), dtype=np.int64))
+    return vstack([spread, m.filter_bank_lift()], format="csr")
 
 
-def polyphase_from_gq(z: np.ndarray, group: AbelianGroup) -> PolyphaseMatrix:
+def polyphase_from_gq(z, group: AbelianGroup) -> PolyphaseMatrix:
     """Invert gq_from_polyphase: strip the spread rows and read one
-    monomial out of each translation-permutation block."""
-    z = np.asarray(z)
+    monomial out of each translation-permutation block.  z may be dense
+    or sparse."""
+    from scipy.sparse import csr_matrix
+
+    z = csr_matrix(z).toarray()
     f = group.order
     n_rows, n_cols = z.shape
     if n_cols % f:

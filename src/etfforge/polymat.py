@@ -27,11 +27,6 @@ import numpy as np
 from .groupring import AbelianGroup, Character, GroupRingElement
 
 
-def _exact_int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # float64 BLAS is exact for integer matrices of this size and then some
-    return np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-
-
 class GroupRingMatrix:
     """Dense matrix with GroupRingElement entries, coefficients last axis."""
 
@@ -222,19 +217,21 @@ class PolyphaseMatrix:
             raise ValueError("character belongs to a different group")
         return np.where(self.support, gamma.values[self.exponents], 0.0)
 
-    def filter_bank_lift(self) -> np.ndarray:
+    def filter_bank_lift(self) -> "scipy.sparse.csr_matrix":
         """Replace each z^g by the f x f translation permutation and each
-        zero by an f x f zero block."""
-        g = self.group
-        f = g.order
-        # lift of z^g has (a, b) entry [a - b == g]
-        perms = np.zeros((f, f, f), dtype=np.int64)
-        for gi in range(f):
-            perms[gi, g.add_index[gi, np.arange(f)], np.arange(f)] = 1
-        out = np.zeros((self.rows * f, self.cols * f), dtype=np.int64)
-        for i, j in zip(*np.nonzero(self.support)):
-            out[i * f : (i + 1) * f, j * f : (j + 1) * f] = perms[self.exponents[i, j]]
-        return out
+        zero by an f x f zero block; returns an int64 CSR matrix."""
+        from scipy.sparse import csr_matrix
+
+        f = self.group.order
+        ii, jj = np.nonzero(self.support)
+        b = np.arange(f)
+        # lift of z^g has (a, b) entry [a - b == g], so a = g + b
+        rows = ii[:, None] * f + self.group.add_index[self.exponents[ii, jj][:, None], b]
+        cols = jj[:, None] * f + b
+        return csr_matrix(
+            (np.ones(rows.size, dtype=np.int64), (rows.ravel(), cols.ravel())),
+            shape=(self.rows * f, self.cols * f),
+        )
 
     def __eq__(self, other):
         return (

@@ -24,7 +24,6 @@ from .polymat import GroupRingMatrix, PolyphaseMatrix
 
 NUMERIC_TOL = 1e-9
 RANK_REL_TOL = 1e-8
-SPARSE_CELL_CUTOFF = 10**6
 
 
 @dataclass
@@ -271,38 +270,30 @@ def verify_etf_numeric(phi: np.ndarray, tol: float = NUMERIC_TOL) -> Verificatio
     return rep
 
 
-def _as_operator(z: np.ndarray):
-    """Dense below the cell cutoff, sparse CSR above."""
-    if z.size > SPARSE_CELL_CUTOFF:
-        from scipy.sparse import csr_matrix
-
-        return csr_matrix(z.astype(np.int64))
-    return z.astype(np.int64)
-
-
-def _offdiag_zero_one(prod, side: int):
-    """Check off-diagonal entries are 0/1; works for dense and sparse."""
-    if isinstance(prod, np.ndarray):
-        off = prod[~np.eye(side, dtype=bool)]
-        ok = bool(np.all((off == 0) | (off == 1)))
-        witness = None
-        if not ok:
-            bad = (prod != 0) & (prod != 1) & ~np.eye(side, dtype=bool)
-            witness = _first_bad(bad)
-        return ok, witness
-    p = prod.tocoo()
-    mask = (p.row != p.col) & (p.data != 0) & (p.data != 1)
+def _first_stored(p, mask) -> tuple | None:
+    """Row-major first entry of COO matrix p where mask holds; scipy
+    products do not keep their entries sorted."""
     if not mask.any():
-        return True, None
-    i = int(np.argmax(mask))
-    return False, (int(p.row[i]), int(p.col[i]))
+        return None
+    row, col = p.row[mask], p.col[mask]
+    i = np.lexsort((col, row))[0]
+    return int(row[i]), int(col[i])
 
 
-def verify_gq_axioms(z: np.ndarray, s: int, t: int, check_spread: bool = False) -> VerificationReport:
+def _offdiag_not_zero_one(prod) -> tuple | None:
+    """First off-diagonal entry of a sparse product that is not 0/1."""
+    p = prod.tocoo()
+    return _first_stored(p, (p.row != p.col) & (p.data != 0) & (p.data != 1))
+
+
+def verify_gq_axioms(z, s: int, t: int, check_spread: bool = False) -> VerificationReport:
     """Point-block incidence of a generalized quadrangle of order (s, t):
     blocks of size s+1, t+1 blocks per point, no repeated pairs, and the
-    triple product Z Z^T Z = (s+t) Z + J."""
-    z = np.asarray(z)
+    triple product Z Z^T Z = (s+t) Z + J.  z may be dense or sparse; it
+    is checked as one integer CSR matrix."""
+    from scipy.sparse import csr_matrix
+
+    z = csr_matrix(z)
     rep = VerificationReport(subject=f"GQ({s},{t}) axioms")
     n_blocks = (t + 1) * (s * t + 1)
     n_points = (s + 1) * (s * t + 1)
@@ -311,37 +302,31 @@ def verify_gq_axioms(z: np.ndarray, s: int, t: int, check_spread: bool = False) 
                 info=f"expected {n_blocks}x{n_points}")
         return rep
     rep.add("dimensions", True)
-    if set(np.unique(z)) - {0, 1}:
-        rep.add("zero-one", False, witness=_first_bad((z != 0) & (z != 1)))
+    cells = z.tocoo()
+    witness = _first_stored(cells, (cells.data != 0) & (cells.data != 1))
+    rep.add("zero-one", witness is None, witness=witness)
+    if witness is not None:
         return rep
-    rep.add("zero-one", True)
-    rows = z.sum(axis=1)
+    z = z.astype(np.int64, copy=False)
+    rows = np.asarray(z.sum(axis=1)).ravel()
     rep.add("row-sums", bool(np.all(rows == s + 1)), witness=_first_bad(rows != s + 1))
-    cols = z.sum(axis=0)
+    cols = np.asarray(z.sum(axis=0)).ravel()
     rep.add("col-sums", bool(np.all(cols == t + 1)), witness=_first_bad(cols != t + 1))
-    op = _as_operator(z)
-    blocks_pairs = op @ op.T
-    ok, witness = _offdiag_zero_one(blocks_pairs, z.shape[0])
-    rep.add("block-pair-intersections", ok, witness=witness)
-    point_pairs = op.T @ op
-    ok, witness = _offdiag_zero_one(point_pairs, z.shape[1])
-    rep.add("point-pair-collinearity", ok, witness=witness)
-    triple = op @ point_pairs
-    if isinstance(triple, np.ndarray):
-        bad = triple != ((s + t) * z + 1)
-        rep.add("triple-product", not bad.any(), witness=_first_bad(bad))
-    else:
-        diff = triple - (s + t) * op
-        dense_ok = diff.nnz == z.shape[0] * z.shape[1] and bool(np.all(diff.data == 1))
-        witness = None
-        if not dense_ok:
-            dd = np.asarray(diff.todense())
-            witness = _first_bad(dd != 1)
-        rep.add("triple-product", dense_ok, witness=witness)
+    witness = _offdiag_not_zero_one(z @ z.T)
+    rep.add("block-pair-intersections", witness is None, witness=witness)
+    point_pairs = z.T @ z
+    witness = _offdiag_not_zero_one(point_pairs)
+    rep.add("point-pair-collinearity", witness is None, witness=witness)
+    # Z Z^T Z is dense (the J term), so only its left factor stays sparse
+    triple = z @ point_pairs.toarray()
+    triple -= 1
+    triple[z.nonzero()] -= s + t
+    witness = _first_bad(triple != 0)
+    rep.add("triple-product", witness is None, witness=witness)
     if check_spread:
         v = s * t + 1
         spread = np.kron(np.eye(v, dtype=np.int64), np.ones((1, s + 1), dtype=np.int64))
-        ok = z.shape[0] >= v and np.array_equal(np.asarray(z[:v]), spread)
+        ok = z.shape[0] >= v and np.array_equal(z[:v].toarray(), spread)
         rep.add("spread", bool(ok))
     return rep
 
@@ -393,37 +378,39 @@ def verify_drackn(a: GroupRingMatrix, n: int, f: int, c: int) -> VerificationRep
     return rep
 
 
-def verify_srg_collinearity(z: np.ndarray, s: int, t: int) -> VerificationReport:
+def verify_srg_collinearity(z, s: int, t: int) -> VerificationReport:
     """Collinearity graph of a GQ(s, t): strongly regular with parameters
     ((s+1)(st+1), s(t+1), s-1, t+1)."""
     rep = verify_gq_axioms(z, s, t)
     if not rep.passed:
         rep.subject = f"SRG of GQ({s},{t}) (GQ axioms failed)"
         return rep
-    z = np.asarray(z, dtype=np.int64)
+    from scipy.sparse import csr_matrix, identity
+
+    z = csr_matrix(z, dtype=np.int64)
     n = (s + 1) * (s * t + 1)
     deg = s * (t + 1)
     lam, mu = s - 1, t + 1
-    zf = z.astype(np.float64)
-    adj = np.rint(zf.T @ zf).astype(np.int64) - (t + 1) * np.eye(n, dtype=np.int64)
+    adj = z.T @ z - (t + 1) * identity(n, dtype=np.int64, format="csr")
     rep = VerificationReport(subject=f"SRG({n},{deg},{lam},{mu})")
     rep.add("gq-axioms", True)
     simple = (
-        np.array_equal(adj, adj.T)
-        and not np.diagonal(adj).any()
-        and not (((adj != 0) & (adj != 1)).any())
+        (adj - adj.T).nnz == 0
+        and not adj.diagonal().any()
+        and not ((adj.data != 0) & (adj.data != 1)).any()
     )
     rep.add("adjacency-simple", bool(simple))
-    rows = adj.sum(axis=1)
+    rows = np.asarray(adj.sum(axis=1)).ravel()
     rep.add("regular", bool(np.all(rows == deg)), witness=_first_bad(rows != deg))
-    lhs = adj.astype(np.float64) @ adj.astype(np.float64)
-    lhs = np.rint(lhs).astype(np.int64)
-    rhs = (
-        (lam - mu) * adj
-        + (deg - mu) * np.eye(n, dtype=np.int64)
-        + mu * np.ones((n, n), dtype=np.int64)
-    )
-    rep.add("srg-quadratic", bool(np.array_equal(lhs, rhs)), witness=_first_bad(lhs != rhs))
+    # A^2 - (lam - mu) A - (deg - mu) I - mu J must vanish; A^2 is dense
+    # (the J term) but a sparse product is far cheaper than sparse @ dense
+    quad = (adj @ adj).toarray()
+    entries = adj.tocoo()
+    quad[entries.row, entries.col] -= (lam - mu) * entries.data
+    quad[np.diag_indices(n)] -= deg - mu
+    quad -= mu
+    witness = _first_bad(quad != 0)
+    rep.add("srg-quadratic", witness is None, witness=witness)
     return rep
 
 

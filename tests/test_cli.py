@@ -233,3 +233,10 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "9" in proc.stdout
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # scipy.sparse is slow to import; only the GQ lift and checks load it
+    code = "import etfforge, sys; assert 'scipy.sparse' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -248,7 +248,7 @@ def test_drackn_from_polyphase_params():
 )
 def test_gq_lift_shape(make, st):
     m = make()
-    z = gq_from_polyphase(m)
+    z = gq_from_polyphase(m).toarray()
     s, t = st
     assert z.shape == ((t + 1) * (s * t + 1), (s + 1) * (s * t + 1))
     assert set(z.sum(axis=1)) == {s + 1}

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from etfforge import verify
 from etfforge.construct import (
     affine_polyphase,
     brouwer_geometry,
@@ -244,7 +243,7 @@ def test_gq_axioms_dimension_mismatch(families):
 
 
 def test_gq_axioms_flags_flipped_cell(families):
-    z = gq_from_polyphase(families["example933"]).copy()
+    z = gq_from_polyphase(families["example933"]).toarray()
     z[20, 5] ^= 1
     rep = verify_gq_axioms(z, 2, 4)
     bad = {c.name for c in rep.checks if not c.passed}
@@ -252,25 +251,94 @@ def test_gq_axioms_flags_flipped_cell(families):
 
 
 def test_gq_spread_check(families):
-    z = gq_from_polyphase(families["example933"])
+    z = gq_from_polyphase(families["example933"]).toarray()
     shuffled = np.vstack([z[9:], z[:9]])
     rep = verify_gq_axioms(shuffled, 2, 4, check_spread=True)
     assert any(c.name == "spread" and not c.passed for c in rep.checks)
     assert verify_gq_axioms(shuffled, 2, 4).passed  # still a GQ without the spread
 
 
-def test_gq_sparse_path_matches_dense(families, monkeypatch):
-    z = gq_from_polyphase(families["example933"])
-    dense = verify_gq_axioms(z, 2, 4, check_spread=True)
-    monkeypatch.setattr(verify, "SPARSE_CELL_CUTOFF", 10)
-    sparse = verify_gq_axioms(z, 2, 4, check_spread=True)
-    assert dense.passed and sparse.passed
-    assert [c.name for c in dense.checks] == [c.name for c in sparse.checks]
-    zbad = z.copy()
-    zbad[11, 4] ^= 1
-    zbad[11, 7] ^= 1  # keep row sum, break pair intersections
-    rep = verify_gq_axioms(zbad, 2, 4)
-    assert not rep.passed
+def _check(name, bad):
+    """(name, passed, witness) with the row-major first offence in bad."""
+    idx = np.argwhere(bad)
+    witness = tuple(int(a) for a in idx[0]) if len(idx) else None
+    return name, witness is None, witness
+
+
+def _dense_gq_reference(z, s, t, check_spread=False):
+    """verify_gq_axioms recomputed with dense int64 products."""
+    z = np.asarray(z, dtype=np.int64)
+    if z.shape != ((t + 1) * (s * t + 1), (s + 1) * (s * t + 1)):
+        return [("dimensions", False, z.shape)]
+    out = [("dimensions", True, None), _check("zero-one", (z != 0) & (z != 1))]
+    if not out[-1][1]:
+        return out
+    out.append(_check("row-sums", z.sum(axis=1) != s + 1))
+    out.append(_check("col-sums", z.sum(axis=0) != t + 1))
+    for name, prod in (("block-pair-intersections", z @ z.T),
+                       ("point-pair-collinearity", z.T @ z)):
+        off = ~np.eye(len(prod), dtype=bool)
+        out.append(_check(name, (prod != 0) & (prod != 1) & off))
+    out.append(_check("triple-product", z @ z.T @ z != (s + t) * z + 1))
+    if check_spread:
+        v = s * t + 1
+        spread = np.kron(np.eye(v, dtype=np.int64), np.ones((1, s + 1), dtype=np.int64))
+        ok = np.array_equal(z[:v], spread)
+        out.append(("spread", ok, None if ok else ()))
+    return out
+
+
+def _dense_srg_reference(z, s, t):
+    """verify_srg_collinearity recomputed with dense int64 products."""
+    out = _dense_gq_reference(z, s, t)
+    if not all(passed for _, passed, _ in out):
+        return out
+    z = np.asarray(z, dtype=np.int64)
+    n, deg, lam, mu = (s + 1) * (s * t + 1), s * (t + 1), s - 1, t + 1
+    eye = np.eye(n, dtype=np.int64)
+    adj = z.T @ z - (t + 1) * eye
+    simple = (np.array_equal(adj, adj.T) and not np.diagonal(adj).any()
+              and bool(np.all((adj == 0) | (adj == 1))))
+    return [
+        ("gq-axioms", True, None),
+        ("adjacency-simple", simple, None if simple else ()),
+        _check("regular", adj.sum(axis=1) != deg),
+        _check("srg-quadratic", adj @ adj != (lam - mu) * adj + (deg - mu) * eye + mu),
+    ]
+
+
+def _swap_cell(z, seed):
+    """Move one incidence along its row: row sums hold, the rest breaks."""
+    rng = np.random.default_rng(seed)
+    z = z.copy()
+    i = int(rng.integers(z.shape[0]))
+    a = int(rng.choice(np.nonzero(z[i])[0]))
+    b = int(rng.choice(np.nonzero(z[i] == 0)[0]))
+    z[i, a], z[i, b] = 0, 1
+    return z
+
+
+def _triples(rep):
+    return [(c.name, c.passed, c.witness) for c in rep.checks]
+
+
+def test_gq_and_srg_match_dense_reference(families):
+    for name in ("example933", "brouwer2", "brouwer3", "affine3"):
+        m = families[name]
+        s, t = _design_order(m)
+        lifted = gq_from_polyphase(m)
+        z = lifted.toarray()
+        assert (_triples(verify_gq_axioms(lifted, s, t, check_spread=True))
+                == _triples(verify_gq_axioms(z, s, t, check_spread=True)))
+        # most mutants offend at both (i, j) and (j, i) of a product, so
+        # this also pins the witness to the row-major first offence
+        mutants = [_swap_cell(z, seed) for seed in range(20)]
+        for case in [z] + mutants:
+            got = verify_gq_axioms(case, s, t, check_spread=True)
+            assert _triples(got) == _dense_gq_reference(case, s, t, check_spread=True), name
+            srg = verify_srg_collinearity(case, s, t)
+            assert _triples(srg) == _dense_srg_reference(case, s, t), name
+            assert got.passed == (case is z), name
 
 
 def test_srg_parameters(families):
