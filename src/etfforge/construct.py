@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf import FiniteField, beta, field_create, field_norm, frobenius, prime_power_split
+from .gf import FiniteField, field_create, prime_power_split
 from .groupring import AbelianGroup
 from .polymat import GroupRingMatrix, PolyphaseMatrix
 
@@ -141,64 +141,61 @@ def affine_polyphase(q: int) -> PolyphaseMatrix:
     p, m = prime_power_split(q)
     fld = field_create(p, m)
     group = AbelianGroup([p] * m)
-    els = fld.power_ordered_elements()
-    pos = {x.encoding: idx for idx, x in enumerate(els)}
+    els = np.concatenate(([0], fld.exp))
+    pos = np.empty(q, dtype=np.intp)
+    pos[els] = np.arange(q)
+    # the group index of a phase is its digit vector read mixed-radix
+    # row-major, i.e. with the digits reversed
+    place = p ** np.arange(m)
+    group_index = np.arange(q)[:, None] // place % p @ place[::-1]
+    i_idx, j_idx, y_idx = np.indices((q, q, q))
+    i, j, y = els[i_idx], els[j_idx], els[y_idx]
+    x = fld.add[y, fld.mul[i, j]]
+    rows = i_idx * q + pos[x]
+    cols = j_idx * q + y_idx
     b, v = (q + 1) * q, q * q
     support = np.zeros((b, v), dtype=bool)
     exps = np.zeros((b, v), dtype=np.intp)
-    for i_idx, i in enumerate(els):
-        for j_idx, j in enumerate(els):
-            ij = i * j
-            for y_idx, y in enumerate(els):
-                x = y + ij
-                row = i_idx * q + pos[x.encoding]
-                col = j_idx * q + y_idx
-                phase = j * (x + y)
-                support[row, col] = True
-                exps[row, col] = group.index(phase.coeffs)
-    for j_idx in range(q):
-        for y_idx in range(q):
-            support[q * q + j_idx, j_idx * q + y_idx] = True
+    support[rows, cols] = True
+    exps[rows, cols] = group_index[fld.mul[j, fld.add[x, y]]]
+    support[q * q :] = np.repeat(np.eye(q, dtype=bool), q, axis=1)
     return PolyphaseMatrix(group, support, exps)
 
 
-class _NormTables:
-    """Encoding-level arithmetic tables for GF(q^2) with the norm to GF(q)."""
+BROUWER_SIZE_GUARD = 7
+
+
+class _HermitianForm:
+    """GF(q^2) tables for the form sum_l frob(x_l) y_l on GF(q^2)^4: the
+    Frobenius x^q, the norm x^(q+1) onto GF(q), and the powers and
+    discrete log (-1 off the subgroup) of beta = alpha^(q-1), a generator
+    of the norm-one subgroup of order q+1."""
 
     def __init__(self, q: int):
         p, m = prime_power_split(q)
         self.q = q
         self.field = field_create(p, 2 * m)
-        els = self.field.elements()
-        n = self.field.order
-        self.add = [[(els[a] + els[b]).encoding for b in range(n)] for a in range(n)]
-        self.mul = [[(els[a] * els[b]).encoding for b in range(n)] for a in range(n)]
-        self.neg = [(-els[a]).encoding for a in range(n)]
-        self.inv = [0] + [els[a].inverse().encoding for a in range(1, n)]
-        self.frob = [frobenius(els[a], q).encoding for a in range(n)]
-        self.norm = [field_norm(els[a], q).encoding for a in range(n)]
-        self.norm_preimages: dict[int, list[int]] = {}
-        for a in range(n):
-            self.norm_preimages.setdefault(self.norm[a], []).append(a)
-        bq = beta(self.field, q)
-        self.beta_pows = []
-        x = self.field.one
-        for _ in range(q + 1):
-            self.beta_pows.append(x.encoding)
-            x = x * bq
-        self.beta_dlog = {e: j for j, e in enumerate(self.beta_pows)}
-        self.minus_one = self.neg[1]
+        self.frob = self._power(q)
+        self.norm = self._power(q + 1)
+        self.beta_pows = self.field.exp[(q - 1) * np.arange(q + 1)]
+        self.beta_dlog = np.full(self.field.order, -1, dtype=np.int16)
+        self.beta_dlog[self.beta_pows] = np.arange(q + 1)
 
-    def dot(self, x, y) -> int:
-        """Sum of frob(x_l) * y_l over four coordinates, conjugate-linear
-        in the first argument."""
-        acc = 0
-        for xl, yl in zip(x, y):
-            acc = self.add[acc][self.mul[self.frob[xl]][yl]]
+    def _power(self, e: int) -> np.ndarray:
+        """The table x -> x^e, with 0^e = 0."""
+        fld = self.field
+        out = np.zeros(fld.order, dtype=np.int16)
+        out[1:] = fld.exp[fld.log[1:].astype(np.int64) * e % (fld.order - 1)]
+        return out
+
+    def dot(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Sum of frob(x_l) * y_l over the last axis (four coordinates),
+        broadcasting the others; conjugate-linear in x."""
+        add, mul = self.field.add, self.field.mul
+        acc = mul[self.frob[x[..., 0]], y[..., 0]]
+        for l in range(1, 4):
+            acc = add[acc, mul[self.frob[x[..., l]], y[..., l]]]
         return acc
-
-    def sum4(self, a, b, c, d) -> int:
-        return self.add[self.add[self.add[a][b]][c]][d]
 
 
 @dataclass(frozen=True)
@@ -223,10 +220,53 @@ class BrouwerGeometry:
     ovoid: list
     orbit_reps: list
     blocks: list
-    tables: _NormTables = field(repr=False, default=None)
+    tables: _HermitianForm = field(repr=False, default=None)
 
 
-def brouwer_geometry(q: int, size_guard: int = 7) -> BrouwerGeometry:
+def _points(*coords) -> np.ndarray:
+    """Stack broadcast coordinate arrays (or scalars) along a new last axis."""
+    return np.stack(np.broadcast_arrays(*coords), axis=-1, dtype=np.int16)
+
+
+def _tuples(points: np.ndarray) -> list:
+    """Rows of a 2-d array as tuples of Python ints."""
+    return list(zip(*points.T.tolist()))
+
+
+def _blocks(kind: str, params: np.ndarray, ovoid_vertex: np.ndarray, x2, x3, x4) -> list:
+    """Blocks from per-block table rows: the closed-form parameters, the
+    ovoid vertex, and the last three coordinates of the n members with
+    leading coordinate 1, listed in ascending order."""
+    finite = _points(1, x2, x3, x4)
+    return [
+        Block(
+            kind=kind,
+            params=tuple(par),
+            ovoid_vertex=tuple(ov),
+            members=(tuple(ov),) + tuple(_tuples(fin)),
+        )
+        for par, ov, fin in zip(params.tolist(), ovoid_vertex.tolist(), finite)
+    ]
+
+
+def _orbit_reps(t: _HermitianForm, finite: np.ndarray) -> np.ndarray:
+    """One representative per orbit of j . x = (x1, B^j x2, B^j x3, B^j x4)
+    on the points with x1 = 1.  The representative minimises (not
+    preferred, x), where a preferred member has x2 = 0 or x3 = x4 = 0, so
+    the sorted keys list the representatives preferred first."""
+    n = t.field.order
+    rep_keys = np.full(len(finite), 2 * n**3)
+    for bj in t.beta_pows:
+        x2, x3, x4 = t.field.mul[bj, finite[:, 1:].T].astype(np.int64)
+        preferred = (x2 == 0) | ((x3 == 0) & (x4 == 0))
+        np.minimum(rep_keys, ((~preferred * n + x2) * n + x3) * n + x4, out=rep_keys)
+    rep_keys, sizes = np.unique(rep_keys, return_counts=True)
+    if np.any(sizes != t.q + 1):
+        raise AssertionError("orbit collapsed; the action should be free")
+    return _points(1, rep_keys // (n * n) % n, rep_keys // n % n, rep_keys % n)
+
+
+def brouwer_geometry(q: int) -> BrouwerGeometry:
     """Isotropic points and totally isotropic planes of the hermitian-type
     form sum x_l^(q+1) on GF(q^2)^4, with the norm-one group action.
 
@@ -235,114 +275,85 @@ def brouwer_geometry(q: int, size_guard: int = 7) -> BrouwerGeometry:
     span{(1,0,a,b), (0,1,-B^j b^q, B^j a^q)} with N(a)+N(b) = -1 and
     span{(1,a,0,0), (0,0,1,B^j a)} with N(a) = -1, where B has order q+1.
     """
-    if q > size_guard:
-        raise ValueError(f"q = {q} exceeds the size guard {size_guard}")
-    t = _NormTables(q)
+    if q > BROUWER_SIZE_GUARD:
+        raise ValueError(f"q = {q} exceeds the size guard {BROUWER_SIZE_GUARD}")
+    t = _HermitianForm(q)
+    add, mul, neg = t.field.add, t.field.mul, t.field.neg
+    norm, beta_pows = t.norm, t.beta_pows
     n = t.field.order
-    minus_one = t.minus_one
+    minus_one = neg[1]
+    one_plus = add[1, norm]  # 1 + N(x)
 
-    vertices = []
-    # leading coordinate 1: (1, x2, x3, x4), need 1 + N2 + N3 + N4 = 0
-    for x2 in range(n):
-        for x3 in range(n):
-            want = t.neg[t.add[t.add[1][t.norm[x2]]][t.norm[x3]]]
-            for x4 in t.norm_preimages.get(want, ()):
-                vertices.append((1, x2, x3, x4))
-    ovoid = []
-    for x3 in range(n):
-        want = t.neg[t.add[1][t.norm[x3]]]
-        for x4 in t.norm_preimages.get(want, ()):
-            ovoid.append((0, 1, x3, x4))
-    for x4 in t.norm_preimages.get(minus_one, ()):
-        ovoid.append((0, 0, 1, x4))
-    vertices = vertices + ovoid
+    # leading coordinate 1: (1, x2, x3, x4) with 1 + N2 + N3 + N4 = 0; the
+    # nonzero cells of the cube come out in lexicographic order
+    cube = add[add[one_plus[:, None], norm][:, :, None], norm]
+    finite = _points(1, *np.nonzero(cube == 0))
+    ovoid = np.concatenate(
+        [
+            _points(0, 1, *np.nonzero(add[one_plus[:, None], norm] == 0)),
+            _points(0, 0, 1, *np.nonzero(one_plus == 0)),
+        ]
+    )
 
-    # orbits of j . x = (x1, B^j x2, B^j x3, B^j x4) on the non-ovoid part
-    seen = set()
-    orbit_reps = []
-    for vert in vertices:
-        if vert[0] == 0 or vert in seen:
-            continue
-        orbit = []
-        for bj in t.beta_pows:
-            orbit.append((1, t.mul[bj][vert[1]], t.mul[bj][vert[2]], t.mul[bj][vert[3]]))
-        if len(set(orbit)) != q + 1:
-            raise AssertionError("orbit collapsed; the action should be free")
-        seen.update(orbit)
-        preferred = [m for m in orbit if m[1] == 0 or (m[2] == 0 and m[3] == 0)]
-        orbit_reps.append(min(preferred) if preferred else min(orbit))
-    orbit_reps.sort(key=lambda rep: (0 if rep[1] == 0 or (rep[2] == 0 and rep[3] == 0) else 1, rep))
+    orbit_reps = _orbit_reps(t, finite)
 
-    blocks = []
-    for a in range(n):
-        want = t.add[minus_one][t.neg[t.norm[a]]]  # N(b) = -1 - N(a)
-        for b in t.norm_preimages.get(want, ()):
-            for j, bj in enumerate(t.beta_pows):
-                w3 = t.neg[t.mul[bj][t.frob[b]]]
-                w4 = t.mul[bj][t.frob[a]]
-                members = [(0, 1, w3, w4)]
-                for d in range(n):
-                    members.append((1, d, t.add[a][t.mul[d][w3]], t.add[b][t.mul[d][w4]]))
-                blocks.append(
-                    Block(
-                        kind="ab",
-                        params=(a, b, j),
-                        ovoid_vertex=(0, 1, w3, w4),
-                        members=tuple(sorted(members)),
-                    )
-                )
-    for a in t.norm_preimages.get(minus_one, ()):
-        for j, bj in enumerate(t.beta_pows):
-            w4 = t.mul[bj][a]
-            members = [(0, 0, 1, w4)]
-            for e in range(n):
-                members.append((1, a, e, t.mul[e][w4]))
-            blocks.append(
-                Block(
-                    kind="a",
-                    params=(a, j),
-                    ovoid_vertex=(0, 0, 1, w4),
-                    members=tuple(sorted(members)),
-                )
-            )
+    d = np.arange(n)
+    # N(a) + N(b) = -1, then every j
+    a, b = np.nonzero(add[norm[:, None], norm] == minus_one)
+    j = np.tile(np.arange(q + 1), len(a))
+    a, b = np.repeat(a, q + 1), np.repeat(b, q + 1)
+    w3 = neg[mul[beta_pows[j], t.frob[b]]]
+    w4 = mul[beta_pows[j], t.frob[a]]
+    blocks = _blocks(
+        "ab",
+        np.stack([a, b, j], axis=1),
+        _points(0, 1, w3, w4),
+        d,
+        add[a[:, None], mul[d, w3[:, None]]],
+        add[b[:, None], mul[d, w4[:, None]]],
+    )
+    # N(a) = -1, then every j
+    (a,) = np.nonzero(norm == minus_one)
+    j = np.tile(np.arange(q + 1), len(a))
+    a = np.repeat(a, q + 1)
+    w4 = mul[beta_pows[j], a]
+    blocks += _blocks(
+        "a", np.stack([a, j], axis=1), _points(0, 0, 1, w4), a[:, None], d, mul[d, w4[:, None]]
+    )
 
+    ovoid = _tuples(ovoid)
     return BrouwerGeometry(
         q=q,
         field=t.field,
-        vertices=vertices,
+        vertices=_tuples(finite) + ovoid,
         ovoid=ovoid,
-        orbit_reps=orbit_reps,
+        orbit_reps=_tuples(orbit_reps),
         blocks=blocks,
         tables=t,
     )
 
 
-def _threading_vector(t: _NormTables, y) -> tuple:
+def _threading_vector(t: _HermitianForm, y) -> tuple:
     """Lexicographically least z = (1, z2, z3, z4) with z.z = 0 and y.z = 0;
     the q+1 blocks through the isotropic point y are spanned by y with the
     norm-one orbit of z."""
-    coeff = [t.frob[y[1]], t.frob[y[2]], t.frob[y[3]]]
-    pivot = max(i for i in range(3) if coeff[i] != 0)
-    free = [i for i in range(3) if i != pivot]
-    inv_piv = t.inv[coeff[pivot]]
+    add, mul, neg, norm = t.field.add, t.field.mul, t.field.neg, t.norm
     n = t.field.order
-    best = None
-    for u0 in range(n):
-        for u1 in range(n):
-            zs = [0, 0, 0]
-            zs[free[0]], zs[free[1]] = u0, u1
-            rhs = t.add[t.mul[coeff[free[0]]][u0]][t.mul[coeff[free[1]]][u1]]
-            zs[pivot] = t.mul[inv_piv][t.neg[rhs]]
-            if t.sum4(1, t.norm[zs[0]], t.norm[zs[1]], t.norm[zs[2]]) == 0:
-                cand = tuple(zs)
-                if best is None or cand < best:
-                    best = cand
-    if best is None:
+    coeff = t.frob[list(y[1:])]
+    pivot = int(np.nonzero(coeff)[0][-1])
+    free = [i for i in range(3) if i != pivot]
+    z = np.empty((3, n * n), dtype=np.int64)
+    z[free] = np.indices((n, n)).reshape(2, -1)
+    rhs = add[mul[coeff[free[0]], z[free[0]]], mul[coeff[free[1]], z[free[1]]]]
+    z[pivot] = mul[t.field.inv[coeff[pivot]], neg[rhs]]
+    iso = add[add[add[1, norm[z[0]]], norm[z[1]]], norm[z[2]]] == 0
+    if not iso.any():
         raise AssertionError("no threading vector; y is not an isotropic point")
-    return (1,) + best
+    key = np.where(iso, (z[0] * n + z[1]) * n + z[2], n**3)
+    return (1,) + tuple(z[:, np.argmin(key)].tolist())
 
 
-def brouwer_polyphase(q: int, size_guard: int = 7) -> PolyphaseMatrix:
+def brouwer_polyphase(q: int) -> PolyphaseMatrix:
     """q^2(q^2-q+1) x (q^3+1) matrix over Z_{q+1}.
 
     Rows are orbit representatives of non-ovoid points, columns are the
@@ -351,25 +362,19 @@ def brouwer_polyphase(q: int, size_guard: int = 7) -> PolyphaseMatrix:
     permutation that records which block through y each orbit member
     lands in.
     """
-    geom = brouwer_geometry(q, size_guard=size_guard)
+    geom = brouwer_geometry(q)
     t = geom.tables
     group = AbelianGroup([q + 1])
     cols = sorted(geom.ovoid)
-    rows = geom.orbit_reps
-    support = np.zeros((len(rows), len(cols)), dtype=bool)
-    exps = np.zeros((len(rows), len(cols)), dtype=np.intp)
-    threading = [_threading_vector(t, y) for y in cols]
-    for jcol, y in enumerate(cols):
-        zy = threading[jcol]
-        for irow, x in enumerate(rows):
-            if t.dot(x, y) != 0:
-                continue
-            u = t.add[1][t.neg[t.dot(x, zy)]]  # 1 - x.z
-            g = t.beta_dlog.get(u)
-            if g is None:
-                raise AssertionError("1 - x.z must have norm one when x is orthogonal to y")
-            support[irow, jcol] = True
-            exps[irow, jcol] = g
+    rows = np.array(geom.orbit_reps)
+    threading = np.array([_threading_vector(t, y) for y in cols])
+    support = t.dot(rows[:, None, :], np.array(cols)) == 0
+    r, c = np.nonzero(support)
+    g = t.beta_dlog[t.field.add[1, t.field.neg[t.dot(rows[r], threading[c])]]]  # 1 - x.z
+    if np.any(g < 0):
+        raise AssertionError("1 - x.z must have norm one when x is orthogonal to y")
+    exps = np.zeros(support.shape, dtype=np.intp)
+    exps[r, c] = g
     return PolyphaseMatrix(group, support, exps)
 
 

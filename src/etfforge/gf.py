@@ -1,24 +1,33 @@
-"""Exact arithmetic in GF(p^m).
+"""Exact arithmetic in GF(p^m) as integer lookup tables.
 
 A field is Z_p[x] modulo a fixed monic irreducible polynomial of degree
-m.  Polynomials are coefficient tuples with the constant term first, so
-the tuple (c0, c1, ..., c_{m-1}) encodes c0 + c1*x + ... as the integer
-c0 + c1*p + c2*p^2 + ...  The modulus is chosen deterministically: monic
-degree-m candidates are scanned in ascending encoding order and the
-first irreducible one wins.  The designated multiplicative generator
-``alpha`` is the element of least encoding whose order is p^m - 1.
-Everything downstream (constructions, serialized matrices) relies on
-these two choices being reproducible.
+m.  An element is its integer encoding: the residue c0 + c1*x + ... +
+c_{m-1}*x^(m-1) is encoded as c0 + c1*p + c2*p^2 + ...  The modulus is
+chosen deterministically: monic degree-m candidates are scanned in
+ascending encoding order and the first irreducible one wins.  The
+designated multiplicative generator ``alpha`` is the least encoding
+whose order is p^m - 1.  Everything downstream (constructions,
+serialized matrices) relies on these two choices being reproducible.
 
-Field order is capped at 2^20; the constructions only ever need tiny
-fields and the cap keeps accidental misuse from hanging.
+All arithmetic is table lookup indexed by encoding: ``add[a, b]``,
+``mul[a, b]``, ``neg[a]``, ``inv[a]`` (``inv[0]`` is 0), ``exp[k]`` =
+alpha^k for 0 <= k < p^m - 1, and its inverse ``log`` (``log[0]`` is
+-1).  The tables are built with numpy from the base-p digits of the
+encodings and the map a -> x*a reduced by the modulus, so no
+per-element Python objects exist.
+
+``add`` and ``mul`` hold order^2 entries, so field order is capped at
+2^10 (2 MiB per int16 table) and checked before anything is allocated;
+the constructions never need more than order 49.
 """
 
 from __future__ import annotations
 
 import functools
 
-MAX_FIELD_ORDER = 1 << 20
+import numpy as np
+
+MAX_FIELD_ORDER = 1 << 10
 
 
 def _is_prime(n: int) -> bool:
@@ -50,36 +59,6 @@ def _poly_trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_mod(a: list[int], mod: list[int], p: int) -> list[int]:
-    # mod is monic
-    a = list(a)
-    da, dm = len(a) - 1, len(mod) - 1
-    for i in range(da, dm - 1, -1):
-        c = a[i] % p
-        if c:
-            for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - c * mod[j]) % p
-    return _poly_trim(a[:dm])
-
-
-def _poly_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return _poly_trim([(x - y) % p for x, y in zip(a, b)])
 
 
 def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -122,109 +101,8 @@ def _encode_to_coeffs(enc: int, p: int, length: int) -> list[int]:
     return out
 
 
-def _coeffs_to_encode(coeffs, p: int) -> int:
-    enc = 0
-    for c in reversed(coeffs):
-        enc = enc * p + c
-    return enc
-
-
-class FieldElement:
-    """Residue polynomial in a fixed GF(p^m), stored constant-term first."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: "FiniteField", coeffs: tuple[int, ...]):
-        self.field = field
-        self.coeffs = coeffs
-
-    @property
-    def encoding(self) -> int:
-        return _coeffs_to_encode(self.coeffs, self.field.p)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement) or other.field is not self.field:
-            raise ValueError("elements belong to different fields")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        p = self.field.p
-        return FieldElement(
-            self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        p = self.field.p
-        return FieldElement(
-            self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self) -> "FieldElement":
-        p = self.field.p
-        return FieldElement(self.field, tuple((-a) % p for a in self.coeffs))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        f = self.field
-        prod = _poly_mul(list(self.coeffs), list(other.coeffs), f.p)
-        red = _poly_mod(prod, list(f.modulus), f.p)
-        red = red + [0] * (f.m - len(red))
-        return FieldElement(f, tuple(red))
-
-    def inverse(self) -> "FieldElement":
-        """Extended Euclid in Z_p[x] against the field modulus."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        f = self.field
-        p = f.p
-        # invariant: s_i * self == r_i (mod modulus)
-        r0, r1 = list(f.modulus), _poly_trim(list(self.coeffs))
-        s0, s1 = [], [1]
-        while r1:
-            q, r = _poly_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, p), p)
-        # modulus irreducible, so the gcd r0 is a nonzero constant
-        c_inv = pow(r0[0], p - 2, p)
-        inv = _poly_mod([(c * c_inv) % p for c in s0], list(f.modulus), p)
-        inv = inv + [0] * (f.m - len(inv))
-        return FieldElement(f, tuple(inv))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        return self * other.inverse()
-
-    def __pow__(self, n: int) -> "FieldElement":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and other.field is self.field
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.field), self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self.encoding} in {self.field})"
-
-
 class FiniteField:
-    """GF(p^m) with a deterministic modulus and generator."""
+    """GF(p^m) with a deterministic modulus and generator, as int16 tables."""
 
     def __init__(self, p: int, m: int):
         if not _is_prime(p):
@@ -235,12 +113,41 @@ class FiniteField:
             raise ValueError(f"field order {p**m} exceeds cap {MAX_FIELD_ORDER}")
         self.p = p
         self.m = m
-        self.order = p**m
+        self.order = n = p**m
         self.modulus = self._find_modulus()
-        self.zero = FieldElement(self, (0,) * m)
-        self.one = FieldElement(self, tuple([1] + [0] * (m - 1)))
-        self._elements: list[FieldElement] | None = None
+
+        place = p ** np.arange(m, dtype=np.int32)
+        digits = np.arange(n, dtype=np.int32)[:, None] // place % p  # coefficient of x^i
+        # x * a: shift the digits up one place and fold x^m back in as
+        # minus the low part of the modulus
+        low = np.array(self.modulus[:m])
+        xdigits = np.roll(digits, 1, axis=1)
+        xdigits[:, 0] = 0
+        times_x = (xdigits - digits[:, m - 1 :] * low) % p @ place
+        # xpow[a, i] = x^i * a, so a * b = sum_i b_i * xpow[a, i]
+        xpow = np.empty((n, m), dtype=np.intp)
+        xpow[:, 0] = np.arange(n)
+        for i in range(1, m):
+            xpow[:, i] = times_x[xpow[:, i - 1]]
+        add = np.zeros((n, n), dtype=np.int32)
+        mul = np.zeros((n, n), dtype=np.int32)
+        for j in range(m):
+            add += np.add.outer(digits[:, j], digits[:, j]) % p * place[j]
+            mul += digits[xpow, j] @ digits.T % p * place[j]
+        self.add = add.astype(np.int16)
+        self.mul = mul.astype(np.int16)
+        self.neg = ((-digits) % p @ place).astype(np.int16)
+
         self.alpha = self._find_alpha()
+        exp = [1]
+        by_alpha = self.mul[self.alpha].tolist()
+        for _ in range(n - 2):
+            exp.append(by_alpha[exp[-1]])
+        self.exp = np.array(exp, dtype=np.int16)
+        self.log = np.full(n, -1, dtype=np.int16)
+        self.log[self.exp] = np.arange(n - 1)
+        self.inv = np.zeros(n, dtype=np.int16)
+        self.inv[self.exp] = self.exp[-np.arange(n - 1) % (n - 1)]
 
     def _find_modulus(self) -> tuple[int, ...]:
         # scan x^m, x^m + 1, x^m + 2, ... in encoding order of the low part
@@ -250,48 +157,22 @@ class FiniteField:
                 return tuple(cand)
         raise AssertionError("no irreducible polynomial found")  # unreachable
 
-    def _find_alpha(self) -> FieldElement:
+    def _find_alpha(self) -> int:
+        """Least nonzero encoding x with x^((order-1)/l) != 1 for every
+        prime l dividing order - 1."""
         target = self.order - 1
-        primes = _prime_factors(target)
-        for x in self.elements():
-            if x.is_zero():
-                continue
-            if all((x ** (target // ell)) != self.one for ell in primes):
-                return x
-        raise AssertionError("no primitive element found")  # unreachable
-
-    def element(self, value) -> FieldElement:
-        """Element from an integer encoding or a coefficient sequence."""
-        if isinstance(value, FieldElement):
-            if value.field is not self:
-                raise ValueError("element belongs to a different field")
-            return value
-        if isinstance(value, int):
-            if not 0 <= value < self.order:
-                raise ValueError(f"encoding {value} out of range for {self}")
-            return FieldElement(self, tuple(_encode_to_coeffs(value, self.p, self.m)))
-        coeffs = tuple(c % self.p for c in value)
-        if len(coeffs) != self.m:
-            raise ValueError(f"expected {self.m} coefficients")
-        return FieldElement(self, coeffs)
-
-    def elements(self) -> list[FieldElement]:
-        """All elements in ascending encoding order."""
-        if self._elements is None:
-            self._elements = [self.element(e) for e in range(self.order)]
-        return self._elements
-
-    def power_ordered_elements(self) -> list[FieldElement]:
-        """Zero first, then alpha^0, alpha^1, ..., alpha^(order-2)."""
-        out = [self.zero]
-        x = self.one
-        for _ in range(self.order - 1):
-            out.append(x)
-            x = x * self.alpha
-        return out
-
-    def describe(self) -> str:
-        return f"GF({self.p}^{self.m}) modulus={list(self.modulus)}"
+        cands = np.arange(1, self.order)
+        primitive = np.ones(target, dtype=bool)
+        for ell in _prime_factors(target):
+            # cands ** (target // ell) by square and multiply
+            power, base, e = np.ones_like(cands), cands, target // ell
+            while e:
+                if e & 1:
+                    power = self.mul[power, base]
+                base = self.mul[base, base]
+                e >>= 1
+            primitive &= power != 1
+        return int(cands[np.argmax(primitive)])
 
     def __eq__(self, other) -> bool:
         return (
@@ -310,33 +191,6 @@ class FiniteField:
 @functools.lru_cache(maxsize=None)
 def field_create(p: int, m: int) -> FiniteField:
     return FiniteField(p, m)
-
-
-def primitive_element(field: FiniteField) -> FieldElement:
-    return field.alpha
-
-
-def _check_quadratic(field: FiniteField, q: int) -> None:
-    if q * q != field.order:
-        raise ValueError(f"field order {field.order} is not q^2 for q = {q}")
-
-
-def frobenius(x: FieldElement, q: int) -> FieldElement:
-    """x -> x^q on GF(q^2); fixes exactly the GF(q) subfield."""
-    _check_quadratic(x.field, q)
-    return x**q
-
-
-def field_norm(x: FieldElement, q: int) -> FieldElement:
-    """Norm of GF(q^2) over GF(q): x -> x^(q+1), valued in the subfield."""
-    _check_quadratic(x.field, q)
-    return x ** (q + 1)
-
-
-def beta(field: FiniteField, q: int) -> FieldElement:
-    """alpha^(q-1), a generator of the norm-one subgroup of order q+1."""
-    _check_quadratic(field, q)
-    return field.alpha ** (q - 1)
 
 
 def prime_power_split(n: int) -> tuple[int, int]:

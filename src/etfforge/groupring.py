@@ -223,9 +223,6 @@ class GroupRingElement:
         diff = g.add_index[:, g.neg_index]  # diff[a, b] = index of a - b
         return self.coeffs[diff]
 
-    def is_monomial(self) -> bool:
-        return bool(np.sum(self.coeffs == 1) == 1 and np.sum(self.coeffs != 0) == 1)
-
     def support(self):
         return [self.group.element(i) for i in np.nonzero(self.coeffs)[0]]
 

@@ -106,9 +106,6 @@ class GroupRingMatrix:
         c = self.coeffs[:, :, self.group.neg_index]
         return GroupRingMatrix(self.group, np.transpose(c, (1, 0, 2)))
 
-    def is_self_adjoint(self) -> bool:
-        return self == self.adjoint()
-
     def evaluate(self, gamma: Character) -> np.ndarray:
         if gamma.group != self.group:
             raise ValueError("character belongs to a different group")

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -60,6 +61,14 @@ def test_construct_flag_validation(tmp_path, capsys):
     assert code == 2 and "--q" in err
     code, _, err = run(capsys, "construct", "--family", "affine", "--q", "6", "-o", str(tmp_path))
     assert code == 2 and "6 is not a prime power" in err
+
+
+def test_construct_rejects_field_over_cap_before_allocating(tmp_path, capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "construct", "--family", "affine", "--q", "2048", "-o", str(tmp_path))
+    assert code == 2 and "field order 2048 exceeds cap 1024" in err
+    assert time.perf_counter() - start < 0.5
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.fixture()

@@ -153,14 +153,16 @@ def test_affine_gram_closed_form(q):
     m = affine_polyphase(q)
     p, mm = prime_power_split(q)
     fld = field_create(p, mm)
-    els = fld.power_ordered_elements()
+    add, mul, neg = fld.add, fld.mul, fld.neg
+    els = [0] + fld.exp.tolist()
     group = m.group
     gram = m.adjoint() @ m
     expected = np.zeros((q * q, q * q, group.order), dtype=np.int64)
     for (j1, y1), (j2, y2) in itertools.product(itertools.product(range(q), range(q)), repeat=2):
         c1, c2 = j1 * q + y1, j2 * q + y2
-        phase = -((els[j1] - els[j2]) * (els[y1] + els[y2]))
-        expected[c1, c2, group.index(phase.coeffs)] += 1
+        phase = neg[mul[add[els[j1], neg[els[j2]]], add[els[y1], els[y2]]]]
+        coeffs = [int(phase) // p**i % p for i in range(mm)]  # constant term first
+        expected[c1, c2, group.index(coeffs)] += 1
         if c1 == c2:
             expected[c1, c2, 0] += q
     assert gram == GroupRingMatrix(group, expected)

@@ -1,17 +1,8 @@
-import itertools
-
 import numpy as np
 import pytest
 
-from etfforge.gf import (
-    MAX_FIELD_ORDER,
-    beta,
-    field_create,
-    field_norm,
-    frobenius,
-    prime_power_split,
-    primitive_element,
-)
+from etfforge.construct import _HermitianForm
+from etfforge.gf import MAX_FIELD_ORDER, field_create, prime_power_split
 
 
 def _decode(enc, p, length):
@@ -25,7 +16,7 @@ def _decode(enc, p, length):
 def _encode(coeffs, p):
     e = 0
     for c in reversed(coeffs):
-        e = e * p + c
+        e = e * p + int(c)
     return e
 
 
@@ -46,14 +37,28 @@ def _oracle_first_irreducible(p, m):
     raise AssertionError
 
 
-def _multiplicative_order(x):
-    one = x.field.one
+def _oracle_mul(f):
+    """Schoolbook product of every pair: convolve the coefficient vectors,
+    then cancel the top degrees with multiples of the monic modulus."""
+    p, m = f.p, f.m
+    mod = np.array(f.modulus)
+    out = np.empty((f.order, f.order), dtype=np.int64)
+    for a in range(f.order):
+        for b in range(f.order):
+            prod = np.convolve(_decode(a, p, m), _decode(b, p, m)) % p
+            for deg in range(len(prod) - 1, m - 1, -1):
+                prod[deg - m : deg + 1] = (prod[deg - m : deg + 1] - prod[deg] * mod) % p
+            out[a, b] = _encode(prod[:m], p)
+    return out
+
+
+def _multiplicative_order(f, x):
     y = x
-    for k in range(1, x.field.order):
-        if y == one:
+    for k in range(1, f.order):
+        if y == 1:
             return k
-        y = y * x
-    raise AssertionError
+        y = f.mul[y, x]
+    raise AssertionError(f"{x} never reaches 1")
 
 
 FROZEN_MODULI = {
@@ -76,137 +81,123 @@ def test_modulus_matches_factor_oracle(p, m):
     assert field_create(p, m).modulus == _oracle_first_irreducible(p, m)
 
 
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)])
+def test_mul_matches_convolution_oracle(p, m):
+    f = field_create(p, m)
+    assert np.array_equal(f.mul, _oracle_mul(f))
+
+
 @pytest.mark.parametrize("p,m", [(2, 2), (3, 2)])
 def test_field_axioms_exhaustive(p, m):
     f = field_create(p, m)
-    els = f.elements()
-    for a, b in itertools.product(els, repeat=2):
-        assert a + b == b + a
-        assert a * b == b * a
-    for a, b, c in itertools.product(els, repeat=3):
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-    for a in els:
-        assert a + f.zero == a
-        assert a * f.one == a
-        assert a + (-a) == f.zero
+    add, mul, x = f.add, f.mul, np.arange(f.order)
+    assert np.array_equal(add, add.T)
+    assert np.array_equal(mul, mul.T)
+    a, b, c = np.ix_(x, x, x)
+    assert np.array_equal(add[add[a, b], c], add[a, add[b, c]])
+    assert np.array_equal(mul[mul[a, b], c], mul[a, mul[b, c]])
+    assert np.array_equal(mul[a, add[b, c]], add[mul[a, b], mul[a, c]])
+    assert np.array_equal(add[:, 0], x)
+    assert np.array_equal(mul[:, 1], x)
+    assert np.all(add[x, f.neg] == 0)
 
 
 @pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 2), (2, 4), (7, 1)])
 def test_inverses(p, m):
     f = field_create(p, m)
-    for a in f.elements():
-        if a.is_zero():
-            with pytest.raises(ZeroDivisionError):
-                a.inverse()
-        else:
-            assert a * a.inverse() == f.one
-            assert a / a == f.one
-            assert a ** (-1) == a.inverse()
+    nonzero = np.arange(1, f.order)
+    assert np.all(f.mul[nonzero, f.inv[nonzero]] == 1)
+    assert f.inv[0] == 0
 
 
 def test_alpha_frozen():
     # hand-checked generators for the small fields the constructions use
-    assert field_create(3, 1).alpha.encoding == 2
-    assert field_create(2, 2).alpha.encoding == 2
-    assert field_create(2, 3).alpha.encoding == 2
-    assert field_create(3, 2).alpha.encoding == 4  # 1 + x
-    assert field_create(5, 1).alpha.encoding == 2
-    assert field_create(7, 1).alpha.encoding == 3
+    assert field_create(3, 1).alpha == 2
+    assert field_create(2, 2).alpha == 2
+    assert field_create(2, 3).alpha == 2
+    assert field_create(3, 2).alpha == 4  # 1 + x
+    assert field_create(5, 1).alpha == 2
+    assert field_create(7, 1).alpha == 3
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (5, 1), (7, 1), (5, 2), (3, 3)])
 def test_alpha_is_least_generator(p, m):
     f = field_create(p, m)
-    assert _multiplicative_order(f.alpha) == f.order - 1
-    for enc in range(1, f.alpha.encoding):
-        assert _multiplicative_order(f.element(enc)) < f.order - 1
+    assert _multiplicative_order(f, f.alpha) == f.order - 1
+    for enc in range(1, f.alpha):
+        assert _multiplicative_order(f, enc) < f.order - 1
 
 
 def test_power_ordered_elements():
     f = field_create(3, 2)
-    ordered = f.power_ordered_elements()
-    assert ordered[0] == f.zero
-    assert ordered[1] == f.one
+    ordered = [0] + f.exp.tolist()
+    assert ordered[1] == 1
     assert ordered[2] == f.alpha
-    assert len(set(x.encoding for x in ordered)) == 9
+    assert sorted(ordered) == list(range(9))
+    assert np.array_equal(f.log[f.exp], np.arange(8))
+    assert f.log[0] == -1
 
 
 def test_gf9_frozen_power_table():
     f = field_create(3, 2)
     a = f.alpha
-    assert (a * a).encoding == 6  # 2x
-    assert (a**3).encoding == 7  # 1 + 2x
-    assert a**4 == f.element(2)
-    assert a**8 == f.one
+    assert f.mul[a, a] == 6  # 2x
+    assert f.exp[3] == 7  # 1 + 2x
+    assert f.exp[4] == 2
+    assert f.mul[f.exp[7], a] == 1
+
+
+# the Frobenius, norm and beta tables live with the Hermitian form that
+# uses them
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_frobenius_is_subfield_automorphism(q):
-    p, m = prime_power_split(q)
-    f = field_create(p, 2 * m)
-    fixed = 0
-    for x in f.elements():
-        fx = frobenius(x, q)
-        assert frobenius(fx, q) == x
-        if fx == x:
-            fixed += 1
-        for y in f.elements()[:6]:
-            assert frobenius(x + y, q) == fx + frobenius(y, q)
-            assert frobenius(x * y, q) == fx * frobenius(y, q)
-    assert fixed == q
+    t = _HermitianForm(q)
+    f, frob = t.field, t.frob
+    assert np.array_equal(frob[frob], np.arange(f.order))
+    assert np.sum(frob == np.arange(f.order)) == q
+    assert np.array_equal(frob[f.add], f.add[frob[:, None], frob])
+    assert np.array_equal(frob[f.mul], f.mul[frob[:, None], frob])
 
 
 def test_gf9_frobenius_and_norm_frozen():
-    f = field_create(3, 2)
-    assert frobenius(f.alpha, 3) == f.alpha**3
-    assert field_norm(f.alpha, 3) == f.element(2)
+    t = _HermitianForm(3)
+    assert t.frob[t.field.alpha] == t.field.exp[3]
+    assert t.norm[t.field.alpha] == 2
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_norm_level_sets(q):
-    p, m = prime_power_split(q)
-    f = field_create(p, 2 * m)
-    subfield = {x.encoding for x in f.elements() if frobenius(x, q) == x}
-    counts = {}
-    for x in f.elements():
-        nx = field_norm(x, q)
-        assert nx.encoding in subfield
-        counts[nx.encoding] = counts.get(nx.encoding, 0) + 1
-    assert counts[0] == 1
-    for enc, c in counts.items():
-        if enc != 0:
-            assert c == q + 1
-    assert len(counts) == q  # norm is onto the subfield
+    t = _HermitianForm(q)
+    subfield = np.nonzero(t.frob == np.arange(t.field.order))[0]
+    assert np.all(np.isin(t.norm, subfield))
+    values, counts = np.unique(t.norm, return_counts=True)
+    assert np.array_equal(values, subfield)  # norm is onto the subfield
+    assert counts[0] == 1  # only 0 has norm 0
+    assert np.all(counts[1:] == q + 1)
 
 
 def test_norm_multiplicative():
-    f = field_create(3, 2)
-    for x, y in itertools.product(f.elements(), repeat=2):
-        assert field_norm(x * y, 3) == field_norm(x, 3) * field_norm(y, 3)
+    t = _HermitianForm(3)
+    f, norm = t.field, t.norm
+    assert np.array_equal(norm[f.mul], f.mul[norm[:, None], norm])
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
 def test_beta_order(q):
-    p, m = prime_power_split(q)
-    f = field_create(p, 2 * m)
-    b = beta(f, q)
-    assert _multiplicative_order(b) == q + 1
-    assert field_norm(b, q) == f.one
+    t = _HermitianForm(q)
+    beta = int(t.beta_pows[1])
+    assert _multiplicative_order(t.field, beta) == q + 1
+    assert t.norm[beta] == 1
+    assert np.array_equal(t.beta_pows[1:], t.field.mul[t.beta_pows[:-1], beta])
+    assert np.array_equal(t.beta_dlog[t.beta_pows], np.arange(q + 1))
+    assert np.sum(t.beta_dlog >= 0) == q + 1
 
 
 def test_gf9_beta_frozen():
-    f = field_create(3, 2)
-    assert beta(f, 3) == f.alpha**2
-
-
-def test_quadratic_guards():
-    f = field_create(3, 2)
-    with pytest.raises(ValueError):
-        frobenius(f.alpha, 2)
-    with pytest.raises(ValueError):
-        beta(field_create(3, 1), 3)
+    t = _HermitianForm(3)
+    assert t.beta_pows[1] == t.field.exp[2]
 
 
 def test_field_create_guards():
@@ -214,16 +205,11 @@ def test_field_create_guards():
         field_create(4, 1)
     with pytest.raises(ValueError):
         field_create(6, 2)
+    with pytest.raises(ValueError, match="exceeds cap 1024"):
+        field_create(2, 11)  # 2^11 > MAX_FIELD_ORDER
     with pytest.raises(ValueError):
-        field_create(2, 21)  # 2^21 > MAX_FIELD_ORDER
-    assert MAX_FIELD_ORDER == 2**20
-
-
-def test_mixed_field_rejected():
-    a = field_create(3, 2).alpha
-    b = field_create(3, 1).one
-    with pytest.raises(ValueError):
-        a + b  # noqa: B018
+        field_create(2, 21)
+    assert MAX_FIELD_ORDER == 2**10
 
 
 def test_prime_power_split():
@@ -238,24 +224,6 @@ def test_prime_power_split():
 
 def test_m1_matches_plain_modular_arithmetic():
     f = field_create(5, 1)
-    for a in range(5):
-        for b in range(5):
-            assert (f.element(a) + f.element(b)).encoding == (a + b) % 5
-            assert (f.element(a) * f.element(b)).encoding == (a * b) % 5
-
-
-def test_primitive_element_alias():
-    f = field_create(2, 3)
-    assert primitive_element(f) == f.alpha
-
-
-def test_element_roundtrip_and_describe():
-    f = field_create(3, 2)
-    for enc in range(9):
-        assert f.element(enc).encoding == enc
-    assert f.element((1, 2)).encoding == 1 + 2 * 3
-    assert f.describe() == "GF(3^2) modulus=[1, 0, 1]"
-    with pytest.raises(ValueError):
-        f.element(9)
-    with pytest.raises(ValueError):
-        f.element((1, 2, 0))
+    x = np.arange(5)
+    assert np.array_equal(f.add, np.add.outer(x, x) % 5)
+    assert np.array_equal(f.mul, np.multiply.outer(x, x) % 5)

@@ -192,16 +192,6 @@ def test_real_character_designation():
         real_character(AbelianGroup([3, 3]))
 
 
-def test_monomial_predicate():
-    group = AbelianGroup([4])
-    assert GroupRingElement.delta(group, (3,)).is_monomial()
-    assert not GroupRingElement.zero(group).is_monomial()
-    assert not (2 * GroupRingElement.delta(group, (1,))).is_monomial()
-    assert not (
-        GroupRingElement.delta(group, (1,)) + GroupRingElement.delta(group, (2,))
-    ).is_monomial()
-
-
 def test_mismatched_operands_rejected():
     x = GroupRingElement.delta(AbelianGroup([2]))
     y = GroupRingElement.delta(AbelianGroup([3]))
