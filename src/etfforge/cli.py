@@ -198,7 +198,7 @@ def cmd_verify(args) -> int:
         if "etf" in wanted:
             gammas = _select_characters(m.group, args.character)
             mats = [m.evaluate(g) for g in gammas]
-            with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
+            with ThreadPoolExecutor(max_workers=min(_thread_count(), len(mats))) as pool:
                 results = list(pool.map(V.verify_etf_numeric, mats))
             for gamma, rep in zip(gammas, results):
                 rep.subject += f" at character {gamma.exponents}"

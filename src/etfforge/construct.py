@@ -469,7 +469,7 @@ def drackn_from_polyphase(m: PolyphaseMatrix) -> tuple[GroupRingMatrix, DracknPa
     x = m.modulus_squared()
     params = BibdParams.from_vk(m.cols, int(x.sum(axis=1)[0]))
     r = params.r
-    gram = m.adjoint() @ m
+    gram = m.gram()
     a = gram - GroupRingMatrix.from_scalar(m.group, r * np.eye(m.cols, dtype=np.int64))
     f = m.group.order
     c_num = params.k * (r - 1)

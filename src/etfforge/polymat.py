@@ -7,10 +7,11 @@ as a support mask plus an index-encoded exponent array, which keeps the
 general object that products and adjoints land in, stored as an
 (rows, cols, f) integer coefficient array.
 
-Products are exact: the group-ring matmul runs one BLAS multiply per
-pair of group elements on float64 views and rounds back, which is exact
-while every intermediate stays far below 2^53 (true by orders of
-magnitude for everything built here).
+The design Gram Phi* Phi, the product the exact checks need, is built
+by integer scatter with no floating point at all.  The general
+group-ring matmul runs one BLAS multiply per pair of group elements on
+float64 views; float64 sums of integers are exact below 2^53, and
+require_float_exact refuses any product whose entries could reach it.
 
 Text serialization of a polyphase matrix:
 
@@ -25,6 +26,15 @@ from __future__ import annotations
 import numpy as np
 
 from .groupring import AbelianGroup, Character, GroupRingElement
+
+
+def require_float_exact(inner: int, a_max: int, b_max: int):
+    """Raise unless a float64 product with this inner dimension and these
+    entry bounds is exact: every partial sum must stay below 2^53."""
+    if int(inner) * int(a_max) * int(b_max) >= 2**53:
+        raise ValueError(
+            f"float64 product not exact: inner {inner} x max|a| {a_max} x max|b| {b_max} >= 2^53"
+        )
 
 
 class GroupRingMatrix:
@@ -90,6 +100,9 @@ class GroupRingMatrix:
         self._check(other)
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
+        require_float_exact(
+            self.cols, np.abs(self.coeffs).max(initial=0), np.abs(other.coeffs).max(initial=0)
+        )
         g = self.group
         f = g.order
         out = np.zeros((self.rows, other.cols, f), dtype=np.int64)
@@ -98,7 +111,7 @@ class GroupRingMatrix:
         for gi in range(f):
             for hi in range(f):
                 t = g.add_index[gi, hi]
-                out[:, :, t] += np.rint(a[:, :, gi] @ b[:, :, hi]).astype(np.int64)
+                out[:, :, t] += (a[:, :, gi] @ b[:, :, hi]).astype(np.int64)
         return GroupRingMatrix(g, out)
 
     def adjoint(self) -> "GroupRingMatrix":
@@ -200,6 +213,23 @@ class PolyphaseMatrix:
 
     def adjoint(self) -> GroupRingMatrix:
         return self.to_group_ring().adjoint()
+
+    def gram(self) -> GroupRingMatrix:
+        """Phi* Phi by integer scatter: each row adds z^(e_b - e_a) at (a, b)
+        for every ordered pair (a, b) of its support columns."""
+        g = self.group
+        f, v = g.order, self.cols
+        ii, jj = np.nonzero(self.support)
+        e = self.exponents[ii, jj]
+        # pair each entry with every entry of its row; nonzero sorts by row
+        weight = np.bincount(ii, minlength=self.rows)
+        reps = weight[ii]
+        a = np.repeat(np.arange(len(ii)), reps)
+        offset = np.arange(len(a)) - np.repeat(np.cumsum(reps) - reps, reps)
+        b = (np.cumsum(weight) - weight)[ii[a]] + offset
+        flat = (jj[a] * v + jj[b]) * f + g.add_index[g.neg_index[e[a]], e[b]]
+        counts = np.bincount(flat, minlength=v * v * f)
+        return GroupRingMatrix(g, counts.reshape(v, v, f))
 
     def __matmul__(self, other) -> GroupRingMatrix:
         return self.to_group_ring() @ other

@@ -8,8 +8,9 @@ deviation and a relative singular value cutoff of 1e-8 for rank.
 
 The exact and numeric routes are deliberately independent: the
 combinatorial verifier counts triple products entry by entry, the
-algebraic verifier multiplies matrices out over the group ring, and
-the numeric verifier only ever sees evaluated complex matrices.
+algebraic verifier builds the group-ring Gram Phi* Phi once and
+multiplies each row of Phi into it, and the numeric verifier only ever
+sees evaluated complex matrices.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .groupring import AbelianGroup, characters_of
-from .polymat import GroupRingMatrix, PolyphaseMatrix
+from .polymat import GroupRingMatrix, PolyphaseMatrix, require_float_exact
 
 NUMERIC_TOL = 1e-9
 RANK_REL_TOL = 1e-8
@@ -132,7 +133,10 @@ def verify_bibd(x: np.ndarray, v: int, k: int) -> VerificationReport:
     rep.add("row-sums", bool(np.all(rows == k)), witness=_first_bad(rows != k))
     cols = x.sum(axis=0)
     rep.add("col-sums", bool(np.all(cols == r)), witness=_first_bad(cols != r))
-    gram = x.T @ x
+    # 0/1 entries and inner dimension b: every Gram sum is an exact float
+    require_float_exact(x.shape[0], 1, 1)
+    xf = x.astype(np.float64)
+    gram = (xf.T @ xf).astype(np.int64)
     want = (r - 1) * np.eye(v, dtype=np.int64) + np.ones((v, v), dtype=np.int64)
     rep.add("pair-balance", bool(np.array_equal(gram, want)), witness=_first_bad(gram != want))
     rep.add("fisher", x.shape[0] >= v,
@@ -203,17 +207,32 @@ def verify_polyphase_combinatorial(m: PolyphaseMatrix) -> VerificationReport:
 
 def verify_polyphase_algebraic(m: PolyphaseMatrix) -> VerificationReport:
     """Exact group-ring identity: Phi Phi* Phi = (r+k-1) Phi + (k/f) G (J - X)
-    where G is the sum of all group elements."""
+    where G is the sum of all group elements, checked row by row against
+    the integer Gram Phi* Phi; the witness is the row-major first offence."""
     rep, x, v, k, r, ok = _polyphase_frame(m)
     rep.subject = f"polyphase algebraic ({m.rows}x{m.cols} over {m.group.name()})"
     if not ok:
         return rep
-    grm = m.to_group_ring()
-    lhs = grm @ (m.adjoint() @ grm)
-    rhs = (r + k - 1) * grm + GroupRingMatrix.all_geometric(
-        m.group, (k // m.group.order) * (1 - x)
-    )
-    diff = lhs.first_difference(rhs)
+    g = m.group
+    f = g.order
+    quota = k // f
+    # row i of the left side at (c, h) is sum_j Gram[j, c](h - e_ij), and
+    # the Gram is self-adjoint, so that is Gram[c, j](e_ij - h): one
+    # column gather per row from the (v, v*f) view
+    gram = m.gram().coeffs.reshape(v, v * f)
+    sub = g.add_index[:, g.neg_index]  # sub[a, b] = index of a - b
+    diff = None
+    for i in range(m.rows):
+        sup = np.nonzero(x[i])[0]
+        e = m.exponents[i, sup]
+        cols = (sup[:, None] * f + sub[e]).ravel()
+        lhs = gram[:, cols].reshape(v, len(sup), f).sum(axis=1)
+        lhs -= quota * (1 - x[i])[:, None]
+        lhs[sup, e] -= r + k - 1
+        bad = np.nonzero(lhs.any(axis=1))[0]
+        if len(bad):
+            diff = (i, int(bad[0]))
+            break
     rep.add("triple-identity", diff is None, witness=diff, info=f"a={r + k - 1}")
     return rep
 

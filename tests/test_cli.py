@@ -2,10 +2,12 @@ import json
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from etfforge import cli
 from etfforge.cli import main
 from etfforge.polymat import format_polyphase, parse_incidence, parse_polyphase
 
@@ -144,6 +146,20 @@ def test_verify_thread_env(affine3_file, capsys, monkeypatch):
     monkeypatch.setenv("ETFFORGE_THREADS", "2")
     code, out, _ = run(capsys, "verify", str(affine3_file), "--checks", "etf")
     assert code == 0 and out.count("numeric ETF") == 2
+
+
+def test_verify_thread_pool_clamped_to_characters(affine3_file, capsys, monkeypatch):
+    sizes = []
+
+    def recording_pool(max_workers):
+        sizes.append(max_workers)
+        return ThreadPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setenv("ETFFORGE_THREADS", "64")
+    code, _, _ = run(capsys, "verify", str(affine3_file), "--checks", "etf",
+                     "--character", "index:1")
+    assert code == 0 and sizes == [1]
 
 
 def test_verify_incidence_input(affine3_file, tmp_path, capsys):

@@ -10,6 +10,7 @@ from etfforge.polymat import (
     format_polyphase,
     parse_incidence,
     parse_polyphase,
+    require_float_exact,
 )
 
 GROUPS = [AbelianGroup([2]), AbelianGroup([4]), AbelianGroup([2, 3]), AbelianGroup([3, 3])]
@@ -122,6 +123,29 @@ def test_matmul_associative_and_identity():
     assert a @ eye == a
     with pytest.raises(ValueError):
         a @ c @ c  # inner mismatch on the second product
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name())
+def test_gram_matches_adjoint_product_on_ragged_rows(group):
+    rng = np.random.default_rng(8)
+    for rows, cols in ((5, 4), (1, 3), (3, 1)):
+        m = _random_polyphase(group, rows, cols, rng)
+        assert m.gram() == m.adjoint() @ m
+    empty = PolyphaseMatrix(group, np.zeros((2, 3), bool), np.zeros((2, 3), int))
+    assert empty.gram() == GroupRingMatrix.zeros(group, 3, 3)
+
+
+def test_matmul_refuses_inexact_float_products():
+    group = AbelianGroup([2])
+    big = GroupRingMatrix(group, np.full((1, 2, 2), 2**26))
+    with pytest.raises(ValueError, match="2\\^53"):
+        big @ big.adjoint()  # inner 2 x 2^26 x 2^26 = 2^53
+    with pytest.raises(ValueError, match="2\\^53"):
+        require_float_exact(2**53, 1, 1)
+    # one step below the bound the float product is still exact
+    a = GroupRingMatrix(group, [[[2**26 + 1, 0]]])
+    b = GroupRingMatrix(group, [[[2**26 - 1, 0]]])
+    assert (a @ b).coeffs[0, 0, 0] == 2**52 - 1
 
 
 def test_evaluate_at_trivial_is_incidence():

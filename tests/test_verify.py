@@ -13,6 +13,7 @@ from etfforge.construct import (
     simplex_phased,
 )
 from etfforge.groupring import characters_of, real_character
+from etfforge.polymat import GroupRingMatrix
 from etfforge.verify import (
     ScreenRow,
     count_blocks_through_vertex,
@@ -128,6 +129,56 @@ def test_polyphase_verifiers_catch_support_mutation(families):
     for rep in (verify_polyphase_combinatorial(moved), verify_polyphase_algebraic(moved)):
         assert not rep.passed
         assert any(c.name.startswith("bibd:") and not c.passed for c in rep.checks)
+
+
+def _algebraic_fixtures(families):
+    return [families[n] for n in ("example933", "simplex5", "affine2", "affine3",
+                                  "affine4", "brouwer2", "brouwer3")] + [affine_polyphase(5)]
+
+
+def _change_exponent(m, seed):
+    """Move one supported entry to a different group element."""
+    rng = np.random.default_rng(seed)
+    ii, jj = np.nonzero(m.support)
+    p = int(rng.integers(len(ii)))
+    i, j = int(ii[p]), int(jj[p])
+    shift = int(rng.integers(1, m.group.order))
+    e = m.group.add_index[m.exponents[i, j], shift]
+    return m.replaced(i, j, m.group.element(int(e)))
+
+
+def _reference_triple_identity(m):
+    """The triple-identity check recomputed from the dense product."""
+    x = m.modulus_squared()
+    k = int(x.sum(axis=1)[0])
+    r = (m.cols - 1) // (k - 1)
+    grm = m.to_group_ring()
+    lhs = grm @ (m.adjoint() @ grm)
+    rhs = (r + k - 1) * grm + GroupRingMatrix.all_geometric(
+        m.group, (k // m.group.order) * (1 - x)
+    )
+    diff = lhs.first_difference(rhs)
+    return "triple-identity", diff is None, diff, f"a={r + k - 1}"
+
+
+def test_algebraic_matches_dense_triple_product(families):
+    witnesses = set()
+    for m in _algebraic_fixtures(families):
+        cases = [m] + [_change_exponent(m, seed) for seed in range(12)]
+        for case in cases:
+            rep = verify_polyphase_algebraic(case)
+            *frame, last = [(c.name, c.passed, c.witness, c.info) for c in rep.checks]
+            assert all(passed for _, passed, _, _ in frame), rep.as_text()
+            assert last == _reference_triple_identity(case), rep.subject
+            witnesses.add(last[2])
+    # the mutants fail at many different rows and columns
+    assert len(witnesses) > 20
+
+
+def test_gram_matches_adjoint_product(families):
+    for m in _algebraic_fixtures(families):
+        for case in (m, _change_exponent(m, 0)):
+            assert case.gram() == case.adjoint() @ case.to_group_ring()
 
 
 def test_exact_and_numeric_routes_agree(families):
