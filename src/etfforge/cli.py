@@ -197,9 +197,10 @@ def cmd_verify(args) -> int:
             reports.append(V.verify_polyphase_algebraic(m))
         if "etf" in wanted:
             gammas = _select_characters(m.group, args.character)
-            mats = [m.evaluate(g) for g in gammas]
-            with ThreadPoolExecutor(max_workers=min(_thread_count(), len(mats))) as pool:
-                results = list(pool.map(V.verify_etf_numeric, mats))
+            # each worker evaluates its own character, so at most one
+            # evaluated matrix per worker is alive at a time
+            with ThreadPoolExecutor(max_workers=min(_thread_count(), len(gammas))) as pool:
+                results = list(pool.map(lambda g: V.verify_etf_numeric(m.evaluate(g)), gammas))
             for gamma, rep in zip(gammas, results):
                 rep.subject += f" at character {gamma.exponents}"
                 reports.append(rep)
@@ -214,12 +215,13 @@ def cmd_verify(args) -> int:
             else:
                 _note("drackn", "c = k(r-1)/f is not an integer")
         gq_ok = r is not None and k == f
-        z = None
+        z = gq = None
         if gq_ok and {"gq", "srg"} & set(wanted):
             z = gq_from_polyphase(m)
+            gq = V.verify_gq_axioms(z, k - 1, r, check_spread=True)
         for name, runner in (
-            ("gq", lambda: V.verify_gq_axioms(z, k - 1, r, check_spread=True)),
-            ("srg", lambda: V.verify_srg_collinearity(z, k - 1, r)),
+            ("gq", lambda: gq),
+            ("srg", lambda: V.verify_srg_collinearity(z, k - 1, r, gq=gq)),
         ):
             if name not in wanted:
                 continue
@@ -293,7 +295,7 @@ def _render_export(m: PolyphaseMatrix, args) -> tuple[bool, str]:
     if args.to == "polyphase":
         return False, format_polyphase(m)
     if args.to == "gq":
-        return False, format_incidence(gq_from_polyphase(m).toarray())
+        return False, format_incidence(gq_from_polyphase(m))
     if args.to == "incidence":
         return True, format_incidence(m.modulus_squared())
     gammas = _select_characters(m.group, args.character)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .gf import FiniteField, field_create, prime_power_split
 from .groupring import AbelianGroup
-from .polymat import GroupRingMatrix, PolyphaseMatrix
+from .polymat import GroupRingMatrix, PolyphaseMatrix, zero_one_array
 
 
 @dataclass(frozen=True)
@@ -378,32 +378,29 @@ def brouwer_polyphase(q: int) -> PolyphaseMatrix:
     return PolyphaseMatrix(group, support, exps)
 
 
-def gq_from_polyphase(m: PolyphaseMatrix) -> "scipy.sparse.csr_matrix":
+def gq_from_polyphase(m: PolyphaseMatrix) -> np.ndarray:
     """Stack I_v (x) ones(1, f) on the filter bank lift: the point-block
     incidence of a generalized quadrangle with a spread when |.|^2 is a
     BIBD(v, k, 1) with k = f and the polyphase identities hold.  Returns
-    an int64 CSR matrix; call .toarray() for the dense incidence."""
-    from scipy.sparse import identity, kron, vstack
-
-    x = m.modulus_squared()
-    row_sums = x.sum(axis=1)
-    k = int(row_sums[0])
-    if not np.all(row_sums == k):
-        raise ValueError("rows have unequal support sizes")
-    f = m.group.order
+    a dense int8 0/1 array.  The lift is built for any support once f
+    equals the first row's weight; verify_gq_axioms reports whatever
+    else is wrong with it."""
+    f, v = m.group.order, m.cols
+    k = int(m.support[0].sum()) if m.rows else 0
     if k != f:
         raise ValueError(f"group order {f} must equal block size {k}")
-    spread = kron(identity(m.cols, dtype=np.int64), np.ones((1, f), dtype=np.int64))
-    return vstack([spread, m.filter_bank_lift()], format="csr")
+    z = zero_one_array(v + m.rows * f, v * f)
+    points = np.arange(v * f)
+    z[points // f, points] = 1
+    rows, cols = m.lift_support()
+    z[v + rows, cols] = 1
+    return z
 
 
 def polyphase_from_gq(z, group: AbelianGroup) -> PolyphaseMatrix:
     """Invert gq_from_polyphase: strip the spread rows and read one
-    monomial out of each translation-permutation block.  z may be dense
-    or sparse."""
-    from scipy.sparse import csr_matrix
-
-    z = csr_matrix(z).toarray()
+    monomial out of each translation-permutation block."""
+    z = np.asarray(z)
     f = group.order
     n_rows, n_cols = z.shape
     if n_cols % f:

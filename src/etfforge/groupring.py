@@ -24,6 +24,9 @@ import math
 import numpy as np
 
 
+MAX_GROUP_ORDER = 2**10
+
+
 class AbelianGroup:
     """Direct sum of cyclic groups, elements as tuples."""
 
@@ -31,19 +34,23 @@ class AbelianGroup:
         factors = tuple(int(q) for q in factors)
         if not factors or any(q < 2 for q in factors):
             raise ValueError(f"factors must all be >= 2, got {factors!r}")
+        order = math.prod(factors)
+        if order > MAX_GROUP_ORDER:
+            raise ValueError(f"group order {order} exceeds the cap {MAX_GROUP_ORDER}")
         self.factors = factors
-        self.order = math.prod(factors)
+        self.order = order
         self.elements = tuple(itertools.product(*(range(q) for q in factors)))
         self._index = {g: i for i, g in enumerate(self.elements)}
-        # index-level tables so matrix code can stay vectorized
-        self.neg_index = np.array(
-            [self._index[self.neg(g)] for g in self.elements], dtype=np.intp
-        )
-        add = np.empty((self.order, self.order), dtype=np.intp)
-        for i, g in enumerate(self.elements):
-            for j, h in enumerate(self.elements):
-                add[i, j] = self._index[self.add(g, h)]
-        self.add_index = add
+        # index-level tables so matrix code can stay vectorized, built one
+        # mixed-radix digit at a time
+        digits = np.indices(factors).reshape(len(factors), order)
+        self.neg_index = np.zeros(order, dtype=np.intp)
+        self.add_index = np.zeros((order, order), dtype=np.intp)
+        for d, q in zip(digits, factors):
+            self.neg_index *= q
+            self.neg_index += -d % q
+            self.add_index *= q
+            self.add_index += (d[:, None] + d) % q
 
     def index(self, g) -> int:
         return self._index[tuple(g)]

@@ -28,6 +28,31 @@ import numpy as np
 from .groupring import AbelianGroup, Character, GroupRingElement
 
 
+MAX_DENSE_CELLS = 2**28
+
+
+def zero_one_array(rows: int, cols: int) -> np.ndarray:
+    """Zeroed int8 array for a 0/1 incidence; refuses one whose cells, or
+    the cells of its cols x cols point-pair matrix, exceed MAX_DENSE_CELLS."""
+    cells = max(rows, cols) * cols
+    if cells > MAX_DENSE_CELLS:
+        raise ValueError(
+            f"{rows}x{cols} incidence and its point pairs need {cells} cells;"
+            f" the cap is {MAX_DENSE_CELLS}"
+        )
+    return np.zeros((rows, cols), dtype=np.int8)
+
+
+def row_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (a, b), in order of a, of every two entries (a = b
+    included) that share a row, given the sorted row label of each entry."""
+    start = np.searchsorted(rows, rows)
+    reps = np.searchsorted(rows, rows, side="right") - start
+    a = np.repeat(np.arange(len(rows)), reps)
+    b = np.arange(len(a)) - np.repeat(np.cumsum(reps) - reps, reps) + start[a]
+    return a, b
+
+
 def require_float_exact(inner: int, a_max: int, b_max: int):
     """Raise unless a float64 product with this inner dimension and these
     entry bounds is exact: every partial sum must stay below 2^53."""
@@ -221,12 +246,7 @@ class PolyphaseMatrix:
         f, v = g.order, self.cols
         ii, jj = np.nonzero(self.support)
         e = self.exponents[ii, jj]
-        # pair each entry with every entry of its row; nonzero sorts by row
-        weight = np.bincount(ii, minlength=self.rows)
-        reps = weight[ii]
-        a = np.repeat(np.arange(len(ii)), reps)
-        offset = np.arange(len(a)) - np.repeat(np.cumsum(reps) - reps, reps)
-        b = (np.cumsum(weight) - weight)[ii[a]] + offset
+        a, b = row_pairs(ii)
         flat = (jj[a] * v + jj[b]) * f + g.add_index[g.neg_index[e[a]], e[b]]
         counts = np.bincount(flat, minlength=v * v * f)
         return GroupRingMatrix(g, counts.reshape(v, v, f))
@@ -234,31 +254,28 @@ class PolyphaseMatrix:
     def __matmul__(self, other) -> GroupRingMatrix:
         return self.to_group_ring() @ other
 
-    def __rmatmul__(self, other) -> GroupRingMatrix:
-        if isinstance(other, GroupRingMatrix):
-            return other @ self.to_group_ring()
-        return NotImplemented
-
     def evaluate(self, gamma: Character) -> np.ndarray:
         if gamma.group != self.group:
             raise ValueError("character belongs to a different group")
         return np.where(self.support, gamma.values[self.exponents], 0.0)
 
-    def filter_bank_lift(self) -> "scipy.sparse.csr_matrix":
-        """Replace each z^g by the f x f translation permutation and each
-        zero by an f x f zero block; returns an int64 CSR matrix."""
-        from scipy.sparse import csr_matrix
-
+    def lift_support(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column indices of the ones of the filter bank lift."""
         f = self.group.order
         ii, jj = np.nonzero(self.support)
         b = np.arange(f)
         # lift of z^g has (a, b) entry [a - b == g], so a = g + b
         rows = ii[:, None] * f + self.group.add_index[self.exponents[ii, jj][:, None], b]
         cols = jj[:, None] * f + b
-        return csr_matrix(
-            (np.ones(rows.size, dtype=np.int64), (rows.ravel(), cols.ravel())),
-            shape=(self.rows * f, self.cols * f),
-        )
+        return rows.ravel(), cols.ravel()
+
+    def filter_bank_lift(self) -> np.ndarray:
+        """Replace each z^g by the f x f translation permutation and each
+        zero by an f x f zero block; returns a dense int8 0/1 array."""
+        f = self.group.order
+        z = zero_one_array(self.rows * f, self.cols * f)
+        z[self.lift_support()] = 1
+        return z
 
     def __eq__(self, other):
         return (

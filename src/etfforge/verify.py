@@ -11,6 +11,13 @@ combinatorial verifier counts triple products entry by entry, the
 algebraic verifier builds the group-ring Gram Phi* Phi once and
 multiplies each row of Phi into it, and the numeric verifier only ever
 sees evaluated complex matrices.
+
+The GQ and SRG checks take a dense 0/1 incidence and count from its
+nonzero cells: row and column sums by bincount, and the point-pair
+matrix Z^T Z by one bincount over the ordered point pairs of each
+block.  Work that scales with blocks x points runs in bounded row
+spans, and the SRG check can reuse a GQ report instead of checking
+the axioms again.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .groupring import AbelianGroup, characters_of
-from .polymat import GroupRingMatrix, PolyphaseMatrix, require_float_exact
+from .polymat import GroupRingMatrix, PolyphaseMatrix, require_float_exact, row_pairs
 
 NUMERIC_TOL = 1e-9
 RANK_REL_TOL = 1e-8
@@ -289,30 +296,96 @@ def verify_etf_numeric(phi: np.ndarray, tol: float = NUMERIC_TOL) -> Verificatio
     return rep
 
 
-def _first_stored(p, mask) -> tuple | None:
-    """Row-major first entry of COO matrix p where mask holds; scipy
-    products do not keep their entries sorted."""
-    if not mask.any():
-        return None
-    row, col = p.row[mask], p.col[mask]
-    i = np.lexsort((col, row))[0]
-    return int(row[i]), int(col[i])
+# cells per row span of the GQ triple-product check, small enough to
+# stay in cache; the point-pair spans may hold as many pairs as Z^T Z has cells
+SPAN_CELLS = 2**20
 
 
-def _offdiag_not_zero_one(prod) -> tuple | None:
-    """First off-diagonal entry of a sparse product that is not 0/1."""
-    p = prod.tocoo()
-    return _first_stored(p, (p.row != p.col) & (p.data != 0) & (p.data != 1))
+def _ones(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major (row, col) of the nonzero cells of a 2-d array; one flat
+    scan is about twice as fast as np.nonzero on two axes."""
+    return np.divmod(np.flatnonzero(z), z.shape[1])
+
+
+def _row_spans(cost: np.ndarray, budget: int):
+    """Consecutive row ranges [r0, r1) of at least one row each, whose
+    summed cost stays within budget unless one row alone exceeds it."""
+    ends = np.cumsum(cost)
+    r0 = 0
+    while r0 < len(cost):
+        base = ends[r0 - 1] if r0 else 0
+        r1 = max(r0 + 1, int(np.searchsorted(ends, base + budget, side="right")))
+        yield r0, r1
+        r0 = r1
+
+
+def _block_pairs(ii, jj, rows, n_points: int):
+    """(block, point, point) of every ordered pair of points on a common
+    block, in block order, one bounded row span at a time; (ii, jj) are
+    the row-major nonzero cells and rows the row sums."""
+    ptr = np.concatenate(([0], np.cumsum(rows)))
+    for r0, r1 in _row_spans(rows * rows, max(n_points * n_points, SPAN_CELLS)):
+        lo = ptr[r0]
+        a, b = row_pairs(ii[lo:ptr[r1]])
+        yield ii[lo + a], jj[lo + a], jj[lo + b]
+
+
+def _point_pairs(ii, jj, rows, n_points: int) -> np.ndarray:
+    """Z^T Z of a 0/1 matrix: entry (a, c) counts the blocks through both
+    points, by one bincount per row span of the ordered point pairs."""
+    total = None
+    for _, a, c in _block_pairs(ii, jj, rows, n_points):
+        part = np.bincount(a * n_points + c, minlength=n_points * n_points)
+        total = part if total is None else total + part
+    return total.reshape(n_points, n_points)
+
+
+def _first_shared_block_pair(ii, jj, rows, shared) -> tuple:
+    """Row-major first off-diagonal entry (i, j) of Z Z^T above 1, given
+    the off-diagonal point pairs that share two blocks: i is the first
+    block holding such a pair, j the first other block meeting i twice."""
+    for blk, a, c in _block_pairs(ii, jj, rows, len(shared)):
+        hit = np.flatnonzero(shared[a, c])
+        if len(hit):
+            i = int(blk[hit[0]])
+            break
+    meets = np.bincount(ii[np.isin(jj, jj[ii == i])], minlength=len(rows))
+    meets[i] = 0
+    return i, int(np.flatnonzero(meets > 1)[0])
+
+
+def _first_triple_offence(ii, jj, rows, pairs, s: int, t: int) -> tuple | None:
+    """Row-major first entry where Z (Z^T Z) != (s+t) Z + J.  Row i of the
+    product sums the point-pair rows of the points of block i; each
+    bounded row span adds one point per row per step (short rows add a
+    zero row) and the search stops at the first span with an offence."""
+    n_points = len(pairs)
+    # every count is at most the number of ones of z
+    padded = np.zeros((n_points + 1, n_points), dtype=np.int32 if len(ii) < 2**31 else np.int64)
+    padded[:n_points] = pairs
+    ptr = np.concatenate(([0], np.cumsum(rows)))
+    for r0, r1 in _row_spans((rows + 1) * n_points, SPAN_CELLS):
+        lo, hi = ptr[r0], ptr[r1]
+        at = ii[lo:hi] - r0
+        slots = np.full((r1 - r0, rows[r0:r1].max(initial=0)), n_points)
+        slots[at, np.arange(lo, hi) - ptr[r0:r1][at]] = jj[lo:hi]
+        span = np.full((r1 - r0, n_points), -1, dtype=padded.dtype)
+        for points in slots.T:
+            span += padded[points]
+        span[at, jj[lo:hi]] -= s + t
+        if np.count_nonzero(span):
+            i, c = _first_bad(span != 0)
+            return r0 + i, c
+    return None
 
 
 def verify_gq_axioms(z, s: int, t: int, check_spread: bool = False) -> VerificationReport:
     """Point-block incidence of a generalized quadrangle of order (s, t):
     blocks of size s+1, t+1 blocks per point, no repeated pairs, and the
-    triple product Z Z^T Z = (s+t) Z + J.  z may be dense or sparse; it
-    is checked as one integer CSR matrix."""
-    from scipy.sparse import csr_matrix
-
-    z = csr_matrix(z)
+    triple product Z Z^T Z = (s+t) Z + J.  z is a dense array; everything
+    is counted from its nonzero cells and the point-pair matrix Z^T Z, so
+    no blocks x blocks or blocks x points array is formed."""
+    z = np.asarray(z)
     rep = VerificationReport(subject=f"GQ({s},{t}) axioms")
     n_blocks = (t + 1) * (s * t + 1)
     n_points = (s + 1) * (s * t + 1)
@@ -321,32 +394,31 @@ def verify_gq_axioms(z, s: int, t: int, check_spread: bool = False) -> Verificat
                 info=f"expected {n_blocks}x{n_points}")
         return rep
     rep.add("dimensions", True)
-    cells = z.tocoo()
-    witness = _first_stored(cells, (cells.data != 0) & (cells.data != 1))
+    ii, jj = _ones(z)
+    bad = np.flatnonzero(z[ii, jj] != 1)
+    witness = (int(ii[bad[0]]), int(jj[bad[0]])) if len(bad) else None
     rep.add("zero-one", witness is None, witness=witness)
     if witness is not None:
         return rep
-    z = z.astype(np.int64, copy=False)
-    rows = np.asarray(z.sum(axis=1)).ravel()
+    rows = np.bincount(ii, minlength=n_blocks)
     rep.add("row-sums", bool(np.all(rows == s + 1)), witness=_first_bad(rows != s + 1))
-    cols = np.asarray(z.sum(axis=0)).ravel()
+    cols = np.bincount(jj, minlength=n_points)
     rep.add("col-sums", bool(np.all(cols == t + 1)), witness=_first_bad(cols != t + 1))
-    witness = _offdiag_not_zero_one(z @ z.T)
+    pairs = _point_pairs(ii, jj, rows, n_points)
+    shared = pairs > 1
+    np.fill_diagonal(shared, False)
+    # for a 0/1 matrix two blocks share two points exactly when two
+    # points share two blocks, so only an offence needs the block search
+    witness = _first_shared_block_pair(ii, jj, rows, shared) if shared.any() else None
     rep.add("block-pair-intersections", witness is None, witness=witness)
-    point_pairs = z.T @ z
-    witness = _offdiag_not_zero_one(point_pairs)
+    witness = _first_bad(shared)
     rep.add("point-pair-collinearity", witness is None, witness=witness)
-    # Z Z^T Z is dense (the J term), so only its left factor stays sparse
-    triple = z @ point_pairs.toarray()
-    triple -= 1
-    triple[z.nonzero()] -= s + t
-    witness = _first_bad(triple != 0)
+    witness = _first_triple_offence(ii, jj, rows, pairs, s, t)
     rep.add("triple-product", witness is None, witness=witness)
     if check_spread:
         v = s * t + 1
         spread = np.kron(np.eye(v, dtype=np.int64), np.ones((1, s + 1), dtype=np.int64))
-        ok = z.shape[0] >= v and np.array_equal(z[:v].toarray(), spread)
-        rep.add("spread", bool(ok))
+        rep.add("spread", bool(np.array_equal(z[:v], spread)))
     return rep
 
 
@@ -397,35 +469,43 @@ def verify_drackn(a: GroupRingMatrix, n: int, f: int, c: int) -> VerificationRep
     return rep
 
 
-def verify_srg_collinearity(z, s: int, t: int) -> VerificationReport:
+def verify_srg_collinearity(
+    z, s: int, t: int, gq: VerificationReport | None = None
+) -> VerificationReport:
     """Collinearity graph of a GQ(s, t): strongly regular with parameters
-    ((s+1)(st+1), s(t+1), s-1, t+1)."""
-    rep = verify_gq_axioms(z, s, t)
-    if not rep.passed:
-        rep.subject = f"SRG of GQ({s},{t}) (GQ axioms failed)"
-        return rep
-    from scipy.sparse import csr_matrix, identity
-
-    z = csr_matrix(z, dtype=np.int64)
+    ((s+1)(st+1), s(t+1), s-1, t+1).  gq is verify_gq_axioms's report on
+    the same z, computed here when not given; its spread line is ignored."""
+    if gq is None:
+        gq = verify_gq_axioms(z, s, t)
+    axioms = [c for c in gq.checks if c.name != "spread"]
+    if not all(c.passed for c in axioms):
+        return VerificationReport(f"SRG of GQ({s},{t}) (GQ axioms failed)", axioms)
+    z = np.asarray(z)
     n = (s + 1) * (s * t + 1)
     deg = s * (t + 1)
     lam, mu = s - 1, t + 1
-    adj = z.T @ z - (t + 1) * identity(n, dtype=np.int64, format="csr")
+    ii, jj = _ones(z)
+    adj = _point_pairs(ii, jj, np.bincount(ii, minlength=len(z)), n).astype(np.float64)
+    adj[np.diag_indices(n)] -= t + 1
     rep = VerificationReport(subject=f"SRG({n},{deg},{lam},{mu})")
     rep.add("gq-axioms", True)
     simple = (
-        (adj - adj.T).nnz == 0
+        np.array_equal(adj, adj.T)
         and not adj.diagonal().any()
-        and not ((adj.data != 0) & (adj.data != 1)).any()
+        and not ((adj != 0) & (adj != 1)).any()
     )
     rep.add("adjacency-simple", bool(simple))
-    rows = np.asarray(adj.sum(axis=1)).ravel()
+    rows = adj.sum(axis=1)
     rep.add("regular", bool(np.all(rows == deg)), witness=_first_bad(rows != deg))
-    # A^2 - (lam - mu) A - (deg - mu) I - mu J must vanish; A^2 is dense
-    # (the J term) but a sparse product is far cheaper than sparse @ dense
-    quad = (adj @ adj).toarray()
-    entries = adj.tocoo()
-    quad[entries.row, entries.col] -= (lam - mu) * entries.data
+    # A^2 - (lam - mu) A - (deg - mu) I - mu J must vanish; every entry
+    # is an integer, exact in float64 under the guard.  Every point pair
+    # is counted both ways, so A is symmetric and A A^T, which BLAS forms
+    # as a symmetric rank-k update, is A^2
+    amax = int(max(adj.max(initial=0), -adj.min(initial=0)))
+    require_float_exact(n, amax, amax)
+    quad = adj @ adj.T
+    adj *= lam - mu  # in place: adj is not needed again
+    quad -= adj
     quad[np.diag_indices(n)] -= deg - mu
     quad -= mu
     witness = _first_bad(quad != 0)

@@ -113,6 +113,46 @@ def test_verify_mutated_file_fails_with_witness(affine3_file, tmp_path, capsys):
     assert "overall: FAIL" in out and "witness=" in out
 
 
+def test_verify_unequal_supports_fails_with_reports(tmp_path, capsys):
+    # the GQ lift is defined for any support; the checks say what is wrong
+    target = tmp_path / "unequal.polyphase"
+    target.write_text("POLYPHASE rows=3 cols=4 group=Z2\n0 0 . .\n0 . 0 .\n. 0 0 0\n")
+    code, out, err = run(capsys, "verify", str(target))
+    assert code == 1 and err == ""
+    assert "FAIL BIBD(v=4, k=2, lambda=1)" in out and "FAIL row-sums witness=(2,)" in out
+    assert "FAIL GQ(1,3) axioms" in out and "FAIL dimensions witness=(10, 8)" in out
+    assert "FAIL SRG of GQ(1,3) (GQ axioms failed)" in out
+    assert out.rstrip().endswith("overall: FAIL")
+
+
+def test_verify_rejects_group_over_cap_before_allocating(tmp_path, capsys):
+    target = tmp_path / "big.polyphase"
+    target.write_text("POLYPHASE rows=1 cols=2 group=Z1500\n0 1\n")
+    start = time.perf_counter()
+    code, _, err = run(capsys, "verify", str(target))
+    assert code == 2 and "group order 1500 exceeds the cap 1024" in err
+    assert time.perf_counter() - start < 0.5
+
+
+def test_verify_runs_gq_axioms_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    checked = cli.V.verify_gq_axioms
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return checked(*args, **kwargs)
+
+    monkeypatch.setattr(cli.V, "verify_gq_axioms", counting)
+    run(capsys, "construct", "--family", "brouwer", "--q", "2", "-o", str(tmp_path))
+    path = str(tmp_path / "brouwer_q2.polyphase")
+    code, out, _ = run(capsys, "verify", path)
+    assert code == 0 and "PASS GQ(2,4) axioms" in out and "PASS SRG(27,10,1,5)" in out
+    assert "spread" in out.split("SRG(27,10,1,5)")[0] and "spread" not in out.split("SRG")[1]
+    code, out, _ = run(capsys, "verify", path, "--checks", "srg")
+    assert code == 0 and "GQ(2,4) axioms" not in out and "spread" not in out
+    assert len(calls) == 2
+
+
 def test_verify_subset_of_checks(affine3_file, capsys):
     code, out, _ = run(capsys, "verify", str(affine3_file), "--checks", "combinatorial")
     assert code == 0
@@ -260,8 +300,20 @@ def test_module_entry_point():
     assert "9" in proc.stdout
 
 
-def test_import_leaves_scipy_sparse_unloaded():
-    # scipy.sparse is slow to import; only the GQ lift and checks load it
-    code = "import etfforge, sys; assert 'scipy.sparse' not in sys.modules"
+def test_import_leaves_scipy_sparse_unloaded(tmp_path):
+    # numpy is the only dependency: import and a full verify with the GQ
+    # and SRG checks applicable must not load any scipy module
+    code = (
+        "import sys\n"
+        "import etfforge\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "from etfforge.cli import main\n"
+        f"out = {str(tmp_path)!r}\n"
+        "assert main(['construct', '--family', 'brouwer', '--q', '2', '-o', out]) == 0\n"
+        "assert main(['verify', out + '/brouwer_q2.polyphase']) == 0\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert "PASS GQ(2,4) axioms" in proc.stdout and "PASS SRG(27,10,1,5)" in proc.stdout

@@ -250,7 +250,7 @@ def test_drackn_from_polyphase_params():
 )
 def test_gq_lift_shape(make, st):
     m = make()
-    z = gq_from_polyphase(m).toarray()
+    z = gq_from_polyphase(m)
     s, t = st
     assert z.shape == ((t + 1) * (s * t + 1), (s + 1) * (s * t + 1))
     assert set(z.sum(axis=1)) == {s + 1}
@@ -273,6 +273,16 @@ def test_gq_requires_group_order_k():
     bad = PolyphaseMatrix(AbelianGroup([4]), m.support, m.exponents)
     with pytest.raises(ValueError):
         gq_from_polyphase(bad)
+
+
+def test_gq_lift_refuses_oversized_incidence_before_allocating():
+    # one full row over Z1024: the lift would be 2048 x 2^20 cells
+    group = AbelianGroup([1024])
+    m = PolyphaseMatrix(group, np.ones((1, 1024), dtype=bool), np.zeros((1, 1024), dtype=np.intp))
+    with pytest.raises(ValueError, match="the cap is"):
+        gq_from_polyphase(m)
+    with pytest.raises(ValueError, match="the cap is"):
+        m.filter_bank_lift()
 
 
 def test_polyphase_from_gq_errors():

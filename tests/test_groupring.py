@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from etfforge.groupring import (
+    MAX_GROUP_ORDER,
     AbelianGroup,
     Character,
     GroupRingElement,
@@ -35,6 +36,23 @@ def test_group_indexing_row_major():
     assert g.add((1, 2), (1, 2)) == (0, 1)
     assert g.neg((1, 1)) == (1, 2)
     assert g.sub((0, 1), (1, 2)) == (1, 2)
+
+
+@pytest.mark.parametrize("factors", [(2,), (9,), (2,) * 6, (3, 3, 3), (2, 3)])
+def test_index_tables_match_tuple_arithmetic(factors):
+    g = AbelianGroup(factors)
+    neg = [g.index(g.neg(x)) for x in g.elements]
+    add = [[g.index(g.add(x, y)) for y in g.elements] for x in g.elements]
+    assert np.array_equal(g.neg_index, neg)
+    assert np.array_equal(g.add_index, add)
+
+
+def test_group_order_capped():
+    assert MAX_GROUP_ORDER == 2**10
+    assert AbelianGroup([2] * 10).order == 1024
+    for factors in ([1500], [2] * 11, [32, 33], [10**30]):
+        with pytest.raises(ValueError, match="exceeds the cap 1024"):
+            AbelianGroup(factors)
 
 
 def test_group_name_roundtrip():

@@ -160,7 +160,7 @@ def test_evaluate_at_trivial_is_incidence():
 def test_filter_bank_lift_blocks(group):
     rng = np.random.default_rng(7)
     m = _random_polyphase(group, 3, 5, rng)
-    lifted = m.filter_bank_lift().toarray()
+    lifted = m.filter_bank_lift()
     assert np.array_equal(lifted, _blockwise_lift(m.to_group_ring()))
     f = group.order
     # nonzero blocks are permutation matrices

@@ -12,6 +12,7 @@ from etfforge.construct import (
     gq_from_polyphase,
     simplex_phased,
 )
+from etfforge import verify as verify_module
 from etfforge.groupring import characters_of, real_character
 from etfforge.polymat import GroupRingMatrix
 from etfforge.verify import (
@@ -294,7 +295,7 @@ def test_gq_axioms_dimension_mismatch(families):
 
 
 def test_gq_axioms_flags_flipped_cell(families):
-    z = gq_from_polyphase(families["example933"]).toarray()
+    z = gq_from_polyphase(families["example933"])
     z[20, 5] ^= 1
     rep = verify_gq_axioms(z, 2, 4)
     bad = {c.name for c in rep.checks if not c.passed}
@@ -302,11 +303,14 @@ def test_gq_axioms_flags_flipped_cell(families):
 
 
 def test_gq_spread_check(families):
-    z = gq_from_polyphase(families["example933"]).toarray()
+    z = gq_from_polyphase(families["example933"])
     shuffled = np.vstack([z[9:], z[:9]])
     rep = verify_gq_axioms(shuffled, 2, 4, check_spread=True)
     assert any(c.name == "spread" and not c.passed for c in rep.checks)
     assert verify_gq_axioms(shuffled, 2, 4).passed  # still a GQ without the spread
+    # a handed-over report's spread line does not fail the SRG check
+    srg = verify_srg_collinearity(shuffled, 2, 4, gq=rep)
+    assert srg.passed and srg.subject == "SRG(27,10,1,5)"
 
 
 def _check(name, bad):
@@ -378,7 +382,7 @@ def test_gq_and_srg_match_dense_reference(families):
         m = families[name]
         s, t = _design_order(m)
         lifted = gq_from_polyphase(m)
-        z = lifted.toarray()
+        z = lifted.astype(np.int64)
         assert (_triples(verify_gq_axioms(lifted, s, t, check_spread=True))
                 == _triples(verify_gq_axioms(z, s, t, check_spread=True)))
         # most mutants offend at both (i, j) and (j, i) of a product, so
@@ -390,6 +394,27 @@ def test_gq_and_srg_match_dense_reference(families):
             srg = verify_srg_collinearity(case, s, t)
             assert _triples(srg) == _dense_srg_reference(case, s, t), name
             assert got.passed == (case is z), name
+
+
+def test_gq_and_srg_row_spans_match_dense_reference(families, monkeypatch):
+    # one row per triple-product span; the half-dense cases hold more
+    # point pairs than Z^T Z has cells, so the pair count spans as well
+    monkeypatch.setattr(verify_module, "SPAN_CELLS", 1)
+    rng = np.random.default_rng(5)
+    for name in ("brouwer3", "affine3"):
+        m = families[name]
+        s, t = _design_order(m)
+        z = gq_from_polyphase(m).astype(np.int64)
+        half = [(rng.random(z.shape) < 0.5).astype(np.int64) for _ in range(3)]
+        for case in [z] + [_swap_cell(z, seed) for seed in range(10)] + half:
+            got = verify_gq_axioms(case, s, t, check_spread=True)
+            assert _triples(got) == _dense_gq_reference(case, s, t, check_spread=True), name
+            srg = verify_srg_collinearity(case, s, t)
+            assert _triples(srg) == _dense_srg_reference(case, s, t), name
+        for case in half:
+            ii, jj = np.nonzero(case)
+            pairs = verify_module._point_pairs(ii, jj, case.sum(axis=1), case.shape[1])
+            assert np.array_equal(pairs, case.T @ case), name
 
 
 def test_srg_parameters(families):
