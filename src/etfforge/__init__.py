@@ -33,7 +33,6 @@ from .construct import (
     affine_polyphase,
     brouwer_geometry,
     brouwer_polyphase,
-    drackn_from_polyphase,
     example_9_3_3,
     gq_from_polyphase,
     phased_to_polyphase,
@@ -42,6 +41,7 @@ from .construct import (
 )
 from .verify import (
     CheckResult,
+    Design,
     EtfNumerics,
     ScreenRow,
     VerificationReport,
@@ -64,6 +64,7 @@ __all__ = [
     "BrouwerGeometry",
     "Character",
     "CheckResult",
+    "Design",
     "DracknParams",
     "EtfNumerics",
     "FiniteField",
@@ -78,7 +79,6 @@ __all__ = [
     "brouwer_polyphase",
     "characters_of",
     "count_blocks_through_vertex",
-    "drackn_from_polyphase",
     "example_9_3_3",
     "field_create",
     "format_complex_csv",

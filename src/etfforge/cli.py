@@ -29,7 +29,6 @@ from .construct import (
     GqParams,
     affine_polyphase,
     brouwer_polyphase,
-    drackn_from_polyphase,
     example_9_3_3,
     gq_from_polyphase,
     simplex_phased,
@@ -78,12 +77,6 @@ def _select_characters(group, selector: str):
     raise ValueError(f"bad character selector {selector!r}")
 
 
-def _design_params(m: PolyphaseMatrix) -> BibdParams:
-    x = m.modulus_squared()
-    k = int(x.sum(axis=1)[0])
-    return BibdParams.from_vk(m.cols, k)
-
-
 def _build_family(args) -> tuple[str, PolyphaseMatrix]:
     if args.family == "example933":
         return "example933", example_9_3_3()
@@ -99,7 +92,7 @@ def _build_family(args) -> tuple[str, PolyphaseMatrix]:
 
 
 def _manifest(name: str, family: str, m: PolyphaseMatrix, args) -> dict:
-    params = _design_params(m)
+    params = BibdParams.from_vk(m.cols, int(m.support[0].sum()))
     f = m.group.order
     d = params.etf_dimension
     man = {
@@ -164,8 +157,14 @@ def _load_input(path: Path):
     return parse_incidence(text)
 
 
-def _note(name: str, reason: str):
-    print(f"SKIP {name} ({reason})")
+def _skip(name: str, reason: str, reports: list, explicit: bool = False):
+    """A check that does not apply: a FAIL report if asked for by name, else a SKIP line."""
+    if explicit:
+        rep = V.VerificationReport(subject=name.upper())
+        rep.add("applicable", False, info=reason)
+        reports.append(rep)
+    else:
+        print(f"SKIP {name} ({reason})")
 
 
 def cmd_verify(args) -> int:
@@ -182,19 +181,16 @@ def cmd_verify(args) -> int:
         reports.append(V.verify_bibd(subject, subject.shape[1], k))
         for name in wanted:
             if name != "bibd":
-                _note(name, "incidence input carries no phases")
+                _skip(name, "incidence input carries no phases", reports)
     else:
-        m = subject
-        x = m.modulus_squared()
-        k = int(x.sum(axis=1)[0])
-        f = m.group.order
-        r = (m.cols - 1) // (k - 1) if k > 1 and (m.cols - 1) % (k - 1) == 0 else None
+        d = V.Design(subject)
+        m, k, r, f = d.m, d.k, d.r, d.f
         if "bibd" in wanted:
-            reports.append(V.verify_bibd(x, m.cols, k))
+            reports.append(d.bibd)
         if "combinatorial" in wanted:
-            reports.append(V.verify_polyphase_combinatorial(m))
+            reports.append(V.verify_polyphase_combinatorial(d))
         if "algebraic" in wanted:
-            reports.append(V.verify_polyphase_algebraic(m))
+            reports.append(V.verify_polyphase_algebraic(d))
         if "etf" in wanted:
             gammas = _select_characters(m.group, args.character)
             # each worker evaluates its own character, so at most one
@@ -204,35 +200,21 @@ def cmd_verify(args) -> int:
             for gamma, rep in zip(gammas, results):
                 rep.subject += f" at character {gamma.exponents}"
                 reports.append(rep)
-        if "drackn" in wanted:
-            if r is not None and (k * (r - 1)) % f == 0:
-                a, dp = drackn_from_polyphase(m)
-                reports.append(V.verify_drackn(a, dp.n, dp.f, dp.c))
-            elif explicit:
-                rep = V.VerificationReport(subject="DRACKN")
-                rep.add("applicable", False, info="c = k(r-1)/f is not an integer")
-                reports.append(rep)
-            else:
-                _note("drackn", "c = k(r-1)/f is not an integer")
+        if "drackn" in wanted and d.drackn is None:
+            _skip("drackn", "c = k(r-1)/f is not an integer", reports, explicit)
+        elif "drackn" in wanted:
+            a, dp = d.drackn
+            reports.append(V.verify_drackn(a, dp.n, dp.f, dp.c))
         gq_ok = r is not None and k == f
-        z = gq = None
         if gq_ok and {"gq", "srg"} & set(wanted):
-            z = gq_from_polyphase(m)
-            gq = V.verify_gq_axioms(z, k - 1, r, check_spread=True)
-        for name, runner in (
-            ("gq", lambda: gq),
-            ("srg", lambda: V.verify_srg_collinearity(z, k - 1, r, gq=gq)),
-        ):
-            if name not in wanted:
-                continue
-            if gq_ok:
-                reports.append(runner())
-            elif explicit:
-                rep = V.VerificationReport(subject=name.upper())
-                rep.add("applicable", False, info=f"needs k = f, got k={k}, f={f}")
-                reports.append(rep)
+            gq = V.verify_gq_axioms(d, k - 1, r, check_spread=True)
+        for name in [n for n in ("gq", "srg") if n in wanted]:
+            if not gq_ok:
+                _skip(name, f"needs k = f, got k={k}, f={f}", reports, explicit)
+            elif name == "gq":
+                reports.append(gq)
             else:
-                _note(name, f"needs k = f, got k={k}, f={f}")
+                reports.append(V.verify_srg_collinearity(d, k - 1, r, gq=gq))
 
     ok = all(rep.passed for rep in reports)
     for rep in reports:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .gf import FiniteField, field_create, prime_power_split
 from .groupring import AbelianGroup
-from .polymat import GroupRingMatrix, PolyphaseMatrix, zero_one_array
+from .polymat import PolyphaseMatrix, zero_one_array
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,6 @@ class BibdParams:
         u_frac = Fraction(k * (k - 1) ** 2 * (k - 2), v + k * (k - 2))
         u = int(u_frac) if u_frac.denominator == 1 else None
         return cls(v=v, k=k, r=r, b=b, u=u)
-
-    @property
-    def etf_vectors(self) -> int:
-        return self.v
 
     @property
     def etf_dimension(self) -> Fraction:
@@ -459,17 +455,3 @@ def phased_to_polyphase(phi: np.ndarray, p: int, tol: float = 1e-9) -> Polyphase
             support[i, j] = True
             exps[i, j] = ell
     return PolyphaseMatrix(group, support, exps)
-
-
-def drackn_from_polyphase(m: PolyphaseMatrix) -> tuple[GroupRingMatrix, DracknParams]:
-    """Gram minus r times the identity, with its (n, f, c) parameters."""
-    x = m.modulus_squared()
-    params = BibdParams.from_vk(m.cols, int(x.sum(axis=1)[0]))
-    r = params.r
-    gram = m.gram()
-    a = gram - GroupRingMatrix.from_scalar(m.group, r * np.eye(m.cols, dtype=np.int64))
-    f = m.group.order
-    c_num = params.k * (r - 1)
-    if c_num % f:
-        raise ValueError("k (r - 1) is not divisible by the group order")
-    return a, DracknParams(n=m.cols, f=f, c=c_num // f)

@@ -313,6 +313,8 @@ def parse_polyphase(text: str) -> PolyphaseMatrix:
         group = AbelianGroup.from_name(fields["group"])
     except KeyError as exc:
         raise ValueError(f"header missing field {exc}") from exc
+    if rows < 1 or cols < 1:
+        raise ValueError(f"need rows >= 1 and cols >= 1, got rows={rows}, cols={cols}")
     if len(lines) - 1 != rows:
         raise ValueError(f"expected {rows} rows, found {len(lines) - 1}")
     entries = []

@@ -5,29 +5,30 @@ each pass/fail with a witness (index of the first offence) or a
 residual (largest deviation).  Integer checks are authoritative and
 exact; numeric checks use absolute tolerance 1e-9 on max entry
 deviation and a relative singular value cutoff of 1e-8 for rank.
+Verifiers raise only on API misuse; a malformed design gets a FAIL.
 
-The exact and numeric routes are deliberately independent: the
-combinatorial verifier counts triple products entry by entry, the
-algebraic verifier builds the group-ring Gram Phi* Phi once and
-multiplies each row of Phi into it, and the numeric verifier only ever
-sees evaluated complex matrices.
+A Design derives what several checks read off one polyphase matrix Phi
+once.  The exact and numeric routes stay independent: the combinatorial
+verifier counts triple products entry by entry, the algebraic verifier
+multiplies each row of Phi into the integer Gram Phi* Phi, and the
+numeric verifier only ever sees evaluated complex matrices.
 
-The GQ and SRG checks take a dense 0/1 incidence and count from its
-nonzero cells: row and column sums by bincount, and the point-pair
-matrix Z^T Z by one bincount over the ordered point pairs of each
-block.  Work that scales with blocks x points runs in bounded row
-spans, and the SRG check can reuse a GQ report instead of checking
-the axioms again.
+The GQ and SRG checks count from the nonzero cells of a 0/1 incidence Z
+(a dense array or a Design's GQ lift) in bounded row spans, with
+P = Z^T Z from one bincount over the point pairs of each block.  The
+SRG quadratic of A = P - (t+1)I is checked as P^2 - (s+t)P - (t+1)J.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .groupring import AbelianGroup, characters_of
+from .construct import DracknParams, gq_from_polyphase
+from .groupring import characters_of
 from .polymat import GroupRingMatrix, PolyphaseMatrix, require_float_exact, row_pairs
 
 NUMERIC_TOL = 1e-9
@@ -117,12 +118,12 @@ def _first_bad(mask) -> tuple | None:
 def verify_bibd(x: np.ndarray, v: int, k: int) -> VerificationReport:
     """Row sums k, column sums r = (v-1)/(k-1), every pair of columns
     meeting exactly once, and Fisher's bound."""
-    if k < 2:
-        raise ValueError(f"block size k = {k} must be >= 2")
-    if v <= k:
-        raise ValueError(f"need v > k, got v = {v}, k = {k}")
-    x = np.asarray(x)
     rep = VerificationReport(subject=f"BIBD(v={v}, k={k}, lambda=1)")
+    if k < 2 or v <= k:
+        rep.add("parameters", False, info=f"block size k = {k} must be >= 2" if k < 2
+                else f"need v > k, got v = {v}, k = {k}")
+        return rep
+    x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != v:
         rep.add("dimensions", False, witness=tuple(x.shape))
         return rep
@@ -151,48 +152,63 @@ def verify_bibd(x: np.ndarray, v: int, k: int) -> VerificationReport:
     return rep
 
 
-def _polyphase_frame(m: PolyphaseMatrix):
-    """Shared plumbing: incidence, (v, k, r), the BIBD report and the
-    divisibility check; returns None for the rest when anything fails."""
-    x = m.modulus_squared()
-    v = m.cols
-    k = int(x.sum(axis=1)[0]) if m.rows else 0
-    rep = VerificationReport(subject="")
-    try:
-        bibd = verify_bibd(x, v, k)
-    except ValueError as exc:
-        rep.add("bibd:parameters", False, info=str(exc))
-        return rep, x, v, k, None, False
-    rep.extend(bibd, prefix="bibd:")
-    f = m.group.order
-    divisible = k % f == 0
+class Design:
+    """One polyphase matrix Phi and what the checks share, derived once:
+    x = |Phi|^2, v, f, k (row 0's weight), r = (v-1)/(k-1) or None, the
+    BIBD report; the Gram, the DRACKN and the GQ lift cells when first read."""
+
+    def __init__(self, m: PolyphaseMatrix):
+        self.m, self.x = m, m.modulus_squared()
+        self.v, self.f = m.cols, m.group.order
+        self.k = int(self.x[0].sum()) if m.rows else 0
+        integral = self.k > 1 and (self.v - 1) % (self.k - 1) == 0
+        self.r = (self.v - 1) // (self.k - 1) if integral else None
+        self.bibd = verify_bibd(self.x, self.v, self.k)
+
+    @functools.cached_property
+    def gram(self) -> GroupRingMatrix:
+        return self.m.gram()
+
+    @functools.cached_property
+    def drackn(self) -> tuple[GroupRingMatrix, DracknParams] | None:
+        """(Phi* Phi - r I, its parameters), or None unless c = k(r-1)/f is integral."""
+        if self.r is None or self.k * (self.r - 1) % self.f:
+            return None
+        eye = GroupRingMatrix.from_scalar(self.m.group, self.r * np.eye(self.v, dtype=np.int64))
+        return self.gram - eye, DracknParams(self.v, self.f, self.k * (self.r - 1) // self.f)
+
+    @functools.cached_property
+    def gq(self) -> _Cells:
+        return _Cells(gq_from_polyphase(self.m))
+
+
+def _design_head(d: Design, kind: str) -> tuple[VerificationReport, bool]:
+    """An exact report headed by the BIBD lines, and whether its identity may be checked."""
+    rep = VerificationReport(f"polyphase {kind} ({d.m.rows}x{d.v} over {d.m.group.name()})")
+    rep.extend(d.bibd, prefix="bibd:")
+    if d.bibd.checks[0].name == "parameters":
+        return rep, False
+    divisible = d.k % d.f == 0
     rep.add("group-order-divides-k", divisible,
-            witness=None if divisible else (f, k), info=f"f={f}, k={k}")
-    ok = bibd.passed and divisible
-    r = (v - 1) // (k - 1) if ok else None
-    return rep, x, v, k, r, ok
+            witness=None if divisible else (d.f, d.k), info=f"f={d.f}, k={d.k}")
+    return rep, d.bibd.passed and divisible
 
 
-def verify_polyphase_combinatorial(m: PolyphaseMatrix) -> VerificationReport:
+def verify_polyphase_combinatorial(d: Design) -> VerificationReport:
     """For every zero entry (i, j), the k triple products
     z^(i,j') z^(i',j')~ z^(i',j) over the blocks j' of i must cover each
     group element exactly k/f times."""
-    rep, x, v, k, r, ok = _polyphase_frame(m)
-    rep.subject = f"polyphase combinatorial ({m.rows}x{m.cols} over {m.group.name()})"
+    rep, ok = _design_head(d, "combinatorial")
     if not ok:
         return rep
-    g = m.group
-    f = g.order
-    quota = k // f
-    add, neg = g.add_index, g.neg_index
-    common_row = np.full((v, v), -1, dtype=np.intp)
-    supports = [np.nonzero(x[i])[0] for i in range(m.rows)]
-    for i, sup in enumerate(supports):
-        for a_pos in range(len(sup)):
-            for b_pos in range(a_pos + 1, len(sup)):
-                a, b = sup[a_pos], sup[b_pos]
-                common_row[a, b] = i
-                common_row[b, a] = i
+    m, x, f = d.m, d.x, d.f
+    quota = d.k // f
+    add, neg = m.group.add_index, m.group.neg_index
+    # the row through each column pair, unique under the BIBD; the diagonal is unread
+    ii, jj = np.nonzero(x)
+    a, b = row_pairs(ii)
+    common_row = np.full((d.v, d.v), -1, dtype=np.intp)
+    common_row[jj[a], jj[b]] = ii[a]
     exps = m.exponents
     bad = None
     for i in range(m.rows):
@@ -200,7 +216,7 @@ def verify_polyphase_combinatorial(m: PolyphaseMatrix) -> VerificationReport:
         if len(zeros) == 0:
             continue
         counts = np.zeros((len(zeros), f), dtype=np.int64)
-        for jp in supports[i]:
+        for jp in np.nonzero(x[i])[0]:
             ip = common_row[jp, zeros]
             g_vec = add[add[exps[i, jp], neg[exps[ip, jp]]], exps[ip, zeros]]
             np.add.at(counts, (np.arange(len(zeros)), g_vec), 1)
@@ -212,21 +228,20 @@ def verify_polyphase_combinatorial(m: PolyphaseMatrix) -> VerificationReport:
     return rep
 
 
-def verify_polyphase_algebraic(m: PolyphaseMatrix) -> VerificationReport:
+def verify_polyphase_algebraic(d: Design) -> VerificationReport:
     """Exact group-ring identity: Phi Phi* Phi = (r+k-1) Phi + (k/f) G (J - X)
     where G is the sum of all group elements, checked row by row against
     the integer Gram Phi* Phi; the witness is the row-major first offence."""
-    rep, x, v, k, r, ok = _polyphase_frame(m)
-    rep.subject = f"polyphase algebraic ({m.rows}x{m.cols} over {m.group.name()})"
+    rep, ok = _design_head(d, "algebraic")
     if not ok:
         return rep
+    m, x, v, k, r, f = d.m, d.x, d.v, d.k, d.r, d.f
     g = m.group
-    f = g.order
     quota = k // f
     # row i of the left side at (c, h) is sum_j Gram[j, c](h - e_ij), and
     # the Gram is self-adjoint, so that is Gram[c, j](e_ij - h): one
     # column gather per row from the (v, v*f) view
-    gram = m.gram().coeffs.reshape(v, v * f)
+    gram = d.gram.coeffs.reshape(v, v * f)
     sub = g.add_index[:, g.neg_index]  # sub[a, b] = index of a - b
     diff = None
     for i in range(m.rows):
@@ -252,9 +267,10 @@ def verify_etf_numeric(phi: np.ndarray, tol: float = NUMERIC_TOL) -> Verificatio
         raise ValueError("expected a nonempty 2-d matrix")
     n = phi.shape[1]
     norms = np.sum(np.abs(phi) ** 2, axis=0)
-    if np.min(norms) <= tol:
-        raise ValueError(f"column {int(np.argmin(norms))} is numerically zero")
     rep = VerificationReport(subject=f"numeric ETF ({phi.shape[0]}x{n})")
+    if np.min(norms) <= tol:
+        rep.add("nonzero-columns", False, witness=_first_bad(norms <= tol))
+        return rep
     r = float(np.mean(norms))
     rep.add("equal-norms", bool(np.max(np.abs(norms - r)) <= tol),
             residual=float(np.max(np.abs(norms - r))))
@@ -301,12 +317,6 @@ def verify_etf_numeric(phi: np.ndarray, tol: float = NUMERIC_TOL) -> Verificatio
 SPAN_CELLS = 2**20
 
 
-def _ones(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major (row, col) of the nonzero cells of a 2-d array; one flat
-    scan is about twice as fast as np.nonzero on two axes."""
-    return np.divmod(np.flatnonzero(z), z.shape[1])
-
-
 def _row_spans(cost: np.ndarray, budget: int):
     """Consecutive row ranges [r0, r1) of at least one row each, whose
     summed cost stays within budget unless one row alone exceeds it."""
@@ -332,12 +342,40 @@ def _block_pairs(ii, jj, rows, n_points: int):
 
 def _point_pairs(ii, jj, rows, n_points: int) -> np.ndarray:
     """Z^T Z of a 0/1 matrix: entry (a, c) counts the blocks through both
-    points, by one bincount per row span of the ordered point pairs."""
+    points, by one bincount per row span of the ordered point pairs.  The
+    counts are float64, exact below 2^53, so the SRG quadratic can
+    multiply them with no copy."""
     total = None
     for _, a, c in _block_pairs(ii, jj, rows, n_points):
-        part = np.bincount(a * n_points + c, minlength=n_points * n_points)
-        total = part if total is None else total + part
+        part = np.bincount(a * n_points + c, np.ones(len(a)), n_points * n_points)
+        total = part if total is None else np.add(total, part, out=total)
     return total.reshape(n_points, n_points)
+
+
+class _Cells:
+    """A 0/1 incidence by its shape, its row-major nonzero cells (ii, jj),
+    the first of them that is not 1 and its row sums, from one flat scan
+    of the dense array; Z^T Z is counted on first use."""
+
+    def __init__(self, z):
+        z = np.asarray(z)
+        flat = np.flatnonzero(z)
+        self.shape = z.shape
+        self.ii, self.jj = np.divmod(flat, z.shape[-1])
+        self.rows = np.bincount(self.ii, minlength=z.shape[0])
+        bad = np.flatnonzero(z.ravel()[flat] != 1)
+        self.not_one = (int(self.ii[bad[0]]), int(self.jj[bad[0]])) if len(bad) else None
+
+    @functools.cached_property
+    def pairs(self) -> np.ndarray:
+        return _point_pairs(self.ii, self.jj, self.rows, self.shape[1])
+
+
+def _cells(z) -> _Cells:
+    """A Design's GQ lift cells, counted once per Design, or a dense array's."""
+    if isinstance(z, Design):
+        return z.gq
+    return z if isinstance(z, _Cells) else _Cells(z)
 
 
 def _first_shared_block_pair(ii, jj, rows, shared) -> tuple:
@@ -382,10 +420,11 @@ def _first_triple_offence(ii, jj, rows, pairs, s: int, t: int) -> tuple | None:
 def verify_gq_axioms(z, s: int, t: int, check_spread: bool = False) -> VerificationReport:
     """Point-block incidence of a generalized quadrangle of order (s, t):
     blocks of size s+1, t+1 blocks per point, no repeated pairs, and the
-    triple product Z Z^T Z = (s+t) Z + J.  z is a dense array; everything
-    is counted from its nonzero cells and the point-pair matrix Z^T Z, so
-    no blocks x blocks or blocks x points array is formed."""
-    z = np.asarray(z)
+    triple product Z Z^T Z = (s+t) Z + J.  z is a dense array or a
+    Design, whose GQ lift is read; everything is counted from the nonzero
+    cells and the point-pair matrix Z^T Z, so no blocks x blocks or
+    blocks x points array is formed."""
+    z = _cells(z)
     rep = VerificationReport(subject=f"GQ({s},{t}) axioms")
     n_blocks = (t + 1) * (s * t + 1)
     n_points = (s + 1) * (s * t + 1)
@@ -394,17 +433,14 @@ def verify_gq_axioms(z, s: int, t: int, check_spread: bool = False) -> Verificat
                 info=f"expected {n_blocks}x{n_points}")
         return rep
     rep.add("dimensions", True)
-    ii, jj = _ones(z)
-    bad = np.flatnonzero(z[ii, jj] != 1)
-    witness = (int(ii[bad[0]]), int(jj[bad[0]])) if len(bad) else None
-    rep.add("zero-one", witness is None, witness=witness)
-    if witness is not None:
+    rep.add("zero-one", z.not_one is None, witness=z.not_one)
+    if z.not_one is not None:
         return rep
-    rows = np.bincount(ii, minlength=n_blocks)
+    ii, jj, rows = z.ii, z.jj, z.rows
     rep.add("row-sums", bool(np.all(rows == s + 1)), witness=_first_bad(rows != s + 1))
     cols = np.bincount(jj, minlength=n_points)
     rep.add("col-sums", bool(np.all(cols == t + 1)), witness=_first_bad(cols != t + 1))
-    pairs = _point_pairs(ii, jj, rows, n_points)
+    pairs = z.pairs
     shared = pairs > 1
     np.fill_diagonal(shared, False)
     # for a 0/1 matrix two blocks share two points exactly when two
@@ -416,9 +452,10 @@ def verify_gq_axioms(z, s: int, t: int, check_spread: bool = False) -> Verificat
     witness = _first_triple_offence(ii, jj, rows, pairs, s, t)
     rep.add("triple-product", witness is None, witness=witness)
     if check_spread:
-        v = s * t + 1
-        spread = np.kron(np.eye(v, dtype=np.int64), np.ones((1, s + 1), dtype=np.int64))
-        rep.add("spread", bool(np.array_equal(z[:v], spread)))
+        # the first st+1 rows hold the points j(s+1) .. j(s+1)+s in row j
+        head, points = np.searchsorted(ii, s * t + 1), np.arange(n_points)
+        rep.add("spread", np.array_equal(ii[:head], points // (s + 1))
+                and np.array_equal(jj[:head], points))
     return rep
 
 
@@ -473,42 +510,39 @@ def verify_srg_collinearity(
     z, s: int, t: int, gq: VerificationReport | None = None
 ) -> VerificationReport:
     """Collinearity graph of a GQ(s, t): strongly regular with parameters
-    ((s+1)(st+1), s(t+1), s-1, t+1).  gq is verify_gq_axioms's report on
-    the same z, computed here when not given; its spread line is ignored."""
+    ((s+1)(st+1), s(t+1), s-1, t+1).  z is a dense array or a Design, as
+    for verify_gq_axioms; gq is that check's report on the same z,
+    computed here when not given; its spread line is ignored."""
+    z = _cells(z)
     if gq is None:
         gq = verify_gq_axioms(z, s, t)
     axioms = [c for c in gq.checks if c.name != "spread"]
     if not all(c.passed for c in axioms):
         return VerificationReport(f"SRG of GQ({s},{t}) (GQ axioms failed)", axioms)
-    z = np.asarray(z)
-    n = (s + 1) * (s * t + 1)
-    deg = s * (t + 1)
-    lam, mu = s - 1, t + 1
-    ii, jj = _ones(z)
-    adj = _point_pairs(ii, jj, np.bincount(ii, minlength=len(z)), n).astype(np.float64)
-    adj[np.diag_indices(n)] -= t + 1
+    n, deg, lam, mu = (s + 1) * (s * t + 1), s * (t + 1), s - 1, t + 1
+    pairs = z.pairs  # P = Z^T Z; the adjacency is A = P - (t+1) I
     rep = VerificationReport(subject=f"SRG({n},{deg},{lam},{mu})")
     rep.add("gq-axioms", True)
-    simple = (
-        np.array_equal(adj, adj.T)
-        and not adj.diagonal().any()
-        and not ((adj != 0) & (adj != 1)).any()
-    )
+    diag = pairs.diagonal()
+    simple = (np.array_equal(pairs, pairs.T) and np.all(diag == t + 1)
+              and np.count_nonzero(pairs > 1) == np.count_nonzero(diag > 1))
     rep.add("adjacency-simple", bool(simple))
-    rows = adj.sum(axis=1)
+    rows = pairs.sum(axis=1) - (t + 1)
     rep.add("regular", bool(np.all(rows == deg)), witness=_first_bad(rows != deg))
-    # A^2 - (lam - mu) A - (deg - mu) I - mu J must vanish; every entry
-    # is an integer, exact in float64 under the guard.  Every point pair
-    # is counted both ways, so A is symmetric and A A^T, which BLAS forms
-    # as a symmetric rank-k update, is A^2
-    amax = int(max(adj.max(initial=0), -adj.min(initial=0)))
-    require_float_exact(n, amax, amax)
-    quad = adj @ adj.T
-    adj *= lam - mu  # in place: adj is not needed again
-    quad -= adj
-    quad[np.diag_indices(n)] -= deg - mu
-    quad -= mu
-    witness = _first_bad(quad != 0)
+    # A^2 - (lam - mu) A - (deg - mu) I - mu J = P^2 - (s+t) P - (t+1) J must
+    # vanish, exactly in float64 under the guard.  P is symmetric, so BLAS
+    # forms P P^T = P^2 as a symmetric rank-k update; the rest is subtracted
+    # in row spans of about a megabyte, so no other points x points array forms
+    pmax = int(pairs.max(initial=0))
+    require_float_exact(n, pmax, pmax)
+    quad, witness = pairs @ pairs.T, None
+    for r0, r1 in _row_spans(np.full(n, n), SPAN_CELLS // 8):
+        span = quad[r0:r1]
+        span -= (s + t) * pairs[r0:r1] + (t + 1)
+        if span.any():
+            i, j = _first_bad(span != 0)
+            witness = (r0 + i, j)
+            break
     rep.add("srg-quadratic", witness is None, witness=witness)
     return rep
 

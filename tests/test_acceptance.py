@@ -14,7 +14,6 @@ from etfforge.construct import (
     affine_polyphase,
     brouwer_geometry,
     brouwer_polyphase,
-    drackn_from_polyphase,
     example_9_3_3,
     gq_from_polyphase,
     phased_to_polyphase,
@@ -24,6 +23,7 @@ from etfforge.construct import (
 from etfforge.groupring import characters_of, real_character
 from etfforge.polymat import GroupRingMatrix
 from etfforge.verify import (
+    Design,
     RANK_REL_TOL,
     screen_parameters,
     count_blocks_through_vertex,
@@ -50,8 +50,8 @@ def test_criterion_1_affine_family():
     start = time.monotonic()
     for q in (2, 3, 4, 5, 7, 8, 9):
         m = affine_polyphase(q)
-        assert verify_polyphase_combinatorial(m).passed, f"q={q} combinatorial"
-        assert verify_polyphase_algebraic(m).passed, f"q={q} algebraic"
+        assert verify_polyphase_combinatorial(Design(m)).passed, f"q={q} combinatorial"
+        assert verify_polyphase_algebraic(Design(m)).passed, f"q={q} algebraic"
         for gamma in _nontrivial(m.group):
             rep = verify_etf_numeric(m.evaluate(gamma), tol=TOL)
             assert rep.passed, f"q={q} gamma={gamma.exponents}\n{rep.as_text()}"
@@ -69,8 +69,8 @@ def test_criterion_2_brouwer_family():
     start = time.monotonic()
     for q in (2, 3, 4, 5):
         m = brouwer_polyphase(q)
-        assert verify_polyphase_combinatorial(m).passed, f"q={q} combinatorial"
-        assert verify_polyphase_algebraic(m).passed, f"q={q} algebraic"
+        assert verify_polyphase_combinatorial(Design(m)).passed, f"q={q} combinatorial"
+        assert verify_polyphase_algebraic(Design(m)).passed, f"q={q} algebraic"
         d_want = q * (q * q - q + 1)
         for gamma in _nontrivial(m.group):
             sv = np.linalg.svd(m.evaluate(gamma), compute_uv=False)
@@ -113,15 +113,15 @@ def test_criterion_3_example_reproduction():
             else:
                 want[i, j, EXPECTED_GRAM_EXPONENTS[i][j]] = 1
     assert gram == GroupRingMatrix(m.group, want)
-    assert verify_polyphase_algebraic(m).passed
-    assert verify_polyphase_combinatorial(m).passed
+    assert verify_polyphase_algebraic(Design(m)).passed
+    assert verify_polyphase_combinatorial(Design(m)).passed
     _line(3, "printed 9x9 Gram reproduced entrywise; 12x9 identity exact")
 
 
 def test_criterion_4_drackn():
     for builder, want in ((example_9_3_3, (9, 3, 3)), (lambda: brouwer_polyphase(3), (28, 4, 8))):
         m = builder()
-        a, params = drackn_from_polyphase(m)
+        a, params = Design(m).drackn
         assert (params.n, params.f, params.c) == want
         rep = verify_drackn(a, *want)
         assert rep.passed, rep.as_text()
@@ -241,8 +241,8 @@ def test_criterion_8_oracle_equivalence():
             mutated = m.replaced(i, j, None)
         else:
             mutated = m.replaced(i, j, g)
-        comb = verify_polyphase_combinatorial(mutated).passed
-        alg = verify_polyphase_algebraic(mutated).passed
+        comb = verify_polyphase_combinatorial(Design(mutated)).passed
+        alg = verify_polyphase_algebraic(Design(mutated)).passed
         if comb == alg:
             agreements += 1
         else:

@@ -9,7 +9,7 @@ import pytest
 
 from etfforge import cli
 from etfforge.cli import main
-from etfforge.polymat import format_polyphase, parse_incidence, parse_polyphase
+from etfforge.polymat import PolyphaseMatrix, format_polyphase, parse_incidence, parse_polyphase
 
 
 def run(capsys, *argv):
@@ -151,6 +151,66 @@ def test_verify_runs_gq_axioms_once(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", path, "--checks", "srg")
     assert code == 0 and "GQ(2,4) axioms" not in out and "spread" not in out
     assert len(calls) == 2
+
+
+def test_verify_derives_each_object_once(tmp_path, capsys, monkeypatch):
+    run(capsys, "construct", "--family", "brouwer", "--q", "2", "-o", str(tmp_path))
+    calls = {}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("verify_bibd", "_point_pairs", "gq_from_polyphase"):
+        counting(cli.V, name)
+    counting(PolyphaseMatrix, "gram")
+    code, out, _ = run(capsys, "verify", str(tmp_path / "brouwer_q2.polyphase"))
+    assert code == 0 and "PASS (9,3,3)-DRACKN" in out and "PASS SRG(27,10,1,5)" in out
+    assert calls == {"verify_bibd": 1, "gram": 1, "_point_pairs": 1, "gq_from_polyphase": 1}
+
+
+def _verify_text(tmp_path, capsys, text, *checks):
+    target = tmp_path / "design.polyphase"
+    target.write_text(text)
+    return run(capsys, "verify", str(target), *checks)
+
+
+def test_verify_reports_design_with_fractional_block_count(tmp_path, capsys):
+    # v = 5, k = 3 give r = 2 and c = 1, but b = v r / k = 10/3 is no integer
+    text = "POLYPHASE rows=2 cols=5 group=Z3\n0 0 0 . .\n. . 0 0 0\n"
+    code, out, err = _verify_text(tmp_path, capsys, text)
+    assert code == 1 and err == ""
+    assert "FAIL (5,3,1)-DRACKN" in out and "FAIL GQ(2,2) axioms" in out
+    assert out.rstrip().endswith("overall: FAIL")
+
+
+def test_verify_reports_block_size_one_and_zero_column(tmp_path, capsys):
+    text = "POLYPHASE rows=2 cols=3 group=Z2\n0 . .\n. 0 .\n"
+    code, out, err = _verify_text(tmp_path, capsys, text, "--checks", "bibd")
+    assert code == 1 and err == ""
+    assert "FAIL parameters witness=() [block size k = 1 must be >= 2]" in out
+    code, out, err = _verify_text(tmp_path, capsys, text)
+    assert code == 1 and err == ""
+    assert "FAIL bibd:parameters witness=() [block size k = 1 must be >= 2]" in out
+    assert "FAIL nonzero-columns witness=(2,)" in out
+
+
+def test_verify_reports_design_with_v_not_above_k(tmp_path, capsys):
+    code, out, err = _verify_text(tmp_path, capsys, "POLYPHASE rows=1 cols=3 group=Z3\n0 0 0\n")
+    assert code == 1 and err == ""
+    assert "FAIL parameters witness=() [need v > k, got v = 3, k = 3]" in out
+    assert out.rstrip().endswith("overall: FAIL")
+
+
+def test_verify_rejects_header_only_file(tmp_path, capsys):
+    code, out, err = _verify_text(tmp_path, capsys, "POLYPHASE rows=0 cols=0 group=Z3\n")
+    assert code == 2 and out == ""
+    assert err == "error: need rows >= 1 and cols >= 1, got rows=0, cols=0\n"
 
 
 def test_verify_subset_of_checks(affine3_file, capsys):

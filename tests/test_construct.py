@@ -10,7 +10,6 @@ from etfforge.construct import (
     affine_polyphase,
     brouwer_geometry,
     brouwer_polyphase,
-    drackn_from_polyphase,
     example_9_3_3,
     gq_from_polyphase,
     phased_to_polyphase,
@@ -20,6 +19,7 @@ from etfforge.construct import (
 from etfforge.gf import field_create, prime_power_split
 from etfforge.groupring import AbelianGroup, characters_of
 from etfforge.polymat import GroupRingMatrix, PolyphaseMatrix
+from etfforge.verify import Design
 
 
 def _bibd_shape(m):
@@ -232,10 +232,10 @@ def test_brouwer_polyphase_is_bibd(q):
     )
 
 
-def test_drackn_from_polyphase_params():
-    _, d = drackn_from_polyphase(example_9_3_3())
+def test_design_drackn_params():
+    _, d = Design(example_9_3_3()).drackn
     assert (d.n, d.f, d.c, d.delta) == (9, 3, 3, -2)
-    _, d = drackn_from_polyphase(brouwer_polyphase(3))
+    _, d = Design(brouwer_polyphase(3)).drackn
     assert (d.n, d.f, d.c, d.delta) == (28, 4, 8, -6)
 
 

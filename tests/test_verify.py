@@ -7,7 +7,6 @@ from etfforge.construct import (
     affine_polyphase,
     brouwer_geometry,
     brouwer_polyphase,
-    drackn_from_polyphase,
     example_9_3_3,
     gq_from_polyphase,
     simplex_phased,
@@ -16,6 +15,7 @@ from etfforge import verify as verify_module
 from etfforge.groupring import characters_of, real_character
 from etfforge.polymat import GroupRingMatrix
 from etfforge.verify import (
+    Design,
     ScreenRow,
     count_blocks_through_vertex,
     screen_parameters,
@@ -69,10 +69,13 @@ def test_bibd_passes_on_fano():
 
 
 def test_bibd_rejects_bad_k():
-    with pytest.raises(ValueError):
-        verify_bibd(np.eye(4, dtype=np.int64), 4, 1)
-    with pytest.raises(ValueError):
-        verify_bibd(FANO, 3, 3)
+    for x, v, k, info in ((np.eye(4, dtype=np.int64), 4, 1, "block size k = 1 must be >= 2"),
+                          (FANO, 3, 3, "need v > k, got v = 3, k = 3")):
+        rep = verify_bibd(x, v, k)
+        assert not rep.passed
+        assert [(c.name, c.passed, c.witness, c.info) for c in rep.checks] == [
+            ("parameters", False, (), info)
+        ]
 
 
 def test_bibd_replication_must_be_integral():
@@ -108,14 +111,14 @@ def test_bibd_rejects_non_binary_entries():
 
 def test_polyphase_verifiers_pass_on_all_families(families):
     for name, m in families.items():
-        assert verify_polyphase_combinatorial(m).passed, name
-        assert verify_polyphase_algebraic(m).passed, name
+        assert verify_polyphase_combinatorial(Design(m)).passed, name
+        assert verify_polyphase_algebraic(Design(m)).passed, name
 
 
 def test_polyphase_verifiers_catch_exponent_mutation(families):
     m = families["example933"].replaced(3, 0, (1,))
-    comb = verify_polyphase_combinatorial(m)
-    alg = verify_polyphase_algebraic(m)
+    comb = verify_polyphase_combinatorial(Design(m))
+    alg = verify_polyphase_algebraic(Design(m))
     assert not comb.passed and not alg.passed
     comb_bad = next(c for c in comb.checks if not c.passed)
     alg_bad = next(c for c in alg.checks if not c.passed)
@@ -126,7 +129,7 @@ def test_polyphase_verifiers_catch_exponent_mutation(families):
 def test_polyphase_verifiers_catch_support_mutation(families):
     # moving support breaks the underlying design before any phases matter
     m = families["example933"]
-    moved = m.replaced(3, 0, None).replaced(3, 1, (0,))
+    moved = Design(m.replaced(3, 0, None).replaced(3, 1, (0,)))
     for rep in (verify_polyphase_combinatorial(moved), verify_polyphase_algebraic(moved)):
         assert not rep.passed
         assert any(c.name.startswith("bibd:") and not c.passed for c in rep.checks)
@@ -167,7 +170,7 @@ def test_algebraic_matches_dense_triple_product(families):
     for m in _algebraic_fixtures(families):
         cases = [m] + [_change_exponent(m, seed) for seed in range(12)]
         for case in cases:
-            rep = verify_polyphase_algebraic(case)
+            rep = verify_polyphase_algebraic(Design(case))
             *frame, last = [(c.name, c.passed, c.witness, c.info) for c in rep.checks]
             assert all(passed for _, passed, _, _ in frame), rep.as_text()
             assert last == _reference_triple_identity(case), rep.subject
@@ -185,7 +188,7 @@ def test_gram_matches_adjoint_product(families):
 def test_exact_and_numeric_routes_agree(families):
     rng = np.random.default_rng(7)
     for name, m in families.items():
-        exact = verify_polyphase_combinatorial(m).passed
+        exact = verify_polyphase_combinatorial(Design(m)).passed
         gammas = [g for g in characters_of(m.group) if not g.is_trivial]
         numeric = all(verify_etf_numeric(m.evaluate(g)).passed for g in gammas)
         assert exact and numeric, name
@@ -195,7 +198,7 @@ def test_exact_and_numeric_routes_agree(families):
         old = m.entry(i, j)
         shift = tuple((old[l] + 1) % q for l, q in enumerate(m.group.factors))
         bad = m.replaced(i, j, shift)
-        exact = verify_polyphase_combinatorial(bad).passed
+        exact = verify_polyphase_combinatorial(Design(bad)).passed
         numeric = all(verify_etf_numeric(bad.evaluate(g)).passed for g in gammas)
         assert not exact and not numeric, name
 
@@ -235,8 +238,13 @@ def test_etf_numeric_orthonormal_is_vacuous():
 def test_etf_numeric_rejects_zero_column():
     phi = np.eye(3, dtype=np.complex128)
     phi[:, 1] = 0
+    rep = verify_etf_numeric(phi)
+    assert [(c.name, c.passed, c.witness) for c in rep.checks] == [
+        ("nonzero-columns", False, (1,))
+    ]
+    # a matrix with no columns is API misuse, not a design to report on
     with pytest.raises(ValueError):
-        verify_etf_numeric(phi)
+        verify_etf_numeric(np.zeros((3, 0)))
 
 
 def test_etf_numeric_fails_on_generic_frame():
@@ -396,6 +404,20 @@ def test_gq_and_srg_match_dense_reference(families):
             assert got.passed == (case is z), name
 
 
+def test_design_lift_checks_match_dense_lift(families):
+    for name in ("example933", "brouwer2", "brouwer3", "affine3"):
+        m = families[name]
+        s, t = _design_order(m)
+        for case in [m] + [_change_exponent(m, seed) for seed in range(10)]:
+            d, z = Design(case), gq_from_polyphase(case)
+            gq = verify_gq_axioms(d, s, t, check_spread=True)
+            assert _triples(gq) == _triples(verify_gq_axioms(z, s, t, check_spread=True)), name
+            srg = verify_srg_collinearity(d, s, t)
+            assert _triples(srg) == _triples(verify_srg_collinearity(z, s, t)), name
+            assert _triples(verify_srg_collinearity(d, s, t, gq=gq)) == _triples(srg), name
+            assert gq.passed == (case is m), name
+
+
 def test_gq_and_srg_row_spans_match_dense_reference(families, monkeypatch):
     # one row per triple-product span; the half-dense cases hold more
     # point pairs than Z^T Z has cells, so the pair count spans as well
@@ -436,7 +458,7 @@ def test_srg_propagates_gq_failure(families):
 
 def test_drackn_families(families):
     for name, want in [("example933", (9, 3, 3, -2)), ("brouwer3", (28, 4, 8, -6))]:
-        a, params = drackn_from_polyphase(families[name])
+        a, params = Design(families[name]).drackn
         assert (params.n, params.f, params.c, params.delta) == want
         rep = verify_drackn(a, params.n, params.f, params.c)
         assert rep.passed, rep.as_text()
@@ -445,7 +467,7 @@ def test_drackn_families(families):
 
 
 def test_drackn_shape_guards(families):
-    a, params = drackn_from_polyphase(families["example933"])
+    a, params = Design(families["example933"]).drackn
     with pytest.raises(ValueError):
         verify_drackn(a, params.n + 1, params.f, params.c)
     with pytest.raises(ValueError):
@@ -453,7 +475,7 @@ def test_drackn_shape_guards(families):
 
 
 def test_drackn_catches_tampering(families):
-    a, params = drackn_from_polyphase(families["example933"])
+    a, params = Design(families["example933"]).drackn
     a.coeffs[0, 1, :] = 0
     a.coeffs[0, 1, 0] = 2
     rep = verify_drackn(a, params.n, params.f, params.c)
@@ -509,7 +531,7 @@ def test_count_blocks_through_vertex():
 
 
 def test_report_rendering(families):
-    rep = verify_polyphase_combinatorial(families["example933"])
+    rep = verify_polyphase_combinatorial(Design(families["example933"]))
     text = rep.as_text()
     assert text.startswith("PASS polyphase combinatorial")
     assert "triple-products" in text
@@ -521,8 +543,8 @@ def test_report_rendering(families):
 def test_failing_checks_carry_witness_or_residual(families):
     m = families["example933"].replaced(0, 0, (2,))
     reports = [
-        verify_polyphase_combinatorial(m),
-        verify_polyphase_algebraic(m),
+        verify_polyphase_combinatorial(Design(m)),
+        verify_polyphase_algebraic(Design(m)),
         verify_etf_numeric(m.evaluate([g for g in characters_of(m.group) if not g.is_trivial][0])),
     ]
     for rep in reports:
