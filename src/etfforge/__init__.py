@@ -13,7 +13,6 @@ from .groupring import (
     Character,
     GroupRingElement,
     characters_of,
-    geometric_sum,
     real_character,
 )
 from .polymat import (
@@ -45,7 +44,6 @@ from .verify import (
     EtfNumerics,
     ScreenRow,
     VerificationReport,
-    count_blocks_through_vertex,
     screen_parameters,
     verify_bibd,
     verify_drackn,
@@ -78,13 +76,11 @@ __all__ = [
     "brouwer_geometry",
     "brouwer_polyphase",
     "characters_of",
-    "count_blocks_through_vertex",
     "example_9_3_3",
     "field_create",
     "format_complex_csv",
     "format_incidence",
     "format_polyphase",
-    "geometric_sum",
     "gq_from_polyphase",
     "parse_incidence",
     "parse_polyphase",

@@ -11,7 +11,7 @@ Three maps out of the ring matter here:
 * the translation lift x -> sum_g x(g) T^g, where (T^g y)(g') =
   y(g' - g); this is a ring isomorphism onto the group-circulant
   integer matrices, and sends the all-ones element to the all-ones
-  matrix,
+  matrix (PolyphaseMatrix.filter_bank_lift applies it entrywise),
 * the involution x~(g) = x(-g), which evaluation turns into complex
   conjugation and the lift turns into transposition.
 """
@@ -57,18 +57,6 @@ class AbelianGroup:
 
     def element(self, i: int):
         return self.elements[i]
-
-    def add(self, g, h):
-        return tuple((a + b) % q for a, b, q in zip(g, h, self.factors))
-
-    def sub(self, g, h):
-        return tuple((a - b) % q for a, b, q in zip(g, h, self.factors))
-
-    def neg(self, g):
-        return tuple((-a) % q for a, q in zip(g, self.factors))
-
-    def zero(self):
-        return (0,) * len(self.factors)
 
     def __eq__(self, other):
         return isinstance(other, AbelianGroup) and other.factors == self.factors
@@ -224,12 +212,6 @@ class GroupRingElement:
             raise ValueError("character belongs to a different group")
         return complex(self.coeffs @ gamma.values)
 
-    def translation_lift(self) -> np.ndarray:
-        """The f x f integer matrix with (a, b) entry x(a - b)."""
-        g = self.group
-        diff = g.add_index[:, g.neg_index]  # diff[a, b] = index of a - b
-        return self.coeffs[diff]
-
     def support(self):
         return [self.group.element(i) for i in np.nonzero(self.coeffs)[0]]
 
@@ -240,9 +222,3 @@ class GroupRingElement:
             g = self.group.element(int(i))
             terms.append(f"{c}*z{g}")
         return " + ".join(terms) if terms else "0"
-
-
-def geometric_sum(group: AbelianGroup) -> GroupRingElement:
-    """Sum of every group element; evaluates to f at the trivial character
-    and to 0 at every other."""
-    return GroupRingElement(group, np.ones(group.order, dtype=np.int64))

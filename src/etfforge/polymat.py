@@ -18,7 +18,13 @@ Text serialization of a polyphase matrix:
     POLYPHASE rows=<b> cols=<v> group=Z{q1}x...
     <one line per row: "." for a zero entry, "g1,g2,..." for z^(g1,...)>
 
-Lines use spaces between entries, LF endings, UTF-8.
+Lines use spaces between entries, LF endings, UTF-8.  The writer and
+the reader go one row at a time through a table of the f + 1 labels.
+The reader also takes tabs, CR LF, blank lines and non-canonical cells
+("5" over Z3, "+1", "-1", "01"), read as integers reduced mod each
+factor.  It stores a row only once it has read it, so a header cannot
+size an allocation.  A 0/1 incidence is one line of "0"/"1" per row,
+written and read as bytes.
 """
 
 from __future__ import annotations
@@ -289,15 +295,27 @@ class PolyphaseMatrix:
         return f"PolyphaseMatrix({self.rows}x{self.cols} over {self.group.name()})"
 
 
+def _cell_labels(group: AbelianGroup) -> list[str]:
+    """Text of each cell: "." for zero, then "g1,g2,..." per element index."""
+    return ["."] + [",".join(map(str, e)) for e in group.elements]
+
+
 def format_polyphase(m: PolyphaseMatrix) -> str:
+    labels = np.array(_cell_labels(m.group), dtype=object)
     lines = [f"POLYPHASE rows={m.rows} cols={m.cols} group={m.group.name()}"]
-    for i in range(m.rows):
-        cells = []
-        for j in range(m.cols):
-            e = m.entry(i, j)
-            cells.append("." if e is None else ",".join(str(c) for c in e))
-        lines.append(" ".join(cells))
+    # one gather per row: a whole-matrix gather holds b*v index temporaries
+    for support, exps in zip(m.support, m.exponents):
+        lines.append(" ".join(labels[np.where(support, exps + 1, 0)].tolist()))
     return "\n".join(lines) + "\n"
+
+
+def _cell_index(group: AbelianGroup, cell: str) -> int:
+    """Index of a cell the label table misses: coordinates read as
+    integers, then reduced mod each factor."""
+    g = tuple(int(c) for c in cell.split(","))
+    if len(g) != len(group.factors):
+        raise ValueError(f"entry {cell!r} has wrong arity for {group.name()}")
+    return group.index(tuple(c % q for c, q in zip(g, group.factors)))
 
 
 def parse_polyphase(text: str) -> PolyphaseMatrix:
@@ -317,26 +335,32 @@ def parse_polyphase(text: str) -> PolyphaseMatrix:
         raise ValueError(f"need rows >= 1 and cols >= 1, got rows={rows}, cols={cols}")
     if len(lines) - 1 != rows:
         raise ValueError(f"expected {rows} rows, found {len(lines) - 1}")
-    entries = []
+    # code -1 is a zero entry, code i is z^(element i); a row is stored only
+    # once its cells are read, so no allocation runs ahead of the text
+    lut = {label: i - 1 for i, label in enumerate(_cell_labels(group))}
+    codes = []
     for ln in lines[1:]:
         cells = ln.split()
         if len(cells) != cols:
             raise ValueError(f"expected {cols} entries per row, found {len(cells)}")
-        row = []
-        for cell in cells:
-            if cell == ".":
-                row.append(None)
-            else:
-                g = tuple(int(c) for c in cell.split(","))
-                if len(g) != len(group.factors):
-                    raise ValueError(f"entry {cell!r} has wrong arity for {group.name()}")
-                row.append(tuple(c % q for c, q in zip(g, group.factors)))
-        entries.append(row)
-    return PolyphaseMatrix.from_entries(group, entries)
+        try:
+            codes.append(np.fromiter(map(lut.__getitem__, cells), np.int16, cols))
+        except KeyError:
+            row = [lut[c] if c in lut else _cell_index(group, c) for c in cells]
+            codes.append(np.array(row, dtype=np.int16))
+    codes = np.stack(codes)
+    return PolyphaseMatrix(group, codes >= 0, np.maximum(codes, 0))
 
 
 def format_incidence(x: np.ndarray) -> str:
-    return "\n".join("".join(str(int(v)) for v in row) for row in np.asarray(x)) + "\n"
+    x = np.asarray(x)
+    bad = np.argwhere((x != 0) & (x != 1))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(f"incidence entry ({i}, {j}) is {x[i, j]}, not 0 or 1")
+    out = np.full((x.shape[0], x.shape[1] + 1), ord("\n"), dtype=np.uint8)
+    out[:, :-1] = x + ord("0")
+    return out.tobytes().decode("ascii")
 
 
 def parse_incidence(text: str) -> np.ndarray:
@@ -344,12 +368,14 @@ def parse_incidence(text: str) -> np.ndarray:
     if not rows:
         raise ValueError("empty incidence file")
     width = len(rows[0])
-    out = np.zeros((len(rows), width), dtype=np.int64)
-    for i, ln in enumerate(rows):
-        if len(ln) != width or set(ln) - {"0", "1"}:
-            raise ValueError(f"bad incidence row {i}")
-        out[i] = [int(c) for c in ln]
-    return out
+    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+    # "replace" keeps one byte per character, and "?" is outside {0, 1}
+    flat = np.frombuffer("".join(rows).encode("ascii", "replace"), dtype=np.uint8)
+    bad_cell = (flat != ord("0")) & (flat != ord("1"))
+    bad = (lengths != width) | np.logical_or.reduceat(bad_cell, np.cumsum(lengths) - lengths)
+    if bad.any():
+        raise ValueError(f"bad incidence row {int(np.argmax(bad))}")
+    return (flat.reshape(len(rows), width) - ord("0")).astype(np.int64)
 
 
 def format_complex_csv(c: np.ndarray) -> str:

@@ -586,13 +586,6 @@ def screen_parameters(k_min: int, k_max: int) -> list[ScreenRow]:
     return rows
 
 
-def count_blocks_through_vertex(geom, vertex) -> int:
-    vertex = tuple(vertex)
-    if vertex not in set(geom.vertices):
-        raise ValueError(f"{vertex} is not a vertex of the geometry")
-    return sum(1 for blk in geom.blocks if vertex in blk.members)
-
-
 # Expected screener output for 3 <= k <= 9, tabulated by hand from the
 # divisibility rules, as (v, k, r, b, u).  The command line cross-check
 # compares freshly screened rows against this list.

@@ -213,6 +213,16 @@ def test_verify_rejects_header_only_file(tmp_path, capsys):
     assert err == "error: need rows >= 1 and cols >= 1, got rows=0, cols=0\n"
 
 
+def test_verify_rejects_header_wider_than_its_rows(tmp_path, capsys):
+    # a header alone must not size an allocation: 10^12 columns, one cell
+    t0 = time.perf_counter()
+    code, out, err = _verify_text(tmp_path, capsys, "POLYPHASE rows=1 cols=1000000000000 group=Z3\n0\n")
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2 and out == ""
+    assert err == "error: expected 1000000000000 entries per row, found 1\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["design.polyphase"]
+
+
 def test_verify_subset_of_checks(affine3_file, capsys):
     code, out, _ = run(capsys, "verify", str(affine3_file), "--checks", "combinatorial")
     assert code == 0

@@ -1,6 +1,17 @@
+import random
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from etfforge.construct import (
+    affine_polyphase,
+    brouwer_polyphase,
+    example_9_3_3,
+    gq_from_polyphase,
+    simplex_phased,
+)
 from etfforge.groupring import AbelianGroup, GroupRingElement, characters_of
 from etfforge.polymat import (
     GroupRingMatrix,
@@ -28,11 +39,14 @@ def _random_grm(group, rows, cols, rng):
 
 def _blockwise_lift(m: GroupRingMatrix) -> np.ndarray:
     """Oracle: lift each entry separately via the group-ring lift."""
-    f = m.group.order
+    g = m.group
+    f = g.order
+    diff = g.add_index[:, g.neg_index]  # diff[a, b] = index of a - b
     out = np.zeros((m.rows * f, m.cols * f), dtype=np.int64)
     for i in range(m.rows):
         for j in range(m.cols):
-            out[i * f : (i + 1) * f, j * f : (j + 1) * f] = m.entry(i, j).translation_lift()
+            # translation lift: the (a, b) entry is the coefficient of z^(a - b)
+            out[i * f : (i + 1) * f, j * f : (j + 1) * f] = m.coeffs[i, j][diff]
     return out
 
 
@@ -58,6 +72,229 @@ def test_parse_polyphase_errors():
         parse_polyphase("POLYPHASE rows=1 cols=1 group=Z2xZ2\n0\n")
     with pytest.raises(ValueError):
         parse_polyphase("POLYPHASE rows=1 cols=1\n0\n")
+
+
+# The per-cell text routines that the row-at-a-time ones replaced.  They
+# stay here as the reference: the library must match their bytes, their
+# matrices and their error messages.
+def _reference_format_polyphase(m):
+    lines = [f"POLYPHASE rows={m.rows} cols={m.cols} group={m.group.name()}"]
+    for i in range(m.rows):
+        cells = []
+        for j in range(m.cols):
+            e = m.entry(i, j)
+            cells.append("." if e is None else ",".join(str(c) for c in e))
+        lines.append(" ".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_parse_polyphase(text):
+    lines = [ln for ln in text.split("\n") if ln.strip()]
+    if not lines or not lines[0].startswith("POLYPHASE"):
+        raise ValueError("missing POLYPHASE header")
+    fields = {}
+    for tok in lines[0].split()[1:]:
+        key, _, val = tok.partition("=")
+        fields[key] = val
+    try:
+        rows, cols = int(fields["rows"]), int(fields["cols"])
+        group = AbelianGroup.from_name(fields["group"])
+    except KeyError as exc:
+        raise ValueError(f"header missing field {exc}") from exc
+    if rows < 1 or cols < 1:
+        raise ValueError(f"need rows >= 1 and cols >= 1, got rows={rows}, cols={cols}")
+    if len(lines) - 1 != rows:
+        raise ValueError(f"expected {rows} rows, found {len(lines) - 1}")
+    entries = []
+    for ln in lines[1:]:
+        cells = ln.split()
+        if len(cells) != cols:
+            raise ValueError(f"expected {cols} entries per row, found {len(cells)}")
+        row = []
+        for cell in cells:
+            if cell == ".":
+                row.append(None)
+            else:
+                g = tuple(int(c) for c in cell.split(","))
+                if len(g) != len(group.factors):
+                    raise ValueError(f"entry {cell!r} has wrong arity for {group.name()}")
+                row.append(tuple(c % q for c, q in zip(g, group.factors)))
+        entries.append(row)
+    return PolyphaseMatrix.from_entries(group, entries)
+
+
+def _reference_format_incidence(x):
+    return "\n".join("".join(str(int(v)) for v in row) for row in np.asarray(x)) + "\n"
+
+
+def _reference_parse_incidence(text):
+    rows = [ln for ln in text.split("\n") if ln.strip()]
+    if not rows:
+        raise ValueError("empty incidence file")
+    width = len(rows[0])
+    out = np.zeros((len(rows), width), dtype=np.int64)
+    for i, ln in enumerate(rows):
+        if len(ln) != width or set(ln) - {"0", "1"}:
+            raise ValueError(f"bad incidence row {i}")
+        out[i] = [int(c) for c in ln]
+    return out
+
+
+def _outcome(parse, text):
+    """What a parser makes of text: its result, or its ValueError message."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _assert_parses_like_reference(text):
+    got = _outcome(parse_polyphase, text)
+    want = _outcome(_reference_parse_polyphase, text)
+    assert got == want, repr(text)
+    if not isinstance(want, str):
+        assert np.array_equal(got.exponents, want.exponents), repr(text)
+
+
+GOLDEN_DESIGNS = {
+    **{f"simplex_v{v}": (simplex_phased, v) for v in range(3, 8)},
+    "example933": (example_9_3_3,),
+    **{f"affine_q{q}": (affine_polyphase, q) for q in (2, 3, 4, 5, 7, 8, 9)},
+    **{f"brouwer_q{q}": (brouwer_polyphase, q) for q in (2, 3, 4, 5, 7)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DESIGNS))
+def test_text_matches_reference_on_golden_designs(name):
+    build, *args = GOLDEN_DESIGNS[name]
+    m = build(*args)
+    text = format_polyphase(m)
+    assert text == _reference_format_polyphase(m)
+    back = parse_polyphase(text)
+    assert back == _reference_parse_polyphase(text) == m
+
+
+@pytest.mark.parametrize("factors", [(2, 3), (4, 2), (5,)], ids=str)
+def test_text_matches_reference_on_random_matrices(factors):
+    group = AbelianGroup(factors)
+    rng = np.random.default_rng(11)
+    for rows, cols, density in ((1, 1, 1.0), (1, 9, 0.5), (6, 1, 0.5), (7, 11, 0.3), (12, 5, 0.9)):
+        m = _random_polyphase(group, rows, cols, rng, density)
+        text = format_polyphase(m)
+        assert text == _reference_format_polyphase(m)
+        _assert_parses_like_reference(text)
+        assert parse_polyphase(text) == m
+
+
+def test_parse_matches_reference_on_text_variants():
+    base = "POLYPHASE rows=2 cols=3 group=Z2xZ3\n0,1 . 1,2\n. 1,0 0,0\n"
+    variants = [
+        base.replace(" ", "\t"),
+        base.replace("\n", "\r\n"),
+        "\n\n" + base.replace("\n", "\n  \n") + "\n\n",
+        "POLYPHASE   rows=2\tcols=3 group=Z2xZ3 extra=1\n" + base.split("\n", 1)[1],
+        # non-canonical cells reduce mod each factor
+        "POLYPHASE rows=2 cols=3 group=Z2xZ3\n2,4 . -1,+5\n. 01,0 0,-3\n",
+        "POLYPHASE rows=1 cols=4 group=Z3\n5 +1 -1 01\n",
+        # int() reads underscores and other scripts' digits; str.split() any
+        # Unicode space
+        "POLYPHASE rows=1 cols=4 group=Z3\n1_0 \u0663 0\u00a0.\n",
+    ]
+    for text in variants:
+        _assert_parses_like_reference(text)
+        assert not isinstance(_outcome(parse_polyphase, text), str), repr(text)
+    assert parse_polyphase(variants[0]) == parse_polyphase(base)
+    assert parse_polyphase(variants[1]) == parse_polyphase(base)
+    assert parse_polyphase(variants[2]) == parse_polyphase(base)
+    assert parse_polyphase(variants[-2]).exponents.tolist() == [[2, 1, 2, 1]]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "POLYPHASE rows=1 cols=2 group=Z3\n0 x\n",  # bad integer
+        "POLYPHASE rows=1 cols=2 group=Z3\n0 1,\n",  # empty coordinate
+        "POLYPHASE rows=1 cols=2 group=Z2xZ3\n0,1 1\n",  # wrong arity
+        "POLYPHASE rows=1 cols=2 group=Z3\n1,1 .\n",  # wrong arity
+        "POLYPHASE rows=2 cols=2 group=Z3\n0 1\n0 1 2\n",  # wrong cell count
+        "POLYPHASE rows=2 cols=2 group=Z3\n0\n0 1 2\n",  # wrong count in the first row
+        # two bad rows: the first offence wins, in row-major order
+        "POLYPHASE rows=2 cols=2 group=Z3\n0 y\n0 1 2\n",
+        "POLYPHASE rows=2 cols=2 group=Z3\n0 1 2\n0 y\n",
+        "POLYPHASE rows=2 cols=2 group=Z3\nz y\n0,0 w\n",
+        "POLYPHASE rows=3 cols=2 group=Z3\n0 1\n0 1\n",
+        "POLYPHASE rows=1 cols=x group=Z3\n0\n",
+        "POLYPHASE rows=1 group=Z3\n0\n",
+        "POLYPHASE rows=1 cols=1 group=Y3\n0\n",
+        "POLYPHASE rows=1 cols=1 group=Z1\n0\n",
+        "no header\n0\n",
+        "",
+    ],
+)
+def test_parse_errors_match_reference(text):
+    got = _outcome(parse_polyphase, text)
+    assert isinstance(got, str)
+    assert got == _outcome(_reference_parse_polyphase, text)
+
+
+# digits twice over, so that a flipped cell often still parses
+FUZZ_CHARS = "01234567890123456789.,-+_ \t\r\nxZ=\u0663\u00a0"
+FUZZ_HEADER_VALUES = ["0", "-1", "1", "2", "9", "12", "13", "10**12", "x", "", "Z2", "Z3", "Z3xZ3", "Z1", "Z4096"]
+
+
+def _mutate(text, rng):
+    lines = text.split("\n")
+    kind = rng.randrange(4)
+    if kind == 0:  # flip a byte
+        i = rng.randrange(len(text))
+        return text[:i] + rng.choice(FUZZ_CHARS) + text[i + 1 :]
+    if kind == 1:  # drop a token
+        i = rng.randrange(len(lines))
+        toks = lines[i].split(" ")
+        del toks[rng.randrange(len(toks))]
+        lines[i] = " ".join(toks)
+    elif kind == 2:  # duplicate a line
+        i = rng.randrange(len(lines))
+        lines.insert(rng.randrange(len(lines) + 1), lines[i])
+    else:  # edit the header: a field's value, or drop the field
+        toks = lines[0].split(" ")
+        i = rng.randrange(len(toks))
+        key = toks[i].partition("=")[0]
+        toks[i] = "" if rng.random() < 0.2 else f"{key}={rng.choice(FUZZ_HEADER_VALUES)}"
+        lines[0] = " ".join(toks)
+    return "\n".join(lines)
+
+
+def test_parse_fuzz_matches_reference():
+    rng = random.Random(20161)
+    seeds = [format_polyphase(affine_polyphase(3)), format_polyphase(brouwer_polyphase(2))]
+    outcomes = {"parsed": 0, "error": 0}
+    for trial in range(300):
+        text = seeds[trial % 2]
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            text = _mutate(text, rng)
+        _assert_parses_like_reference(text)
+        outcomes["error" if isinstance(_outcome(parse_polyphase, text), str) else "parsed"] += 1
+    # the mutations reach both sides of the parser
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+def test_parse_allocates_no_more_than_the_text_holds():
+    # a wide first row over many one-cell rows: rows x cols is 2.5e9 cells,
+    # the text 200 kB, and the parse must fail on the second row
+    n = 50_000
+    text = f"POLYPHASE rows={n} cols={n} group=Z3\n" + " ".join(["0"] * n) + "\n" + "0\n" * (n - 1)
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^expected {n} entries per row, found 1$"):
+            parse_polyphase(text)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 2.0
+    assert peak < 64 * len(text)
 
 
 def test_entry_accessors_and_replaced():
@@ -209,6 +446,50 @@ def test_incidence_roundtrip():
         parse_incidence("10\n1\n")
     with pytest.raises(ValueError):
         parse_incidence("12\n")
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, bool], ids=lambda d: np.dtype(d).name)
+def test_incidence_text_matches_reference(dtype):
+    rng = np.random.default_rng(12)
+    for shape in ((1, 1), (3, 7), (40, 9)):
+        x = (rng.random(shape) < 0.5).astype(dtype)
+        text = format_incidence(x)
+        assert text == _reference_format_incidence(x)
+        back = parse_incidence(text)
+        assert back.dtype == np.int64 and np.array_equal(back, _reference_parse_incidence(text))
+    z = gq_from_polyphase(brouwer_polyphase(2))
+    assert format_incidence(z) == _reference_format_incidence(z)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "\n \n",
+        "0\n\n1\n",
+        "10\n1\n",
+        "12\n",
+        "10\r\n01\r\n",
+        " 01\n10\n",
+        "01\n0x\n011\n",  # two bad rows: the first wins
+        "011\n01\n0x1\n",
+        "01\n10\n1\u00e9\n",
+        "01\n\u06611\n",
+    ],
+)
+def test_incidence_parse_matches_reference(text):
+    got = _outcome(parse_incidence, text)
+    want = _outcome(_reference_parse_incidence, text)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
+
+
+def test_format_incidence_refuses_entries_other_than_0_and_1():
+    for bad in ([[0, 2]], [[1, -1]], [[0.5, 1.0]]):
+        with pytest.raises(ValueError, match="not 0 or 1"):
+            format_incidence(np.array(bad))
 
 
 def test_complex_csv_format():

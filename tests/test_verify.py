@@ -17,7 +17,6 @@ from etfforge.polymat import GroupRingMatrix
 from etfforge.verify import (
     Design,
     ScreenRow,
-    count_blocks_through_vertex,
     screen_parameters,
     verify_bibd,
     verify_drackn,
@@ -524,10 +523,9 @@ def test_screen_range_guards():
 
 def test_count_blocks_through_vertex():
     geom = brouwer_geometry(2)
-    counts = {count_blocks_through_vertex(geom, v) for v in geom.vertices}
+    counts = {sum(v in blk for blk in geom.blocks) for v in geom.vertices}
     assert counts == {3}
-    with pytest.raises(ValueError):
-        count_blocks_through_vertex(geom, (9, 9, 9, 9))
+    assert all(set(blk.members) <= set(geom.vertices) for blk in geom.blocks)
 
 
 def test_report_rendering(families):
