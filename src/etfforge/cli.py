@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -36,6 +37,7 @@ from .construct import (
 from .groupring import characters_of, real_character
 from .polymat import (
     PolyphaseMatrix,
+    dense_cap_refusal,
     format_complex_csv,
     format_incidence,
     format_polyphase,
@@ -150,9 +152,10 @@ def cmd_construct(args) -> int:
 
 
 def _load_input(path: Path):
-    """A POLYPHASE header means a polyphase matrix; otherwise 0/1 incidence."""
+    """A first non-blank line (both parsers skip blank lines) that starts
+    with POLYPHASE means a polyphase matrix; otherwise 0/1 incidence."""
     text = path.read_text(encoding="utf-8")
-    if text.startswith("POLYPHASE"):
+    if re.match(r"(?:[^\S\n]*\n)*POLYPHASE", text):
         return parse_polyphase(text)
     return parse_incidence(text)
 
@@ -205,12 +208,14 @@ def cmd_verify(args) -> int:
         elif "drackn" in wanted:
             a, dp = d.drackn
             reports.append(V.verify_drackn(a, dp.n, dp.f, dp.c))
-        gq_ok = r is not None and k == f
-        if gq_ok and {"gq", "srg"} & set(wanted):
+        # the GQ lift is (v + b f) x v f; over the cap, gq and srg do not apply
+        gq_skip = (dense_cap_refusal(d.v + m.rows * f, d.v * f) if r is not None and k == f
+                   else f"needs k = f, got k={k}, f={f}")
+        if not gq_skip and {"gq", "srg"} & set(wanted):
             gq = V.verify_gq_axioms(d, k - 1, r, check_spread=True)
         for name in [n for n in ("gq", "srg") if n in wanted]:
-            if not gq_ok:
-                _skip(name, f"needs k = f, got k={k}, f={f}", reports, explicit)
+            if gq_skip:
+                _skip(name, gq_skip, reports, explicit)
             elif name == "gq":
                 reports.append(gq)
             else:

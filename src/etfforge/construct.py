@@ -8,7 +8,8 @@ Conventions shared by everything below:
   designated generator alpha;
 * group elements are indexed mixed-radix row-major;
 * projective points are canonical representatives scaled so the first
-  nonzero coordinate is 1, written as tuples of element encodings;
+  nonzero coordinate is 1, written as int16 rows (tuples in
+  brouwer_geometry) of element encodings;
 * whenever a deterministic choice is needed (orbit representatives,
   the auxiliary vector that threads the blocks through an isotropic
   point), ties break lexicographically on coordinate encodings.
@@ -16,15 +17,14 @@ Conventions shared by everything below:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .gf import FiniteField, field_create, prime_power_split
 from .groupring import AbelianGroup
-from .polymat import PolyphaseMatrix, zero_one_array
+from .polymat import PolyphaseMatrix, parse_polyphase, zero_one_array
 
 
 @dataclass(frozen=True)
@@ -89,41 +89,36 @@ def simplex_phased(v: int) -> PolyphaseMatrix:
     if v < 3:
         raise ValueError(f"need v >= 3, got {v}")
     group = AbelianGroup([2])
-    pairs = list(itertools.combinations(range(v), 2))
-    support = np.zeros((len(pairs), v), dtype=bool)
-    exps = np.zeros((len(pairs), v), dtype=np.intp)
-    for i, (a, b) in enumerate(pairs):
-        support[i, a] = True
-        support[i, b] = True
-        exps[i, b] = 1
+    a, b = np.triu_indices(v, 1)
+    pair = np.arange(len(a))
+    support = np.zeros((len(a), v), dtype=bool)
+    exps = np.zeros((len(a), v), dtype=np.intp)
+    support[pair, a] = support[pair, b] = True
+    exps[pair, b] = 1
     return PolyphaseMatrix(group, support, exps)
 
 
-_EXAMPLE_9_3_3_EXPONENTS = [
-    [0, 0, 0, None, None, None, None, None, None],
-    [None, None, None, 0, 0, 0, None, None, None],
-    [None, None, None, None, None, None, 0, 0, 0],
-    [0, None, None, 0, None, None, 0, None, None],
-    [None, 0, None, None, 2, None, None, 1, None],
-    [None, None, 0, None, None, 1, None, None, 2],
-    [0, None, None, None, None, 2, None, 2, None],
-    [None, 0, None, 1, None, None, None, None, 0],
-    [None, None, 0, None, 0, None, 1, None, None],
-    [0, None, None, None, 1, None, None, None, 1],
-    [None, 0, None, None, None, 0, 2, None, None],
-    [None, None, 0, 2, None, None, None, 0, None],
-]
+_EXAMPLE_9_3_3 = """POLYPHASE rows=12 cols=9 group=Z3
+0 0 0 . . . . . .
+. . . 0 0 0 . . .
+. . . . . . 0 0 0
+0 . . 0 . . 0 . .
+. 0 . . 2 . . 1 .
+. . 0 . . 1 . . 2
+0 . . . . 2 . 2 .
+. 0 . 1 . . . . 0
+. . 0 . 0 . 1 . .
+0 . . . 1 . . . 1
+. 0 . . . 0 2 . .
+. . 0 2 . . . 0 .
+"""
 
 
 def example_9_3_3() -> PolyphaseMatrix:
     """The 12 x 9 matrix over Z_3 whose |.|^2 is an affine plane of order
     3 and whose columns give a 6-dimensional ETF of 9 vectors at either
     nontrivial cube-root character."""
-    group = AbelianGroup([3])
-    entries = [
-        [None if e is None else (e,) for e in row] for row in _EXAMPLE_9_3_3_EXPONENTS
-    ]
-    return PolyphaseMatrix.from_entries(group, entries)
+    return parse_polyphase(_EXAMPLE_9_3_3)
 
 
 def affine_polyphase(q: int) -> PolyphaseMatrix:
@@ -168,6 +163,8 @@ class _HermitianForm:
     of the norm-one subgroup of order q+1."""
 
     def __init__(self, q: int):
+        if q > BROUWER_SIZE_GUARD:
+            raise ValueError(f"q = {q} exceeds the size guard {BROUWER_SIZE_GUARD}")
         p, m = prime_power_split(q)
         self.q = q
         self.field = field_create(p, 2 * m)
@@ -216,7 +213,6 @@ class BrouwerGeometry:
     ovoid: list
     orbit_reps: list
     blocks: list
-    tables: _HermitianForm = field(repr=False, default=None)
 
 
 def _points(*coords) -> np.ndarray:
@@ -245,6 +241,23 @@ def _blocks(kind: str, params: np.ndarray, ovoid_vertex: np.ndarray, x2, x3, x4)
     ]
 
 
+def _isotropic_points(t: _HermitianForm) -> tuple[np.ndarray, np.ndarray]:
+    """Isotropic points in leading-one form as int16 rows: x1 = 1 in
+    lexicographic order (the zeros of an n^3 cube, cost about q^6), then
+    the ovoid x1 = 0."""
+    add, norm = t.field.add, t.norm
+    one_plus = add[1, norm]  # 1 + N(x)
+    cube = add[add[one_plus[:, None], norm][:, :, None], norm]
+    finite = _points(1, *np.nonzero(cube == 0))
+    ovoid = np.concatenate(
+        [
+            _points(0, 1, *np.nonzero(add[one_plus[:, None], norm] == 0)),
+            _points(0, 0, 1, *np.nonzero(one_plus == 0)),
+        ]
+    )
+    return finite, ovoid
+
+
 def _orbit_reps(t: _HermitianForm, finite: np.ndarray) -> np.ndarray:
     """One representative per orbit of j . x = (x1, B^j x2, B^j x3, B^j x4)
     on the points with x1 = 1.  The representative minimises (not
@@ -264,36 +277,21 @@ def _orbit_reps(t: _HermitianForm, finite: np.ndarray) -> np.ndarray:
 
 def brouwer_geometry(q: int) -> BrouwerGeometry:
     """Isotropic points and totally isotropic planes of the hermitian-type
-    form sum x_l^(q+1) on GF(q^2)^4, with the norm-one group action.
+    form sum x_l^(q+1) on GF(q^2)^4, with the norm-one group action, as
+    tuples and Block objects (brouwer_polyphase needs neither).
 
-    Vertices are enumerated by leading-one canonical form (cost about
-    q^6); blocks come from the two closed forms
+    Blocks come from the two closed forms
     span{(1,0,a,b), (0,1,-B^j b^q, B^j a^q)} with N(a)+N(b) = -1 and
     span{(1,a,0,0), (0,0,1,B^j a)} with N(a) = -1, where B has order q+1.
     """
-    if q > BROUWER_SIZE_GUARD:
-        raise ValueError(f"q = {q} exceeds the size guard {BROUWER_SIZE_GUARD}")
     t = _HermitianForm(q)
     add, mul, neg = t.field.add, t.field.mul, t.field.neg
     norm, beta_pows = t.norm, t.beta_pows
-    n = t.field.order
     minus_one = neg[1]
-    one_plus = add[1, norm]  # 1 + N(x)
-
-    # leading coordinate 1: (1, x2, x3, x4) with 1 + N2 + N3 + N4 = 0; the
-    # nonzero cells of the cube come out in lexicographic order
-    cube = add[add[one_plus[:, None], norm][:, :, None], norm]
-    finite = _points(1, *np.nonzero(cube == 0))
-    ovoid = np.concatenate(
-        [
-            _points(0, 1, *np.nonzero(add[one_plus[:, None], norm] == 0)),
-            _points(0, 0, 1, *np.nonzero(one_plus == 0)),
-        ]
-    )
-
+    finite, ovoid = _isotropic_points(t)
     orbit_reps = _orbit_reps(t, finite)
 
-    d = np.arange(n)
+    d = np.arange(t.field.order)
     # N(a) + N(b) = -1, then every j
     a, b = np.nonzero(add[norm[:, None], norm] == minus_one)
     j = np.tile(np.arange(q + 1), len(a))
@@ -325,17 +323,16 @@ def brouwer_geometry(q: int) -> BrouwerGeometry:
         ovoid=ovoid,
         orbit_reps=_tuples(orbit_reps),
         blocks=blocks,
-        tables=t,
     )
 
 
-def _threading_vector(t: _HermitianForm, y) -> tuple:
+def _threading_vector(t: _HermitianForm, y: np.ndarray) -> tuple:
     """Lexicographically least z = (1, z2, z3, z4) with z.z = 0 and y.z = 0;
     the q+1 blocks through the isotropic point y are spanned by y with the
     norm-one orbit of z."""
     add, mul, neg, norm = t.field.add, t.field.mul, t.field.neg, t.norm
     n = t.field.order
-    coeff = t.frob[list(y[1:])]
+    coeff = t.frob[y[1:]]
     pivot = int(np.nonzero(coeff)[0][-1])
     free = [i for i in range(3) if i != pivot]
     z = np.empty((3, n * n), dtype=np.int64)
@@ -350,28 +347,27 @@ def _threading_vector(t: _HermitianForm, y) -> tuple:
 
 
 def brouwer_polyphase(q: int) -> PolyphaseMatrix:
-    """q^2(q^2-q+1) x (q^3+1) matrix over Z_{q+1}.
+    """q^2(q^2-q+1) x (q^3+1) matrix over Z_{q+1}, from the points alone.
 
     Rows are orbit representatives of non-ovoid points, columns are the
-    ovoid points.  Where x is orthogonal to y the entry is z^g with
-    B^g = 1 - x.z_y, which makes each lifted block the translation
-    permutation that records which block through y each orbit member
-    lands in.
+    ovoid points in lexicographic order.  Where x is orthogonal to y the
+    entry is z^g with B^g = 1 - x.z_y, which makes each lifted block the
+    translation permutation that records which block through y each
+    orbit member lands in.
     """
-    geom = brouwer_geometry(q)
-    t = geom.tables
-    group = AbelianGroup([q + 1])
-    cols = sorted(geom.ovoid)
-    rows = np.array(geom.orbit_reps)
+    t = _HermitianForm(q)
+    finite, ovoid = _isotropic_points(t)
+    rows = _orbit_reps(t, finite)
+    cols = ovoid[np.lexsort(ovoid.T[::-1])]
     threading = np.array([_threading_vector(t, y) for y in cols])
-    support = t.dot(rows[:, None, :], np.array(cols)) == 0
+    support = t.dot(rows[:, None, :], cols) == 0
     r, c = np.nonzero(support)
     g = t.beta_dlog[t.field.add[1, t.field.neg[t.dot(rows[r], threading[c])]]]  # 1 - x.z
     if np.any(g < 0):
         raise AssertionError("1 - x.z must have norm one when x is orthogonal to y")
     exps = np.zeros(support.shape, dtype=np.intp)
     exps[r, c] = g
-    return PolyphaseMatrix(group, support, exps)
+    return PolyphaseMatrix(AbelianGroup([q + 1]), support, exps)
 
 
 def gq_from_polyphase(m: PolyphaseMatrix) -> np.ndarray:
@@ -394,8 +390,10 @@ def gq_from_polyphase(m: PolyphaseMatrix) -> np.ndarray:
 
 
 def polyphase_from_gq(z, group: AbelianGroup) -> PolyphaseMatrix:
-    """Invert gq_from_polyphase: strip the spread rows and read one
-    monomial out of each translation-permutation block."""
+    """Invert gq_from_polyphase: strip the spread rows and read z^g off
+    each nonzero f x f block, g the row of its column-0 one.  Only those
+    blocks are compared with the f translation permutations; the first bad
+    one, row-major, is named in the error."""
     z = np.asarray(z)
     f = group.order
     n_rows, n_cols = z.shape
@@ -405,53 +403,48 @@ def polyphase_from_gq(z, group: AbelianGroup) -> PolyphaseMatrix:
     if n_rows < v or (n_rows - v) % f:
         raise ValueError("row count does not fit a spread plus lifted blocks")
     b = (n_rows - v) // f
-    spread = np.kron(np.eye(v, dtype=np.int64), np.ones((1, f), dtype=np.int64))
-    if not np.array_equal(z[:v], spread):
+    # row j of the spread is ones on the f columns of point class j
+    spread = np.broadcast_to(np.eye(v, dtype=np.int8)[:, :, None], (v, v, f))
+    if not np.array_equal(z[:v].reshape(v, v, f), spread):
         raise ValueError("leading rows are not the expected spread")
-    perms = {}
-    for gi in range(f):
-        blk = np.zeros((f, f), dtype=np.int64)
-        blk[group.add_index[gi, np.arange(f)], np.arange(f)] = 1
-        perms[gi] = blk
-    support = np.zeros((b, v), dtype=bool)
-    exps = np.zeros((b, v), dtype=np.intp)
-    body = z[v:]
-    for i in range(b):
-        for j in range(v):
-            blk = body[i * f : (i + 1) * f, j * f : (j + 1) * f]
-            if not blk.any():
-                continue
-            col0 = np.nonzero(blk[:, 0])[0]
-            gi = int(group.add_index[col0[0], 0]) if len(col0) == 1 else -1
-            if gi < 0 or not np.array_equal(blk, perms[gi]):
-                raise ValueError(
-                    f"block ({i}, {j}) is neither zero nor a translation permutation"
-                )
-            support[i, j] = True
-            exps[i, j] = gi
-    return PolyphaseMatrix(group, support, exps)
+    blocks = z[v:].reshape(b, f, v, f).swapaxes(1, 2)
+    support = blocks.any((2, 3))
+    ii, jj = np.nonzero(support)
+    nonzero = blocks[ii, jj]
+    col0 = nonzero[:, :, 0] != 0
+    exps = col0.argmax(axis=1)
+    # perms[g, a, c] = 1 where a = g + c: the lift of z^g
+    perms = group.add_index[:, None, :] == np.arange(f)[:, None]
+    ok = (col0.sum(axis=1) == 1) & (nonzero == perms[exps]).all((1, 2))
+    if not ok.all():
+        bad = np.argmin(ok)
+        raise ValueError(
+            f"block ({ii[bad]}, {jj[bad]}) is neither zero nor a translation permutation"
+        )
+    out = np.zeros((b, v), dtype=np.intp)
+    out[ii, jj] = exps
+    return PolyphaseMatrix(group, support, out)
 
 
 def phased_to_polyphase(phi: np.ndarray, p: int, tol: float = 1e-9) -> PolyphaseMatrix:
-    """Match every nonzero entry of a phased matrix to a p-th root of
-    unity and return the corresponding matrix over Z_p."""
+    """Match every entry of modulus above tol to the nearest p-th root of
+    unity, which must lie within tol, and return the matrix over Z_p; the
+    first bad entry (a NaN included), row-major, is named in the error."""
     if p < 2:
         raise ValueError(f"need p >= 2, got {p}")
     phi = np.asarray(phi, dtype=np.complex128)
-    group = AbelianGroup([p])
-    support = np.zeros(phi.shape, dtype=bool)
+    # moduli by hypot, as scalar abs() takes them: np.abs of a complex
+    # array can be an ulp off, which moves entries across tol
+    support = ~(np.hypot(phi.real, phi.imag) <= tol)
+    vals = phi[support]
+    ell = np.round(np.angle(vals) * p / (2 * np.pi)) % p
+    off = vals - np.exp(1j * (2 * np.pi * ell / p))
+    ok = np.hypot(off.real, off.imag) <= tol
+    if not ok.all():
+        i, j = np.argwhere(support)[np.argmin(ok)]
+        raise ValueError(
+            f"entry ({i}, {j}) = {phi[i, j]} is not a {p}-th root of unity within {tol}"
+        )
     exps = np.zeros(phi.shape, dtype=np.intp)
-    for i in range(phi.shape[0]):
-        for j in range(phi.shape[1]):
-            val = phi[i, j]
-            if abs(val) <= tol:
-                continue
-            ell = int(np.round(np.angle(val) * p / (2 * np.pi))) % p
-            root = np.exp(2j * np.pi * ell / p)
-            if abs(val - root) > tol:
-                raise ValueError(
-                    f"entry ({i}, {j}) = {val} is not a {p}-th root of unity within {tol}"
-                )
-            support[i, j] = True
-            exps[i, j] = ell
-    return PolyphaseMatrix(group, support, exps)
+    exps[support] = ell
+    return PolyphaseMatrix(AbelianGroup([p]), support, exps)

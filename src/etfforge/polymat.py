@@ -37,15 +37,22 @@ from .groupring import AbelianGroup, Character, GroupRingElement
 MAX_DENSE_CELLS = 2**28
 
 
-def zero_one_array(rows: int, cols: int) -> np.ndarray:
-    """Zeroed int8 array for a 0/1 incidence; refuses one whose cells, or
+def dense_cap_refusal(rows: int, cols: int) -> str | None:
+    """Why a rows x cols 0/1 incidence is refused, or None: its cells, or
     the cells of its cols x cols point-pair matrix, exceed MAX_DENSE_CELLS."""
     cells = max(rows, cols) * cols
     if cells > MAX_DENSE_CELLS:
-        raise ValueError(
+        return (
             f"{rows}x{cols} incidence and its point pairs need {cells} cells;"
             f" the cap is {MAX_DENSE_CELLS}"
         )
+    return None
+
+
+def zero_one_array(rows: int, cols: int) -> np.ndarray:
+    """Zeroed int8 array for a 0/1 incidence; raises the dense_cap_refusal."""
+    if refusal := dense_cap_refusal(rows, cols):
+        raise ValueError(refusal)
     return np.zeros((rows, cols), dtype=np.int8)
 
 
@@ -198,22 +205,6 @@ class PolyphaseMatrix:
     @property
     def cols(self) -> int:
         return self.support.shape[1]
-
-    @classmethod
-    def from_entries(cls, group: AbelianGroup, entries) -> "PolyphaseMatrix":
-        """Build from a nested list of None (zero) or group-element tuples."""
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        support = np.zeros((rows, cols), dtype=bool)
-        exps = np.zeros((rows, cols), dtype=np.intp)
-        for i, row in enumerate(entries):
-            if len(row) != cols:
-                raise ValueError("ragged entry rows")
-            for j, e in enumerate(row):
-                if e is not None:
-                    support[i, j] = True
-                    exps[i, j] = group.index(e)
-        return cls(group, support, exps)
 
     def entry(self, i: int, j: int):
         if not self.support[i, j]:

@@ -1,13 +1,15 @@
 import json
+import os
 import subprocess
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from etfforge import cli
+from etfforge import cli, polymat
 from etfforge.cli import main
 from etfforge.polymat import PolyphaseMatrix, format_polyphase, parse_incidence, parse_polyphase
 
@@ -223,6 +225,35 @@ def test_verify_rejects_header_wider_than_its_rows(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["design.polyphase"]
 
 
+@pytest.mark.parametrize("blank", ["\n", "\r\n"])
+def test_verify_polyphase_after_a_blank_line(tmp_path, capsys, blank):
+    run(capsys, "construct", "--family", "example933", "-o", str(tmp_path))
+    plain = tmp_path / "example933.polyphase"
+    padded = tmp_path / "padded.polyphase"
+    padded.write_bytes(blank.encode() + plain.read_bytes())
+    want = run(capsys, "verify", str(plain))
+    assert want[0] == 0
+    assert run(capsys, "verify", str(padded)) == want
+
+
+def test_verify_skips_gq_and_srg_over_the_lift_cap(tmp_path, capsys, monkeypatch):
+    run(capsys, "construct", "--family", "brouwer", "--q", "2", "-o", str(tmp_path))
+    path = str(tmp_path / "brouwer_q2.polyphase")
+    _, rest, _ = run(capsys, "verify", path, "--checks", "bibd,combinatorial,algebraic,etf,drackn")
+    # the lift is (9 + 12*3) x 9*3; the cap counts max(45, 27) * 27 cells
+    monkeypatch.setattr(polymat, "MAX_DENSE_CELLS", 100)
+    reason = "45x27 incidence and its point pairs need 1215 cells; the cap is 100"
+    code, out, err = run(capsys, "verify", path)
+    assert (code, err) == (0, "")
+    assert out == f"SKIP gq ({reason})\nSKIP srg ({reason})\n" + rest
+    code, out, err = run(capsys, "verify", path, "--checks", "gq,srg")
+    assert (code, err) == (1, "")
+    failed = f"FAIL {{}}\n  FAIL applicable witness=() [{reason}]\n"
+    assert out == failed.format("GQ") + failed.format("SRG") + "overall: FAIL\n"
+    code, _, err = run(capsys, "export", path, "--to", "gq", "-o", str(tmp_path / "gq.txt"))
+    assert (code, err) == (2, f"error: {reason}\n")
+
+
 def test_verify_subset_of_checks(affine3_file, capsys):
     code, out, _ = run(capsys, "verify", str(affine3_file), "--checks", "combinatorial")
     assert code == 0
@@ -360,11 +391,19 @@ def test_export_gram(affine3_file, tmp_path, capsys):
     assert rows[0].split(",")[0] == "4+0i"
 
 
+def _child_env():
+    """Environment in which a child Python imports the etfforge this suite imports."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "etfforge.cli", "screen", "--kmin", "3", "--kmax", "3"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "9" in proc.stdout
@@ -384,6 +423,7 @@ def test_import_leaves_scipy_sparse_unloaded(tmp_path):
         "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "assert not loaded, loaded\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert "PASS GQ(2,4) axioms" in proc.stdout and "PASS SRG(27,10,1,5)" in proc.stdout

@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
+from etfforge import construct
 from etfforge.construct import (
     BibdParams,
     DracknParams,
@@ -15,6 +17,8 @@ from etfforge.construct import (
     phased_to_polyphase,
     polyphase_from_gq,
     simplex_phased,
+    _HermitianForm,
+    _threading_vector,
 )
 from etfforge.gf import field_create, prime_power_split
 from etfforge.groupring import AbelianGroup, characters_of
@@ -325,3 +329,209 @@ def test_phased_to_polyphase_mercedes_benz():
     assert m.entry(0, 2) is None
     gram = phi.T @ phi
     assert np.array_equal(gram, 3 * np.eye(3) - np.ones((3, 3)))
+
+
+# Per-cell loop versions of the converters and the geometry route to the
+# brouwer matrix: references for the array programs in construct.py.
+
+
+def _ref_simplex_phased(v):
+    pairs = list(itertools.combinations(range(v), 2))
+    support = np.zeros((len(pairs), v), dtype=bool)
+    exps = np.zeros((len(pairs), v), dtype=np.intp)
+    for i, (a, b) in enumerate(pairs):
+        support[i, a] = True
+        support[i, b] = True
+        exps[i, b] = 1
+    return PolyphaseMatrix(AbelianGroup([2]), support, exps)
+
+
+def _ref_brouwer_polyphase(q):
+    geom = brouwer_geometry(q)
+    t = _HermitianForm(q)
+    cols = sorted(geom.ovoid)
+    rows = np.array(geom.orbit_reps)
+    threading = np.array([_threading_vector(t, np.array(y)) for y in cols])
+    support = t.dot(rows[:, None, :], np.array(cols)) == 0
+    r, c = np.nonzero(support)
+    g = t.beta_dlog[t.field.add[1, t.field.neg[t.dot(rows[r], threading[c])]]]
+    assert np.all(g >= 0)
+    exps = np.zeros(support.shape, dtype=np.intp)
+    exps[r, c] = g
+    return PolyphaseMatrix(AbelianGroup([q + 1]), support, exps)
+
+
+def _ref_polyphase_from_gq(z, group):
+    z = np.asarray(z)
+    f = group.order
+    n_rows, n_cols = z.shape
+    if n_cols % f:
+        raise ValueError(f"column count {n_cols} not divisible by group order {f}")
+    v = n_cols // f
+    if n_rows < v or (n_rows - v) % f:
+        raise ValueError("row count does not fit a spread plus lifted blocks")
+    b = (n_rows - v) // f
+    spread = np.kron(np.eye(v, dtype=np.int64), np.ones((1, f), dtype=np.int64))
+    if not np.array_equal(z[:v], spread):
+        raise ValueError("leading rows are not the expected spread")
+    perms = {}
+    for gi in range(f):
+        blk = np.zeros((f, f), dtype=np.int64)
+        blk[group.add_index[gi, np.arange(f)], np.arange(f)] = 1
+        perms[gi] = blk
+    support = np.zeros((b, v), dtype=bool)
+    exps = np.zeros((b, v), dtype=np.intp)
+    body = z[v:]
+    for i in range(b):
+        for j in range(v):
+            blk = body[i * f : (i + 1) * f, j * f : (j + 1) * f]
+            if not blk.any():
+                continue
+            col0 = np.nonzero(blk[:, 0])[0]
+            gi = int(group.add_index[col0[0], 0]) if len(col0) == 1 else -1
+            if gi < 0 or not np.array_equal(blk, perms[gi]):
+                raise ValueError(
+                    f"block ({i}, {j}) is neither zero nor a translation permutation"
+                )
+            support[i, j] = True
+            exps[i, j] = gi
+    return PolyphaseMatrix(group, support, exps)
+
+
+def _ref_phased_to_polyphase(phi, p, tol=1e-9):
+    if p < 2:
+        raise ValueError(f"need p >= 2, got {p}")
+    phi = np.asarray(phi, dtype=np.complex128)
+    support = np.zeros(phi.shape, dtype=bool)
+    exps = np.zeros(phi.shape, dtype=np.intp)
+    for i in range(phi.shape[0]):
+        for j in range(phi.shape[1]):
+            val = phi[i, j]
+            if abs(val) <= tol:
+                continue
+            ell = int(np.round(np.angle(val) * p / (2 * np.pi))) % p
+            root = np.exp(2j * np.pi * ell / p)
+            if abs(val - root) > tol:
+                raise ValueError(
+                    f"entry ({i}, {j}) = {val} is not a {p}-th root of unity within {tol}"
+                )
+            support[i, j] = True
+            exps[i, j] = ell
+    return PolyphaseMatrix(AbelianGroup([p]), support, exps)
+
+
+def _outcome(fn, *args):
+    """The result of a call, or the text of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# every design pinned in tests/test_golden.py; all have k = f
+_GOLDEN = (
+    [(simplex_phased, v) for v in range(3, 8)]
+    + [(example_9_3_3,)]
+    + [(affine_polyphase, q) for q in (2, 3, 4, 5, 7, 8, 9)]
+    + [(brouwer_polyphase, q) for q in (2, 3, 4, 5, 7)]
+)
+
+
+@pytest.mark.parametrize("v", range(3, 9))
+def test_simplex_matches_pair_loop(v):
+    assert simplex_phased(v) == _ref_simplex_phased(v)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_brouwer_polyphase_matches_geometry_route(q):
+    assert brouwer_polyphase(q) == _ref_brouwer_polyphase(q)
+
+
+def test_brouwer_polyphase_builds_no_geometry(monkeypatch):
+    def refuse(q):
+        raise AssertionError("brouwer_geometry called")
+
+    monkeypatch.setattr(construct, "brouwer_geometry", refuse)
+    m = brouwer_polyphase(3)
+    assert (m.rows, m.cols) == (63, 28)
+
+
+@pytest.mark.parametrize(
+    "member", _GOLDEN, ids=lambda g: "-".join([g[0].__name__, *map(str, g[1:])])
+)
+def test_polyphase_from_gq_matches_block_loop(member):
+    make, *arg = member
+    m = make(*arg)
+    z = gq_from_polyphase(m)
+    got = polyphase_from_gq(z, m.group)
+    assert got == m
+    if z.size < 10**6:  # the loop takes ~2 s on the brouwer q=7 lift
+        assert _ref_polyphase_from_gq(z, m.group) == got
+
+
+def test_polyphase_from_gq_matches_block_loop_on_flips():
+    rng = random.Random(20240808)
+    lifts = [
+        (gq_from_polyphase(m), m.group)
+        for m in (example_9_3_3(), affine_polyphase(3), affine_polyphase(4),
+                  brouwer_polyphase(2), simplex_phased(4))
+    ]
+    outcomes = set()
+    for trial in range(300):
+        z, group = lifts[trial % len(lifts)]
+        z = z.copy()
+        f = group.order
+        v = z.shape[1] // f
+        if trial >= 240:
+            # rewrite one lifted block as zero, a translation, or its transpose
+            i, j = rng.randrange((z.shape[0] - v) // f), rng.randrange(v)
+            blk = z[v + i * f : v + (i + 1) * f, j * f : (j + 1) * f]
+            g = rng.randrange(f)
+            new = [np.zeros_like(blk), (group.add_index[g] == np.arange(f)[:, None]), blk.T]
+            blk[...] = rng.choice(new)
+        for _ in range(rng.choice((1, 2)) if trial < 240 else 0):
+            # one flip in four lands in the spread rows
+            i = rng.randrange(v) if rng.random() < 0.25 else rng.randrange(z.shape[0])
+            z[i, rng.randrange(z.shape[1])] ^= 1
+        want = _outcome(_ref_polyphase_from_gq, z, group)
+        got = _outcome(polyphase_from_gq, z, group)
+        assert got == want, (trial, want)
+        outcomes.add(want.split("(")[0] if isinstance(want, str) else "matrix")
+    assert outcomes == {"matrix", "ValueError: block ",
+                        "ValueError: leading rows are not the expected spread"}
+
+
+def _cyclic_evaluations():
+    """Each design over a cyclic group evaluated at every nontrivial character."""
+    designs = [simplex_phased(5), example_9_3_3(), affine_polyphase(5), brouwer_polyphase(2),
+               brouwer_polyphase(3)]
+    for m in designs:
+        for gamma in characters_of(m.group)[1:]:
+            yield m.evaluate(gamma), m.group.order
+
+
+def test_phased_to_polyphase_matches_cell_loop_on_evaluations():
+    for phi, p in _cyclic_evaluations():
+        got = phased_to_polyphase(phi, p)
+        assert got == _ref_phased_to_polyphase(phi, p)
+
+
+def test_phased_to_polyphase_matches_cell_loop_off_root_and_near_tol():
+    rng = random.Random(7)
+    tol = 1e-9
+    cases = list(_cyclic_evaluations())
+    for trial in range(200):
+        phi, p = cases[trial % len(cases)]
+        phi = phi.copy()
+        for _ in range(rng.choice((1, 2, 3))):
+            i, j = rng.randrange(phi.shape[0]), rng.randrange(phi.shape[1])
+            kind = rng.randrange(3)
+            if kind == 0:  # rotate off the root by about tol
+                phi[i, j] *= np.exp(1j * tol * rng.choice((0.5, 0.99, 1.01, 2.0, 1e6)))
+            elif kind == 1:  # a modulus near tol, any phase
+                phi[i, j] = tol * rng.choice((0.5, 0.999, 1.0, 1.001, 2.0)) * np.exp(
+                    2j * np.pi * rng.random())
+            else:  # scale the modulus near 1
+                phi[i, j] *= 1 + tol * rng.choice((-2.0, -0.5, 0.5, 2.0))
+        want = _outcome(_ref_phased_to_polyphase, phi, p)
+        assert _outcome(phased_to_polyphase, phi, p) == want, (trial, want)
