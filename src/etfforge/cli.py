@@ -37,7 +37,6 @@ from .construct import (
 from .groupring import characters_of, real_character
 from .polymat import (
     PolyphaseMatrix,
-    dense_cap_refusal,
     format_complex_csv,
     format_incidence,
     format_polyphase,
@@ -52,7 +51,10 @@ CHECK_NAMES = ("bibd", "combinatorial", "algebraic", "etf", "drackn", "gq", "srg
 def _thread_count() -> int:
     env = os.environ.get("ETFFORGE_THREADS", "")
     if env.strip():
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"ETFFORGE_THREADS must be an integer, got {env!r}") from None
     return min(8, os.cpu_count() or 1)
 
 
@@ -172,11 +174,11 @@ def _skip(name: str, reason: str, reports: list, explicit: bool = False):
 
 def cmd_verify(args) -> int:
     subject = _load_input(Path(args.input))
-    wanted = args.checks.split(",") if args.checks else list(CHECK_NAMES)
+    explicit = args.checks is not None
+    wanted = args.checks.split(",") if explicit else list(CHECK_NAMES)
     for w in wanted:
         if w not in CHECK_NAMES:
             raise ValueError(f"unknown check {w!r}; pick from {','.join(CHECK_NAMES)}")
-    explicit = args.checks is not None
     reports: list[V.VerificationReport] = []
 
     if isinstance(subject, np.ndarray):
@@ -203,23 +205,27 @@ def cmd_verify(args) -> int:
             for gamma, rep in zip(gammas, results):
                 rep.subject += f" at character {gamma.exponents}"
                 reports.append(rep)
-        if "drackn" in wanted and d.drackn is None:
+        if "drackn" in wanted and (drackn := d.drackn) is None:
             _skip("drackn", "c = k(r-1)/f is not an integer", reports, explicit)
         elif "drackn" in wanted:
-            a, dp = d.drackn
+            a, dp = drackn
             reports.append(V.verify_drackn(a, dp.n, dp.f, dp.c))
-        # the GQ lift is (v + b f) x v f; over the cap, gq and srg do not apply
-        gq_skip = (dense_cap_refusal(d.v + m.rows * f, d.v * f) if r is not None and k == f
-                   else f"needs k = f, got k={k}, f={f}")
+            del a, drackn  # Phi* Phi - rI is not kept through the GQ and SRG stages
+        gq_skip = None if r is not None and k == f else f"needs k = f, got k={k}, f={f}"
         if not gq_skip and {"gq", "srg"} & set(wanted):
-            gq = V.verify_gq_axioms(d, k - 1, r, check_spread=True)
+            try:  # over the lift cap, gq and srg do not apply
+                lift = d.gq
+            except ValueError as exc:
+                gq_skip = str(exc)
+            else:
+                gq = V.verify_gq_axioms(lift, k - 1, r, check_spread=True)
         for name in [n for n in ("gq", "srg") if n in wanted]:
             if gq_skip:
                 _skip(name, gq_skip, reports, explicit)
             elif name == "gq":
                 reports.append(gq)
             else:
-                reports.append(V.verify_srg_collinearity(d, k - 1, r, gq=gq))
+                reports.append(V.verify_srg_collinearity(lift, k - 1, r, gq=gq))
 
     ok = all(rep.passed for rep in reports)
     for rep in reports:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .gf import FiniteField, field_create, prime_power_split
 from .groupring import AbelianGroup
-from .polymat import PolyphaseMatrix, parse_polyphase, zero_one_array
+from .polymat import PolyphaseMatrix, dense_cap_refusal, parse_polyphase, zero_one_array
 
 
 @dataclass(frozen=True)
@@ -370,22 +370,35 @@ def brouwer_polyphase(q: int) -> PolyphaseMatrix:
     return PolyphaseMatrix(AbelianGroup([q + 1]), support, exps)
 
 
-def gq_from_polyphase(m: PolyphaseMatrix) -> np.ndarray:
-    """Stack I_v (x) ones(1, f) on the filter bank lift: the point-block
-    incidence of a generalized quadrangle with a spread when |.|^2 is a
-    BIBD(v, k, 1) with k = f and the polyphase identities hold.  Returns
-    a dense int8 0/1 array.  The lift is built for any support once f
-    equals the first row's weight; verify_gq_axioms reports whatever
-    else is wrong with it."""
+def gq_cells(m: PolyphaseMatrix) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
+    """Shape and row-major ones of the GQ lift of m: spread row j meets
+    points j f .. j f + f - 1, and lifted row v + i f + a meets point
+    j f + b when Phi_ij = z^g with a = g + b.  Raises before any cell is
+    allocated unless f equals the first row's weight and the shape is
+    within the dense cap."""
     f, v = m.group.order, m.cols
     k = int(m.support[0].sum()) if m.rows else 0
     if k != f:
         raise ValueError(f"group order {f} must equal block size {k}")
-    z = zero_one_array(v + m.rows * f, v * f)
-    points = np.arange(v * f)
-    z[points // f, points] = 1
-    rows, cols = m.lift_support()
-    z[v + rows, cols] = 1
+    shape = (v + m.rows * f, v * f)
+    if refusal := dense_cap_refusal(*shape):
+        raise ValueError(refusal)
+    ii, jj = np.nonzero(m.support)
+    b, points = np.arange(f), np.arange(v * f)
+    rows = v + ii[:, None] * f + m.group.add_index[m.exponents[ii, jj][:, None], b]
+    rows = np.concatenate((points // f, rows.ravel()))
+    cols = np.concatenate((points, (jj[:, None] * f + b).ravel()))
+    order = np.argsort(rows * shape[1] + cols, kind="stable")
+    return shape, rows[order], cols[order]
+
+
+def gq_from_polyphase(m: PolyphaseMatrix) -> np.ndarray:
+    """The GQ lift of gq_cells as a dense int8 0/1 array: the incidence of
+    a GQ with a spread when |.|^2 is a BIBD(v, k, 1) with k = f and the
+    polyphase identities hold; verify_gq_axioms reports what else is wrong."""
+    shape, rows, cols = gq_cells(m)
+    z = zero_one_array(*shape)
+    z[rows, cols] = 1
     return z
 
 

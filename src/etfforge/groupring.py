@@ -11,7 +11,7 @@ Three maps out of the ring matter here:
 * the translation lift x -> sum_g x(g) T^g, where (T^g y)(g') =
   y(g' - g); this is a ring isomorphism onto the group-circulant
   integer matrices, and sends the all-ones element to the all-ones
-  matrix (PolyphaseMatrix.filter_bank_lift applies it entrywise),
+  matrix (construct.gq_cells applies it entrywise to a polyphase matrix),
 * the involution x~(g) = x(-g), which evaluation turns into complex
   conjugation and the lift turns into transposition.
 """
@@ -153,10 +153,6 @@ class GroupRingElement:
         self.coeffs = np.asarray(coeffs, dtype=np.int64).copy()
         if self.coeffs.shape != (group.order,):
             raise ValueError("coefficient vector has wrong length")
-
-    @classmethod
-    def zero(cls, group: AbelianGroup) -> "GroupRingElement":
-        return cls(group, np.zeros(group.order, dtype=np.int64))
 
     @classmethod
     def delta(cls, group: AbelianGroup, g=None) -> "GroupRingElement":

@@ -93,16 +93,6 @@ class GroupRingMatrix:
         return self.coeffs.shape[1]
 
     @classmethod
-    def zeros(cls, group: AbelianGroup, rows: int, cols: int) -> "GroupRingMatrix":
-        return cls(group, np.zeros((rows, cols, group.order), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, group: AbelianGroup, n: int) -> "GroupRingMatrix":
-        c = np.zeros((n, n, group.order), dtype=np.int64)
-        c[np.arange(n), np.arange(n), 0] = 1
-        return cls(group, c)
-
-    @classmethod
     def from_scalar(cls, group: AbelianGroup, a) -> "GroupRingMatrix":
         """Integer matrix a, embedded entrywise as a*z^0."""
         a = np.asarray(a, dtype=np.int64)
@@ -255,24 +245,6 @@ class PolyphaseMatrix:
         if gamma.group != self.group:
             raise ValueError("character belongs to a different group")
         return np.where(self.support, gamma.values[self.exponents], 0.0)
-
-    def lift_support(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row and column indices of the ones of the filter bank lift."""
-        f = self.group.order
-        ii, jj = np.nonzero(self.support)
-        b = np.arange(f)
-        # lift of z^g has (a, b) entry [a - b == g], so a = g + b
-        rows = ii[:, None] * f + self.group.add_index[self.exponents[ii, jj][:, None], b]
-        cols = jj[:, None] * f + b
-        return rows.ravel(), cols.ravel()
-
-    def filter_bank_lift(self) -> np.ndarray:
-        """Replace each z^g by the f x f translation permutation and each
-        zero by an f x f zero block; returns a dense int8 0/1 array."""
-        f = self.group.order
-        z = zero_one_array(self.rows * f, self.cols * f)
-        z[self.lift_support()] = 1
-        return z
 
     def __eq__(self, other):
         return (

@@ -14,7 +14,7 @@ multiplies each row of Phi into the integer Gram Phi* Phi, and the
 numeric verifier only ever sees evaluated complex matrices.
 
 The GQ and SRG checks count from the nonzero cells of a 0/1 incidence Z
-(a dense array or a Design's GQ lift) in bounded row spans, with
+(a dense array's, or a Design's GQ lift cells) in bounded row spans, with
 P = Z^T Z from one bincount over the point pairs of each block.  The
 SRG quadratic of A = P - (t+1)I is checked as P^2 - (s+t)P - (t+1)J.
 """
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .construct import DracknParams, gq_from_polyphase
+from .construct import DracknParams, gq_cells
 from .groupring import characters_of
 from .polymat import GroupRingMatrix, PolyphaseMatrix, require_float_exact, row_pairs
 
@@ -155,7 +155,8 @@ def verify_bibd(x: np.ndarray, v: int, k: int) -> VerificationReport:
 class Design:
     """One polyphase matrix Phi and what the checks share, derived once:
     x = |Phi|^2, v, f, k (row 0's weight), r = (v-1)/(k-1) or None, the
-    BIBD report; the Gram, the DRACKN and the GQ lift cells when first read."""
+    BIBD report; the Gram and the GQ lift cells when first read.  The
+    DRACKN is rebuilt on each read, so it is not kept past its check."""
 
     def __init__(self, m: PolyphaseMatrix):
         self.m, self.x = m, m.modulus_squared()
@@ -169,7 +170,7 @@ class Design:
     def gram(self) -> GroupRingMatrix:
         return self.m.gram()
 
-    @functools.cached_property
+    @property
     def drackn(self) -> tuple[GroupRingMatrix, DracknParams] | None:
         """(Phi* Phi - r I, its parameters), or None unless c = k(r-1)/f is integral."""
         if self.r is None or self.k * (self.r - 1) % self.f:
@@ -179,7 +180,8 @@ class Design:
 
     @functools.cached_property
     def gq(self) -> _Cells:
-        return _Cells(gq_from_polyphase(self.m))
+        """The GQ lift's cells; raises gq_cells's errors (k != f, over the cap)."""
+        return _Cells(*gq_cells(self.m))
 
 
 def _design_head(d: Design, kind: str) -> tuple[VerificationReport, bool]:
@@ -354,17 +356,21 @@ def _point_pairs(ii, jj, rows, n_points: int) -> np.ndarray:
 
 class _Cells:
     """A 0/1 incidence by its shape, its row-major nonzero cells (ii, jj),
-    the first of them that is not 1 and its row sums, from one flat scan
-    of the dense array; Z^T Z is counted on first use."""
+    their row sums and the first cell that is not 1 (None for a lift,
+    whose cells are all ones); Z^T Z is counted on first use."""
 
-    def __init__(self, z):
+    def __init__(self, shape, ii, jj, not_one=None):
+        self.shape, self.ii, self.jj, self.not_one = shape, ii, jj, not_one
+        self.rows = np.bincount(ii, minlength=shape[0])
+
+    @classmethod
+    def from_dense(cls, z) -> "_Cells":
+        """The cells of a dense array, from one flat scan."""
         z = np.asarray(z)
         flat = np.flatnonzero(z)
-        self.shape = z.shape
-        self.ii, self.jj = np.divmod(flat, z.shape[-1])
-        self.rows = np.bincount(self.ii, minlength=z.shape[0])
+        ii, jj = np.divmod(flat, z.shape[-1])
         bad = np.flatnonzero(z.ravel()[flat] != 1)
-        self.not_one = (int(self.ii[bad[0]]), int(self.jj[bad[0]])) if len(bad) else None
+        return cls(z.shape, ii, jj, (int(ii[bad[0]]), int(jj[bad[0]])) if len(bad) else None)
 
     @functools.cached_property
     def pairs(self) -> np.ndarray:
@@ -375,7 +381,7 @@ def _cells(z) -> _Cells:
     """A Design's GQ lift cells, counted once per Design, or a dense array's."""
     if isinstance(z, Design):
         return z.gq
-    return z if isinstance(z, _Cells) else _Cells(z)
+    return z if isinstance(z, _Cells) else _Cells.from_dense(z)
 
 
 def _first_shared_block_pair(ii, jj, rows, shared) -> tuple:

@@ -3,13 +3,14 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from etfforge import cli, polymat
+from etfforge import cli, construct, polymat
 from etfforge.cli import main
 from etfforge.polymat import PolyphaseMatrix, format_polyphase, parse_incidence, parse_polyphase
 
@@ -168,12 +169,62 @@ def test_verify_derives_each_object_once(tmp_path, capsys, monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("verify_bibd", "_point_pairs", "gq_from_polyphase"):
+    for name in ("verify_bibd", "_point_pairs", "gq_cells"):
         counting(cli.V, name)
     counting(PolyphaseMatrix, "gram")
+    # no dense lift: neither the dense GQ lift nor any zeroed 0/1 array
+    counting(construct, "gq_from_polyphase")
+    counting(cli, "gq_from_polyphase")
+    counting(construct, "zero_one_array")
+    counting(polymat, "zero_one_array")
+    designs = []
+    init = cli.V.Design.__init__
+
+    def recording(self, m):
+        designs.append(self)
+        init(self, m)
+
+    monkeypatch.setattr(cli.V.Design, "__init__", recording)
     code, out, _ = run(capsys, "verify", str(tmp_path / "brouwer_q2.polyphase"))
     assert code == 0 and "PASS (9,3,3)-DRACKN" in out and "PASS SRG(27,10,1,5)" in out
-    assert calls == {"verify_bibd": 1, "gram": 1, "_point_pairs": 1, "gq_from_polyphase": 1}
+    assert calls == {"verify_bibd": 1, "gram": 1, "_point_pairs": 1, "gq_cells": 1}
+    # Phi* Phi - rI is rebuilt on read, not kept on the Design
+    assert len(designs) == 1 and "drackn" not in vars(designs[0])
+
+
+def test_verify_drops_drackn_matrix_before_gq(tmp_path, capsys, monkeypatch):
+    run(capsys, "construct", "--family", "brouwer", "--q", "2", "-o", str(tmp_path))
+    refs, alive = [], []
+    drackn, axioms = cli.V.verify_drackn, cli.V.verify_gq_axioms
+
+    def recording_drackn(a, *args):
+        refs.append(weakref.ref(a))
+        return drackn(a, *args)
+
+    def probing_axioms(*args, **kwargs):
+        alive.extend(ref() is not None for ref in refs)
+        return axioms(*args, **kwargs)
+
+    monkeypatch.setattr(cli.V, "verify_drackn", recording_drackn)
+    monkeypatch.setattr(cli.V, "verify_gq_axioms", probing_axioms)
+    code, out, _ = run(capsys, "verify", str(tmp_path / "brouwer_q2.polyphase"))
+    assert code == 0 and "PASS (9,3,3)-DRACKN" in out
+    assert len(refs) == 1 and alive == [False]
+
+
+def test_verify_empty_check_list_is_a_usage_error(affine3_file, capsys, monkeypatch):
+    monkeypatch.setattr(polymat, "MAX_DENSE_CELLS", 100)
+    for checks in ("", "bibd,"):
+        code, out, err = run(capsys, "verify", str(affine3_file), "--checks", checks)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unknown check ''; pick from bibd,")
+
+
+def test_verify_names_non_integer_thread_count(affine3_file, capsys, monkeypatch):
+    monkeypatch.setenv("ETFFORGE_THREADS", "abc")
+    code, out, err = run(capsys, "verify", str(affine3_file), "--checks", "etf")
+    assert (code, out) == (2, "")
+    assert err == "error: ETFFORGE_THREADS must be an integer, got 'abc'\n"
 
 
 def _verify_text(tmp_path, capsys, text, *checks):

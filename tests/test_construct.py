@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,10 +284,15 @@ def test_gq_lift_refuses_oversized_incidence_before_allocating():
     # one full row over Z1024: the lift would be 2048 x 2^20 cells
     group = AbelianGroup([1024])
     m = PolyphaseMatrix(group, np.ones((1, 1024), dtype=bool), np.zeros((1, 1024), dtype=np.intp))
-    with pytest.raises(ValueError, match="the cap is"):
-        gq_from_polyphase(m)
-    with pytest.raises(ValueError, match="the cap is"):
-        m.filter_bank_lift()
+    for lift in (lambda: gq_from_polyphase(m), lambda: Design(m).gq):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="the cap is"):
+                lift()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_polyphase_from_gq_errors():

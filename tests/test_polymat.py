@@ -359,7 +359,7 @@ def test_matmul_matches_entrywise_convolution():
     prod = a @ b
     for i in range(3):
         for j in range(2):
-            acc = GroupRingElement.zero(group)
+            acc = GroupRingElement(group, np.zeros(group.order))
             for l in range(4):
                 acc = acc + a.entry(i, l) * b.entry(l, j)
             assert prod.entry(i, j) == acc
@@ -372,7 +372,7 @@ def test_matmul_associative_and_identity():
     b = _random_grm(group, 4, 4, rng)
     c = _random_grm(group, 4, 3, rng)
     assert (a @ b) @ c == a @ (b @ c)
-    eye = GroupRingMatrix.identity(group, 4)
+    eye = GroupRingMatrix.from_scalar(group, np.eye(4, dtype=np.int64))
     assert a @ eye == a
     with pytest.raises(ValueError):
         a @ c @ c  # inner mismatch on the second product
@@ -385,7 +385,7 @@ def test_gram_matches_adjoint_product_on_ragged_rows(group):
         m = _random_polyphase(group, rows, cols, rng)
         assert m.gram() == m.adjoint() @ m
     empty = PolyphaseMatrix(group, np.zeros((2, 3), bool), np.zeros((2, 3), int))
-    assert empty.gram() == GroupRingMatrix.zeros(group, 3, 3)
+    assert empty.gram() == GroupRingMatrix(group, np.zeros((3, 3, group.order)))
 
 
 def test_matmul_refuses_inexact_float_products():
@@ -412,10 +412,12 @@ def test_evaluate_at_trivial_is_incidence():
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name())
 def test_filter_bank_lift_blocks(group):
     rng = np.random.default_rng(7)
-    m = _random_polyphase(group, 3, 5, rng)
-    lifted = m.filter_bank_lift()
-    assert np.array_equal(lifted, _blockwise_lift(m.to_group_ring()))
     f = group.order
+    m = _random_polyphase(group, 3, max(5, f + 1), rng)
+    # the GQ lift needs a first row of weight f; the other rows keep random weights
+    m.support[0] = np.isin(np.arange(m.cols), rng.permutation(m.cols)[:f])
+    lifted = gq_from_polyphase(m)[m.cols:]
+    assert np.array_equal(lifted, _blockwise_lift(m.to_group_ring()))
     # nonzero blocks are permutation matrices
     for i, j in zip(*np.nonzero(m.support)):
         blk = lifted[i * f : (i + 1) * f, j * f : (j + 1) * f]
@@ -446,8 +448,8 @@ def test_scalar_helpers():
 
 def test_first_difference():
     group = AbelianGroup([2])
-    a = GroupRingMatrix.identity(group, 3)
-    b = GroupRingMatrix.identity(group, 3)
+    a = GroupRingMatrix.from_scalar(group, np.eye(3, dtype=np.int64))
+    b = GroupRingMatrix.from_scalar(group, np.eye(3, dtype=np.int64))
     assert a.first_difference(b) is None
     b.coeffs[2, 1, 1] = 5
     assert a.first_difference(b) == (2, 1)

@@ -13,7 +13,7 @@ from etfforge.construct import (
 )
 from etfforge import verify as verify_module
 from etfforge.groupring import characters_of, real_character
-from etfforge.polymat import GroupRingMatrix
+from etfforge.polymat import GroupRingMatrix, PolyphaseMatrix
 from etfforge.verify import (
     Design,
     ScreenRow,
@@ -175,6 +175,38 @@ def test_algebraic_matches_dense_triple_product(families):
             assert last == _reference_triple_identity(case), rep.subject
             witnesses.add(last[2])
     # the mutants fail at many different rows and columns
+    assert len(witnesses) > 20
+
+
+def _reference_triple_products(m):
+    """The triple-products check recomputed one zero cell at a time, in
+    row-major order, with tuple arithmetic on the group elements."""
+    x, g = m.modulus_squared(), m.group
+    quota = int(x[0].sum()) // g.order
+
+    def elem(i, j):
+        return np.array(g.elements[m.exponents[i, j]])
+
+    for i, j in zip(*np.nonzero(x == 0)):
+        counts = {e: 0 for e in g.elements}
+        for jp in np.nonzero(x[i])[0]:
+            (ip,) = np.nonzero(x[:, jp] & x[:, j])[0]
+            product = (elem(i, jp) - elem(ip, jp) + elem(ip, j)) % np.array(g.factors)
+            counts[tuple(int(c) for c in product)] += 1
+        if any(c != quota for c in counts.values()):
+            return "triple-products", False, (int(i), int(j)), f"quota={quota}"
+    return "triple-products", True, None, f"quota={quota}"
+
+
+def test_combinatorial_matches_zero_cell_loop(families):
+    witnesses = set()
+    for m in _algebraic_fixtures(families):
+        for case in [m] + [_change_exponent(m, seed) for seed in range(12)]:
+            rep = verify_polyphase_combinatorial(Design(case))
+            *frame, last = [(c.name, c.passed, c.witness, c.info) for c in rep.checks]
+            assert all(passed for _, passed, _, _ in frame), rep.as_text()
+            assert last == _reference_triple_products(case), rep.subject
+            witnesses.add(last[2])
     assert len(witnesses) > 20
 
 
@@ -415,6 +447,31 @@ def test_design_lift_checks_match_dense_lift(families):
             assert _triples(srg) == _triples(verify_srg_collinearity(z, s, t)), name
             assert _triples(verify_srg_collinearity(d, s, t, gq=gq)) == _triples(srg), name
             assert gq.passed == (case is m), name
+
+
+def _golden_designs():
+    return ([simplex_phased(v) for v in range(3, 8)] + [example_9_3_3()]
+            + [affine_polyphase(q) for q in (2, 3, 4, 5, 7, 8, 9)]
+            + [brouwer_polyphase(q) for q in (2, 3, 4, 5, 7)])
+
+
+def _unequal_rows():
+    """Row 0 of weight f = 3, the other rows of weights 0 to 5."""
+    m = example_9_3_3()
+    rng = np.random.default_rng(11)
+    support = rng.random((6, m.cols)) < np.linspace(0, 0.6, 6)[:, None]
+    support[0] = np.arange(m.cols) < 3
+    exps = rng.integers(0, m.group.order, size=support.shape)
+    return PolyphaseMatrix(m.group, support, exps)
+
+
+def test_design_lift_cells_are_the_dense_lift_scan():
+    # every golden design has k = f, so each has a lift
+    for m in _golden_designs() + [_unequal_rows()]:
+        cells, dense = Design(m).gq, verify_module._Cells.from_dense(gq_from_polyphase(m))
+        assert cells.shape == dense.shape and cells.not_one is None is dense.not_one
+        assert np.array_equal(cells.ii, dense.ii) and np.array_equal(cells.jj, dense.jj)
+        assert np.array_equal(cells.rows, dense.rows)
 
 
 def test_gq_and_srg_row_spans_match_dense_reference(families, monkeypatch):
