@@ -211,7 +211,12 @@ def cmd_verify(args) -> int:
             a, dp = drackn
             reports.append(V.verify_drackn(a, dp.n, dp.f, dp.c))
             del a, drackn  # Phi* Phi - rI is not kept through the GQ and SRG stages
-        gq_skip = None if r is not None and k == f else f"needs k = f, got k={k}, f={f}"
+        if k != f:
+            gq_skip = f"needs k = f, got k={k}, f={f}"
+        elif r is None:
+            gq_skip = f"r = (v-1)/(k-1) is not an integer, got v={d.v}, k={k}"
+        else:
+            gq_skip = None
         if not gq_skip and {"gq", "srg"} & set(wanted):
             try:  # over the lift cap, gq and srg do not apply
                 lift = d.gq

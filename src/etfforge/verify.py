@@ -9,9 +9,10 @@ Verifiers raise only on API misuse; a malformed design gets a FAIL.
 
 A Design derives what several checks read off one polyphase matrix Phi
 once.  The exact and numeric routes stay independent: the combinatorial
-verifier counts triple products entry by entry, the algebraic verifier
-multiplies each row of Phi into the integer Gram Phi* Phi, and the
-numeric verifier only ever sees evaluated complex matrices.
+verifier counts triple products with one bincount per row span over a
+column-pair step table, the algebraic verifier multiplies each span of
+rows of Phi into the integer Gram Phi* Phi, and the numeric verifier
+only ever sees evaluated complex matrices.
 
 The GQ and SRG checks count from the nonzero cells of a 0/1 incidence Z
 (a dense array's, or a Design's GQ lift cells) in bounded row spans, with
@@ -196,44 +197,59 @@ def _design_head(d: Design, kind: str) -> tuple[VerificationReport, bool]:
     return rep, d.bibd.passed and divisible
 
 
+def _blocks(d: Design) -> tuple[np.ndarray, np.ndarray]:
+    """The support columns and exponents of each row, as b x k arrays:
+    once the BIBD has passed, every row holds k ones."""
+    ii, jj = np.nonzero(d.x)
+    return jj.reshape(-1, d.k), d.m.exponents[ii, jj].reshape(-1, d.k)
+
+
 def verify_polyphase_combinatorial(d: Design) -> VerificationReport:
     """For every zero entry (i, j), the k triple products
-    z^(i,j') z^(i',j')~ z^(i',j) over the blocks j' of i must cover each
-    group element exactly k/f times."""
+    z^(i,j') z^(i',j')~ z^(i',j) over the blocks j' of i, where i' is the
+    row through columns j' and j, must cover each group element exactly
+    k/f times.  The last two factors depend on (j', j) alone, so they are
+    read from one v x v step table, and each bounded row span counts its
+    products with one bincount.  The witness is the row-major first
+    offence; its info names the first group element off its quota."""
     rep, ok = _design_head(d, "combinatorial")
     if not ok:
         return rep
-    m, x, f = d.m, d.x, d.f
-    quota = d.k // f
-    add, neg = m.group.add_index, m.group.neg_index
-    # the row through each column pair, unique under the BIBD; the diagonal is unread
-    ii, jj = np.nonzero(x)
-    a, b = row_pairs(ii)
-    common_row = np.full((d.v, d.v), -1, dtype=np.intp)
-    common_row[jj[a], jj[b]] = ii[a]
-    exps = m.exponents
-    bad = None
-    for i in range(m.rows):
-        zeros = np.nonzero(x[i] == 0)[0]
-        if len(zeros) == 0:
-            continue
-        counts = np.zeros((len(zeros), f), dtype=np.int64)
-        for jp in np.nonzero(x[i])[0]:
-            ip = common_row[jp, zeros]
-            g_vec = add[add[exps[i, jp], neg[exps[ip, jp]]], exps[ip, zeros]]
-            np.add.at(counts, (np.arange(len(zeros)), g_vec), 1)
-        off = np.nonzero(np.any(counts != quota, axis=1))[0]
-        if len(off):
-            bad = (i, int(zeros[off[0]]))
+    m, x, v, k, f = d.m, d.x, d.v, d.k, d.f
+    quota = k // f
+    sub = m.group.add_index[:, m.group.neg_index]  # sub[a, b] = index of a - b
+    sup, e = _blocks(d)
+    # step[j' v + j] = e_(i'j) - e_(i'j') along the row i' through both
+    # columns, unique under the BIBD; the diagonal is unread.  The span
+    # loop gathers from flat tables, as 1-d takes are the fastest gathers
+    step = np.zeros(v * v, dtype=np.intp)
+    step[v * sup[:, :, None] + sup[:, None, :]] = sub[e[:, None, :], e[:, :, None]]
+    add = m.group.add_index.ravel()
+    bad, info = None, f"quota={quota}"
+    for r0, r1 in _row_spans(np.full(m.rows, k * (v - k)), SPAN_CELLS // 64):
+        zeros = np.nonzero(x[r0:r1] == 0)[1].reshape(r1 - r0, v - k)
+        # g[i, c, t] = e_(ij') + step[j', j] for row r0+i, its zero column
+        # j = zeros[i, c] and its t-th block j', offset to a bincount slot
+        g = step.take(v * sup[r0:r1, None, :] + zeros[:, :, None])
+        g += f * e[r0:r1, None, :]
+        g = add.take(g)
+        g += (f * np.arange(zeros.size)).reshape(zeros.shape + (1,))
+        counts = np.bincount(g.ravel(), minlength=zeros.size * f).reshape(zeros.shape + (f,))
+        off = counts != quota
+        if off.any():
+            i, c, h = _first_bad(off)
+            bad = (r0 + i, int(zeros[i, c]))
+            info += f", element {m.group.elements[h]} counted {counts[i, c, h]}"
             break
-    rep.add("triple-products", bad is None, witness=bad, info=f"quota={quota}")
+    rep.add("triple-products", bad is None, witness=bad, info=info)
     return rep
 
 
 def verify_polyphase_algebraic(d: Design) -> VerificationReport:
     """Exact group-ring identity: Phi Phi* Phi = (r+k-1) Phi + (k/f) G (J - X)
-    where G is the sum of all group elements, checked row by row against
-    the integer Gram Phi* Phi; the witness is the row-major first offence."""
+    where G is the sum of all group elements, checked against the integer
+    Gram Phi* Phi in bounded row spans that stop at the first span with an
+    offence; the witness is the row-major first offence."""
     rep, ok = _design_head(d, "algebraic")
     if not ok:
         return rep
@@ -242,20 +258,20 @@ def verify_polyphase_algebraic(d: Design) -> VerificationReport:
     quota = k // f
     # row i of the left side at (c, h) is sum_j Gram[j, c](h - e_ij), and
     # the Gram is self-adjoint, so that is Gram[c, j](e_ij - h): one
-    # column gather per row from the (v, v*f) view
+    # column gather per span of rows from the (v, v*f) view
     gram = d.gram.coeffs.reshape(v, v * f)
     sub = g.add_index[:, g.neg_index]  # sub[a, b] = index of a - b
+    sup, e = _blocks(d)
     diff = None
-    for i in range(m.rows):
-        sup = np.nonzero(x[i])[0]
-        e = m.exponents[i, sup]
-        cols = (sup[:, None] * f + sub[e]).ravel()
-        lhs = gram[:, cols].reshape(v, len(sup), f).sum(axis=1)
-        lhs -= quota * (1 - x[i])[:, None]
-        lhs[sup, e] -= r + k - 1
-        bad = np.nonzero(lhs.any(axis=1))[0]
-        if len(bad):
-            diff = (i, int(bad[0]))
+    for r0, r1 in _row_spans(np.full(m.rows, v * k * f), SPAN_CELLS // 64):
+        n = r1 - r0
+        cols = (sup[r0:r1, :, None] * f + sub[e[r0:r1]]).ravel()
+        lhs = gram[:, cols].reshape(v, n, k, f).sum(axis=2).transpose(1, 0, 2)
+        lhs -= quota * (1 - x[r0:r1])[:, :, None]
+        lhs[np.arange(n)[:, None], sup[r0:r1], e[r0:r1]] -= r + k - 1
+        off = _first_bad(lhs.any(axis=2))
+        if off is not None:
+            diff = (r0 + off[0], off[1])
             break
     rep.add("triple-identity", diff is None, witness=diff, info=f"a={r + k - 1}")
     return rep
@@ -315,7 +331,8 @@ def verify_etf_numeric(phi: np.ndarray, tol: float = NUMERIC_TOL) -> Verificatio
 
 
 # cells per row span of the GQ triple-product check, small enough to
-# stay in cache; the point-pair spans may hold as many pairs as Z^T Z has cells
+# stay in cache; the point-pair spans may hold as many pairs as Z^T Z has
+# cells, and the exact polyphase checks gather SPAN_CELLS // 64 per span
 SPAN_CELLS = 2**20
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -305,6 +306,21 @@ def test_verify_skips_gq_and_srg_over_the_lift_cap(tmp_path, capsys, monkeypatch
     assert (code, err) == (2, f"error: {reason}\n")
 
 
+def test_verify_skips_gq_and_srg_without_integral_replication(tmp_path, capsys):
+    # k = f = 3, but r = (6-1)/(3-1) is not an integer, so there is no GQ order
+    path = tmp_path / "r.polyphase"
+    path.write_text("POLYPHASE rows=2 cols=6 group=Z3\n0 0 0 . . .\n. . . 0 0 0\n")
+    reason = "r = (v-1)/(k-1) is not an integer, got v=6, k=3"
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (1, "")
+    assert f"SKIP gq ({reason})\nSKIP srg ({reason})\n" in out
+    assert "needs k = f" not in out
+    code, out, err = run(capsys, "verify", str(path), "--checks", "gq,srg")
+    assert (code, err) == (1, "")
+    failed = f"FAIL {{}}\n  FAIL applicable witness=() [{reason}]\n"
+    assert out == failed.format("GQ") + failed.format("SRG") + "overall: FAIL\n"
+
+
 def test_verify_subset_of_checks(affine3_file, capsys):
     code, out, _ = run(capsys, "verify", str(affine3_file), "--checks", "combinatorial")
     assert code == 0
@@ -478,3 +494,62 @@ def test_import_leaves_scipy_sparse_unloaded(tmp_path):
                           env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert "PASS GQ(2,4) axioms" in proc.stdout and "PASS SRG(27,10,1,5)" in proc.stdout
+
+
+def _mutate_polyphase_text(text: str, rng) -> str:
+    """One random edit of a .polyphase text: a cell, a support flip, a
+    dropped row (with or without a matching header), or a header field."""
+    head, *rows = text.splitlines()
+    kind = rng.choice(["cell", "cell", "flip", "flip", "drop", "drop-fixed", "header"])
+    if kind in ("cell", "flip"):
+        i = rng.randrange(len(rows))
+        cells = rows[i].split()
+        j = rng.randrange(len(cells))
+        if kind == "flip":
+            cells[j] = rng.choice(["0", "1", "2", "0,1"]) if cells[j] == "." else "."
+        else:
+            cells[j] = rng.choice([".", "0", "1", "2", "3", "5", "-1", "7,1", "x"])
+        rows[i] = " ".join(cells)
+    elif kind.startswith("drop"):
+        i = rng.randrange(len(rows))
+        del rows[i]
+        if kind == "drop-fixed":
+            head = head.replace(f"rows={len(rows) + 1}", f"rows={len(rows)}")
+    else:
+        key = rng.choice(["rows", "cols", "group"])
+        if key == "group":
+            value = rng.choice(["Z2", "Z3", "Z4", "Z9", "Z3xZ3", "Z2xZ2", "Z1", "Z0", "Zx", "Y3", ""])
+        else:
+            value = rng.choice(["0", "-1", "1", "x", "2", "9", "12", "13"])
+        head = " ".join(f"{key}={value}" if f.startswith(key + "=") else f for f in head.split())
+    return "\n".join([head] + rows) + "\n"
+
+
+def test_verify_fuzz_is_total(tmp_path, capsys, monkeypatch):
+    # seeded edits of three small designs: every parseable file gets a
+    # report (exit 0 or 1), exit 2 only for a parse error, never a traceback
+    monkeypatch.setenv("ETFFORGE_THREADS", "1")
+    rng = random.Random(20161604)
+    texts = [format_polyphase(m) for m in (construct.affine_polyphase(3),
+                                           construct.brouwer_polyphase(2),
+                                           construct.example_9_3_3())]
+    path = tmp_path / "fuzz.polyphase"
+    codes = []
+    for n in range(200):
+        text = texts[n % 3]
+        for _ in range(rng.randint(1, 2)):
+            text = _mutate_polyphase_text(text, rng)
+        path.write_text(text)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", str(path))
+        assert time.perf_counter() - start < 2, text
+        assert code in (0, 1, 2), text
+        if code == 2:
+            with pytest.raises(ValueError) as exc:
+                parse_polyphase(text)
+            assert err == f"error: {exc.value}\n", text
+        else:
+            assert err == "" and out.endswith(f"overall: {'PASS' if code == 0 else 'FAIL'}\n")
+        codes.append(code)
+    # the edits reach the verifiers, not only the parser
+    assert codes.count(1) > 50 and codes.count(2) > 20

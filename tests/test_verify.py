@@ -193,8 +193,10 @@ def _reference_triple_products(m):
             (ip,) = np.nonzero(x[:, jp] & x[:, j])[0]
             product = (elem(i, jp) - elem(ip, jp) + elem(ip, j)) % np.array(g.factors)
             counts[tuple(int(c) for c in product)] += 1
-        if any(c != quota for c in counts.values()):
-            return "triple-products", False, (int(i), int(j)), f"quota={quota}"
+        for e, c in counts.items():
+            if c != quota:
+                info = f"quota={quota}, element {e} counted {c}"
+                return "triple-products", False, (int(i), int(j)), info
     return "triple-products", True, None, f"quota={quota}"
 
 
@@ -208,6 +210,47 @@ def test_combinatorial_matches_zero_cell_loop(families):
             assert last == _reference_triple_products(case), rep.subject
             witnesses.add(last[2])
     assert len(witnesses) > 20
+
+
+def _late_offence(m):
+    """A mutant whose offending rows all come last.  Moving one exponent of
+    row 0 offends exactly the rows that meet row 0 (no single changed row
+    can offend alone: every row through a changed cell sees it), so those
+    rows go to the end, with row 0 itself last."""
+    x = m.modulus_squared()
+    meets = x @ x[0] > 0
+    meets[0] = False
+    order = np.concatenate([np.flatnonzero(~meets)[1:], np.flatnonzero(meets), [0]])
+    j = int(np.flatnonzero(x[0])[0])
+    shifted = m.group.add_index[m.exponents[0, j], 1]
+    bad = m.replaced(0, j, m.group.element(int(shifted)))
+    return PolyphaseMatrix(m.group, bad.support[order], bad.exponents[order]), int(meets.sum())
+
+
+def test_exact_checks_match_references_across_span_boundaries(families, monkeypatch):
+    # one row per span, then spans of s rows with s not dividing the row
+    # count (each check spans SPAN_CELLS // 64 of its per-row cost), so the
+    # last span is short; the late mutant crosses every clean
+    # span before its first offence, pinning the early stop and the
+    # row-major first witness
+    for m in _algebraic_fixtures(families):
+        x = m.modulus_squared()
+        rows, v, k, f = m.rows, m.cols, int(x[0].sum()), m.group.order
+        s = next(s for s in range(2, rows) if rows % s)
+        late, met = _late_offence(m)
+        cases = [m, late] + [_change_exponent(m, seed) for seed in range(12)]
+        for n, case in enumerate(cases):
+            checks = ((verify_polyphase_combinatorial, _reference_triple_products(case), k * (v - k)),
+                      (verify_polyphase_algebraic, _reference_triple_identity(case), v * k * f))
+            for check, want, cost in checks:
+                if n == 1:
+                    assert want[2][0] == rows - 1 - met > 0, want
+                for cells in (1, 64 * s * cost):
+                    monkeypatch.setattr(verify_module, "SPAN_CELLS", cells)
+                    rep = check(Design(case))
+                    *frame, last = [(c.name, c.passed, c.witness, c.info) for c in rep.checks]
+                    assert all(passed for _, passed, _, _ in frame), rep.as_text()
+                    assert last == want, (rep.subject, n, cells)
 
 
 def test_gram_matches_adjoint_product(families):
