@@ -11,8 +11,9 @@ A Design derives what several checks read off one polyphase matrix Phi
 once.  The exact and numeric routes stay independent: the combinatorial
 verifier counts triple products with one bincount per row span over a
 column-pair step table, the algebraic verifier multiplies each span of
-rows of Phi into the integer Gram Phi* Phi, and the numeric verifier
-only ever sees evaluated complex matrices.
+rows of Phi into the integer Gram Phi* Phi by summing whole rows of the
+Gram transposed and narrowed to the smallest exact integer type, and the
+numeric verifier only ever sees evaluated complex matrices.
 
 The GQ and SRG checks count from the nonzero cells of a 0/1 incidence Z
 (a dense array's, or a Design's GQ lift cells) in bounded row spans, with
@@ -248,32 +249,46 @@ def verify_polyphase_combinatorial(d: Design) -> VerificationReport:
 def verify_polyphase_algebraic(d: Design) -> VerificationReport:
     """Exact group-ring identity: Phi Phi* Phi = (r+k-1) Phi + (k/f) G (J - X)
     where G is the sum of all group elements, checked against the integer
-    Gram Phi* Phi in bounded row spans that stop at the first span with an
-    offence; the witness is the row-major first offence."""
+    Gram Phi* Phi laid out once as whole rows T[(j, h), c] = Gram[j, c](h)
+    in the narrowest exact integer type.  Each bounded row span gathers
+    the contiguous rows of T its support selects and stops at the first
+    span with an offence; the witness is the row-major first offence, and
+    its info names the first group element off its target and its count."""
     rep, ok = _design_head(d, "algebraic")
     if not ok:
         return rep
     m, x, v, k, r, f = d.m, d.x, d.v, d.k, d.r, d.f
     g = m.group
     quota = k // f
-    # row i of the left side at (c, h) is sum_j Gram[j, c](h - e_ij), and
-    # the Gram is self-adjoint, so that is Gram[c, j](e_ij - h): one
-    # column gather per span of rows from the (v, v*f) view
-    gram = d.gram.coeffs.reshape(v, v * f)
+    coeffs = d.gram.coeffs
+    # every partial sum of k Gram coefficients lies in [0, k * max] and each
+    # subtracted term (quota or r+k-1) is at most r+k-1, so this type is
+    # exact for any input
+    dt = np.min_scalar_type(-(k * int(coeffs.max()) + r + k))
+    gram_t = np.empty((v, f, v), dt)
+    gram_t[...] = coeffs.transpose(0, 2, 1)
+    gram_t = gram_t.reshape(v * f, v)
     sub = g.add_index[:, g.neg_index]  # sub[a, b] = index of a - b
     sup, e = _blocks(d)
-    diff = None
-    for r0, r1 in _row_spans(np.full(m.rows, v * k * f), SPAN_CELLS // 64):
+    # row i of the left side at (h, c) is sum_j Gram[j, c](h - e_ij): the
+    # rows j f + sub[h, e_ij] of T, summed over the k support columns j
+    diff, info = None, f"a={r + k - 1}"
+    for r0, r1 in _row_spans(np.full(m.rows, k * f * v), SPAN_CELLS // 8):
         n = r1 - r0
-        cols = (sup[r0:r1, :, None] * f + sub[e[r0:r1]]).ravel()
-        lhs = gram[:, cols].reshape(v, n, k, f).sum(axis=2).transpose(1, 0, 2)
-        lhs -= quota * (1 - x[r0:r1])[:, :, None]
-        lhs[np.arange(n)[:, None], sup[r0:r1], e[r0:r1]] -= r + k - 1
-        off = _first_bad(lhs.any(axis=2))
-        if off is not None:
-            diff = (r0 + off[0], off[1])
+        idx = sup[r0:r1, :, None] * f + sub.T[e[r0:r1]]
+        lhs = gram_t.take(idx.ravel(), axis=0).reshape(n, k, f, v).sum(axis=1, dtype=dt)
+        lhs -= (quota * (x[r0:r1] == 0).astype(dt))[:, None, :]
+        lhs[np.arange(n)[:, None], e[r0:r1], sup[r0:r1]] -= r + k - 1
+        if lhs.any():
+            # a support cell (i, c) always holds (r+k-1) z^(e_ic), as row i is
+            # the only row through c and another of its columns; so the
+            # offence is at a zero cell, whose target is quota everywhere
+            i, c = _first_bad(lhs.any(axis=1))
+            h = int(np.flatnonzero(lhs[i, :, c])[0])
+            diff = (r0 + i, c)
+            info += f", element {g.elements[h]} got {int(lhs[i, h, c]) + quota}, want {quota}"
             break
-    rep.add("triple-identity", diff is None, witness=diff, info=f"a={r + k - 1}")
+    rep.add("triple-identity", diff is None, witness=diff, info=info)
     return rep
 
 
@@ -332,7 +347,8 @@ def verify_etf_numeric(phi: np.ndarray, tol: float = NUMERIC_TOL) -> Verificatio
 
 # cells per row span of the GQ triple-product check, small enough to
 # stay in cache; the point-pair spans may hold as many pairs as Z^T Z has
-# cells, and the exact polyphase checks gather SPAN_CELLS // 64 per span
+# cells, combinatorial gathers SPAN_CELLS // 64 per span and algebraic
+# SPAN_CELLS // 8 narrowed Gram cells, at most 256 KiB at int16
 SPAN_CELLS = 2**20
 
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import random
@@ -191,6 +192,25 @@ def test_verify_derives_each_object_once(tmp_path, capsys, monkeypatch):
     assert calls == {"verify_bibd": 1, "gram": 1, "_point_pairs": 1, "gq_cells": 1}
     # Phi* Phi - rI is rebuilt on read, not kept on the Design
     assert len(designs) == 1 and "drackn" not in vars(designs[0])
+
+
+def test_exact_routes_are_independent_of_each_other(affine3_file, capsys, monkeypatch):
+    # combinatorial counts from the exponents alone and never reads the
+    # Gram; algebraic does group-ring algebra on it, built once per verify
+    builds = []
+
+    def gram(self):
+        builds.append(self)
+        return self.m.gram()
+
+    stub = functools.cached_property(gram)
+    stub.__set_name__(cli.V.Design, "gram")
+    monkeypatch.setattr(cli.V.Design, "gram", stub)
+    code, out, _ = run(capsys, "verify", str(affine3_file), "--checks", "bibd,combinatorial")
+    assert code == 0 and "PASS triple-products" in out and builds == []
+    code, out, _ = run(capsys, "verify", str(affine3_file), "--checks", "bibd,combinatorial,algebraic")
+    assert code == 0 and "PASS triple-products" in out and "PASS triple-identity" in out
+    assert len(builds) == 1
 
 
 def test_verify_drops_drackn_matrix_before_gq(tmp_path, capsys, monkeypatch):

@@ -161,7 +161,12 @@ def _reference_triple_identity(m):
         m.group, (k // m.group.order) * (1 - x)
     )
     diff = lhs.first_difference(rhs)
-    return "triple-identity", diff is None, diff, f"a={r + k - 1}"
+    info = f"a={r + k - 1}"
+    if diff is not None:
+        got, want = lhs.coeffs[diff], rhs.coeffs[diff]
+        h = int(np.flatnonzero(got != want)[0])
+        info += f", element {m.group.elements[h]} got {got[h]}, want {want[h]}"
+    return "triple-identity", diff is None, diff, info
 
 
 def test_algebraic_matches_dense_triple_product(families):
@@ -229,7 +234,8 @@ def _late_offence(m):
 
 def test_exact_checks_match_references_across_span_boundaries(families, monkeypatch):
     # one row per span, then spans of s rows with s not dividing the row
-    # count (each check spans SPAN_CELLS // 64 of its per-row cost), so the
+    # count (combinatorial spans SPAN_CELLS // 64 of its per-row cost,
+    # algebraic SPAN_CELLS // 8 of its gathered cells per row), so the
     # last span is short; the late mutant crosses every clean
     # span before its first offence, pinning the early stop and the
     # row-major first witness
@@ -240,17 +246,39 @@ def test_exact_checks_match_references_across_span_boundaries(families, monkeypa
         late, met = _late_offence(m)
         cases = [m, late] + [_change_exponent(m, seed) for seed in range(12)]
         for n, case in enumerate(cases):
-            checks = ((verify_polyphase_combinatorial, _reference_triple_products(case), k * (v - k)),
-                      (verify_polyphase_algebraic, _reference_triple_identity(case), v * k * f))
+            checks = ((verify_polyphase_combinatorial, _reference_triple_products(case), 64 * k * (v - k)),
+                      (verify_polyphase_algebraic, _reference_triple_identity(case), 8 * v * k * f))
             for check, want, cost in checks:
                 if n == 1:
                     assert want[2][0] == rows - 1 - met > 0, want
-                for cells in (1, 64 * s * cost):
+                for cells in (1, s * cost):
                     monkeypatch.setattr(verify_module, "SPAN_CELLS", cells)
                     rep = check(Design(case))
                     *frame, last = [(c.name, c.passed, c.witness, c.info) for c in rep.checks]
                     assert all(passed for _, passed, _, _ in frame), rep.as_text()
                     assert last == want, (rep.subject, n, cells)
+
+
+def test_algebraic_matches_dense_reference_on_int16_grams():
+    # k * (max Gram coefficient) + r + k exceeds 127 on affine q=11 and on
+    # the pairs design of K50 over Z2, so the narrowed Gram is int16, not
+    # the int8 of the fixtures above; each design gets its late mutant, one
+    # table of seeded random exponents and four exponent mutants
+    witnesses = set()
+    for m in (affine_polyphase(11), simplex_phased(50)):
+        noise = np.random.default_rng(3).integers(0, m.group.order, m.exponents.shape)
+        cases = [m, _late_offence(m)[0], PolyphaseMatrix(m.group, m.support, noise)]
+        cases += [_change_exponent(m, seed) for seed in range(4)]
+        for n, case in enumerate(cases):
+            d = Design(case)
+            assert d.k * int(d.gram.coeffs.max()) + d.r + d.k > 127
+            rep = verify_polyphase_algebraic(d)
+            *frame, last = [(c.name, c.passed, c.witness, c.info) for c in rep.checks]
+            assert all(passed for _, passed, _, _ in frame), rep.as_text()
+            assert last == _reference_triple_identity(case), rep.subject
+            assert last[1] == (n == 0), rep.subject
+            witnesses.add(last[2])
+    assert len(witnesses) > 10
 
 
 def test_gram_matches_adjoint_product(families):
