@@ -13,6 +13,12 @@ Conventions shared by everything below:
 * whenever a deterministic choice is needed (orbit representatives,
   the auxiliary vector that threads the blocks through an isotropic
   point), ties break lexicographically on coordinate encodings.
+
+The constructions are array programs.  affine_polyphase and
+simplex_phased refuse a b x v matrix over MAX_DENSE_CELLS before they
+allocate anything.  brouwer_polyphase threads all ovoid points in one
+search over z2, which is free because an ovoid point always has y3 or
+y4 nonzero, and forms its support in row spans of WRITE_SPAN_CELLS.
 """
 
 from __future__ import annotations
@@ -22,9 +28,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf import FiniteField, field_create, prime_power_split
+from .gf import MAX_FIELD_ORDER, FiniteField, field_create, prime_power_split
 from .groupring import AbelianGroup
-from .polymat import PolyphaseMatrix, dense_cap_refusal, parse_polyphase, zero_one_array
+from .polymat import (
+    MAX_DENSE_CELLS,
+    WRITE_SPAN_CELLS,
+    PolyphaseMatrix,
+    dense_cap_refusal,
+    parse_polyphase,
+    row_spans,
+    zero_one_array,
+)
 
 
 @dataclass(frozen=True)
@@ -82,12 +96,22 @@ class DracknParams:
         return self.n - self.f * self.c - 2
 
 
+def _require_dense_cap(rows: int, cols: int):
+    """Raise, before anything is allocated, if a rows x cols matrix has
+    more than MAX_DENSE_CELLS cells."""
+    if rows * cols > MAX_DENSE_CELLS:
+        raise ValueError(
+            f"{rows}x{cols} matrix needs {rows * cols} cells; the cap is {MAX_DENSE_CELLS}"
+        )
+
+
 def simplex_phased(v: int) -> PolyphaseMatrix:
     """The C(v,2) x v matrix over Z_2 with z^0 at the smaller vertex and
     z^1 at the larger vertex of each 2-subset; at the sign character its
     columns are a regular simplex."""
     if v < 3:
         raise ValueError(f"need v >= 3, got {v}")
+    _require_dense_cap(v * (v - 1) // 2, v)
     group = AbelianGroup([2])
     a, b = np.triu_indices(v, 1)
     pair = np.arange(len(a))
@@ -130,6 +154,8 @@ def affine_polyphase(q: int) -> PolyphaseMatrix:
     phase z^(j(x+y)); the infinity fiber is unphased and marks x = j.
     """
     p, m = prime_power_split(q)
+    if q <= MAX_FIELD_ORDER:  # over it, field_create names the field cap
+        _require_dense_cap((q + 1) * q, q * q)
     fld = field_create(p, m)
     group = AbelianGroup([p] * m)
     els = np.concatenate(([0], fld.exp))
@@ -183,11 +209,14 @@ class _HermitianForm:
 
     def dot(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Sum of frob(x_l) * y_l over the last axis (four coordinates),
-        broadcasting the others; conjugate-linear in x."""
-        add, mul = self.field.add, self.field.mul
-        acc = mul[self.frob[x[..., 0]], y[..., 0]]
+        broadcasting the others; conjugate-linear in x.  Each product and
+        sum is a 1-d take from a raveled table at a * n + b."""
+        add, mul = self.field.add.ravel(), self.field.mul.ravel()
+        row = self.field.order * np.arange(self.field.order)
+        frob_row = row[self.frob]
+        acc = mul.take(frob_row[x[..., 0]] + y[..., 0])
         for l in range(1, 4):
-            acc = add[acc, mul[self.frob[x[..., l]], y[..., l]]]
+            acc = add.take(row[acc] + mul.take(frob_row[x[..., l]] + y[..., l]))
         return acc
 
 
@@ -326,24 +355,37 @@ def brouwer_geometry(q: int) -> BrouwerGeometry:
     )
 
 
-def _threading_vector(t: _HermitianForm, y: np.ndarray) -> tuple:
-    """Lexicographically least z = (1, z2, z3, z4) with z.z = 0 and y.z = 0;
-    the q+1 blocks through the isotropic point y are spanned by y with the
-    norm-one orbit of z."""
+def _threading_vectors(t: _HermitianForm, cols: np.ndarray) -> np.ndarray:
+    """Per ovoid point y, the lexicographically least z = (1, z2, z3, z4)
+    with z.z = 0 and y.z = 0, as int16 rows; the q+1 blocks through y are
+    spanned by y with the norm-one orbit of z.
+
+    Every ovoid point has y3 or y4 nonzero, so the last of them pivots:
+    y.z = 0 solves z3 or z4 from the other two, and z2 is always free.
+    One search serves all points: for z2 = 0, 1, ... it tabulates the n
+    values of the other free coordinate for the points still unthreaded,
+    takes the least z3 n + z4 that is isotropic, and stops once every
+    point is threaded."""
     add, mul, neg, norm = t.field.add, t.field.mul, t.field.neg, t.norm
     n = t.field.order
-    coeff = t.frob[y[1:]]
-    pivot = int(np.nonzero(coeff)[0][-1])
-    free = [i for i in range(3) if i != pivot]
-    z = np.empty((3, n * n), dtype=np.int64)
-    z[free] = np.indices((n, n)).reshape(2, -1)
-    rhs = add[mul[coeff[free[0]], z[free[0]]], mul[coeff[free[1]], z[free[1]]]]
-    z[pivot] = mul[t.field.inv[coeff[pivot]], neg[rhs]]
-    iso = add[add[add[1, norm[z[0]]], norm[z[1]]], norm[z[2]]] == 0
-    if not iso.any():
-        raise AssertionError("no threading vector; y is not an isotropic point")
-    key = np.where(iso, (z[0] * n + z[1]) * n + z[2], n**3)
-    return (1,) + tuple(z[:, np.argmin(key)].tolist())
+    c2, c3, c4 = t.frob[cols[:, 1:].T[:, :, None]]  # y.z coefficients, one column each
+    z4_pivot = c4 != 0
+    c_free, c_piv = np.where(z4_pivot, c3, c4), np.where(z4_pivot, c4, c3)
+    w = np.arange(n)
+    keys = np.empty(len(cols), dtype=np.intp)  # z2 n^2 + z3 n + z4 per point
+    todo = np.arange(len(cols))
+    for z2 in range(n):
+        zp = mul[t.field.inv[c_piv[todo]], neg[add[mul[c2[todo], z2], mul[c_free[todo], w]]]]
+        z3 = np.where(z4_pivot[todo], w, zp)
+        z4 = np.where(z4_pivot[todo], zp, w)
+        iso = add[add[add[1, norm[z2]], norm[z3]], norm[z4]] == 0
+        key = np.where(iso, (z2 * n + z3) * n + z4, n**3).min(axis=1)
+        hit = key < n**3
+        keys[todo[hit]] = key[hit]
+        todo = todo[~hit]
+        if not len(todo):
+            return _points(1, keys // (n * n), keys // n % n, keys % n)
+    raise AssertionError("no threading vector; some column is not an isotropic point")
 
 
 def brouwer_polyphase(q: int) -> PolyphaseMatrix:
@@ -353,15 +395,20 @@ def brouwer_polyphase(q: int) -> PolyphaseMatrix:
     ovoid points in lexicographic order.  Where x is orthogonal to y the
     entry is z^g with B^g = 1 - x.z_y, which makes each lifted block the
     translation permutation that records which block through y each
-    orbit member lands in.
+    orbit member lands in.  The threading vectors z_y come from one
+    search over all columns, z2 = 0, 1, ... in turn; at z2 = 0 only the
+    q+1 columns (0, 0, 1, c) have no isotropic z, and at q <= 7 every
+    column is threaded by z2 = 17.
     """
     t = _HermitianForm(q)
     finite, ovoid = _isotropic_points(t)
     rows = _orbit_reps(t, finite)
     cols = ovoid[np.lexsort(ovoid.T[::-1])]
-    threading = np.array([_threading_vector(t, y) for y in cols])
-    support = t.dot(rows[:, None, :], cols) == 0
+    support = np.empty((len(rows), len(cols)), dtype=bool)
+    for r0, r1 in row_spans(np.full(len(rows), len(cols)), WRITE_SPAN_CELLS):
+        support[r0:r1] = t.dot(rows[r0:r1, None, :], cols) == 0
     r, c = np.nonzero(support)
+    threading = _threading_vectors(t, cols)
     g = t.beta_dlog[t.field.add[1, t.field.neg[t.dot(rows[r], threading[c])]]]  # 1 - x.z
     if np.any(g < 0):
         raise AssertionError("1 - x.z must have norm one when x is orthogonal to y")

@@ -18,13 +18,14 @@ Text serialization of a polyphase matrix:
     POLYPHASE rows=<b> cols=<v> group=Z{q1}x...
     <one line per row: "." for a zero entry, "g1,g2,..." for z^(g1,...)>
 
-Lines use spaces between entries, LF endings, UTF-8.  The writer and
-the reader go one row at a time through a table of the f + 1 labels.
-The reader also takes tabs, CR LF, blank lines and non-canonical cells
-("5" over Z3, "+1", "-1", "01"), read as integers reduced mod each
-factor.  It stores a row only once it has read it, so a header cannot
-size an allocation.  A 0/1 incidence is one line of "0"/"1" per row,
-written and read as bytes.
+Lines use spaces between entries, LF endings, UTF-8.  The writer goes
+one bounded row span at a time: one gather from a table of NUL-padded
+byte cells, then one mask that drops the padding.  The reader goes one
+row at a time through a table of the f + 1 labels.  It also takes tabs,
+CR LF, blank lines and non-canonical cells ("5" over Z3, "+1", "-1",
+"01"), read as integers reduced mod each factor.  It stores a row only
+once it has read it, so a header cannot size an allocation.  A 0/1
+incidence is one line of "0"/"1" per row, written and read as bytes.
 """
 
 from __future__ import annotations
@@ -47,6 +48,24 @@ def dense_cap_refusal(rows: int, cols: int) -> str | None:
             f" the cap is {MAX_DENSE_CELLS}"
         )
     return None
+
+
+# cells per row span of the writers, format_polyphase and the brouwer
+# support: whole-matrix gathers would hold b*v intp temporaries, and
+# spans of 2^15 cells (256 KiB of intp) write as fast as larger ones
+WRITE_SPAN_CELLS = 2**15
+
+
+def row_spans(cost: np.ndarray, budget: int):
+    """Consecutive row ranges [r0, r1) of at least one row each, whose
+    summed cost stays within budget unless one row alone exceeds it."""
+    ends = np.cumsum(cost)
+    r0 = 0
+    while r0 < len(cost):
+        base = ends[r0 - 1] if r0 else 0
+        r1 = max(r0 + 1, int(np.searchsorted(ends, base + budget, side="right")))
+        yield r0, r1
+        r0 = r1
 
 
 def zero_one_array(rows: int, cols: int) -> np.ndarray:
@@ -264,12 +283,23 @@ def _cell_labels(group: AbelianGroup) -> list[str]:
 
 
 def format_polyphase(m: PolyphaseMatrix) -> str:
-    labels = np.array(_cell_labels(m.group), dtype=object)
-    lines = [f"POLYPHASE rows={m.rows} cols={m.cols} group={m.group.name()}"]
-    # one gather per row: a whole-matrix gather holds b*v index temporaries
-    for support, exps in zip(m.support, m.exponents):
-        lines.append(" ".join(labels[np.where(support, exps + 1, 0)].tolist()))
-    return "\n".join(lines) + "\n"
+    """The text form, built as bytes and decoded once.  Each cell of a
+    span is a code into a table of byte cells, NUL-padded to one width:
+    the f + 1 labels for a row's first column, the same led by a space
+    for the others, and a row end after the last column."""
+    labels = [s.encode() for s in _cell_labels(m.group)]
+    cells = np.array(labels + [b" " + s for s in labels] + [b"\n"])
+    lead = np.full(m.cols, len(labels))  # code of each column's "."
+    lead[:1] = 0
+    out = bytearray(f"POLYPHASE rows={m.rows} cols={m.cols} group={m.group.name()}\n".encode())
+    for r0, r1 in row_spans(np.full(m.rows, m.cols + 1), WRITE_SPAN_CELLS):
+        codes = np.full((r1 - r0, m.cols + 1), len(cells) - 1)
+        body = codes[:, :-1]
+        np.add(m.exponents[r0:r1], lead + 1, out=body)
+        np.copyto(body, lead, where=~m.support[r0:r1])
+        text = cells.take(codes).view(np.uint8)
+        out.extend(text[text != 0])
+    return out.decode("ascii")
 
 
 def _cell_index(group: AbelianGroup, cell: str) -> int:

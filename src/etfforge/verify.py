@@ -31,7 +31,7 @@ import numpy as np
 
 from .construct import DracknParams, gq_cells
 from .groupring import characters_of
-from .polymat import GroupRingMatrix, PolyphaseMatrix, require_float_exact, row_pairs
+from .polymat import GroupRingMatrix, PolyphaseMatrix, require_float_exact, row_pairs, row_spans
 
 NUMERIC_TOL = 1e-9
 RANK_REL_TOL = 1e-8
@@ -227,7 +227,7 @@ def verify_polyphase_combinatorial(d: Design) -> VerificationReport:
     step[v * sup[:, :, None] + sup[:, None, :]] = sub[e[:, None, :], e[:, :, None]]
     add = m.group.add_index.ravel()
     bad, info = None, f"quota={quota}"
-    for r0, r1 in _row_spans(np.full(m.rows, k * (v - k)), SPAN_CELLS // 64):
+    for r0, r1 in row_spans(np.full(m.rows, k * (v - k)), SPAN_CELLS // 64):
         zeros = np.nonzero(x[r0:r1] == 0)[1].reshape(r1 - r0, v - k)
         # g[i, c, t] = e_(ij') + step[j', j] for row r0+i, its zero column
         # j = zeros[i, c] and its t-th block j', offset to a bincount slot
@@ -273,7 +273,7 @@ def verify_polyphase_algebraic(d: Design) -> VerificationReport:
     # row i of the left side at (h, c) is sum_j Gram[j, c](h - e_ij): the
     # rows j f + sub[h, e_ij] of T, summed over the k support columns j
     diff, info = None, f"a={r + k - 1}"
-    for r0, r1 in _row_spans(np.full(m.rows, k * f * v), SPAN_CELLS // 8):
+    for r0, r1 in row_spans(np.full(m.rows, k * f * v), SPAN_CELLS // 8):
         n = r1 - r0
         idx = sup[r0:r1, :, None] * f + sub.T[e[r0:r1]]
         lhs = gram_t.take(idx.ravel(), axis=0).reshape(n, k, f, v).sum(axis=1, dtype=dt)
@@ -352,24 +352,12 @@ def verify_etf_numeric(phi: np.ndarray, tol: float = NUMERIC_TOL) -> Verificatio
 SPAN_CELLS = 2**20
 
 
-def _row_spans(cost: np.ndarray, budget: int):
-    """Consecutive row ranges [r0, r1) of at least one row each, whose
-    summed cost stays within budget unless one row alone exceeds it."""
-    ends = np.cumsum(cost)
-    r0 = 0
-    while r0 < len(cost):
-        base = ends[r0 - 1] if r0 else 0
-        r1 = max(r0 + 1, int(np.searchsorted(ends, base + budget, side="right")))
-        yield r0, r1
-        r0 = r1
-
-
 def _block_pairs(ii, jj, rows, n_points: int):
     """(block, point, point) of every ordered pair of points on a common
     block, in block order, one bounded row span at a time; (ii, jj) are
     the row-major nonzero cells and rows the row sums."""
     ptr = np.concatenate(([0], np.cumsum(rows)))
-    for r0, r1 in _row_spans(rows * rows, max(n_points * n_points, SPAN_CELLS)):
+    for r0, r1 in row_spans(rows * rows, max(n_points * n_points, SPAN_CELLS)):
         lo = ptr[r0]
         a, b = row_pairs(ii[lo:ptr[r1]])
         yield ii[lo + a], jj[lo + a], jj[lo + b]
@@ -441,7 +429,7 @@ def _first_triple_offence(ii, jj, rows, pairs, s: int, t: int) -> tuple | None:
     padded = np.zeros((n_points + 1, n_points), dtype=np.int32 if len(ii) < 2**31 else np.int64)
     padded[:n_points] = pairs
     ptr = np.concatenate(([0], np.cumsum(rows)))
-    for r0, r1 in _row_spans((rows + 1) * n_points, SPAN_CELLS):
+    for r0, r1 in row_spans((rows + 1) * n_points, SPAN_CELLS):
         lo, hi = ptr[r0], ptr[r1]
         at = ii[lo:hi] - r0
         slots = np.full((r1 - r0, rows[r0:r1].max(initial=0)), n_points)
@@ -575,7 +563,7 @@ def verify_srg_collinearity(
     pmax = int(pairs.max(initial=0))
     require_float_exact(n, pmax, pmax)
     quad, witness = pairs @ pairs.T, None
-    for r0, r1 in _row_spans(np.full(n, n), SPAN_CELLS // 8):
+    for r0, r1 in row_spans(np.full(n, n), SPAN_CELLS // 8):
         span = quad[r0:r1]
         span -= (s + t) * pairs[r0:r1] + (t + 1)
         if span.any():

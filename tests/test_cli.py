@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -75,6 +76,27 @@ def test_construct_rejects_field_over_cap_before_allocating(tmp_path, capsys):
     code, _, err = run(capsys, "construct", "--family", "affine", "--q", "2048", "-o", str(tmp_path))
     assert code == 2 and "field order 2048 exceeds cap 1024" in err
     assert time.perf_counter() - start < 0.5
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "family,shape",
+    [
+        (("--family", "affine", "--q", "1024"), "1049600x1048576"),
+        (("--family", "simplex", "--v", "100000"), "4999950000x100000"),
+    ],
+)
+def test_construct_refuses_oversized_matrix_before_allocating(tmp_path, capsys, family, shape):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "construct", *family, "-o", str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {shape} matrix needs ") and err.count("\n") == 1
+    assert err.endswith(f"the cap is {polymat.MAX_DENSE_CELLS}\n")
+    assert peak < 2**20
     assert not any(tmp_path.iterdir())
 
 

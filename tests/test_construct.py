@@ -19,7 +19,8 @@ from etfforge.construct import (
     polyphase_from_gq,
     simplex_phased,
     _HermitianForm,
-    _threading_vector,
+    _isotropic_points,
+    _threading_vectors,
 )
 from etfforge.gf import field_create, prime_power_split
 from etfforge.groupring import AbelianGroup, characters_of
@@ -352,15 +353,43 @@ def _ref_simplex_phased(v):
     return PolyphaseMatrix(AbelianGroup([2]), support, exps)
 
 
+def _ref_dot(t, x, y):
+    """The Hermitian form by 2-d table lookups, one coordinate at a time."""
+    add, mul = t.field.add, t.field.mul
+    acc = mul[t.frob[x[..., 0]], y[..., 0]]
+    for l in range(1, 4):
+        acc = add[acc, mul[t.frob[x[..., l]], y[..., l]]]
+    return acc
+
+
+def _ref_threading_vector(t, y):
+    """Lexicographically least z = (1, z2, z3, z4) with z.z = 0 and y.z = 0,
+    by a scan of all n^2 choices of the two free coordinates."""
+    add, mul, neg, norm = t.field.add, t.field.mul, t.field.neg, t.norm
+    n = t.field.order
+    coeff = t.frob[y[1:]]
+    pivot = int(np.nonzero(coeff)[0][-1])
+    free = [i for i in range(3) if i != pivot]
+    z = np.empty((3, n * n), dtype=np.int64)
+    z[free] = np.indices((n, n)).reshape(2, -1)
+    rhs = add[mul[coeff[free[0]], z[free[0]]], mul[coeff[free[1]], z[free[1]]]]
+    z[pivot] = mul[t.field.inv[coeff[pivot]], neg[rhs]]
+    iso = add[add[add[1, norm[z[0]]], norm[z[1]]], norm[z[2]]] == 0
+    if not iso.any():
+        raise AssertionError("no threading vector; y is not an isotropic point")
+    key = np.where(iso, (z[0] * n + z[1]) * n + z[2], n**3)
+    return (1,) + tuple(z[:, np.argmin(key)].tolist())
+
+
 def _ref_brouwer_polyphase(q):
     geom = brouwer_geometry(q)
     t = _HermitianForm(q)
     cols = sorted(geom.ovoid)
     rows = np.array(geom.orbit_reps)
-    threading = np.array([_threading_vector(t, np.array(y)) for y in cols])
-    support = t.dot(rows[:, None, :], np.array(cols)) == 0
+    threading = np.array([_ref_threading_vector(t, np.array(y)) for y in cols])
+    support = _ref_dot(t, rows[:, None, :], np.array(cols)) == 0
     r, c = np.nonzero(support)
-    g = t.beta_dlog[t.field.add[1, t.field.neg[t.dot(rows[r], threading[c])]]]
+    g = t.beta_dlog[t.field.add[1, t.field.neg[_ref_dot(t, rows[r], threading[c])]]]
     assert np.all(g >= 0)
     exps = np.zeros(support.shape, dtype=np.intp)
     exps[r, c] = g
@@ -448,9 +477,43 @@ def test_simplex_matches_pair_loop(v):
     assert simplex_phased(v) == _ref_simplex_phased(v)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
 def test_brouwer_polyphase_matches_geometry_route(q):
     assert brouwer_polyphase(q) == _ref_brouwer_polyphase(q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_threading_vectors_match_per_point_search(q):
+    t = _HermitianForm(q)
+    _, ovoid = _isotropic_points(t)
+    got = _threading_vectors(t, ovoid)
+    assert got.dtype == np.int16
+    assert [tuple(z) for z in got.tolist()] == [_ref_threading_vector(t, y) for y in ovoid]
+    # z2 = 0 fails exactly on the q+1 points (0, 0, 1, c) with N(c) = -1
+    late = got[:, 1] > 0
+    assert late.sum() == q + 1
+    assert np.array_equal(late, (ovoid[:, 1] == 0) & (t.norm[ovoid[:, 3]] == t.field.neg[1]))
+
+
+@pytest.mark.parametrize("cells", [1, 3 * 344 + 17])
+def test_brouwer_support_spans_match_whole_matrix(monkeypatch, cells):
+    # one row per span, then an uneven split of brouwer q=7's 344 columns
+    want = brouwer_polyphase(7)
+    monkeypatch.setattr(construct, "WRITE_SPAN_CELLS", cells)
+    assert brouwer_polyphase(7) == want
+    assert brouwer_polyphase(3) == _ref_brouwer_polyphase(3)
+
+
+def test_brouwer_polyphase_memory_is_bounded():
+    brouwer_polyphase(7)  # field tables are cached from here on
+    tracemalloc.start()
+    try:
+        brouwer_polyphase(7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the b x v intp exponents take 5.8 MB of it
+    assert peak <= 8 * 2**20
 
 
 def test_brouwer_polyphase_builds_no_geometry(monkeypatch):

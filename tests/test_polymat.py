@@ -12,6 +12,7 @@ from etfforge.construct import (
     gq_from_polyphase,
     simplex_phased,
 )
+from etfforge import polymat
 from etfforge.groupring import AbelianGroup, GroupRingElement, characters_of
 from etfforge.polymat import (
     GroupRingMatrix,
@@ -74,7 +75,7 @@ def test_parse_polyphase_errors():
         parse_polyphase("POLYPHASE rows=1 cols=1\n0\n")
 
 
-# The per-cell text routines that the row-at-a-time ones replaced.  They
+# The per-cell text routines that the array programs replaced.  They
 # stay here as the reference: the library must match their bytes, their
 # matrices and their error messages.
 def _reference_format_polyphase(m):
@@ -190,16 +191,43 @@ def test_text_matches_reference_on_golden_designs(name):
     assert back == _reference_parse_polyphase(text) == m
 
 
-@pytest.mark.parametrize("factors", [(2, 3), (4, 2), (5,)], ids=str)
-def test_text_matches_reference_on_random_matrices(factors):
+@pytest.mark.parametrize(
+    "factors", [(2, 3), (4, 2), (5,), (2, 2, 2, 2, 2), (12, 5), (11,)], ids=str
+)
+def test_text_matches_reference_on_random_matrices(factors, monkeypatch):
+    # Z2^5 cells take 10 bytes, wider than a machine word; the labels of
+    # Z12xZ5 and Z11 vary in width
     group = AbelianGroup(factors)
     rng = np.random.default_rng(11)
-    for rows, cols, density in ((1, 1, 1.0), (1, 9, 0.5), (6, 1, 0.5), (7, 11, 0.3), (12, 5, 0.9)):
-        m = _random_polyphase(group, rows, cols, rng, density)
-        text = format_polyphase(m)
-        assert text == _reference_format_polyphase(m)
-        _assert_parses_like_reference(text)
-        assert parse_polyphase(text) == m
+    shapes = ((1, 1, 1.0), (1, 9, 0.5), (6, 1, 0.5), (7, 11, 0.3), (12, 5, 0.9), (4, 6, 0.0))
+    cases = [_random_polyphase(group, rows, cols, rng, density) for rows, cols, density in shapes]
+    m = _random_polyphase(group, 9, 13, rng, 0.5)
+    m.support[[0, 4, 8]] = False
+    cases.append(PolyphaseMatrix(group, m.support, m.exponents))  # some all-zero rows
+    # no cells: the reader refuses these, the writer must still match
+    empty = [_random_polyphase(group, rows, cols, rng) for rows, cols in ((3, 0), (0, 4), (0, 0))]
+    # the default spans, one row per span, and uneven spans of 30 cells
+    for span in (polymat.WRITE_SPAN_CELLS, 1, 30):
+        monkeypatch.setattr(polymat, "WRITE_SPAN_CELLS", span)
+        for m in cases:
+            text = format_polyphase(m)
+            assert text == _reference_format_polyphase(m)
+            _assert_parses_like_reference(text)
+            assert parse_polyphase(text) == m
+        for m in empty:
+            assert format_polyphase(m) == _reference_format_polyphase(m)
+
+
+def test_format_memory_is_bounded_by_the_text():
+    for m in (affine_polyphase(27), brouwer_polyphase(7)):
+        tracemalloc.start()
+        try:
+            text = format_polyphase(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the text itself counts; a whole-matrix gather would take 11x
+        assert peak <= 3.5 * len(text)
 
 
 def test_parse_matches_reference_on_text_variants():
