@@ -11,12 +11,10 @@ from .gf import FiniteField, field_create, prime_power_split
 from .groupring import (
     AbelianGroup,
     Character,
-    GroupRingElement,
     characters_of,
     real_character,
 )
 from .polymat import (
-    GroupRingMatrix,
     PolyphaseMatrix,
     format_complex_csv,
     format_incidence,
@@ -67,8 +65,6 @@ __all__ = [
     "EtfNumerics",
     "FiniteField",
     "GqParams",
-    "GroupRingElement",
-    "GroupRingMatrix",
     "PolyphaseMatrix",
     "ScreenRow",
     "VerificationReport",

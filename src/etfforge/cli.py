@@ -205,11 +205,15 @@ def cmd_verify(args) -> int:
             for gamma, rep in zip(gammas, results):
                 rep.subject += f" at character {gamma.exponents}"
                 reports.append(rep)
-        if "drackn" in wanted and (drackn := d.drackn) is None:
+        # A = Phi* Phi - rI is v x v x f cells, so only a BIBD bounds it
+        bibd_fail = next((c.name for c in d.bibd.checks if not c.passed), None)
+        if "drackn" in wanted and bibd_fail:
+            _skip("drackn", f"needs a BIBD: {bibd_fail} fails", reports, explicit)
+        elif "drackn" in wanted and (drackn := d.drackn) is None:
             _skip("drackn", "c = k(r-1)/f is not an integer", reports, explicit)
         elif "drackn" in wanted:
             a, dp = drackn
-            reports.append(V.verify_drackn(a, dp.n, dp.f, dp.c))
+            reports.append(V.verify_drackn(a, m.group, dp.c))
             del a, drackn  # Phi* Phi - rI is not kept through the GQ and SRG stages
         if k != f:
             gq_skip = f"needs k = f, got k={k}, f={f}"

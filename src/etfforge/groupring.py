@@ -2,8 +2,9 @@
 
 A group Z_{q1} x ... x Z_{qj} has elements stored as exponent tuples
 and indexed in mixed-radix row-major order, so index 0 is the identity
-and the index order agrees with lexicographic order on tuples.  Ring
-elements are dense integer coefficient vectors over that index.
+and the index order agrees with lexicographic order on tuples.  A ring
+element is a length-f integer coefficient vector over that index, as in
+each cell of a design Gram; add_index and neg_index act on whole arrays.
 
 Three maps out of the ring matter here:
 
@@ -141,80 +142,3 @@ def real_character(group: AbelianGroup) -> Character:
             exps[i] = q // 2
             return Character(group, exps)
     raise ValueError(f"group {group.name()} has no even factor, no real character")
-
-
-class GroupRingElement:
-    """Integer combination of group elements."""
-
-    __slots__ = ("group", "coeffs")
-
-    def __init__(self, group: AbelianGroup, coeffs):
-        self.group = group
-        self.coeffs = np.asarray(coeffs, dtype=np.int64).copy()
-        if self.coeffs.shape != (group.order,):
-            raise ValueError("coefficient vector has wrong length")
-
-    @classmethod
-    def delta(cls, group: AbelianGroup, g=None) -> "GroupRingElement":
-        c = np.zeros(group.order, dtype=np.int64)
-        c[group.index(g) if g is not None else 0] = 1
-        return cls(group, c)
-
-    def __add__(self, other):
-        self._check(other)
-        return GroupRingElement(self.group, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        self._check(other)
-        return GroupRingElement(self.group, self.coeffs - other.coeffs)
-
-    def __neg__(self):
-        return GroupRingElement(self.group, -self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return GroupRingElement(self.group, self.coeffs * other)
-        self._check(other)
-        out = np.zeros(self.group.order, dtype=np.int64)
-        np.add.at(
-            out, self.group.add_index.ravel(), np.outer(self.coeffs, other.coeffs).ravel()
-        )
-        return GroupRingElement(self.group, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def _check(self, other):
-        if not isinstance(other, GroupRingElement) or other.group != self.group:
-            raise ValueError("operands live in different group rings")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupRingElement)
-            and other.group == self.group
-            and bool(np.array_equal(other.coeffs, self.coeffs))
-        )
-
-    def __hash__(self):
-        return hash((self.group, self.coeffs.tobytes()))
-
-    def involution(self) -> "GroupRingElement":
-        return GroupRingElement(self.group, self.coeffs[self.group.neg_index])
-
-    def evaluate(self, gamma: Character) -> complex:
-        if gamma.group != self.group:
-            raise ValueError("character belongs to a different group")
-        return complex(self.coeffs @ gamma.values)
-
-    def support(self):
-        return [self.group.element(i) for i in np.nonzero(self.coeffs)[0]]
-
-    def __repr__(self):
-        terms = []
-        for i in np.nonzero(self.coeffs)[0]:
-            c = int(self.coeffs[i])
-            g = self.group.element(int(i))
-            terms.append(f"{c}*z{g}")
-        return " + ".join(terms) if terms else "0"

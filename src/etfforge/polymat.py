@@ -1,17 +1,14 @@
-"""Matrices over a group ring, and the monomial-constrained kind.
+"""Polyphase matrices over a group ring, and their text formats.
 
 A PolyphaseMatrix is the constrained object the constructions emit:
 every entry is either zero or a single group element z^g.  It is stored
 as a support mask plus an index-encoded exponent array, which keeps the
-"zero or one monomial" invariant structural.  A GroupRingMatrix is the
-general object that products and adjoints land in, stored as an
-(rows, cols, f) integer coefficient array.
-
-The design Gram Phi* Phi, the product the exact checks need, is built
-by integer scatter with no floating point at all.  The general
-group-ring matmul runs one BLAS multiply per pair of group elements on
-float64 views; float64 sums of integers are exact below 2^53, and
-require_float_exact refuses any product whose entries could reach it.
+"zero or one monomial" invariant structural.  Its Gram Phi* Phi, the
+product the exact checks need, is a plain (cols, cols, f) int64 array
+of group-ring coefficients, built by integer scatter with no floating
+point at all.  require_float_exact guards the float64 products the
+checks do take on integer matrices: float64 sums of integers are exact
+below 2^53.
 
 Text serialization of a polyphase matrix:
 
@@ -32,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groupring import AbelianGroup, Character, GroupRingElement
+from .groupring import AbelianGroup, Character
 
 
 MAX_DENSE_CELLS = 2**28
@@ -94,105 +91,6 @@ def require_float_exact(inner: int, a_max: int, b_max: int):
         )
 
 
-class GroupRingMatrix:
-    """Dense matrix with GroupRingElement entries, coefficients last axis."""
-
-    def __init__(self, group: AbelianGroup, coeffs):
-        self.group = group
-        self.coeffs = np.asarray(coeffs, dtype=np.int64)
-        if self.coeffs.ndim != 3 or self.coeffs.shape[2] != group.order:
-            raise ValueError("coefficient array must be rows x cols x |group|")
-
-    @property
-    def rows(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.coeffs.shape[1]
-
-    @classmethod
-    def from_scalar(cls, group: AbelianGroup, a) -> "GroupRingMatrix":
-        """Integer matrix a, embedded entrywise as a*z^0."""
-        a = np.asarray(a, dtype=np.int64)
-        c = np.zeros(a.shape + (group.order,), dtype=np.int64)
-        c[:, :, 0] = a
-        return cls(group, c)
-
-    @classmethod
-    def all_geometric(cls, group: AbelianGroup, a) -> "GroupRingMatrix":
-        """Integer matrix a, each entry times the sum of all group elements."""
-        a = np.asarray(a, dtype=np.int64)
-        return cls(group, np.repeat(a[:, :, None], group.order, axis=2))
-
-    def entry(self, i: int, j: int) -> GroupRingElement:
-        return GroupRingElement(self.group, self.coeffs[i, j])
-
-    def __add__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
-        self._check(other)
-        return GroupRingMatrix(self.group, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
-        self._check(other)
-        return GroupRingMatrix(self.group, self.coeffs - other.coeffs)
-
-    def __rmul__(self, scalar: int) -> "GroupRingMatrix":
-        if not isinstance(scalar, (int, np.integer)):
-            return NotImplemented
-        return GroupRingMatrix(self.group, int(scalar) * self.coeffs)
-
-    def __matmul__(self, other) -> "GroupRingMatrix":
-        if isinstance(other, PolyphaseMatrix):
-            other = other.to_group_ring()
-        self._check(other)
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions do not match")
-        require_float_exact(
-            self.cols, np.abs(self.coeffs).max(initial=0), np.abs(other.coeffs).max(initial=0)
-        )
-        g = self.group
-        f = g.order
-        out = np.zeros((self.rows, other.cols, f), dtype=np.int64)
-        a = self.coeffs.astype(np.float64)
-        b = other.coeffs.astype(np.float64)
-        for gi in range(f):
-            for hi in range(f):
-                t = g.add_index[gi, hi]
-                out[:, :, t] += (a[:, :, gi] @ b[:, :, hi]).astype(np.int64)
-        return GroupRingMatrix(g, out)
-
-    def adjoint(self) -> "GroupRingMatrix":
-        """Conjugate transpose: transpose plus entrywise involution."""
-        c = self.coeffs[:, :, self.group.neg_index]
-        return GroupRingMatrix(self.group, np.transpose(c, (1, 0, 2)))
-
-    def evaluate(self, gamma: Character) -> np.ndarray:
-        if gamma.group != self.group:
-            raise ValueError("character belongs to a different group")
-        return np.tensordot(self.coeffs, gamma.values, axes=([2], [0]))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupRingMatrix)
-            and other.group == self.group
-            and bool(np.array_equal(other.coeffs, self.coeffs))
-        )
-
-    def first_difference(self, other: "GroupRingMatrix"):
-        """(i, j) of the first differing entry, or None."""
-        diff = np.nonzero(np.any(self.coeffs != other.coeffs, axis=2))
-        if len(diff[0]) == 0:
-            return None
-        return int(diff[0][0]), int(diff[1][0])
-
-    def _check(self, other):
-        if not isinstance(other, GroupRingMatrix) or other.group != self.group:
-            raise ValueError("matrices live over different group rings")
-
-    def __repr__(self):
-        return f"GroupRingMatrix({self.rows}x{self.cols} over {self.group.name()})"
-
-
 class PolyphaseMatrix:
     """Matrix whose entries are zero or a single z^g."""
 
@@ -236,18 +134,11 @@ class PolyphaseMatrix:
         """0/1 incidence of entrywise |.|^2, the underlying design."""
         return self.support.astype(np.int64)
 
-    def to_group_ring(self) -> GroupRingMatrix:
-        c = np.zeros((self.rows, self.cols, self.group.order), dtype=np.int64)
-        ii, jj = np.nonzero(self.support)
-        c[ii, jj, self.exponents[ii, jj]] = 1
-        return GroupRingMatrix(self.group, c)
-
-    def adjoint(self) -> GroupRingMatrix:
-        return self.to_group_ring().adjoint()
-
-    def gram(self) -> GroupRingMatrix:
-        """Phi* Phi by integer scatter: each row adds z^(e_b - e_a) at (a, b)
-        for every ordered pair (a, b) of its support columns."""
+    def gram(self) -> np.ndarray:
+        """Phi* Phi as a (cols, cols, f) int64 array whose (a, b) entry holds
+        the coefficients of a group-ring element, by integer scatter: each
+        row adds z^(e_b - e_a) at (a, b) for every ordered pair (a, b) of
+        its support columns."""
         g = self.group
         f, v = g.order, self.cols
         ii, jj = np.nonzero(self.support)
@@ -255,10 +146,7 @@ class PolyphaseMatrix:
         a, b = row_pairs(ii)
         flat = (jj[a] * v + jj[b]) * f + g.add_index[g.neg_index[e[a]], e[b]]
         counts = np.bincount(flat, minlength=v * v * f)
-        return GroupRingMatrix(g, counts.reshape(v, v, f))
-
-    def __matmul__(self, other) -> GroupRingMatrix:
-        return self.to_group_ring() @ other
+        return counts.reshape(v, v, f)
 
     def evaluate(self, gamma: Character) -> np.ndarray:
         if gamma.group != self.group:

@@ -15,6 +15,10 @@ rows of Phi into the integer Gram Phi* Phi by summing whole rows of the
 Gram transposed and narrowed to the smallest exact integer type, and the
 numeric verifier only ever sees evaluated complex matrices.
 
+The DRACKN check reads A = Phi* Phi - rI as a plain (v, v, f) integer
+array in row spans, and counts A^2 from the exponent table of A's
+monomial off-diagonal cells with one bincount per span.
+
 The GQ and SRG checks count from the nonzero cells of a 0/1 incidence Z
 (a dense array's, or a Design's GQ lift cells) in bounded row spans, with
 P = Z^T Z from one bincount over the point pairs of each block.  The
@@ -30,8 +34,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .construct import DracknParams, gq_cells
-from .groupring import characters_of
-from .polymat import GroupRingMatrix, PolyphaseMatrix, require_float_exact, row_pairs, row_spans
+from .groupring import AbelianGroup, characters_of
+from .polymat import PolyphaseMatrix, require_float_exact, row_pairs, row_spans
 
 NUMERIC_TOL = 1e-9
 RANK_REL_TOL = 1e-8
@@ -157,8 +161,9 @@ def verify_bibd(x: np.ndarray, v: int, k: int) -> VerificationReport:
 class Design:
     """One polyphase matrix Phi and what the checks share, derived once:
     x = |Phi|^2, v, f, k (row 0's weight), r = (v-1)/(k-1) or None, the
-    BIBD report; the Gram and the GQ lift cells when first read.  The
-    DRACKN is rebuilt on each read, so it is not kept past its check."""
+    BIBD report; the Gram, a plain (v, v, f) int64 array, and the GQ lift
+    cells when first read.  The DRACKN, a copy of the Gram, is rebuilt on
+    each read, so it is not kept past its check."""
 
     def __init__(self, m: PolyphaseMatrix):
         self.m, self.x = m, m.modulus_squared()
@@ -169,16 +174,20 @@ class Design:
         self.bibd = verify_bibd(self.x, self.v, self.k)
 
     @functools.cached_property
-    def gram(self) -> GroupRingMatrix:
+    def gram(self) -> np.ndarray:
+        """Phi* Phi, the (v, v, f) int64 coefficient array of PolyphaseMatrix.gram."""
         return self.m.gram()
 
     @property
-    def drackn(self) -> tuple[GroupRingMatrix, DracknParams] | None:
-        """(Phi* Phi - r I, its parameters), or None unless c = k(r-1)/f is integral."""
+    def drackn(self) -> tuple[np.ndarray, DracknParams] | None:
+        """(A, its parameters), where A = Phi* Phi - r I is a copy of the Gram
+        with r taken off each diagonal cell at the identity; None unless
+        c = k(r-1)/f is integral."""
         if self.r is None or self.k * (self.r - 1) % self.f:
             return None
-        eye = GroupRingMatrix.from_scalar(self.m.group, self.r * np.eye(self.v, dtype=np.int64))
-        return self.gram - eye, DracknParams(self.v, self.f, self.k * (self.r - 1) // self.f)
+        a = self.gram.copy()
+        a[np.arange(self.v), np.arange(self.v), 0] -= self.r
+        return a, DracknParams(self.v, self.f, self.k * (self.r - 1) // self.f)
 
     @functools.cached_property
     def gq(self) -> _Cells:
@@ -260,7 +269,7 @@ def verify_polyphase_algebraic(d: Design) -> VerificationReport:
     m, x, v, k, r, f = d.m, d.x, d.v, d.k, d.r, d.f
     g = m.group
     quota = k // f
-    coeffs = d.gram.coeffs
+    coeffs = d.gram
     # every partial sum of k Gram coefficients lies in [0, k * max] and each
     # subtracted term (quota or r+k-1) is at most r+k-1, so this type is
     # exact for any input
@@ -348,7 +357,8 @@ def verify_etf_numeric(phi: np.ndarray, tol: float = NUMERIC_TOL) -> Verificatio
 # cells per row span of the GQ triple-product check, small enough to
 # stay in cache; the point-pair spans may hold as many pairs as Z^T Z has
 # cells, combinatorial gathers SPAN_CELLS // 64 per span and algebraic
-# SPAN_CELLS // 8 narrowed Gram cells, at most 256 KiB at int16
+# SPAN_CELLS // 8 narrowed Gram cells, at most 256 KiB at int16; drackn
+# reads SPAN_CELLS // 16 cells of A, and counts as many sums, per span
 SPAN_CELLS = 2**20
 
 
@@ -486,41 +496,78 @@ def verify_gq_axioms(z, s: int, t: int, check_spread: bool = False) -> Verificat
     return rep
 
 
-def verify_drackn(a: GroupRingMatrix, n: int, f: int, c: int) -> VerificationReport:
-    """Self-adjoint, hollow, monomial off the diagonal, and the exact
-    quadratic A^2 = (n - fc - 2) A + (n-1) I + c G (J - I); then each
-    nontrivial character evaluation must be an ETF signature matrix."""
-    if a.rows != n or a.cols != n:
-        raise ValueError(f"expected {n}x{n}, got {a.rows}x{a.cols}")
-    if a.group.order != f:
-        raise ValueError(f"group order {a.group.order} != f = {f}")
+def verify_drackn(a: np.ndarray, group: AbelianGroup, c: int) -> VerificationReport:
+    """A = Phi* Phi - r I as an (n, n, f) integer array of group-ring
+    coefficients: self-adjoint, hollow, monomial off the diagonal, and the
+    exact quadratic A^2 = (n - fc - 2) A + (n-1) I + c G (J - I); then each
+    nontrivial character evaluation must be an ETF signature matrix.  A is
+    read in bounded row spans.  A^2 is counted from the exponent table D of
+    A's monomial off-diagonal cells: each span takes the sums D_ik + D_kj
+    from one add table and counts them with one bincount.  That is A^2
+    wherever A is hollow and monomial off its diagonal; elsewhere only that
+    part is counted, and the report already fails."""
+    a = np.asarray(a)
+    n, f = a.shape[0] if a.ndim else 0, group.order
+    if a.shape != (n, n, f):
+        raise ValueError(f"expected an (n, n, {f}) array, got shape {a.shape}")
     rep = VerificationReport(subject=f"({n},{f},{c})-DRACKN")
-    adj = a.adjoint()
-    rep.add("self-adjoint", a == adj, witness=a.first_difference(adj))
-    diag = a.coeffs[np.arange(n), np.arange(n)]
+    spans = list(row_spans(np.full(n, n * f), SPAN_CELLS // 16))
+    # D holds the exponent of each monomial off-diagonal cell of A; every
+    # other cell is a hole, coded as f
+    d = np.full((n, n), f, dtype=np.intp)
+    adjoint_bad = monomial_bad = None
+    for r0, r1 in spans:
+        span, off = a[r0:r1], np.arange(n) != np.arange(r0, r1)[:, None]
+        # row i of A* is column i of A under the involution
+        bad = (span != a[:, r0:r1, group.neg_index].transpose(1, 0, 2)).any(axis=2)
+        if adjoint_bad is None and (hit := _first_bad(bad)):
+            adjoint_bad = (r0 + hit[0], hit[1])
+        nonzero = span != 0
+        monomial = (np.sum(span == 1, axis=2) == 1) & (np.sum(nonzero, axis=2) == 1) & off
+        if monomial_bad is None and (hit := _first_bad(~monomial & off)):
+            monomial_bad = (r0 + hit[0], hit[1])
+        np.copyto(d[r0:r1], nonzero.argmax(axis=2), where=monomial)
+    rep.add("self-adjoint", adjoint_bad is None, witness=adjoint_bad)
+    diag = a[np.arange(n), np.arange(n)]
     rep.add("zero-diagonal", bool(np.all(diag == 0)), witness=_first_bad(diag.any(axis=1)))
-    ones = np.sum(a.coeffs == 1, axis=2)
-    nonz = np.sum(a.coeffs != 0, axis=2)
-    off = ~np.eye(n, dtype=bool)
-    monomial = (ones == 1) & (nonz == 1)
-    rep.add("monomial-off-diagonal", bool(np.all(monomial[off])),
-            witness=_first_bad(~monomial & off))
+    rep.add("monomial-off-diagonal", monomial_bad is None, witness=monomial_bad)
     delta = n - f * c - 2
-    lhs = a @ a
-    rhs = (
-        delta * a
-        + GroupRingMatrix.from_scalar(a.group, (n - 1) * np.eye(n, dtype=np.int64))
-        + GroupRingMatrix.all_geometric(
-            a.group, c * (np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64))
-        )
-    )
-    diff = lhs.first_difference(rhs)
+    # the group's add table plus a hole row and column that send any hole
+    # to slot f, which is dropped.  Span row i reads add[D_ik, D_kj] from
+    # add[D[span]] at flat index (i n + k)(f + 1) + D_kj, laid out (i, j, k)
+    # and counted into slots (i n + j)(f + 1) + h
+    add = np.full((f + 1, f + 1), f, dtype=np.intp)
+    add[:f, :f] = group.add_index
+    rows = max(1, SPAN_CELLS // 16 // (n * n))
+    index = (f + 1) * (n * np.arange(rows)[:, None, None] + np.arange(n)) + d.T
+    slot = (f + 1) * np.arange(rows * n).reshape(rows, n, 1)
+    diff = None
+    for r0 in range(0, n, rows):
+        m = min(rows, n - r0)
+        # a self-adjoint A has a self-adjoint A^2 - (the right side), whose
+        # row-major first offence lies on or right of the diagonal, so its
+        # spans count the columns from the first row's diagonal on
+        j0 = r0 if adjoint_bad is None else 0
+        g = add[d[r0:r0 + m]].take(index[:m, j0:])
+        g += slot[:m, j0:]
+        counts = np.bincount(g.ravel(), minlength=m * n * (f + 1)).reshape(m, n, f + 1)
+        lhs = counts[:, j0:, :f]
+        lhs -= delta * a[r0:r0 + m, j0:] + c
+        i = np.arange(m)
+        lhs[i, r0 - j0 + i] += c - (n - 1) * (np.arange(f) == 0)
+        if lhs.any():
+            i, j = _first_bad(lhs.any(axis=2))
+            diff = (r0 + i, j0 + j)
+            break
     rep.add("quadratic", diff is None, witness=diff, info=f"delta={delta}")
     eye = np.eye(n)
-    for gamma in characters_of(a.group):
+    off = ~np.eye(n, dtype=bool)
+    sig = np.empty((n, n), dtype=np.complex128)
+    for gamma in characters_of(group):
         if gamma.is_trivial:
             continue
-        sig = a.evaluate(gamma)
+        for r0, r1 in spans:
+            sig[r0:r1] = np.tensordot(a[r0:r1], gamma.values, axes=([2], [0]))
         name = f"signature@{gamma.exponents}"
         res = max(
             float(np.max(np.abs(sig - sig.conj().T))),
@@ -528,8 +575,8 @@ def verify_drackn(a: GroupRingMatrix, n: int, f: int, c: int) -> VerificationRep
             float(np.max(np.abs(np.abs(sig[off]) - 1))),
             float(np.max(np.abs(sig @ sig - delta * sig - (n - 1) * eye))),
         )
-        d = n / 2 * (1 - delta / math.sqrt(delta * delta + 4 * (n - 1)))
-        rep.add(name, res <= NUMERIC_TOL, residual=res, info=f"d={d:.6g}")
+        dim = n / 2 * (1 - delta / math.sqrt(delta * delta + 4 * (n - 1)))
+        rep.add(name, res <= NUMERIC_TOL, residual=res, info=f"d={dim:.6g}")
     return rep
 
 

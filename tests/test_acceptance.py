@@ -21,7 +21,6 @@ from etfforge.construct import (
     simplex_phased,
 )
 from etfforge.groupring import characters_of, real_character
-from etfforge.polymat import GroupRingMatrix
 from etfforge.verify import (
     Design,
     RANK_REL_TOL,
@@ -33,6 +32,8 @@ from etfforge.verify import (
     verify_polyphase_combinatorial,
     verify_srg_collinearity,
 )
+
+from reference_ring import GroupRingMatrix, adjoint, to_group_ring
 
 TOL = 1e-9
 
@@ -103,7 +104,7 @@ EXPECTED_GRAM_EXPONENTS = [
 
 def test_criterion_3_example_reproduction():
     m = example_9_3_3()
-    gram = m.adjoint() @ m.to_group_ring()
+    gram = adjoint(m) @ to_group_ring(m)
     want = np.zeros((9, 9, 3), dtype=np.int64)
     for i in range(9):
         for j in range(9):
@@ -112,6 +113,7 @@ def test_criterion_3_example_reproduction():
             else:
                 want[i, j, EXPECTED_GRAM_EXPONENTS[i][j]] = 1
     assert gram == GroupRingMatrix(m.group, want)
+    assert np.array_equal(m.gram(), want)
     assert verify_polyphase_algebraic(Design(m)).passed
     assert verify_polyphase_combinatorial(Design(m)).passed
     _line(3, "printed 9x9 Gram reproduced entrywise; 12x9 identity exact")
@@ -122,7 +124,7 @@ def test_criterion_4_drackn():
         m = builder()
         a, params = Design(m).drackn
         assert (params.n, params.f, params.c) == want
-        rep = verify_drackn(a, *want)
+        rep = verify_drackn(a, m.group, params.c)
         assert rep.passed, rep.as_text()
         x = m.modulus_squared()
         k = int(x.sum(axis=1)[0])

@@ -281,8 +281,36 @@ def test_verify_reports_design_with_fractional_block_count(tmp_path, capsys):
     text = "POLYPHASE rows=2 cols=5 group=Z3\n0 0 0 . .\n. . 0 0 0\n"
     code, out, err = _verify_text(tmp_path, capsys, text)
     assert code == 1 and err == ""
-    assert "FAIL (5,3,1)-DRACKN" in out and "FAIL GQ(2,2) axioms" in out
+    assert "SKIP drackn (needs a BIBD: col-sums fails)" in out and "FAIL GQ(2,2) axioms" in out
     assert out.rstrip().endswith("overall: FAIL")
+
+
+def test_verify_skips_drackn_without_a_bibd(tmp_path, capsys, monkeypatch):
+    # one row holding two cells parses as v = 2000, k = 2 over Z2, so
+    # c = k(r-1)/f = 1998 is integral; but A = Phi* Phi - rI would take
+    # v x v x f cells, and without a BIBD nothing bounds that, so the Gram
+    # is never built
+    builds = []
+
+    def gram(self):
+        builds.append(self)
+        return self.m.gram()
+
+    stub = functools.cached_property(gram)
+    stub.__set_name__(cli.V.Design, "gram")
+    monkeypatch.setattr(cli.V.Design, "gram", stub)
+    row = " ".join(["0", "0"] + ["."] * 1998)
+    code, out, err = _verify_text(tmp_path, capsys, f"POLYPHASE rows=1 cols=2000 group=Z2\n{row}\n",
+                                  "--checks", "drackn")
+    assert (code, err) == (1, "")
+    reason = "needs a BIBD: col-sums fails"
+    assert out == f"FAIL DRACKN\n  FAIL applicable witness=() [{reason}]\noverall: FAIL\n"
+    # unnamed, it is a SKIP line; 20 columns keep the etf check small
+    row = " ".join(["0", "0"] + ["."] * 18)
+    code, out, err = _verify_text(tmp_path, capsys, f"POLYPHASE rows=1 cols=20 group=Z2\n{row}\n")
+    assert (code, err) == (1, "")
+    assert out.startswith(f"SKIP drackn ({reason})\n") and "DRACKN" not in out
+    assert builds == []
 
 
 def test_verify_reports_block_size_one_and_zero_column(tmp_path, capsys):

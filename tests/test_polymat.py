@@ -13,9 +13,8 @@ from etfforge.construct import (
     simplex_phased,
 )
 from etfforge import polymat
-from etfforge.groupring import AbelianGroup, GroupRingElement, characters_of
+from etfforge.groupring import AbelianGroup, characters_of
 from etfforge.polymat import (
-    GroupRingMatrix,
     PolyphaseMatrix,
     format_complex_csv,
     format_incidence,
@@ -24,6 +23,7 @@ from etfforge.polymat import (
     parse_polyphase,
     require_float_exact,
 )
+from reference_ring import GroupRingElement, GroupRingMatrix, adjoint, to_group_ring
 
 GROUPS = [AbelianGroup([2]), AbelianGroup([4]), AbelianGroup([2, 3]), AbelianGroup([3, 3])]
 
@@ -359,7 +359,7 @@ def test_evaluate_commutes_with_matmul(group):
     rng = np.random.default_rng(2)
     a = _random_polyphase(group, 4, 6, rng)
     b = _random_grm(group, 6, 5, rng)
-    prod = a @ b
+    prod = to_group_ring(a) @ b
     for gamma in characters_of(group):
         lhs = prod.evaluate(gamma)
         rhs = a.evaluate(gamma) @ b.evaluate(gamma)
@@ -370,9 +370,9 @@ def test_evaluate_commutes_with_matmul(group):
 def test_adjoint(group):
     rng = np.random.default_rng(3)
     a = _random_polyphase(group, 4, 6, rng)
-    adj = a.adjoint()
+    adj = adjoint(a)
     assert (adj.rows, adj.cols) == (6, 4)
-    assert adj.adjoint() == a.to_group_ring()
+    assert adj.adjoint() == to_group_ring(a)
     for gamma in characters_of(group):
         assert np.max(np.abs(adj.evaluate(gamma) - a.evaluate(gamma).conj().T)) < 1e-12
     gram = adj @ a
@@ -411,22 +411,30 @@ def test_gram_matches_adjoint_product_on_ragged_rows(group):
     rng = np.random.default_rng(8)
     for rows, cols in ((5, 4), (1, 3), (3, 1)):
         m = _random_polyphase(group, rows, cols, rng)
-        assert m.gram() == m.adjoint() @ m
+        gram = m.gram()
+        assert gram.dtype == np.int64
+        assert np.array_equal(gram, (adjoint(m) @ m).coeffs)
     empty = PolyphaseMatrix(group, np.zeros((2, 3), bool), np.zeros((2, 3), int))
-    assert empty.gram() == GroupRingMatrix(group, np.zeros((3, 3, group.order)))
+    assert np.array_equal(empty.gram(), np.zeros((3, 3, group.order)))
 
 
-def test_matmul_refuses_inexact_float_products():
-    group = AbelianGroup([2])
-    big = GroupRingMatrix(group, np.full((1, 2, 2), 2**26))
+def test_require_float_exact_at_the_2_53_boundary():
+    # the guard behind verify_bibd's pair counts and the SRG quadratic:
+    # inner x max|a| x max|b| bounds every partial sum, and must stay below 2^53
+    for inner, a_max, b_max in ((2**53, 1, 1), (2, 2**26, 2**26), (1, 2**27, 2**26)):
+        with pytest.raises(ValueError, match="2\\^53"):
+            require_float_exact(inner, a_max, b_max)
+    for inner, a_max, b_max in ((2**53 - 1, 1, 1), (1, 2**26 + 1, 2**26 - 1), (2**60, 0, 1)):
+        require_float_exact(inner, a_max, b_max)
+    # one step below the bound the float product is still exact ...
+    a = np.array([[2.0**26 + 1]])
+    b = np.array([[2.0**26 - 1]])
+    assert int((a @ b)[0, 0]) == 2**52 - 1
+    # ... and at it a sum can round: 2^52 + (2^52 + 1) comes out even
+    x = np.array([[2.0**52, 2.0**52 + 1]])
+    assert int((x @ np.ones((2, 1)))[0, 0]) != 2**53 + 1
     with pytest.raises(ValueError, match="2\\^53"):
-        big @ big.adjoint()  # inner 2 x 2^26 x 2^26 = 2^53
-    with pytest.raises(ValueError, match="2\\^53"):
-        require_float_exact(2**53, 1, 1)
-    # one step below the bound the float product is still exact
-    a = GroupRingMatrix(group, [[[2**26 + 1, 0]]])
-    b = GroupRingMatrix(group, [[[2**26 - 1, 0]]])
-    assert (a @ b).coeffs[0, 0, 0] == 2**52 - 1
+        require_float_exact(2, 2**52 + 1, 1)
 
 
 def test_evaluate_at_trivial_is_incidence():
@@ -445,7 +453,7 @@ def test_filter_bank_lift_blocks(group):
     # the GQ lift needs a first row of weight f; the other rows keep random weights
     m.support[0] = np.isin(np.arange(m.cols), rng.permutation(m.cols)[:f])
     lifted = gq_from_polyphase(m)[m.cols:]
-    assert np.array_equal(lifted, _blockwise_lift(m.to_group_ring()))
+    assert np.array_equal(lifted, _blockwise_lift(to_group_ring(m)))
     # nonzero blocks are permutation matrices
     for i, j in zip(*np.nonzero(m.support)):
         blk = lifted[i * f : (i + 1) * f, j * f : (j + 1) * f]

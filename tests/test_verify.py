@@ -12,8 +12,8 @@ from etfforge.construct import (
     simplex_phased,
 )
 from etfforge import verify as verify_module
-from etfforge.groupring import characters_of, real_character
-from etfforge.polymat import GroupRingMatrix, PolyphaseMatrix
+from etfforge.groupring import AbelianGroup, characters_of, real_character
+from etfforge.polymat import PolyphaseMatrix
 from etfforge.verify import (
     Design,
     ScreenRow,
@@ -26,6 +26,7 @@ from etfforge.verify import (
     verify_polyphase_combinatorial,
     verify_srg_collinearity,
 )
+from reference_ring import GroupRingMatrix, adjoint, to_group_ring
 
 FANO = np.array(
     [
@@ -155,8 +156,8 @@ def _reference_triple_identity(m):
     x = m.modulus_squared()
     k = int(x.sum(axis=1)[0])
     r = (m.cols - 1) // (k - 1)
-    grm = m.to_group_ring()
-    lhs = grm @ (m.adjoint() @ grm)
+    grm = to_group_ring(m)
+    lhs = grm @ (adjoint(m) @ grm)
     rhs = (r + k - 1) * grm + GroupRingMatrix.all_geometric(
         m.group, (k // m.group.order) * (1 - x)
     )
@@ -271,7 +272,7 @@ def test_algebraic_matches_dense_reference_on_int16_grams():
         cases += [_change_exponent(m, seed) for seed in range(4)]
         for n, case in enumerate(cases):
             d = Design(case)
-            assert d.k * int(d.gram.coeffs.max()) + d.r + d.k > 127
+            assert d.k * int(d.gram.max()) + d.r + d.k > 127
             rep = verify_polyphase_algebraic(d)
             *frame, last = [(c.name, c.passed, c.witness, c.info) for c in rep.checks]
             assert all(passed for _, passed, _, _ in frame), rep.as_text()
@@ -284,7 +285,7 @@ def test_algebraic_matches_dense_reference_on_int16_grams():
 def test_gram_matches_adjoint_product(families):
     for m in _algebraic_fixtures(families):
         for case in (m, _change_exponent(m, 0)):
-            assert case.gram() == case.adjoint() @ case.to_group_ring()
+            assert np.array_equal(case.gram(), (adjoint(case) @ to_group_ring(case)).coeffs)
 
 
 def test_exact_and_numeric_routes_agree(families):
@@ -587,27 +588,204 @@ def test_drackn_families(families):
     for name, want in [("example933", (9, 3, 3, -2)), ("brouwer3", (28, 4, 8, -6))]:
         a, params = Design(families[name]).drackn
         assert (params.n, params.f, params.c, params.delta) == want
-        rep = verify_drackn(a, params.n, params.f, params.c)
+        assert a.shape == (params.n, params.n, params.f) and a.dtype == np.int64
+        rep = verify_drackn(a, families[name].group, params.c)
         assert rep.passed, rep.as_text()
         sigs = [c for c in rep.checks if c.name.startswith("signature@")]
         assert len(sigs) == params.f - 1
 
 
 def test_drackn_shape_guards(families):
-    a, params = Design(families["example933"]).drackn
-    with pytest.raises(ValueError):
-        verify_drackn(a, params.n + 1, params.f, params.c)
-    with pytest.raises(ValueError):
-        verify_drackn(a, params.n, params.f + 1, params.c)
+    m = families["example933"]
+    a, params = Design(m).drackn
+    for bad, group in ((a[:-1], m.group), (a[:, :-1], m.group), (a[0], m.group),
+                       (a, AbelianGroup([params.f + 1])), (a[:, :, :2], m.group)):
+        with pytest.raises(ValueError, match="expected an"):
+            verify_drackn(bad, group, params.c)
 
 
 def test_drackn_catches_tampering(families):
-    a, params = Design(families["example933"]).drackn
-    a.coeffs[0, 1, :] = 0
-    a.coeffs[0, 1, 0] = 2
-    rep = verify_drackn(a, params.n, params.f, params.c)
+    m = families["example933"]
+    a, params = Design(m).drackn
+    a[0, 1, :] = 0
+    a[0, 1, 0] = 2
+    rep = verify_drackn(a, m.group, params.c)
     bad = {c.name for c in rep.checks if not c.passed}
     assert "monomial-off-diagonal" in bad and "self-adjoint" in bad
+
+
+def _drackn_right_side(a, group, c):
+    """delta A + (n-1) I + c G (J - I) as a dense GroupRingMatrix."""
+    n = len(a)
+    eye = np.eye(n, dtype=np.int64)
+    return ((n - group.order * c - 2) * GroupRingMatrix(group, a)
+            + GroupRingMatrix.from_scalar(group, (n - 1) * eye)
+            + GroupRingMatrix.all_geometric(group, c * (1 - eye)))
+
+
+def _monomial_off_diagonal(a):
+    n = len(a)
+    return (np.sum(a == 1, axis=2) == 1) & (np.sum(a != 0, axis=2) == 1) & ~np.eye(n, dtype=bool)
+
+
+def _reference_drackn(a, group, c):
+    """The DRACKN report recomputed densely, as (name, passed, witness,
+    residual, info): A^2 as one GroupRingMatrix product, each signature
+    from one tensordot of the whole array."""
+    n, f = len(a), group.order
+    m = GroupRingMatrix(group, a)
+    adj = m.adjoint()
+    out = [("self-adjoint", m == adj, m.first_difference(adj), None, "")]
+    bad = np.flatnonzero(a[np.arange(n), np.arange(n)].any(axis=1))
+    out.append(("zero-diagonal", len(bad) == 0, (int(bad[0]),) if len(bad) else None, None, ""))
+    bad = np.argwhere(~_monomial_off_diagonal(a) & ~np.eye(n, dtype=bool))
+    out.append(("monomial-off-diagonal", len(bad) == 0,
+                tuple(int(x) for x in bad[0]) if len(bad) else None, None, ""))
+    delta = n - f * c - 2
+    diff = (m @ m).first_difference(_drackn_right_side(a, group, c))
+    out.append(("quadratic", diff is None, diff, None, f"delta={delta}"))
+    off, eye = ~np.eye(n, dtype=bool), np.eye(n)
+    dim = n / 2 * (1 - delta / math.sqrt(delta * delta + 4 * (n - 1)))
+    for gamma in characters_of(group)[1:]:
+        sig = np.tensordot(a, gamma.values, axes=([2], [0]))
+        res = max(
+            float(np.max(np.abs(sig - sig.conj().T))),
+            float(np.max(np.abs(np.diagonal(sig)))),
+            float(np.max(np.abs(np.abs(sig[off]) - 1))),
+            float(np.max(np.abs(sig @ sig - delta * sig - (n - 1) * eye))),
+        )
+        out.append((f"signature@{gamma.exponents}", res <= 1e-9, None, res, f"d={dim:.6g}"))
+    return out
+
+
+def _check_drackn_against_reference(a, group, c, monkeypatch):
+    """verify_drackn against the dense reference, with the default spans,
+    one row per span and an uneven split.  Pass/fail, residuals and every
+    witness but the quadratic's match the dense report.  The quadratic's
+    witness is that of A's monomial off-diagonal part squared, against
+    the right side of A itself, which is the dense one wherever A is
+    hollow and monomial off its diagonal.  Returns the quadratic's witness."""
+    n = len(a)
+    want = _reference_drackn(a, group, c)
+    counted = want[3][2]
+    masked = a * _monomial_off_diagonal(a)[:, :, None]
+    if not np.array_equal(masked, a):
+        m = GroupRingMatrix(group, masked)
+        counted = (m @ m).first_difference(_drackn_right_side(a, group, c))
+    uneven = next(s for s in range(2, n + 2) if n % s)
+    for cells in (verify_module.SPAN_CELLS, 1, 16 * uneven * n * n):
+        monkeypatch.setattr(verify_module, "SPAN_CELLS", cells)
+        rep = verify_drackn(a, group, c)
+        got = [(ch.name, ch.passed, ch.witness, ch.residual, ch.info) for ch in rep.checks]
+        assert [g[:2] for g in got] == [w[:2] for w in want], (cells, rep.as_text())
+        for (name, _, witness, residual, info), w in zip(got, want):
+            assert info == w[4], name
+            assert witness == (counted if name == "quadratic" else w[2]), (name, cells)
+            if residual is not None:
+                # a monomial A evaluates to exact roots of unity, so only a
+                # malformed one can round differently from the dense route
+                assert residual == pytest.approx(w[3], rel=1e-12, abs=1e-12), name
+    monkeypatch.undo()
+    return counted
+
+
+def test_drackn_matches_dense_reference_on_golden_designs(monkeypatch):
+    for m in _golden_designs():
+        a, params = Design(m).drackn
+        assert _check_drackn_against_reference(a, m.group, params.c, monkeypatch) is None
+        assert verify_drackn(a, m.group, params.c).passed
+
+
+def _random_monomial(group, n, rng, self_adjoint):
+    """A hollow (n, n, f) array, monomial off its diagonal."""
+    f = group.order
+    d = rng.integers(0, f, size=(n, n))
+    if self_adjoint:
+        lower = np.tril(np.ones((n, n), dtype=bool), -1)
+        d[lower] = group.neg_index[d.T[lower]]
+    a = np.zeros((n, n, f), dtype=np.int64)
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    a[i, j, d[i, j]] = 1
+    return a
+
+
+@pytest.mark.parametrize("factors", [(3,), (2, 2), (4,), (12, 5)], ids=str)
+def test_drackn_matches_dense_reference_on_random_monomial_arrays(factors, monkeypatch):
+    group = AbelianGroup(factors)
+    rng = np.random.default_rng(sum(factors))
+    for n in (2, 5, 11):
+        for self_adjoint in (True, False):
+            a = _random_monomial(group, n, rng, self_adjoint)
+            for c in (0, int(rng.integers(1, 6))):
+                _check_drackn_against_reference(a, group, c, monkeypatch)
+
+
+def test_drackn_finds_an_offence_left_of_the_diagonal(monkeypatch):
+    # this A is not self-adjoint, so no span may skip the columns left of
+    # its rows: row 0 meets its target, and row 1 first misses it at column 0
+    group = AbelianGroup([2])
+    a = np.zeros((4, 4, 2), dtype=np.int64)
+    a[:, :, 0] = 1 - np.eye(4, dtype=np.int64)
+    for i, j in ((2, 3), (3, 1), (3, 2)):
+        a[i, j] = (0, 1)
+    assert _check_drackn_against_reference(a, group, 1, monkeypatch) == (1, 0)
+
+
+def _tampered(a, group, rng):
+    """Seeded edits of a DRACKN: diagonal, non-monomial and monomial cells,
+    each with or without the mirror cell that keeps A self-adjoint."""
+    n, f = a.shape[0], group.order
+    out = []
+    for seed in range(10):
+        b = a.copy()
+        i = int(rng.integers(n // 2, n))
+        j = int((i + rng.integers(1, n)) % n)
+        g = int(rng.integers(f))
+        kind = seed % 5
+        if kind == 0:  # a diagonal cell: the count is untouched, so the offence is (i, i)
+            b[i, i, 0] += 1
+        elif kind == 1:  # twice a group element
+            b[i, j] = 0
+            b[i, j, g] = 2
+        elif kind == 2:  # a binomial, mirrored
+            b[i, j, g] += 1
+            b[j, i, group.neg_index[g]] += 1
+        elif kind == 3:  # another monomial, mirrored
+            b[i, j] = b[j, i] = 0
+            b[i, j, g] = b[j, i, group.neg_index[g]] = 1
+        else:  # another monomial, not mirrored
+            b[i, j] = 0
+            b[i, j, g] = 1
+        out.append(b)
+    return out
+
+
+def test_drackn_matches_dense_reference_on_tampered_arrays(families, monkeypatch):
+    rng = np.random.default_rng(2016)
+    late = moved = 0
+    for name in ("example933", "affine3", "affine4", "brouwer2", "brouwer3", "simplex5"):
+        m = families[name]
+        a, params = Design(m).drackn
+        for b in _tampered(a, m.group, rng):
+            counted = _check_drackn_against_reference(b, m.group, params.c, monkeypatch)
+            dense = _reference_drackn(b, m.group, params.c)[3][2]
+            late += counted is not None and counted[0] > 0
+            moved += counted != dense
+    # diagonal edits put the offence in late rows, past clean spans, and
+    # only there does the count's witness leave the dense one
+    assert late >= 10 and moved >= 10
+
+
+def test_drackn_support_swap_moves_only_the_quadratic_witness(monkeypatch):
+    # affine q=3 with row 1's cell at column 1 moved to column 0 is no BIBD,
+    # so A is neither hollow nor monomial off its diagonal.  The dense A^2
+    # first misses its target at (0, 0), the count of A's monomial
+    # off-diagonal part at (0, 1); every other line is the dense report's
+    m = affine_polyphase(3)
+    swapped = m.replaced(1, 1, None).replaced(1, 0, m.entry(1, 1))
+    a, params = Design(swapped).drackn
+    assert _check_drackn_against_reference(a, m.group, params.c, monkeypatch) == (0, 1)
+    assert _reference_drackn(a, m.group, params.c)[3][:3] == ("quadratic", False, (0, 0))
 
 
 def test_screen_rows_for_smallest_block_sizes():
