@@ -24,11 +24,9 @@ from .polymat import (
 )
 from .construct import (
     BibdParams,
-    BrouwerGeometry,
     DracknParams,
     GqParams,
     affine_polyphase,
-    brouwer_geometry,
     brouwer_polyphase,
     example_9_3_3,
     gq_from_polyphase,
@@ -57,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AbelianGroup",
     "BibdParams",
-    "BrouwerGeometry",
     "Character",
     "CheckResult",
     "Design",
@@ -69,7 +66,6 @@ __all__ = [
     "ScreenRow",
     "VerificationReport",
     "affine_polyphase",
-    "brouwer_geometry",
     "brouwer_polyphase",
     "characters_of",
     "example_9_3_3",

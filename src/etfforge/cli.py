@@ -96,8 +96,8 @@ def _build_family(args) -> tuple[str, PolyphaseMatrix]:
 
 
 def _manifest(name: str, family: str, m: PolyphaseMatrix, args) -> dict:
-    params = BibdParams.from_vk(m.cols, int(m.support[0].sum()))
     f = m.group.order
+    params = BibdParams.from_vk(m.cols, int(np.count_nonzero(m.codes[0] != f)))
     d = params.etf_dimension
     man = {
         "name": name,

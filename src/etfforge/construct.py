@@ -8,17 +8,17 @@ Conventions shared by everything below:
   designated generator alpha;
 * group elements are indexed mixed-radix row-major;
 * projective points are canonical representatives scaled so the first
-  nonzero coordinate is 1, written as int16 rows (tuples in
-  brouwer_geometry) of element encodings;
+  nonzero coordinate is 1, written as int16 rows of element encodings;
 * whenever a deterministic choice is needed (orbit representatives,
   the auxiliary vector that threads the blocks through an isotropic
   point), ties break lexicographically on coordinate encodings.
 
-The constructions are array programs.  affine_polyphase and
+The constructions are array programs that fill one int16 array of
+PolyphaseMatrix cell codes, f for a zero.  affine_polyphase and
 simplex_phased refuse a b x v matrix over MAX_DENSE_CELLS before they
 allocate anything.  brouwer_polyphase threads all ovoid points in one
 search over z2, which is free because an ovoid point always has y3 or
-y4 nonzero, and forms its support in row spans of WRITE_SPAN_CELLS.
+y4 nonzero, and fills its cells in row spans of WRITE_SPAN_CELLS.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf import MAX_FIELD_ORDER, FiniteField, field_create, prime_power_split
+from .gf import MAX_FIELD_ORDER, field_create, prime_power_split
 from .groupring import AbelianGroup
 from .polymat import (
     MAX_DENSE_CELLS,
@@ -115,11 +115,10 @@ def simplex_phased(v: int) -> PolyphaseMatrix:
     group = AbelianGroup([2])
     a, b = np.triu_indices(v, 1)
     pair = np.arange(len(a))
-    support = np.zeros((len(a), v), dtype=bool)
-    exps = np.zeros((len(a), v), dtype=np.intp)
-    support[pair, a] = support[pair, b] = True
-    exps[pair, b] = 1
-    return PolyphaseMatrix(group, support, exps)
+    codes = np.full((len(a), v), 2, dtype=np.int16)
+    codes[pair, a] = 0
+    codes[pair, b] = 1
+    return PolyphaseMatrix(group, codes)
 
 
 _EXAMPLE_9_3_3 = """POLYPHASE rows=12 cols=9 group=Z3
@@ -171,12 +170,11 @@ def affine_polyphase(q: int) -> PolyphaseMatrix:
     rows = i_idx * q + pos[x]
     cols = j_idx * q + y_idx
     b, v = (q + 1) * q, q * q
-    support = np.zeros((b, v), dtype=bool)
-    exps = np.zeros((b, v), dtype=np.intp)
-    support[rows, cols] = True
-    exps[rows, cols] = group_index[fld.mul[j, fld.add[x, y]]]
-    support[q * q :] = np.repeat(np.eye(q, dtype=bool), q, axis=1)
-    return PolyphaseMatrix(group, support, exps)
+    codes = np.full((b, v), q, dtype=np.int16)
+    codes[rows, cols] = group_index[fld.mul[j, fld.add[x, y]]]
+    # infinity row x meets the q columns of intercept j = x, unphased
+    codes[q * q + np.arange(v) // q, np.arange(v)] = 0
+    return PolyphaseMatrix(group, codes)
 
 
 BROUWER_SIZE_GUARD = 7
@@ -220,54 +218,9 @@ class _HermitianForm:
         return acc
 
 
-@dataclass(frozen=True)
-class Block:
-    """A block of the quadratic-form geometry: a totally isotropic plane,
-    tagged with the closed-form parameters that produced it."""
-
-    kind: str  # "ab" or "a"
-    params: tuple
-    ovoid_vertex: tuple
-    members: tuple
-
-    def __contains__(self, vertex) -> bool:
-        return tuple(vertex) in self.members
-
-
-@dataclass
-class BrouwerGeometry:
-    q: int
-    field: FiniteField
-    vertices: list
-    ovoid: list
-    orbit_reps: list
-    blocks: list
-
-
 def _points(*coords) -> np.ndarray:
     """Stack broadcast coordinate arrays (or scalars) along a new last axis."""
     return np.stack(np.broadcast_arrays(*coords), axis=-1, dtype=np.int16)
-
-
-def _tuples(points: np.ndarray) -> list:
-    """Rows of a 2-d array as tuples of Python ints."""
-    return list(zip(*points.T.tolist()))
-
-
-def _blocks(kind: str, params: np.ndarray, ovoid_vertex: np.ndarray, x2, x3, x4) -> list:
-    """Blocks from per-block table rows: the closed-form parameters, the
-    ovoid vertex, and the last three coordinates of the n members with
-    leading coordinate 1, listed in ascending order."""
-    finite = _points(1, x2, x3, x4)
-    return [
-        Block(
-            kind=kind,
-            params=tuple(par),
-            ovoid_vertex=tuple(ov),
-            members=(tuple(ov),) + tuple(_tuples(fin)),
-        )
-        for par, ov, fin in zip(params.tolist(), ovoid_vertex.tolist(), finite)
-    ]
 
 
 def _isotropic_points(t: _HermitianForm) -> tuple[np.ndarray, np.ndarray]:
@@ -302,57 +255,6 @@ def _orbit_reps(t: _HermitianForm, finite: np.ndarray) -> np.ndarray:
     if np.any(sizes != t.q + 1):
         raise AssertionError("orbit collapsed; the action should be free")
     return _points(1, rep_keys // (n * n) % n, rep_keys // n % n, rep_keys % n)
-
-
-def brouwer_geometry(q: int) -> BrouwerGeometry:
-    """Isotropic points and totally isotropic planes of the hermitian-type
-    form sum x_l^(q+1) on GF(q^2)^4, with the norm-one group action, as
-    tuples and Block objects (brouwer_polyphase needs neither).
-
-    Blocks come from the two closed forms
-    span{(1,0,a,b), (0,1,-B^j b^q, B^j a^q)} with N(a)+N(b) = -1 and
-    span{(1,a,0,0), (0,0,1,B^j a)} with N(a) = -1, where B has order q+1.
-    """
-    t = _HermitianForm(q)
-    add, mul, neg = t.field.add, t.field.mul, t.field.neg
-    norm, beta_pows = t.norm, t.beta_pows
-    minus_one = neg[1]
-    finite, ovoid = _isotropic_points(t)
-    orbit_reps = _orbit_reps(t, finite)
-
-    d = np.arange(t.field.order)
-    # N(a) + N(b) = -1, then every j
-    a, b = np.nonzero(add[norm[:, None], norm] == minus_one)
-    j = np.tile(np.arange(q + 1), len(a))
-    a, b = np.repeat(a, q + 1), np.repeat(b, q + 1)
-    w3 = neg[mul[beta_pows[j], t.frob[b]]]
-    w4 = mul[beta_pows[j], t.frob[a]]
-    blocks = _blocks(
-        "ab",
-        np.stack([a, b, j], axis=1),
-        _points(0, 1, w3, w4),
-        d,
-        add[a[:, None], mul[d, w3[:, None]]],
-        add[b[:, None], mul[d, w4[:, None]]],
-    )
-    # N(a) = -1, then every j
-    (a,) = np.nonzero(norm == minus_one)
-    j = np.tile(np.arange(q + 1), len(a))
-    a = np.repeat(a, q + 1)
-    w4 = mul[beta_pows[j], a]
-    blocks += _blocks(
-        "a", np.stack([a, j], axis=1), _points(0, 0, 1, w4), a[:, None], d, mul[d, w4[:, None]]
-    )
-
-    ovoid = _tuples(ovoid)
-    return BrouwerGeometry(
-        q=q,
-        field=t.field,
-        vertices=_tuples(finite) + ovoid,
-        ovoid=ovoid,
-        orbit_reps=_tuples(orbit_reps),
-        blocks=blocks,
-    )
 
 
 def _threading_vectors(t: _HermitianForm, cols: np.ndarray) -> np.ndarray:
@@ -404,17 +306,16 @@ def brouwer_polyphase(q: int) -> PolyphaseMatrix:
     finite, ovoid = _isotropic_points(t)
     rows = _orbit_reps(t, finite)
     cols = ovoid[np.lexsort(ovoid.T[::-1])]
-    support = np.empty((len(rows), len(cols)), dtype=bool)
-    for r0, r1 in row_spans(np.full(len(rows), len(cols)), WRITE_SPAN_CELLS):
-        support[r0:r1] = t.dot(rows[r0:r1, None, :], cols) == 0
-    r, c = np.nonzero(support)
     threading = _threading_vectors(t, cols)
-    g = t.beta_dlog[t.field.add[1, t.field.neg[t.dot(rows[r], threading[c])]]]  # 1 - x.z
-    if np.any(g < 0):
-        raise AssertionError("1 - x.z must have norm one when x is orthogonal to y")
-    exps = np.zeros(support.shape, dtype=np.intp)
-    exps[r, c] = g
-    return PolyphaseMatrix(AbelianGroup([q + 1]), support, exps)
+    codes = np.full((len(rows), len(cols)), q + 1, dtype=np.int16)
+    for r0, r1 in row_spans(np.full(len(rows), len(cols)), WRITE_SPAN_CELLS):
+        r, c = np.nonzero(t.dot(rows[r0:r1, None, :], cols) == 0)
+        r += r0
+        g = t.beta_dlog[t.field.add[1, t.field.neg[t.dot(rows[r], threading[c])]]]  # 1 - x.z
+        if np.any(g < 0):
+            raise AssertionError("1 - x.z must have norm one when x is orthogonal to y")
+        codes[r, c] = g
+    return PolyphaseMatrix(AbelianGroup([q + 1]), codes)
 
 
 def gq_cells(m: PolyphaseMatrix) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
@@ -424,15 +325,15 @@ def gq_cells(m: PolyphaseMatrix) -> tuple[tuple[int, int], np.ndarray, np.ndarra
     allocated unless f equals the first row's weight and the shape is
     within the dense cap."""
     f, v = m.group.order, m.cols
-    k = int(m.support[0].sum()) if m.rows else 0
+    k = int(np.count_nonzero(m.codes[0] != f)) if m.rows else 0
     if k != f:
         raise ValueError(f"group order {f} must equal block size {k}")
     shape = (v + m.rows * f, v * f)
     if refusal := dense_cap_refusal(*shape):
         raise ValueError(refusal)
-    ii, jj = np.nonzero(m.support)
+    ii, jj = np.nonzero(m.codes != f)
     b, points = np.arange(f), np.arange(v * f)
-    rows = v + ii[:, None] * f + m.group.add_index[m.exponents[ii, jj][:, None], b]
+    rows = v + ii[:, None] * f + m.group.add_index[m.codes[ii, jj][:, None], b]
     rows = np.concatenate((points // f, rows.ravel()))
     cols = np.concatenate((points, (jj[:, None] * f + b).ravel()))
     order = np.argsort(rows * shape[1] + cols, kind="stable")
@@ -468,8 +369,7 @@ def polyphase_from_gq(z, group: AbelianGroup) -> PolyphaseMatrix:
     if not np.array_equal(z[:v].reshape(v, v, f), spread):
         raise ValueError("leading rows are not the expected spread")
     blocks = z[v:].reshape(b, f, v, f).swapaxes(1, 2)
-    support = blocks.any((2, 3))
-    ii, jj = np.nonzero(support)
+    ii, jj = np.nonzero(blocks.any((2, 3)))
     nonzero = blocks[ii, jj]
     col0 = nonzero[:, :, 0] != 0
     exps = col0.argmax(axis=1)
@@ -481,9 +381,9 @@ def polyphase_from_gq(z, group: AbelianGroup) -> PolyphaseMatrix:
         raise ValueError(
             f"block ({ii[bad]}, {jj[bad]}) is neither zero nor a translation permutation"
         )
-    out = np.zeros((b, v), dtype=np.intp)
-    out[ii, jj] = exps
-    return PolyphaseMatrix(group, support, out)
+    codes = np.full((b, v), f, dtype=np.int16)
+    codes[ii, jj] = exps
+    return PolyphaseMatrix(group, codes)
 
 
 def phased_to_polyphase(phi: np.ndarray, p: int, tol: float = 1e-9) -> PolyphaseMatrix:
@@ -505,6 +405,7 @@ def phased_to_polyphase(phi: np.ndarray, p: int, tol: float = 1e-9) -> Polyphase
         raise ValueError(
             f"entry ({i}, {j}) = {phi[i, j]} is not a {p}-th root of unity within {tol}"
         )
-    exps = np.zeros(phi.shape, dtype=np.intp)
-    exps[support] = ell
-    return PolyphaseMatrix(AbelianGroup([p]), support, exps)
+    group = AbelianGroup([p])  # refuses p over the group cap, before the int16 fill
+    codes = np.full(phi.shape, p, dtype=np.int16)
+    codes[support] = ell
+    return PolyphaseMatrix(group, codes)

@@ -2,8 +2,9 @@
 
 A PolyphaseMatrix is the constrained object the constructions emit:
 every entry is either zero or a single group element z^g.  It is stored
-as a support mask plus an index-encoded exponent array, which keeps the
-"zero or one monomial" invariant structural.  Its Gram Phi* Phi, the
+as one b x v int16 array of cell codes, code c < f for z^(element c)
+and code f for a zero, which keeps the "zero or one monomial" invariant
+structural; f <= 2^10 fits int16.  Its Gram Phi* Phi, the
 product the exact checks need, is a plain (cols, cols, f) int64 array
 of group-ring coefficients, built by integer scatter with no floating
 point at all.  require_float_exact guards the float64 products the
@@ -92,57 +93,44 @@ def require_float_exact(inner: int, a_max: int, b_max: int):
 
 
 class PolyphaseMatrix:
-    """Matrix whose entries are zero or a single z^g."""
+    """Matrix whose entries are zero or a single z^g, held as codes, a
+    b x v int16 array: cell (i, j) holds the element index of its z^g,
+    or f for a zero.  The hole is f rather than -1 so that a gather
+    through a table of f rows raises IndexError on a hole, where -1
+    would silently read element f - 1; a table that must read holes
+    carries an extra row."""
 
-    def __init__(self, group: AbelianGroup, support, exponents):
+    def __init__(self, group: AbelianGroup, codes):
+        codes = np.asarray(codes)
+        if codes.ndim != 2 or not np.issubdtype(codes.dtype, np.integer):
+            raise ValueError(f"cell codes must be a 2-d integer array, got {codes.dtype}")
+        # checked before the int16 cast, which would wrap 70000 into range
+        if codes.size and (codes.min() < 0 or codes.max() > group.order):
+            raise ValueError(f"cell code out of range 0..{group.order}")
         self.group = group
-        self.support = np.asarray(support, dtype=bool)
-        self.exponents = np.asarray(exponents, dtype=np.intp)
-        if self.support.shape != self.exponents.shape or self.support.ndim != 2:
-            raise ValueError("support and exponent arrays must be equal 2-d shapes")
-        if self.support.any():
-            exps = self.exponents[self.support]
-            if exps.min() < 0 or exps.max() >= group.order:
-                raise ValueError("exponent index out of range")
+        self.codes = codes.astype(np.int16, copy=False)
 
     @property
     def rows(self) -> int:
-        return self.support.shape[0]
+        return self.codes.shape[0]
 
     @property
     def cols(self) -> int:
-        return self.support.shape[1]
-
-    def entry(self, i: int, j: int):
-        if not self.support[i, j]:
-            return None
-        return self.group.element(int(self.exponents[i, j]))
-
-    def replaced(self, i: int, j: int, g) -> "PolyphaseMatrix":
-        """Copy with entry (i, j) set to z^g (or zero for None)."""
-        support = self.support.copy()
-        exps = self.exponents.copy()
-        if g is None:
-            support[i, j] = False
-            exps[i, j] = 0
-        else:
-            support[i, j] = True
-            exps[i, j] = self.group.index(g)
-        return PolyphaseMatrix(self.group, support, exps)
+        return self.codes.shape[1]
 
     def modulus_squared(self) -> np.ndarray:
         """0/1 incidence of entrywise |.|^2, the underlying design."""
-        return self.support.astype(np.int64)
+        return (self.codes != self.group.order).astype(np.int64)
 
     def gram(self) -> np.ndarray:
         """Phi* Phi as a (cols, cols, f) int64 array whose (a, b) entry holds
         the coefficients of a group-ring element, by integer scatter: each
         row adds z^(e_b - e_a) at (a, b) for every ordered pair (a, b) of
-        its support columns."""
+        its nonzero columns."""
         g = self.group
         f, v = g.order, self.cols
-        ii, jj = np.nonzero(self.support)
-        e = self.exponents[ii, jj]
+        ii, jj = np.nonzero(self.codes != f)
+        e = self.codes[ii, jj]
         a, b = row_pairs(ii)
         flat = (jj[a] * v + jj[b]) * f + g.add_index[g.neg_index[e[a]], e[b]]
         counts = np.bincount(flat, minlength=v * v * f)
@@ -151,14 +139,13 @@ class PolyphaseMatrix:
     def evaluate(self, gamma: Character) -> np.ndarray:
         if gamma.group != self.group:
             raise ValueError("character belongs to a different group")
-        return np.where(self.support, gamma.values[self.exponents], 0.0)
+        return np.append(gamma.values, 0)[self.codes]
 
     def __eq__(self, other):
         return (
             isinstance(other, PolyphaseMatrix)
             and other.group == self.group
-            and bool(np.array_equal(other.support, self.support))
-            and bool(np.array_equal(other.exponents[other.support], self.exponents[self.support]))
+            and bool(np.array_equal(other.codes, self.codes))
         )
 
     def __repr__(self):
@@ -166,8 +153,8 @@ class PolyphaseMatrix:
 
 
 def _cell_labels(group: AbelianGroup) -> list[str]:
-    """Text of each cell: "." for zero, then "g1,g2,..." per element index."""
-    return ["."] + [",".join(map(str, e)) for e in group.elements]
+    """Text of each cell code: "g1,g2,..." per element index, then "." for f."""
+    return [",".join(map(str, e)) for e in group.elements] + ["."]
 
 
 def format_polyphase(m: PolyphaseMatrix) -> str:
@@ -177,14 +164,11 @@ def format_polyphase(m: PolyphaseMatrix) -> str:
     for the others, and a row end after the last column."""
     labels = [s.encode() for s in _cell_labels(m.group)]
     cells = np.array(labels + [b" " + s for s in labels] + [b"\n"])
-    lead = np.full(m.cols, len(labels))  # code of each column's "."
-    lead[:1] = 0
+    lead = len(labels) * (np.arange(m.cols) > 0)  # the space-led labels after column 0
     out = bytearray(f"POLYPHASE rows={m.rows} cols={m.cols} group={m.group.name()}\n".encode())
     for r0, r1 in row_spans(np.full(m.rows, m.cols + 1), WRITE_SPAN_CELLS):
         codes = np.full((r1 - r0, m.cols + 1), len(cells) - 1)
-        body = codes[:, :-1]
-        np.add(m.exponents[r0:r1], lead + 1, out=body)
-        np.copyto(body, lead, where=~m.support[r0:r1])
+        np.add(m.codes[r0:r1], lead, out=codes[:, :-1])
         text = cells.take(codes).view(np.uint8)
         out.extend(text[text != 0])
     return out.decode("ascii")
@@ -216,9 +200,9 @@ def parse_polyphase(text: str) -> PolyphaseMatrix:
         raise ValueError(f"need rows >= 1 and cols >= 1, got rows={rows}, cols={cols}")
     if len(lines) - 1 != rows:
         raise ValueError(f"expected {rows} rows, found {len(lines) - 1}")
-    # code -1 is a zero entry, code i is z^(element i); a row is stored only
-    # once its cells are read, so no allocation runs ahead of the text
-    lut = {label: i - 1 for i, label in enumerate(_cell_labels(group))}
+    # the PolyphaseMatrix cell codes; a row is stored only once its cells
+    # are read, so no allocation runs ahead of the text
+    lut = {label: i for i, label in enumerate(_cell_labels(group))}
     codes = []
     for ln in lines[1:]:
         cells = ln.split()
@@ -229,8 +213,7 @@ def parse_polyphase(text: str) -> PolyphaseMatrix:
         except KeyError:
             row = [lut[c] if c in lut else _cell_index(group, c) for c in cells]
             codes.append(np.array(row, dtype=np.int16))
-    codes = np.stack(codes)
-    return PolyphaseMatrix(group, codes >= 0, np.maximum(codes, 0))
+    return PolyphaseMatrix(group, np.stack(codes))
 
 
 def format_incidence(x: np.ndarray) -> str:

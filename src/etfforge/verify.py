@@ -21,7 +21,8 @@ monomial off-diagonal cells with one bincount per span.
 
 The GQ and SRG checks count from the nonzero cells of a 0/1 incidence Z
 (a dense array's, or a Design's GQ lift cells) in bounded row spans, with
-P = Z^T Z from one bincount over the point pairs of each block.  The
+P = Z^T Z from one bincount over the point pairs of each block; the BIBD
+pair balance counts its Z^T Z the same way.  The
 SRG quadratic of A = P - (t+1)I is checked as P^2 - (s+t)P - (t+1)J.
 """
 
@@ -115,10 +116,10 @@ class EtfNumerics:
 
 
 def _first_bad(mask) -> tuple | None:
-    idx = np.nonzero(mask)
-    if len(idx[0]) == 0:
+    """Row-major first True of a boolean array, or None, by argmax: no index arrays."""
+    if not mask.any():
         return None
-    return tuple(int(a[0]) for a in idx)
+    return tuple(int(i) for i in np.unravel_index(np.argmax(mask), mask.shape))
 
 
 def verify_bibd(x: np.ndarray, v: int, k: int) -> VerificationReport:
@@ -147,12 +148,11 @@ def verify_bibd(x: np.ndarray, v: int, k: int) -> VerificationReport:
     rep.add("row-sums", bool(np.all(rows == k)), witness=_first_bad(rows != k))
     cols = x.sum(axis=0)
     rep.add("col-sums", bool(np.all(cols == r)), witness=_first_bad(cols != r))
-    # 0/1 entries and inner dimension b: every Gram sum is an exact float
-    require_float_exact(x.shape[0], 1, 1)
-    xf = x.astype(np.float64)
-    gram = (xf.T @ xf).astype(np.int64)
-    want = (r - 1) * np.eye(v, dtype=np.int64) + np.ones((v, v), dtype=np.int64)
-    rep.add("pair-balance", bool(np.array_equal(gram, want)), witness=_first_bad(gram != want))
+    # Z^T Z counted from the ones, as for the GQ check: r on the diagonal, 1 off it
+    pairs = _Cells.from_dense(x).pairs
+    bad = pairs != 1
+    bad[np.diag_indices(v)] = pairs.diagonal() != r
+    rep.add("pair-balance", not bad.any(), witness=_first_bad(bad))
     rep.add("fisher", x.shape[0] >= v,
             witness=None if x.shape[0] >= v else (x.shape[0], v))
     return rep
@@ -208,10 +208,10 @@ def _design_head(d: Design, kind: str) -> tuple[VerificationReport, bool]:
 
 
 def _blocks(d: Design) -> tuple[np.ndarray, np.ndarray]:
-    """The support columns and exponents of each row, as b x k arrays:
+    """The support columns and intp exponents of each row, as b x k arrays:
     once the BIBD has passed, every row holds k ones."""
     ii, jj = np.nonzero(d.x)
-    return jj.reshape(-1, d.k), d.m.exponents[ii, jj].reshape(-1, d.k)
+    return jj.reshape(-1, d.k), d.m.codes[ii, jj].astype(np.intp).reshape(-1, d.k)
 
 
 def verify_polyphase_combinatorial(d: Design) -> VerificationReport:
@@ -382,6 +382,8 @@ def _point_pairs(ii, jj, rows, n_points: int) -> np.ndarray:
     for _, a, c in _block_pairs(ii, jj, rows, n_points):
         part = np.bincount(a * n_points + c, np.ones(len(a)), n_points * n_points)
         total = part if total is None else np.add(total, part, out=total)
+    if total is None:  # no blocks
+        total = np.zeros(n_points * n_points)
     return total.reshape(n_points, n_points)
 
 

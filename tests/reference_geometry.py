@@ -1,0 +1,117 @@
+"""The Hermitian-form geometry behind brouwer_polyphase, as tuples and
+Block objects: the oracle the tests check the construction's points and
+blocks against.
+
+brouwer_polyphase builds its matrix from the isotropic points alone
+(etfforge.construct._isotropic_points and _orbit_reps); this module
+adds the totally isotropic planes, written out member by member, so
+the geometry's counts and its partial-linear-space axioms can be
+checked and its bytes pinned.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from etfforge.construct import _HermitianForm, _isotropic_points, _orbit_reps, _points
+from etfforge.gf import FiniteField
+
+
+
+@dataclass(frozen=True)
+class Block:
+    """A block of the quadratic-form geometry: a totally isotropic plane,
+    tagged with the closed-form parameters that produced it."""
+
+    kind: str  # "ab" or "a"
+    params: tuple
+    ovoid_vertex: tuple
+    members: tuple
+
+    def __contains__(self, vertex) -> bool:
+        return tuple(vertex) in self.members
+
+
+@dataclass
+class BrouwerGeometry:
+    q: int
+    field: FiniteField
+    vertices: list
+    ovoid: list
+    orbit_reps: list
+    blocks: list
+
+
+def _tuples(points: np.ndarray) -> list:
+    """Rows of a 2-d array as tuples of Python ints."""
+    return list(zip(*points.T.tolist()))
+
+
+def _blocks(kind: str, params: np.ndarray, ovoid_vertex: np.ndarray, x2, x3, x4) -> list:
+    """Blocks from per-block table rows: the closed-form parameters, the
+    ovoid vertex, and the last three coordinates of the n members with
+    leading coordinate 1, listed in ascending order."""
+    finite = _points(1, x2, x3, x4)
+    return [
+        Block(
+            kind=kind,
+            params=tuple(par),
+            ovoid_vertex=tuple(ov),
+            members=(tuple(ov),) + tuple(_tuples(fin)),
+        )
+        for par, ov, fin in zip(params.tolist(), ovoid_vertex.tolist(), finite)
+    ]
+
+
+def brouwer_geometry(q: int) -> BrouwerGeometry:
+    """Isotropic points and totally isotropic planes of the hermitian-type
+    form sum x_l^(q+1) on GF(q^2)^4, with the norm-one group action, as
+    tuples and Block objects.
+
+    Blocks come from the two closed forms
+    span{(1,0,a,b), (0,1,-B^j b^q, B^j a^q)} with N(a)+N(b) = -1 and
+    span{(1,a,0,0), (0,0,1,B^j a)} with N(a) = -1, where B has order q+1.
+    """
+    t = _HermitianForm(q)
+    add, mul, neg = t.field.add, t.field.mul, t.field.neg
+    norm, beta_pows = t.norm, t.beta_pows
+    minus_one = neg[1]
+    finite, ovoid = _isotropic_points(t)
+    orbit_reps = _orbit_reps(t, finite)
+
+    d = np.arange(t.field.order)
+    # N(a) + N(b) = -1, then every j
+    a, b = np.nonzero(add[norm[:, None], norm] == minus_one)
+    j = np.tile(np.arange(q + 1), len(a))
+    a, b = np.repeat(a, q + 1), np.repeat(b, q + 1)
+    w3 = neg[mul[beta_pows[j], t.frob[b]]]
+    w4 = mul[beta_pows[j], t.frob[a]]
+    blocks = _blocks(
+        "ab",
+        np.stack([a, b, j], axis=1),
+        _points(0, 1, w3, w4),
+        d,
+        add[a[:, None], mul[d, w3[:, None]]],
+        add[b[:, None], mul[d, w4[:, None]]],
+    )
+    # N(a) = -1, then every j
+    (a,) = np.nonzero(norm == minus_one)
+    j = np.tile(np.arange(q + 1), len(a))
+    a = np.repeat(a, q + 1)
+    w4 = mul[beta_pows[j], a]
+    blocks += _blocks(
+        "a", np.stack([a, j], axis=1), _points(0, 0, 1, w4), a[:, None], d, mul[d, w4[:, None]]
+    )
+
+    ovoid = _tuples(ovoid)
+    return BrouwerGeometry(
+        q=q,
+        field=t.field,
+        vertices=_tuples(finite) + ovoid,
+        ovoid=ovoid,
+        orbit_reps=_tuples(orbit_reps),
+        blocks=blocks,
+    )
+

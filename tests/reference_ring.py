@@ -7,7 +7,8 @@ int64 coefficient array.  Its product runs one float64 BLAS multiply per
 pair of group elements behind require_float_exact.  to_group_ring and
 adjoint turn a PolyphaseMatrix into this form, so Phi* Phi, A^2 and the
 triple product can be formed entry by entry, independently of the
-counting and scatter kernels in etfforge.
+counting and scatter kernels in etfforge.  entry and replaced read and
+edit a PolyphaseMatrix one cell at a time, by group-element tuple.
 """
 
 from __future__ import annotations
@@ -196,10 +197,23 @@ class GroupRingMatrix:
 
 def to_group_ring(m: PolyphaseMatrix) -> GroupRingMatrix:
     c = np.zeros((m.rows, m.cols, m.group.order), dtype=np.int64)
-    ii, jj = np.nonzero(m.support)
-    c[ii, jj, m.exponents[ii, jj]] = 1
+    ii, jj = np.nonzero(m.codes != m.group.order)
+    c[ii, jj, m.codes[ii, jj]] = 1
     return GroupRingMatrix(m.group, c)
 
 
 def adjoint(m: PolyphaseMatrix) -> GroupRingMatrix:
     return to_group_ring(m).adjoint()
+
+
+def entry(m: PolyphaseMatrix, i: int, j: int):
+    """Entry (i, j) of m as a group-element tuple, or None for a zero."""
+    code = int(m.codes[i, j])
+    return None if code == m.group.order else m.group.element(code)
+
+
+def replaced(m: PolyphaseMatrix, i: int, j: int, g) -> PolyphaseMatrix:
+    """Copy of m with entry (i, j) set to z^g, or to zero for None."""
+    codes = m.codes.copy()
+    codes[i, j] = m.group.order if g is None else m.group.index(g)
+    return PolyphaseMatrix(m.group, codes)

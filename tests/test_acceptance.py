@@ -12,7 +12,6 @@ import numpy as np
 
 from etfforge.construct import (
     affine_polyphase,
-    brouwer_geometry,
     brouwer_polyphase,
     example_9_3_3,
     gq_from_polyphase,
@@ -33,7 +32,8 @@ from etfforge.verify import (
     verify_srg_collinearity,
 )
 
-from reference_ring import GroupRingMatrix, adjoint, to_group_ring
+from reference_geometry import brouwer_geometry
+from reference_ring import GroupRingMatrix, adjoint, replaced, to_group_ring
 
 TOL = 1e-9
 
@@ -238,10 +238,10 @@ def test_criterion_8_oracle_equivalence():
         i = int(rng.integers(m.rows))
         j = int(rng.integers(m.cols))
         g = tuple(int(rng.integers(q)) for q in m.group.factors)
-        if m.support[i, j] and rng.integers(2):
-            mutated = m.replaced(i, j, None)
+        if m.codes[i, j] != m.group.order and rng.integers(2):
+            mutated = replaced(m, i, j, None)
         else:
-            mutated = m.replaced(i, j, g)
+            mutated = replaced(m, i, j, g)
         comb = verify_polyphase_combinatorial(Design(mutated)).passed
         alg = verify_polyphase_algebraic(Design(mutated)).passed
         if comb == alg:

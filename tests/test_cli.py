@@ -16,6 +16,7 @@ import pytest
 from etfforge import cli, construct, polymat
 from etfforge.cli import main
 from etfforge.polymat import PolyphaseMatrix, format_polyphase, parse_incidence, parse_polyphase
+from reference_ring import entry, replaced
 
 
 def run(capsys, *argv):
@@ -130,9 +131,9 @@ def test_verify_json_is_deterministic(affine3_file, tmp_path, capsys):
 
 def test_verify_mutated_file_fails_with_witness(affine3_file, tmp_path, capsys):
     m = parse_polyphase(affine3_file.read_text())
-    i = int(np.nonzero(m.support[0])[0][0])
-    old = m.entry(0, i)
-    bad = m.replaced(0, i, tuple((x + 1) % q for x, q in zip(old, m.group.factors)))
+    i = int(np.nonzero(m.codes[0] != m.group.order)[0][0])
+    old = entry(m, 0, i)
+    bad = replaced(m, 0, i, tuple((x + 1) % q for x, q in zip(old, m.group.factors)))
     target = tmp_path / "mutated.polyphase"
     target.write_text(format_polyphase(bad))
     code, out, _ = run(capsys, "verify", str(target))
@@ -182,13 +183,15 @@ def test_verify_runs_gq_axioms_once(tmp_path, capsys, monkeypatch):
 
 def test_verify_derives_each_object_once(tmp_path, capsys, monkeypatch):
     run(capsys, "construct", "--family", "brouwer", "--q", "2", "-o", str(tmp_path))
-    calls = {}
+    calls, point_counts = {}, []
 
     def counting(owner, name):
         original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
+            if name == "_point_pairs":
+                point_counts.append(args[3])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
@@ -211,7 +214,10 @@ def test_verify_derives_each_object_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.V.Design, "__init__", recording)
     code, out, _ = run(capsys, "verify", str(tmp_path / "brouwer_q2.polyphase"))
     assert code == 0 and "PASS (9,3,3)-DRACKN" in out and "PASS SRG(27,10,1,5)" in out
-    assert calls == {"verify_bibd": 1, "gram": 1, "_point_pairs": 1, "gq_cells": 1}
+    assert calls == {"verify_bibd": 1, "gram": 1, "_point_pairs": 2, "gq_cells": 1}
+    # Z^T Z once for the design's 9 points (the BIBD pair balance) and once
+    # for the 27 points of its GQ lift (gq and srg share it)
+    assert sorted(point_counts) == [9, 27]
     # Phi* Phi - rI is rebuilt on read, not kept on the Design
     assert len(designs) == 1 and "drackn" not in vars(designs[0])
 

@@ -11,7 +11,6 @@ from etfforge.construct import (
     DracknParams,
     GqParams,
     affine_polyphase,
-    brouwer_geometry,
     brouwer_polyphase,
     example_9_3_3,
     gq_from_polyphase,
@@ -26,7 +25,8 @@ from etfforge.gf import field_create, prime_power_split
 from etfforge.groupring import AbelianGroup, characters_of
 from etfforge.polymat import PolyphaseMatrix
 from etfforge.verify import Design
-from reference_ring import GroupRingMatrix, adjoint
+from reference_geometry import brouwer_geometry
+from reference_ring import GroupRingMatrix, adjoint, entry
 
 
 def _bibd_shape(m):
@@ -60,11 +60,11 @@ def test_gq_drackn_params():
 def test_simplex_shape_and_entries():
     m = simplex_phased(4)
     assert (m.rows, m.cols) == (6, 4)
-    assert m.entry(0, 0) == (0,)
-    assert m.entry(0, 1) == (1,)
-    assert m.entry(5, 2) == (0,)
-    assert m.entry(5, 3) == (1,)
-    assert m.entry(0, 2) is None
+    assert entry(m, 0, 0) == (0,)
+    assert entry(m, 0, 1) == (1,)
+    assert entry(m, 5, 2) == (0,)
+    assert entry(m, 5, 3) == (1,)
+    assert entry(m, 0, 2) is None
     with pytest.raises(ValueError):
         simplex_phased(2)
 
@@ -135,7 +135,7 @@ def test_affine_q2_frozen():
     for i in range(m.rows):
         cells = []
         for j in range(m.cols):
-            e = m.entry(i, j)
+            e = entry(m, i, j)
             cells.append("." if e is None else str(e[0]))
         got.append(" ".join(cells))
     assert got == _AFFINE_2_ROWS
@@ -279,7 +279,8 @@ def test_gq_roundtrip():
 
 def test_gq_requires_group_order_k():
     m = example_9_3_3()
-    bad = PolyphaseMatrix(AbelianGroup([4]), m.support, m.exponents)
+    # the same cells over Z4: the zero code moves from 3 to 4
+    bad = PolyphaseMatrix(AbelianGroup([4]), np.where(m.codes == m.group.order, 4, m.codes))
     with pytest.raises(ValueError):
         gq_from_polyphase(bad)
 
@@ -287,7 +288,7 @@ def test_gq_requires_group_order_k():
 def test_gq_lift_refuses_oversized_incidence_before_allocating():
     # one full row over Z1024: the lift would be 2048 x 2^20 cells
     group = AbelianGroup([1024])
-    m = PolyphaseMatrix(group, np.ones((1, 1024), dtype=bool), np.zeros((1, 1024), dtype=np.intp))
+    m = PolyphaseMatrix(group, np.zeros((1, 1024), dtype=np.int16))
     for lift in (lambda: gq_from_polyphase(m), lambda: Design(m).gq):
         tracemalloc.start()
         try:
@@ -334,9 +335,9 @@ def test_phased_to_polyphase_rejects_foreign_phase():
 def test_phased_to_polyphase_mercedes_benz():
     phi = np.array([[1, -1, 0], [1, 0, -1], [0, 1, -1]], dtype=float)
     m = phased_to_polyphase(phi, 2)
-    assert m.entry(0, 0) == (0,)
-    assert m.entry(0, 1) == (1,)
-    assert m.entry(0, 2) is None
+    assert entry(m, 0, 0) == (0,)
+    assert entry(m, 0, 1) == (1,)
+    assert entry(m, 0, 2) is None
     gram = phi.T @ phi
     assert np.array_equal(gram, 3 * np.eye(3) - np.ones((3, 3)))
 
@@ -347,13 +348,11 @@ def test_phased_to_polyphase_mercedes_benz():
 
 def _ref_simplex_phased(v):
     pairs = list(itertools.combinations(range(v), 2))
-    support = np.zeros((len(pairs), v), dtype=bool)
-    exps = np.zeros((len(pairs), v), dtype=np.intp)
+    codes = np.full((len(pairs), v), 2, dtype=np.int16)
     for i, (a, b) in enumerate(pairs):
-        support[i, a] = True
-        support[i, b] = True
-        exps[i, b] = 1
-    return PolyphaseMatrix(AbelianGroup([2]), support, exps)
+        codes[i, a] = 0
+        codes[i, b] = 1
+    return PolyphaseMatrix(AbelianGroup([2]), codes)
 
 
 def _ref_dot(t, x, y):
@@ -394,9 +393,9 @@ def _ref_brouwer_polyphase(q):
     r, c = np.nonzero(support)
     g = t.beta_dlog[t.field.add[1, t.field.neg[_ref_dot(t, rows[r], threading[c])]]]
     assert np.all(g >= 0)
-    exps = np.zeros(support.shape, dtype=np.intp)
-    exps[r, c] = g
-    return PolyphaseMatrix(AbelianGroup([q + 1]), support, exps)
+    codes = np.full(support.shape, q + 1, dtype=np.int16)
+    codes[r, c] = g
+    return PolyphaseMatrix(AbelianGroup([q + 1]), codes)
 
 
 def _ref_polyphase_from_gq(z, group):
@@ -417,8 +416,7 @@ def _ref_polyphase_from_gq(z, group):
         blk = np.zeros((f, f), dtype=np.int64)
         blk[group.add_index[gi, np.arange(f)], np.arange(f)] = 1
         perms[gi] = blk
-    support = np.zeros((b, v), dtype=bool)
-    exps = np.zeros((b, v), dtype=np.intp)
+    codes = np.full((b, v), f, dtype=np.int16)
     body = z[v:]
     for i in range(b):
         for j in range(v):
@@ -431,17 +429,15 @@ def _ref_polyphase_from_gq(z, group):
                 raise ValueError(
                     f"block ({i}, {j}) is neither zero nor a translation permutation"
                 )
-            support[i, j] = True
-            exps[i, j] = gi
-    return PolyphaseMatrix(group, support, exps)
+            codes[i, j] = gi
+    return PolyphaseMatrix(group, codes)
 
 
 def _ref_phased_to_polyphase(phi, p, tol=1e-9):
     if p < 2:
         raise ValueError(f"need p >= 2, got {p}")
     phi = np.asarray(phi, dtype=np.complex128)
-    support = np.zeros(phi.shape, dtype=bool)
-    exps = np.zeros(phi.shape, dtype=np.intp)
+    codes = np.full(phi.shape, p, dtype=np.int16)
     for i in range(phi.shape[0]):
         for j in range(phi.shape[1]):
             val = phi[i, j]
@@ -453,9 +449,8 @@ def _ref_phased_to_polyphase(phi, p, tol=1e-9):
                 raise ValueError(
                     f"entry ({i}, {j}) = {val} is not a {p}-th root of unity within {tol}"
                 )
-            support[i, j] = True
-            exps[i, j] = ell
-    return PolyphaseMatrix(AbelianGroup([p]), support, exps)
+            codes[i, j] = ell
+    return PolyphaseMatrix(AbelianGroup([p]), codes)
 
 
 def _outcome(fn, *args):
@@ -515,15 +510,15 @@ def test_brouwer_polyphase_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the b x v intp exponents take 5.8 MB of it
-    assert peak <= 8 * 2**20
+    # 2.27 MiB measured: the b x v int16 cell codes take 1.4 MB of it, the
+    # rest is row-span temporaries
+    assert peak <= 3 * 2**20
 
 
-def test_brouwer_polyphase_builds_no_geometry(monkeypatch):
-    def refuse(q):
-        raise AssertionError("brouwer_geometry called")
-
-    monkeypatch.setattr(construct, "brouwer_geometry", refuse)
+def test_brouwer_polyphase_builds_no_geometry():
+    # the tuple geometry is a test oracle (tests/reference_geometry.py),
+    # so the package has none to build
+    assert not hasattr(construct, "brouwer_geometry")
     m = brouwer_polyphase(3)
     assert (m.rows, m.cols) == (63, 28)
 

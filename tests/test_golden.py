@@ -11,7 +11,7 @@ import hashlib
 import pytest
 
 from etfforge.cli import main
-from etfforge.construct import brouwer_geometry
+from reference_geometry import brouwer_geometry
 
 POLYPHASE_SHA256 = {
     ("simplex", "--v", "3"): "9398ca0301af59f7fb36417f7b67d377a772fb4242cbbfc022f7a673b2d2b5fa",

@@ -23,15 +23,24 @@ from etfforge.polymat import (
     parse_polyphase,
     require_float_exact,
 )
-from reference_ring import GroupRingElement, GroupRingMatrix, adjoint, to_group_ring
+from reference_ring import (
+    GroupRingElement,
+    GroupRingMatrix,
+    adjoint,
+    entry,
+    replaced,
+    to_group_ring,
+)
 
 GROUPS = [AbelianGroup([2]), AbelianGroup([4]), AbelianGroup([2, 3]), AbelianGroup([3, 3])]
+# the largest groups, order 2^10: the zero code is 1024, and f * code leaves int16
+CODE_EDGE_FACTORS = [(2,) * 10, (1024,)]
 
 
 def _random_polyphase(group, rows, cols, rng, density=0.6):
     support = rng.random((rows, cols)) < density
     exps = rng.integers(0, group.order, size=(rows, cols))
-    return PolyphaseMatrix(group, support, exps)
+    return PolyphaseMatrix(group, np.where(support, exps, group.order))
 
 
 def _random_grm(group, rows, cols, rng):
@@ -83,7 +92,7 @@ def _reference_format_polyphase(m):
     for i in range(m.rows):
         cells = []
         for j in range(m.cols):
-            e = m.entry(i, j)
+            e = entry(m, i, j)
             cells.append("." if e is None else ",".join(str(c) for c in e))
         lines.append(" ".join(cells))
     return "\n".join(lines) + "\n"
@@ -93,16 +102,14 @@ def _from_entries(group, entries):
     """A PolyphaseMatrix from a nested list of None (zero) or group-element tuples."""
     rows = len(entries)
     cols = len(entries[0]) if rows else 0
-    support = np.zeros((rows, cols), dtype=bool)
-    exps = np.zeros((rows, cols), dtype=np.intp)
+    codes = np.full((rows, cols), group.order, dtype=np.int16)
     for i, row in enumerate(entries):
         if len(row) != cols:
             raise ValueError("ragged entry rows")
         for j, e in enumerate(row):
             if e is not None:
-                support[i, j] = True
-                exps[i, j] = group.index(e)
-    return PolyphaseMatrix(group, support, exps)
+                codes[i, j] = group.index(e)
+    return PolyphaseMatrix(group, codes)
 
 
 def _reference_parse_polyphase(text):
@@ -170,7 +177,7 @@ def _assert_parses_like_reference(text):
     want = _outcome(_reference_parse_polyphase, text)
     assert got == want, repr(text)
     if not isinstance(want, str):
-        assert np.array_equal(got.exponents, want.exponents), repr(text)
+        assert got.codes.dtype == want.codes.dtype == np.int16, repr(text)
 
 
 GOLDEN_DESIGNS = {
@@ -192,30 +199,35 @@ def test_text_matches_reference_on_golden_designs(name):
 
 
 @pytest.mark.parametrize(
-    "factors", [(2, 3), (4, 2), (5,), (2, 2, 2, 2, 2), (12, 5), (11,)], ids=str
+    "factors", [(2, 3), (4, 2), (5,), (2, 2, 2, 2, 2), (12, 5), (11,), *CODE_EDGE_FACTORS], ids=str
 )
 def test_text_matches_reference_on_random_matrices(factors, monkeypatch):
     # Z2^5 cells take 10 bytes, wider than a machine word; the labels of
-    # Z12xZ5 and Z11 vary in width
+    # Z12xZ5 and Z11 vary in width; Z2^10 and Z1024 code a zero as 1024
     group = AbelianGroup(factors)
     rng = np.random.default_rng(11)
     shapes = ((1, 1, 1.0), (1, 9, 0.5), (6, 1, 0.5), (7, 11, 0.3), (12, 5, 0.9), (4, 6, 0.0))
     cases = [_random_polyphase(group, rows, cols, rng, density) for rows, cols, density in shapes]
     m = _random_polyphase(group, 9, 13, rng, 0.5)
-    m.support[[0, 4, 8]] = False
-    cases.append(PolyphaseMatrix(group, m.support, m.exponents))  # some all-zero rows
+    m.codes[[0, 4, 8]] = group.order
+    cases.append(PolyphaseMatrix(group, m.codes))  # some all-zero rows
+    zero_rows = np.flatnonzero(~cases[-1].modulus_squared().any(axis=1))
+    assert {0, 4, 8} <= set(zero_rows.tolist()) and len(zero_rows) < 9
     # no cells: the reader refuses these, the writer must still match
     empty = [_random_polyphase(group, rows, cols, rng) for rows, cols in ((3, 0), (0, 4), (0, 0))]
     # the default spans, one row per span, and uneven spans of 30 cells
     for span in (polymat.WRITE_SPAN_CELLS, 1, 30):
         monkeypatch.setattr(polymat, "WRITE_SPAN_CELLS", span)
         for m in cases:
-            text = format_polyphase(m)
-            assert text == _reference_format_polyphase(m)
-            _assert_parses_like_reference(text)
-            assert parse_polyphase(text) == m
+            assert format_polyphase(m) == _reference_format_polyphase(m)
         for m in empty:
             assert format_polyphase(m) == _reference_format_polyphase(m)
+    # the reader takes no spans, so each text is read back once; each read
+    # builds the group from the header, 24 ms at Z2^10
+    for m in cases:
+        text = format_polyphase(m)
+        _assert_parses_like_reference(text)
+        assert parse_polyphase(text) == m
 
 
 def test_format_memory_is_bounded_by_the_text():
@@ -250,7 +262,7 @@ def test_parse_matches_reference_on_text_variants():
     assert parse_polyphase(variants[0]) == parse_polyphase(base)
     assert parse_polyphase(variants[1]) == parse_polyphase(base)
     assert parse_polyphase(variants[2]) == parse_polyphase(base)
-    assert parse_polyphase(variants[-2]).exponents.tolist() == [[2, 1, 2, 1]]
+    assert parse_polyphase(variants[-2]).codes.tolist() == [[2, 1, 2, 1]]
 
 
 @pytest.mark.parametrize(
@@ -344,13 +356,13 @@ def test_parse_allocates_no_more_than_the_text_holds():
 def test_entry_accessors_and_replaced():
     group = AbelianGroup([3])
     m = _from_entries(group, [[(0,), None], [(2,), (1,)]])
-    assert m.entry(0, 0) == (0,)
-    assert m.entry(0, 1) is None
-    m2 = m.replaced(0, 1, (2,))
-    assert m2.entry(0, 1) == (2,)
-    assert m.entry(0, 1) is None  # original untouched
-    m3 = m.replaced(0, 0, None)
-    assert m3.entry(0, 0) is None
+    assert entry(m, 0, 0) == (0,)
+    assert entry(m, 0, 1) is None
+    m2 = replaced(m, 0, 1, (2,))
+    assert entry(m2, 0, 1) == (2,)
+    assert entry(m, 0, 1) is None  # original untouched
+    m3 = replaced(m, 0, 0, None)
+    assert entry(m3, 0, 0) is None
     assert np.array_equal(m.modulus_squared(), [[1, 0], [1, 1]])
 
 
@@ -414,12 +426,31 @@ def test_gram_matches_adjoint_product_on_ragged_rows(group):
         gram = m.gram()
         assert gram.dtype == np.int64
         assert np.array_equal(gram, (adjoint(m) @ m).coeffs)
-    empty = PolyphaseMatrix(group, np.zeros((2, 3), bool), np.zeros((2, 3), int))
+    empty = PolyphaseMatrix(group, np.full((2, 3), group.order))
     assert np.array_equal(empty.gram(), np.zeros((3, 3, group.order)))
 
 
+@pytest.mark.parametrize("factors", CODE_EDGE_FACTORS, ids=str)
+def test_gram_matches_entrywise_ring_products_at_the_code_edge(factors):
+    # the f^2-product reference matmul takes seconds at f = 1024, so the
+    # Gram is checked entry by entry: sum over rows of ~Phi_ia Phi_ib
+    group = AbelianGroup(factors)
+    rng = np.random.default_rng(9)
+    for rows, cols in ((3, 4), (1, 3), (3, 1)):
+        m = _random_polyphase(group, rows, cols, rng)
+        ring = to_group_ring(m)
+        gram = m.gram()
+        assert gram.dtype == np.int64 and gram.shape == (cols, cols, group.order)
+        for a in range(cols):
+            for b in range(cols):
+                want = GroupRingElement(group, np.zeros(group.order))
+                for i in range(rows):
+                    want = want + ring.entry(i, a).involution() * ring.entry(i, b)
+                assert np.array_equal(gram[a, b], want.coeffs), (rows, cols, a, b)
+
+
 def test_require_float_exact_at_the_2_53_boundary():
-    # the guard behind verify_bibd's pair counts and the SRG quadratic:
+    # the guard behind the SRG quadratic:
     # inner x max|a| x max|b| bounds every partial sum, and must stay below 2^53
     for inner, a_max, b_max in ((2**53, 1, 1), (2, 2**26, 2**26), (1, 2**27, 2**26)):
         with pytest.raises(ValueError, match="2\\^53"):
@@ -451,11 +482,13 @@ def test_filter_bank_lift_blocks(group):
     f = group.order
     m = _random_polyphase(group, 3, max(5, f + 1), rng)
     # the GQ lift needs a first row of weight f; the other rows keep random weights
-    m.support[0] = np.isin(np.arange(m.cols), rng.permutation(m.cols)[:f])
+    keep = np.isin(np.arange(m.cols), rng.permutation(m.cols)[:f])
+    m.codes[0] = np.where(keep, rng.integers(0, f, m.cols), f)
+    assert np.count_nonzero(m.modulus_squared()[0]) == f
     lifted = gq_from_polyphase(m)[m.cols:]
     assert np.array_equal(lifted, _blockwise_lift(to_group_ring(m)))
     # nonzero blocks are permutation matrices
-    for i, j in zip(*np.nonzero(m.support)):
+    for i, j in zip(*np.nonzero(m.codes != f)):
         blk = lifted[i * f : (i + 1) * f, j * f : (j + 1) * f]
         assert np.array_equal(blk.sum(axis=0), np.ones(f, dtype=np.int64))
         assert np.array_equal(blk.sum(axis=1), np.ones(f, dtype=np.int64))
@@ -554,5 +587,16 @@ def test_complex_csv_format():
 
 def test_exponent_range_validated():
     group = AbelianGroup([2])
+    # -1 and f + 1 are out of range; 70000 and 65537 would wrap in an int16
+    # cast (65537 to the valid 1); a 1-d or 3-d array, floats and bools are
+    # no code arrays
+    for bad in ([[-1]], [[3]], [[70000]], [[65537]], [0, 1], [[[0]]], [[0.0]], [[True]]):
+        with pytest.raises(ValueError):
+            PolyphaseMatrix(group, bad)
+    m = PolyphaseMatrix(group, [[0, 1, 2]])
+    assert m.codes.dtype == np.int16
+    assert m.modulus_squared().tolist() == [[1, 1, 0]]
+    big = AbelianGroup([1024])
+    assert PolyphaseMatrix(big, [[1023, 1024]]).modulus_squared().tolist() == [[1, 0]]
     with pytest.raises(ValueError):
-        PolyphaseMatrix(group, [[True]], [[5]])
+        PolyphaseMatrix(big, [[1025]])

@@ -1,11 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from etfforge.construct import (
     affine_polyphase,
-    brouwer_geometry,
     brouwer_polyphase,
     example_9_3_3,
     gq_from_polyphase,
@@ -26,7 +26,8 @@ from etfforge.verify import (
     verify_polyphase_combinatorial,
     verify_srg_collinearity,
 )
-from reference_ring import GroupRingMatrix, adjoint, to_group_ring
+from reference_geometry import brouwer_geometry
+from reference_ring import GroupRingMatrix, adjoint, entry, replaced, to_group_ring
 
 FANO = np.array(
     [
@@ -102,6 +103,59 @@ def test_bibd_fisher_violation():
     assert not fisher.passed and fisher.witness == (4, 7)
 
 
+def test_bibd_pair_balance_matches_dense_gram():
+    # the counted Z^T Z against the dense one, r on the diagonal and 1
+    # off it; the witness is the row-major first offence, also with no rows
+    rng = np.random.default_rng(21)
+    cases = [(FANO, 7, 3), (np.zeros((0, 5), dtype=np.int64), 5, 2)]
+    for _ in range(30):
+        b, v = int(rng.integers(1, 12)), int(rng.integers(3, 12))
+        cases.append(((rng.random((b, v)) < 0.4).astype(np.int64), v, int(rng.integers(2, v))))
+    # designs with a one moved from column a to b in one row and back in
+    # another: row and column sums hold, so the first offence is off the diagonal
+    designs = (FANO, affine_polyphase(3).modulus_squared(), brouwer_polyphase(2).modulus_squared())
+    for design in designs:
+        v, k = design.shape[1], int(design[0].sum())
+        cases.append((design, v, k))
+        for _ in range(10):
+            x = design.copy()
+            i = int(rng.integers(len(x)))
+            a, b = rng.choice(np.flatnonzero(x[i])), rng.choice(np.flatnonzero(x[i] == 0))
+            back = np.flatnonzero((x[:, b] == 1) & (x[:, a] == 0))
+            j = int(rng.choice(back))
+            x[i, [a, b]] = x[j, [b, a]] = 0, 1
+            cases.append((x, v, k))
+    fails = 0
+    for x, v, k in cases:
+        rep = verify_bibd(x, v, k)
+        got = next((c for c in rep.checks if c.name == "pair-balance"), None)
+        if got is None:  # r not integral
+            continue
+        r = (v - 1) // (k - 1)
+        bad = x.T @ x != (r - 1) * np.eye(v, dtype=np.int64) + 1
+        want = tuple(int(i) for i in np.argwhere(bad)[0]) if bad.any() else None
+        assert (got.passed, got.witness) == (want is None, want), (x, v, k)
+        fails += want is not None and want[0] != want[1]
+    assert fails >= 10  # off-diagonal first offences are covered
+
+
+def test_bibd_memory_is_bounded_by_the_pair_counts():
+    # one block of two points among 2000: the v x v float64 pair counts are
+    # the only array of v^2 cells, and the witness search adds no index arrays
+    v = 2000
+    x = np.zeros((1, v), dtype=np.int64)
+    x[0, :2] = 1
+    tracemalloc.start()
+    try:
+        rep = verify_bibd(x, v, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [c.name for c in rep.checks if not c.passed] == ["col-sums", "pair-balance", "fisher"]
+    assert rep.checks[-2].witness == (0, 0)
+    assert peak < 1.5 * 8 * v * v
+
+
 def test_bibd_rejects_non_binary_entries():
     x = FANO.copy()
     x[0, 0] = 2
@@ -113,10 +167,12 @@ def test_polyphase_verifiers_pass_on_all_families(families):
     for name, m in families.items():
         assert verify_polyphase_combinatorial(Design(m)).passed, name
         assert verify_polyphase_algebraic(Design(m)).passed, name
+        # int16 codes widen before the checks offset them by f times an index
+        assert verify_module._blocks(Design(m))[1].dtype == np.intp, name
 
 
 def test_polyphase_verifiers_catch_exponent_mutation(families):
-    m = families["example933"].replaced(3, 0, (1,))
+    m = replaced(families["example933"], 3, 0, (1,))
     comb = verify_polyphase_combinatorial(Design(m))
     alg = verify_polyphase_algebraic(Design(m))
     assert not comb.passed and not alg.passed
@@ -129,7 +185,7 @@ def test_polyphase_verifiers_catch_exponent_mutation(families):
 def test_polyphase_verifiers_catch_support_mutation(families):
     # moving support breaks the underlying design before any phases matter
     m = families["example933"]
-    moved = Design(m.replaced(3, 0, None).replaced(3, 1, (0,)))
+    moved = Design(replaced(replaced(m, 3, 0, None), 3, 1, (0,)))
     for rep in (verify_polyphase_combinatorial(moved), verify_polyphase_algebraic(moved)):
         assert not rep.passed
         assert any(c.name.startswith("bibd:") and not c.passed for c in rep.checks)
@@ -143,12 +199,12 @@ def _algebraic_fixtures(families):
 def _change_exponent(m, seed):
     """Move one supported entry to a different group element."""
     rng = np.random.default_rng(seed)
-    ii, jj = np.nonzero(m.support)
+    ii, jj = np.nonzero(m.codes != m.group.order)
     p = int(rng.integers(len(ii)))
     i, j = int(ii[p]), int(jj[p])
     shift = int(rng.integers(1, m.group.order))
-    e = m.group.add_index[m.exponents[i, j], shift]
-    return m.replaced(i, j, m.group.element(int(e)))
+    e = m.group.add_index[m.codes[i, j], shift]
+    return replaced(m, i, j, m.group.element(int(e)))
 
 
 def _reference_triple_identity(m):
@@ -191,7 +247,7 @@ def _reference_triple_products(m):
     quota = int(x[0].sum()) // g.order
 
     def elem(i, j):
-        return np.array(g.elements[m.exponents[i, j]])
+        return np.array(g.elements[m.codes[i, j]])
 
     for i, j in zip(*np.nonzero(x == 0)):
         counts = {e: 0 for e in g.elements}
@@ -228,9 +284,9 @@ def _late_offence(m):
     meets[0] = False
     order = np.concatenate([np.flatnonzero(~meets)[1:], np.flatnonzero(meets), [0]])
     j = int(np.flatnonzero(x[0])[0])
-    shifted = m.group.add_index[m.exponents[0, j], 1]
-    bad = m.replaced(0, j, m.group.element(int(shifted)))
-    return PolyphaseMatrix(m.group, bad.support[order], bad.exponents[order]), int(meets.sum())
+    shifted = m.group.add_index[m.codes[0, j], 1]
+    bad = replaced(m, 0, j, m.group.element(int(shifted)))
+    return PolyphaseMatrix(m.group, bad.codes[order]), int(meets.sum())
 
 
 def test_exact_checks_match_references_across_span_boundaries(families, monkeypatch):
@@ -267,8 +323,9 @@ def test_algebraic_matches_dense_reference_on_int16_grams():
     # table of seeded random exponents and four exponent mutants
     witnesses = set()
     for m in (affine_polyphase(11), simplex_phased(50)):
-        noise = np.random.default_rng(3).integers(0, m.group.order, m.exponents.shape)
-        cases = [m, _late_offence(m)[0], PolyphaseMatrix(m.group, m.support, noise)]
+        f = m.group.order
+        noise = np.random.default_rng(3).integers(0, f, m.codes.shape)
+        cases = [m, _late_offence(m)[0], PolyphaseMatrix(m.group, np.where(m.codes == f, f, noise))]
         cases += [_change_exponent(m, seed) for seed in range(4)]
         for n, case in enumerate(cases):
             d = Design(case)
@@ -296,11 +353,11 @@ def test_exact_and_numeric_routes_agree(families):
         numeric = all(verify_etf_numeric(m.evaluate(g)).passed for g in gammas)
         assert exact and numeric, name
         i = int(rng.integers(m.rows))
-        js = np.nonzero(m.support[i])[0]
+        js = np.nonzero(m.codes[i] != m.group.order)[0]
         j = int(js[rng.integers(len(js))])
-        old = m.entry(i, j)
+        old = entry(m, i, j)
         shift = tuple((old[l] + 1) % q for l, q in enumerate(m.group.factors))
-        bad = m.replaced(i, j, shift)
+        bad = replaced(m, i, j, shift)
         exact = verify_polyphase_combinatorial(Design(bad)).passed
         numeric = all(verify_etf_numeric(bad.evaluate(g)).passed for g in gammas)
         assert not exact and not numeric, name
@@ -534,7 +591,7 @@ def _unequal_rows():
     support = rng.random((6, m.cols)) < np.linspace(0, 0.6, 6)[:, None]
     support[0] = np.arange(m.cols) < 3
     exps = rng.integers(0, m.group.order, size=support.shape)
-    return PolyphaseMatrix(m.group, support, exps)
+    return PolyphaseMatrix(m.group, np.where(support, exps, m.group.order))
 
 
 def test_design_lift_cells_are_the_dense_lift_scan():
@@ -782,7 +839,7 @@ def test_drackn_support_swap_moves_only_the_quadratic_witness(monkeypatch):
     # first misses its target at (0, 0), the count of A's monomial
     # off-diagonal part at (0, 1); every other line is the dense report's
     m = affine_polyphase(3)
-    swapped = m.replaced(1, 1, None).replaced(1, 0, m.entry(1, 1))
+    swapped = replaced(replaced(m, 1, 1, None), 1, 0, entry(m, 1, 1))
     a, params = Design(swapped).drackn
     assert _check_drackn_against_reference(a, m.group, params.c, monkeypatch) == (0, 1)
     assert _reference_drackn(a, m.group, params.c)[3][:3] == ("quadratic", False, (0, 0))
@@ -845,7 +902,7 @@ def test_report_rendering(families):
 
 
 def test_failing_checks_carry_witness_or_residual(families):
-    m = families["example933"].replaced(0, 0, (2,))
+    m = replaced(families["example933"], 0, 0, (2,))
     reports = [
         verify_polyphase_combinatorial(Design(m)),
         verify_polyphase_algebraic(Design(m)),
