@@ -34,7 +34,7 @@ from .construct import (
     gq_from_polyphase,
     simplex_phased,
 )
-from .groupring import characters_of, real_character
+from .groupring import characters_of, first_of_conjugates, real_character
 from .polymat import (
     PolyphaseMatrix,
     format_complex_csv,
@@ -198,13 +198,19 @@ def cmd_verify(args) -> int:
             reports.append(V.verify_polyphase_algebraic(d))
         if "etf" in wanted:
             gammas = _select_characters(m.group, args.character)
-            # each worker evaluates its own character, so at most one
-            # evaluated matrix per worker is alive at a time
-            with ThreadPoolExecutor(max_workers=min(_thread_count(), len(gammas))) as pool:
-                results = list(pool.map(lambda g: V.verify_etf_numeric(m.evaluate(g)), gammas))
-            for gamma, rep in zip(gammas, results):
-                rep.subject += f" at character {gamma.exponents}"
-                reports.append(rep)
+            # Phi at the conjugate of a character is Phi there conjugated, with
+            # the same report: the second of a selected pair repeats the
+            # first's lines.  Each worker evaluates its own character, so at
+            # most one evaluated matrix per worker is alive at a time
+            firsts = first_of_conjugates(gammas)
+            todo = [p for p, first in enumerate(firsts) if first == p]
+            with ThreadPoolExecutor(max_workers=min(_thread_count(), len(todo))) as pool:
+                checked = dict(zip(todo, pool.map(
+                    lambda p: V.verify_etf_numeric(m.evaluate(gammas[p])), todo)))
+            for gamma, first in zip(gammas, firsts):
+                rep = checked[first]
+                subject = f"{rep.subject} at character {gamma.exponents}"
+                reports.append(V.VerificationReport(subject, list(rep.checks), rep.numerics))
         # A = Phi* Phi - rI is v x v x f cells, so only a BIBD bounds it
         bibd_fail = next((c.name for c in d.bibd.checks if not c.passed), None)
         if "drackn" in wanted and bibd_fail:

@@ -42,16 +42,17 @@ class AbelianGroup:
         self.order = order
         self.elements = tuple(itertools.product(*(range(q) for q in factors)))
         self._index = {g: i for i, g in enumerate(self.elements)}
-        # index-level tables so matrix code can stay vectorized, built one
-        # mixed-radix digit at a time
-        digits = np.indices(factors).reshape(len(factors), order)
-        self.neg_index = np.zeros(order, dtype=np.intp)
-        self.add_index = np.zeros((order, order), dtype=np.intp)
-        for d, q in zip(digits, factors):
-            self.neg_index *= q
-            self.neg_index += -d % q
-            self.add_index *= q
-            self.add_index += (d[:, None] + d) % q
+        # index-level tables so matrix code can stay vectorized, grown one
+        # factor at a time: element (p, d) of the first factors and Z_q has
+        # index p q + d, and (p, d) + (p', d') = (p + p', d + d' mod q)
+        self.neg_index = np.zeros(1, dtype=np.intp)
+        self.add_index = np.zeros((1, 1), dtype=np.intp)
+        for q in factors:
+            d = np.arange(q)
+            n = len(self.neg_index) * q
+            self.neg_index = (q * self.neg_index[:, None] + -d % q).reshape(n)
+            add = q * self.add_index[:, None, :, None] + ((d[:, None] + d) % q)[:, None, :]
+            self.add_index = add.reshape(n, n)
 
     def index(self, g) -> int:
         return self._index[tuple(g)]
@@ -82,25 +83,33 @@ class AbelianGroup:
         return f"AbelianGroup({self.name()})"
 
 
-class Character:
-    """gamma(g) = prod_i exp(2 pi i e_i g_i / q_i) for an exponent tuple e."""
+def _character_values(group: AbelianGroup, exponents: np.ndarray) -> np.ndarray:
+    """Row c holds the values at every element of the character whose
+    exponent tuple is row c of exponents.  Each phase is sum_i (e_i g_i)/q_i,
+    summed left to right over the factors."""
+    digits = np.indices(group.factors).reshape(len(group.factors), group.order)
+    phases = 0
+    for e, g, q in zip(exponents.T, digits, group.factors):
+        phases = phases + (e[:, None] * g) / q
+    values = np.exp(2j * np.pi * phases)
+    # fourth roots of unity come out exact: snap the float residue
+    for part in (values.real, values.imag):
+        near = np.abs(part - np.rint(part)) < 1e-12
+        part[near] = np.rint(part[near])
+    return values
 
-    def __init__(self, group: AbelianGroup, exponents):
+
+class Character:
+    """gamma(g) = prod_i exp(2 pi i e_i g_i / q_i) for an exponent tuple e;
+    values, when given, are its row of characters_of's table."""
+
+    def __init__(self, group: AbelianGroup, exponents, values=None):
         self.group = group
         self.exponents = tuple(int(e) % q for e, q in zip(exponents, group.factors))
         if len(self.exponents) != len(group.factors):
             raise ValueError("exponent tuple length mismatch")
-        phases = np.array(
-            [
-                sum(e * g / q for e, g, q in zip(self.exponents, g_tup, group.factors))
-                for g_tup in group.elements
-            ]
-        )
-        values = np.exp(2j * np.pi * phases)
-        # fourth roots of unity come out exact: snap the float residue
-        for part in (values.real, values.imag):
-            near = np.abs(part - np.rint(part)) < 1e-12
-            part[near] = np.rint(part[near])
+        if values is None:
+            values = _character_values(group, np.array([self.exponents]))[0]
         self.values = values
 
     @property
@@ -109,6 +118,12 @@ class Character:
 
     def is_real(self) -> bool:
         return bool(np.max(np.abs(self.values.imag)) < 1e-12)
+
+    @property
+    def typed_values(self) -> np.ndarray:
+        """The values as float64 at a real character (each is exactly +-1),
+        else complex128: the type an evaluation at gamma is computed in."""
+        return self.values.real if self.is_real() else self.values
 
     def __call__(self, g) -> complex:
         return complex(self.values[self.group.index(g)])
@@ -129,8 +144,25 @@ class Character:
 
 def characters_of(group: AbelianGroup) -> list[Character]:
     """All characters, ordered lexicographically by exponent tuple; the
-    trivial character comes first."""
-    return [Character(group, exps) for exps in group.elements]
+    trivial character comes first.  Character i has the exponents of
+    element i, so its conjugate is character group.neg_index[i].  The
+    values of all of them are one f x f array program."""
+    values = _character_values(group, np.array(group.elements))
+    return [Character(group, exps, row) for exps, row in zip(group.elements, values)]
+
+
+def first_of_conjugates(gammas: list[Character]) -> list[int]:
+    """For each character in gammas, the position in gammas of the first of
+    it and its conjugate.  Phi evaluated at the conjugate of gamma is Phi at
+    gamma conjugated entrywise, so a check whose every quantity is invariant
+    under that conjugation need run once per conjugate pair."""
+    seen, firsts = {}, []
+    for p, gamma in enumerate(gammas):
+        g = gamma.group
+        conj = g.elements[g.neg_index[g.index(gamma.exponents)]]
+        firsts.append(seen.get(conj, p))
+        seen.setdefault(gamma.exponents, p)
+    return firsts
 
 
 def real_character(group: AbelianGroup) -> Character:

@@ -137,9 +137,11 @@ class PolyphaseMatrix:
         return counts.reshape(v, v, f)
 
     def evaluate(self, gamma: Character) -> np.ndarray:
+        """Phi at gamma: float64 when gamma is real (every value is +-1),
+        complex128 otherwise."""
         if gamma.group != self.group:
             raise ValueError("character belongs to a different group")
-        return np.append(gamma.values, 0)[self.codes]
+        return np.append(gamma.typed_values, 0)[self.codes]
 
     def __eq__(self, other):
         return (

@@ -13,7 +13,10 @@ verifier counts triple products with one bincount per row span over a
 column-pair step table, the algebraic verifier multiplies each span of
 rows of Phi into the integer Gram Phi* Phi by summing whole rows of the
 Gram transposed and narrowed to the smallest exact integer type, and the
-numeric verifier only ever sees evaluated complex matrices.
+numeric verifier only ever sees evaluated matrices: complex128, or
+float64 at a real character.  Evaluation at a conjugate character
+conjugates every entry and changes no reported quantity, so the numeric
+checks run once per conjugate pair.
 
 The DRACKN check reads A = Phi* Phi - rI as a plain (v, v, f) integer
 array in row spans, and counts A^2 from the exponent table of A's
@@ -35,7 +38,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .construct import DracknParams, gq_cells
-from .groupring import AbelianGroup, characters_of
+from .groupring import AbelianGroup, characters_of, first_of_conjugates
 from .polymat import PolyphaseMatrix, require_float_exact, row_pairs, row_spans
 
 NUMERIC_TOL = 1e-9
@@ -140,8 +143,9 @@ def verify_bibd(x: np.ndarray, v: int, k: int) -> VerificationReport:
         return rep
     r = (v - 1) // (k - 1)
     rep.add("replication-integral", True, info=f"r={r}")
-    if set(np.unique(x)) - {0, 1}:
-        rep.add("zero-one", False, witness=_first_bad((x != 0) & (x != 1)))
+    not_01 = (x != 0) & (x != 1)
+    if not_01.any():
+        rep.add("zero-one", False, witness=_first_bad(not_01))
         return rep
     rep.add("zero-one", True)
     rows = x.sum(axis=1)
@@ -303,8 +307,13 @@ def verify_polyphase_algebraic(d: Design) -> VerificationReport:
 
 def verify_etf_numeric(phi: np.ndarray, tol: float = NUMERIC_TOL) -> VerificationReport:
     """Equal norms, equiangularity, tightness of the Gram, and Welch-bound
-    equality, plus the signature quadratic when off-diagonals are nonzero."""
-    phi = np.asarray(phi, dtype=np.complex128)
+    equality, plus the signature quadratic when off-diagonals are nonzero.
+    A real phi, as PolyphaseMatrix.evaluate gives at a real character, is
+    checked in float64, any other in complex128.  Every quantity reported
+    is unchanged when phi is conjugated entrywise, so the report at a
+    character also holds at its conjugate."""
+    phi = np.asarray(phi)
+    phi = phi.astype(np.complex128 if np.iscomplexobj(phi) else np.float64, copy=False)
     if phi.ndim != 2 or phi.shape[1] == 0:
         raise ValueError("expected a nonempty 2-d matrix")
     n = phi.shape[1]
@@ -507,7 +516,9 @@ def verify_drackn(a: np.ndarray, group: AbelianGroup, c: int) -> VerificationRep
     A's monomial off-diagonal cells: each span takes the sums D_ik + D_kj
     from one add table and counts them with one bincount.  That is A^2
     wherever A is hollow and monomial off its diagonal; elsewhere only that
-    part is counted, and the report already fails."""
+    part is counted, and the report already fails.  The signatures are
+    evaluated once per conjugate pair of characters, in float64 at a real
+    character; the second of a pair repeats the first's residual."""
     a = np.asarray(a)
     n, f = a.shape[0] if a.ndim else 0, group.order
     if a.shape != (n, n, f):
@@ -562,24 +573,39 @@ def verify_drackn(a: np.ndarray, group: AbelianGroup, c: int) -> VerificationRep
             diff = (r0 + i, j0 + j)
             break
     rep.add("quadratic", diff is None, witness=diff, info=f"delta={delta}")
-    eye = np.eye(n)
-    off = ~np.eye(n, dtype=bool)
-    sig = np.empty((n, n), dtype=np.complex128)
-    for gamma in characters_of(group):
+    dim = n / 2 * (1 - delta / math.sqrt(delta * delta + 4 * (n - 1)))
+    chars = characters_of(group)
+    residuals = {}
+    for i, (gamma, first) in enumerate(zip(chars, first_of_conjugates(chars))):
         if gamma.is_trivial:
             continue
-        for r0, r1 in spans:
-            sig[r0:r1] = np.tensordot(a[r0:r1], gamma.values, axes=([2], [0]))
-        name = f"signature@{gamma.exponents}"
-        res = max(
-            float(np.max(np.abs(sig - sig.conj().T))),
-            float(np.max(np.abs(np.diagonal(sig)))),
-            float(np.max(np.abs(np.abs(sig[off]) - 1))),
-            float(np.max(np.abs(sig @ sig - delta * sig - (n - 1) * eye))),
-        )
-        dim = n / 2 * (1 - delta / math.sqrt(delta * delta + 4 * (n - 1)))
-        rep.add(name, res <= NUMERIC_TOL, residual=res, info=f"d={dim:.6g}")
+        # A at the conjugate of a character is the conjugate matrix, with
+        # the same residual, so the pair's second line repeats its first
+        if first == i:
+            residuals[i] = _signature_residual(a, gamma, delta, spans)
+        res = residuals[first]
+        rep.add(f"signature@{gamma.exponents}", res <= NUMERIC_TOL, residual=res,
+                info=f"d={dim:.6g}")
     return rep
+
+
+def _signature_residual(a: np.ndarray, gamma, delta: int, spans) -> float:
+    """Largest deviation of S = A evaluated at gamma from an ETF signature
+    matrix: S self-adjoint, hollow, unimodular off its diagonal, with
+    S^2 = delta S + (n-1) I.  S is float64 at a real character, else
+    complex128, and is evaluated one row span of A at a time."""
+    n = len(a)
+    values = gamma.typed_values
+    sig = np.empty((n, n), dtype=values.dtype)
+    for r0, r1 in spans:
+        sig[r0:r1] = np.tensordot(a[r0:r1], values, axes=([2], [0]))
+    off = ~np.eye(n, dtype=bool)
+    return max(
+        float(np.max(np.abs(sig - sig.conj().T))),
+        float(np.max(np.abs(np.diagonal(sig)))),
+        float(np.max(np.abs(np.abs(sig[off]) - 1))),
+        float(np.max(np.abs(sig @ sig - delta * sig - (n - 1) * np.eye(n)))),
+    )
 
 
 def verify_srg_collinearity(

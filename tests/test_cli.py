@@ -572,6 +572,23 @@ def test_import_leaves_scipy_sparse_unloaded(tmp_path):
     assert "PASS GQ(2,4) axioms" in proc.stdout and "PASS SRG(27,10,1,5)" in proc.stdout
 
 
+def test_verify_leaves_numpy_ma_unloaded(tmp_path):
+    # the first np.unique of a process imports numpy.ma, about 10 ms of a
+    # cold verify; pytest may have loaded it already, so a fresh child runs
+    path = tmp_path / "affine_q3.polyphase"
+    path.write_text(format_polyphase(construct.affine_polyphase(3)))
+    code = (
+        "import sys\n"
+        "from etfforge.cli import main\n"
+        f"assert main(['verify', {str(path)!r}]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS BIBD(v=9, k=3, lambda=1)" in proc.stdout
+
+
 def _mutate_polyphase_text(text: str, rng) -> str:
     """One random edit of a .polyphase text: a cell, a support flip, a
     dropped row (with or without a matching header), or a header field."""

@@ -589,7 +589,8 @@ def test_phased_to_polyphase_matches_cell_loop_off_root_and_near_tol():
     cases = list(_cyclic_evaluations())
     for trial in range(200):
         phi, p = cases[trial % len(cases)]
-        phi = phi.copy()
+        # a real character evaluates to float64; the edits below are complex
+        phi = phi.astype(np.complex128)
         for _ in range(rng.choice((1, 2, 3))):
             i, j = rng.randrange(phi.shape[0]), rng.randrange(phi.shape[1])
             kind = rng.randrange(3)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -63,6 +64,61 @@ def test_index_tables_match_tuple_arithmetic(factors):
     add = [[g.index(_add(g, x, y)) for y in g.elements] for x in g.elements]
     assert np.array_equal(g.neg_index, neg)
     assert np.array_equal(g.add_index, add)
+
+
+def _per_digit_tables(factors):
+    """neg_index and add_index built one mixed-radix digit at a time, each
+    digit a pass over full-size tables: the earlier construction."""
+    order = math.prod(factors)
+    digits = np.indices(factors).reshape(len(factors), order)
+    neg = np.zeros(order, dtype=np.intp)
+    add = np.zeros((order, order), dtype=np.intp)
+    for d, q in zip(digits, factors):
+        neg *= q
+        neg += -d % q
+        add *= q
+        add += (d[:, None] + d) % q
+    return neg, add
+
+
+@pytest.mark.parametrize("factors", [(2,) * 10, (1024,), (3, 3, 3), (2, 3, 4), (5,), (4, 2)],
+                         ids=str)
+def test_index_tables_match_per_digit_build(factors):
+    g = AbelianGroup(factors)
+    neg, add = _per_digit_tables(factors)
+    assert g.neg_index.dtype == g.add_index.dtype == np.intp
+    assert np.array_equal(g.neg_index, neg) and np.array_equal(g.add_index, add)
+
+
+def _comprehension_values(group, exponents):
+    """A character's values from one Python sum per element: the earlier
+    construction, which characters_of must match bit for bit."""
+    phases = np.array(
+        [
+            sum(e * g / q for e, g, q in zip(exponents, g_tup, group.factors))
+            for g_tup in group.elements
+        ]
+    )
+    values = np.exp(2j * np.pi * phases)
+    for part in (values.real, values.imag):
+        near = np.abs(part - np.rint(part)) < 1e-12
+        part[near] = np.rint(part[near])
+    return values
+
+
+@pytest.mark.parametrize("factors", [(2,), (6,), (2, 4), (3, 3, 3), (2, 3, 4), (12, 5), (64,),
+                                     (2,) * 6, (1024,)], ids=str)
+def test_characters_match_comprehension_bitwise(factors):
+    group = AbelianGroup(factors)
+    chars = characters_of(group)
+    assert [c.exponents for c in chars] == list(group.elements)
+    # at order 1024 the comprehension takes seconds per character, so a sample
+    picks = range(group.order) if group.order <= 64 else (0, 1, 2, 255, 256, 511, 512, 513, 1023)
+    for i in picks:
+        want = _comprehension_values(group, group.elements[i]).view(np.uint64)
+        assert np.array_equal(chars[i].values.view(np.uint64), want), i
+        single = Character(group, group.elements[i]).values
+        assert np.array_equal(single.view(np.uint64), want), i
 
 
 def test_group_order_capped():
