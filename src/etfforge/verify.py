@@ -27,6 +27,14 @@ The GQ and SRG checks count from the nonzero cells of a 0/1 incidence Z
 P = Z^T Z from one bincount over the point pairs of each block; the BIBD
 pair balance counts its Z^T Z the same way.  The
 SRG quadratic of A = P - (t+1)I is checked as P^2 - (s+t)P - (t+1)J.
+For any Phi, each x in its group maps the lift onto itself: lifted row
+v + i f + a goes to v + i f + (a + x), point j f + b to j f + (b + x),
+and each spread row stays.  Z, P and both sides of each identity are
+invariant too, so a row offends exactly when the lowest-index row of its
+orbit does, and the row-major first offence lies in such a row.  Both
+products are formed on those rows only (the spread rows and rows v + i f,
+points j f): f times fewer rows, the same witnesses.  A dense array has
+translation order 1, so every row is read.
 """
 
 from __future__ import annotations
@@ -195,8 +203,8 @@ class Design:
 
     @functools.cached_property
     def gq(self) -> _Cells:
-        """The GQ lift's cells; raises gq_cells's errors (k != f, over the cap)."""
-        return _Cells(*gq_cells(self.m))
+        """The GQ lift's cells, translation order f; raises gq_cells's errors."""
+        return _Cells(*gq_cells(self.m), self.f)
 
 
 def _design_head(d: Design, kind: str) -> tuple[VerificationReport, bool]:
@@ -371,15 +379,14 @@ def verify_etf_numeric(phi: np.ndarray, tol: float = NUMERIC_TOL) -> Verificatio
 SPAN_CELLS = 2**20
 
 
-def _block_pairs(ii, jj, rows, n_points: int):
-    """(block, point, point) of every ordered pair of points on a common
-    block, in block order, one bounded row span at a time; (ii, jj) are
-    the row-major nonzero cells and rows the row sums."""
+def _block_pairs(ii, rows, n_points: int):
+    """(lo, a, b): cells lo + a and lo + b of every ordered pair of cells
+    on a common block, in block order, one bounded row span at a time;
+    ii are the rows of the row-major nonzero cells and rows the row sums."""
     ptr = np.concatenate(([0], np.cumsum(rows)))
     for r0, r1 in row_spans(rows * rows, max(n_points * n_points, SPAN_CELLS)):
         lo = ptr[r0]
-        a, b = row_pairs(ii[lo:ptr[r1]])
-        yield ii[lo + a], jj[lo + a], jj[lo + b]
+        yield (lo, *row_pairs(ii[lo:ptr[r1]]))
 
 
 def _point_pairs(ii, jj, rows, n_points: int) -> np.ndarray:
@@ -388,8 +395,8 @@ def _point_pairs(ii, jj, rows, n_points: int) -> np.ndarray:
     counts are float64, exact below 2^53, so the SRG quadratic can
     multiply them with no copy."""
     total = None
-    for _, a, c in _block_pairs(ii, jj, rows, n_points):
-        part = np.bincount(a * n_points + c, np.ones(len(a)), n_points * n_points)
+    for lo, a, c in _block_pairs(ii, rows, n_points):
+        part = np.bincount(jj[lo:][a] * n_points + jj[lo:][c], np.ones(len(a)), n_points**2)
         total = part if total is None else np.add(total, part, out=total)
     if total is None:  # no blocks
         total = np.zeros(n_points * n_points)
@@ -398,11 +405,14 @@ def _point_pairs(ii, jj, rows, n_points: int) -> np.ndarray:
 
 class _Cells:
     """A 0/1 incidence by its shape, its row-major nonzero cells (ii, jj),
-    their row sums and the first cell that is not 1 (None for a lift,
-    whose cells are all ones); Z^T Z is counted on first use."""
+    their row sums, the first cell that is not 1 (None for a lift, whose
+    cells are all ones) and its translation order f: the group order for a
+    lift, whose translation orbits are each spread row, the lifted rows
+    v + i f + a and the points j f + b; 1 for a dense array.  Z^T Z is
+    counted on first use."""
 
-    def __init__(self, shape, ii, jj, not_one=None):
-        self.shape, self.ii, self.jj, self.not_one = shape, ii, jj, not_one
+    def __init__(self, shape, ii, jj, f, not_one=None):
+        self.shape, self.ii, self.jj, self.f, self.not_one = shape, ii, jj, f, not_one
         self.rows = np.bincount(ii, minlength=shape[0])
 
     @classmethod
@@ -412,7 +422,7 @@ class _Cells:
         flat = np.flatnonzero(z)
         ii, jj = np.divmod(flat, z.shape[-1])
         bad = np.flatnonzero(z.ravel()[flat] != 1)
-        return cls(z.shape, ii, jj, (int(ii[bad[0]]), int(jj[bad[0]])) if len(bad) else None)
+        return cls(z.shape, ii, jj, 1, (int(ii[bad[0]]), int(jj[bad[0]])) if len(bad) else None)
 
     @functools.cached_property
     def pairs(self) -> np.ndarray:
@@ -430,25 +440,30 @@ def _first_shared_block_pair(ii, jj, rows, shared) -> tuple:
     """Row-major first off-diagonal entry (i, j) of Z Z^T above 1, given
     the off-diagonal point pairs that share two blocks: i is the first
     block holding such a pair, j the first other block meeting i twice."""
-    for blk, a, c in _block_pairs(ii, jj, rows, len(shared)):
-        hit = np.flatnonzero(shared[a, c])
+    for lo, a, c in _block_pairs(ii, rows, len(shared)):
+        hit = np.flatnonzero(shared[jj[lo:][a], jj[lo:][c]])
         if len(hit):
-            i = int(blk[hit[0]])
+            i = int(ii[lo + a[hit[0]]])
             break
     meets = np.bincount(ii[np.isin(jj, jj[ii == i])], minlength=len(rows))
     meets[i] = 0
     return i, int(np.flatnonzero(meets > 1)[0])
 
 
-def _first_triple_offence(ii, jj, rows, pairs, s: int, t: int) -> tuple | None:
-    """Row-major first entry where Z (Z^T Z) != (s+t) Z + J.  Row i of the
+def _first_triple_offence(z: _Cells, s: int, t: int) -> tuple | None:
+    """Row-major first entry where Z (Z^T Z) != (s+t) Z + J, read on the
+    spread rows and rows v + i f, one per translation orbit.  Row i of the
     product sums the point-pair rows of the points of block i; each
     bounded row span adds one point per row per step (short rows add a
     zero row) and the search stops at the first span with an offence."""
-    n_points = len(pairs)
+    n_points = z.shape[1]
     # every count is at most the number of ones of z
-    padded = np.zeros((n_points + 1, n_points), dtype=np.int32 if len(ii) < 2**31 else np.int64)
-    padded[:n_points] = pairs
+    padded = np.zeros((n_points + 1, n_points), dtype=np.int32 if len(z.ii) < 2**31 else np.int64)
+    padded[:n_points] = z.pairs
+    # the spread rows and rows v + i f with their cells, renumbered 0, 1, ...
+    keep = np.maximum(np.arange(z.shape[0]) - n_points // z.f, 0) % z.f == 0
+    cell = keep[z.ii]
+    ii, jj, rows = (np.cumsum(keep) - 1)[z.ii[cell]], z.jj[cell], z.rows[keep]
     ptr = np.concatenate(([0], np.cumsum(rows)))
     for r0, r1 in row_spans((rows + 1) * n_points, SPAN_CELLS):
         lo, hi = ptr[r0], ptr[r1]
@@ -461,7 +476,7 @@ def _first_triple_offence(ii, jj, rows, pairs, s: int, t: int) -> tuple | None:
         span[at, jj[lo:hi]] -= s + t
         if np.count_nonzero(span):
             i, c = _first_bad(span != 0)
-            return r0 + i, c
+            return int(np.flatnonzero(keep)[r0 + i]), c
     return None
 
 
@@ -471,7 +486,9 @@ def verify_gq_axioms(z, s: int, t: int, check_spread: bool = False) -> Verificat
     triple product Z Z^T Z = (s+t) Z + J.  z is a dense array or a
     Design, whose GQ lift is read; everything is counted from the nonzero
     cells and the point-pair matrix Z^T Z, so no blocks x blocks or
-    blocks x points array is formed."""
+    blocks x points array is formed.  The triple product is formed on one
+    row per translation orbit of a Design's lift, where the first offence
+    lies (see the module docstring), so witnesses are the full product's."""
     z = _cells(z)
     rep = VerificationReport(subject=f"GQ({s},{t}) axioms")
     n_blocks = (t + 1) * (s * t + 1)
@@ -497,7 +514,7 @@ def verify_gq_axioms(z, s: int, t: int, check_spread: bool = False) -> Verificat
     rep.add("block-pair-intersections", witness is None, witness=witness)
     witness = _first_bad(shared)
     rep.add("point-pair-collinearity", witness is None, witness=witness)
-    witness = _first_triple_offence(ii, jj, rows, pairs, s, t)
+    witness = _first_triple_offence(z, s, t)
     rep.add("triple-product", witness is None, witness=witness)
     if check_spread:
         # the first st+1 rows hold the points j(s+1) .. j(s+1)+s in row j
@@ -614,7 +631,9 @@ def verify_srg_collinearity(
     """Collinearity graph of a GQ(s, t): strongly regular with parameters
     ((s+1)(st+1), s(t+1), s-1, t+1).  z is a dense array or a Design, as
     for verify_gq_axioms; gq is that check's report on the same z,
-    computed here when not given; its spread line is ignored."""
+    computed here when not given; its spread line is ignored.  The
+    quadratic is formed on one point j f per translation orbit, as for
+    the triple product, so witnesses are the full N x N product's."""
     z = _cells(z)
     if gq is None:
         gq = verify_gq_axioms(z, s, t)
@@ -632,18 +651,18 @@ def verify_srg_collinearity(
     rows = pairs.sum(axis=1) - (t + 1)
     rep.add("regular", bool(np.all(rows == deg)), witness=_first_bad(rows != deg))
     # A^2 - (lam - mu) A - (deg - mu) I - mu J = P^2 - (s+t) P - (t+1) J must
-    # vanish, exactly in float64 under the guard.  P is symmetric, so BLAS
-    # forms P P^T = P^2 as a symmetric rank-k update; the rest is subtracted
-    # in row spans of about a megabyte, so no other points x points array forms
-    pmax = int(pairs.max(initial=0))
+    # vanish, exactly in float64 under the guard (the inner dimension is
+    # still n).  Rows j f of P^2 form a (n / f) x n product; the rest is
+    # subtracted in place in row spans of about a megabyte
+    pmax, f = int(pairs.max(initial=0)), z.f
     require_float_exact(n, pmax, pmax)
-    quad, witness = pairs @ pairs.T, None
-    for r0, r1 in row_spans(np.full(n, n), SPAN_CELLS // 8):
+    quad, witness = pairs[::f] @ pairs, None
+    for r0, r1 in row_spans(np.full(len(quad), n), SPAN_CELLS // 8):
         span = quad[r0:r1]
-        span -= (s + t) * pairs[r0:r1] + (t + 1)
+        span -= (s + t) * pairs[r0 * f:r1 * f:f] + (t + 1)
         if span.any():
             i, j = _first_bad(span != 0)
-            witness = (r0 + i, j)
+            witness = ((r0 + i) * f, j)
             break
     rep.add("srg-quadratic", witness is None, witness=witness)
     return rep

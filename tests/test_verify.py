@@ -564,18 +564,82 @@ def test_gq_and_srg_match_dense_reference(families):
             assert got.passed == (case is z), name
 
 
-def test_design_lift_checks_match_dense_lift(families):
-    for name in ("example933", "brouwer2", "brouwer3", "affine3"):
-        m = families[name]
-        s, t = _design_order(m)
-        for case in [m] + [_change_exponent(m, seed) for seed in range(10)]:
-            d, z = Design(case), gq_from_polyphase(case)
-            gq = verify_gq_axioms(d, s, t, check_spread=True)
-            assert _triples(gq) == _triples(verify_gq_axioms(z, s, t, check_spread=True)), name
-            srg = verify_srg_collinearity(d, s, t)
-            assert _triples(srg) == _triples(verify_srg_collinearity(z, s, t)), name
-            assert _triples(verify_srg_collinearity(d, s, t, gq=gq)) == _triples(srg), name
-            assert gq.passed == (case is m), name
+def test_design_lift_checks_match_dense_lift(families, monkeypatch):
+    # the Design route reads one row per translation orbit, the dense one
+    # every row; with SPAN_CELLS = 1 each representative row is its own span
+    for cells in (verify_module.SPAN_CELLS, 1):
+        monkeypatch.setattr(verify_module, "SPAN_CELLS", cells)
+        for name in ("example933", "brouwer2", "brouwer3", "affine3"):
+            m = families[name]
+            s, t = _design_order(m)
+            for case in [m] + [_change_exponent(m, seed) for seed in range(10)]:
+                d, z = Design(case), gq_from_polyphase(case)
+                gq = verify_gq_axioms(d, s, t, check_spread=True)
+                assert _triples(gq) == _triples(verify_gq_axioms(z, s, t, check_spread=True)), name
+                srg = verify_srg_collinearity(d, s, t)
+                assert _triples(srg) == _triples(verify_srg_collinearity(z, s, t)), name
+                assert _triples(verify_srg_collinearity(d, s, t, gq=gq)) == _triples(srg), name
+                assert gq.passed == (case is m), name
+
+
+def _rephase_rows(m, seed):
+    """Draw new exponents for three rows other than row 0."""
+    rng = np.random.default_rng(seed)
+    codes, f = m.codes.copy(), m.group.order
+    for i in rng.choice(np.arange(1, m.rows), 3, replace=False):
+        support = codes[i] != f
+        codes[i, support] = rng.integers(0, f, int(support.sum()))
+    return PolyphaseMatrix(m.group, codes)
+
+
+def test_srg_orbit_route_matches_dense_lift_on_mutants(families, monkeypatch):
+    # verify runs the SRG quadratic only after gq passes, so a broken lift
+    # never reaches its witness; an all-PASS gq report forces it there.
+    # The collinearity graph has diameter 2, so nearly every offence shows
+    # in point 0's row; a few re-phased designs first offend in a later orbit
+    witnesses = set()
+    for cells in (verify_module.SPAN_CELLS, 1):
+        monkeypatch.setattr(verify_module, "SPAN_CELLS", cells)
+        for name in ("example933", "brouwer2", "brouwer3", "affine3"):
+            m = families[name]
+            s, t = _design_order(m)
+            passed = verify_gq_axioms(Design(m), s, t)
+            assert passed.passed, name
+            cases = [_change_exponent(m, seed) for seed in range(10)]
+            if name == "example933":
+                cases += [_rephase_rows(m, seed) for seed in range(40)]
+            for case in cases:
+                got = _triples(verify_srg_collinearity(Design(case), s, t, gq=passed))
+                dense = verify_srg_collinearity(gq_from_polyphase(case), s, t, gq=passed)
+                assert got == _triples(dense), name
+                witnesses.add(got[-1][2])
+    assert len(witnesses) > 10 and max(w[0] for w in witnesses if w) > 0
+
+
+def test_srg_quadratic_memory_and_guard(monkeypatch):
+    # the quadratic forms P^2 on one point per translation orbit: a
+    # (N / f) x N product, where the full one would hold N^2 float64 cells
+    m = brouwer_polyphase(5)
+    s, t = _design_order(m)
+    d = Design(m)
+    gq, n = verify_gq_axioms(d, s, t), d.gq.shape[1]
+    guard, calls = verify_module.require_float_exact, []
+
+    def counting(*args):
+        calls.append(args)
+        return guard(*args)
+
+    monkeypatch.setattr(verify_module, "require_float_exact", counting)
+    tracemalloc.start()
+    try:
+        rep = verify_srg_collinearity(d, s, t, gq=gq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed, rep.as_text()
+    assert peak < n * n * 8 / 2, peak
+    # the inner dimension of the product is still every point
+    assert calls == [(n, t + 1, t + 1)]
 
 
 def _golden_designs():
@@ -601,6 +665,32 @@ def test_design_lift_cells_are_the_dense_lift_scan():
         assert cells.shape == dense.shape and cells.not_one is None is dense.not_one
         assert np.array_equal(cells.ii, dense.ii) and np.array_equal(cells.jj, dense.jj)
         assert np.array_equal(cells.rows, dense.rows)
+
+
+def _translated_cells(cells, group, v):
+    """The flat row-major cell keys of a GQ lift moved by each x in the
+    group: lifted row v + i f + a goes to v + i f + (a + x), point j f + b
+    to j f + (b + x), and every spread row stays where it is."""
+    f, add, n = group.order, group.add_index, cells.shape[1]
+    a, b = (cells.ii - v) % f, cells.jj % f
+    lifted = cells.ii >= v
+    for x in range(f):
+        ii = np.where(lifted, cells.ii - a + add[a, x], cells.ii)
+        yield np.sort(ii * n + cells.jj - b + add[b, x])
+
+
+def test_design_lift_is_translation_invariant():
+    # gq and srg read one row per translation orbit, which holds for any
+    # Phi: the golden designs, unequal rows and mutated exponents alike
+    designs = _golden_designs() + [_unequal_rows()]
+    designs += [_change_exponent(m, seed) for m in designs[::3] for seed in range(2)]
+    for m in designs:
+        cells = Design(m).gq
+        assert cells.f == m.group.order
+        assert verify_module._Cells.from_dense(gq_from_polyphase(m)).f == 1
+        keys = cells.ii * cells.shape[1] + cells.jj
+        for moved in _translated_cells(cells, m.group, m.cols):
+            assert np.array_equal(moved, keys), repr(m)
 
 
 def test_gq_and_srg_row_spans_match_dense_reference(families, monkeypatch):
