@@ -211,16 +211,16 @@ def cmd_verify(args) -> int:
                 rep = checked[first]
                 subject = f"{rep.subject} at character {gamma.exponents}"
                 reports.append(V.VerificationReport(subject, list(rep.checks), rep.numerics))
-        # A = Phi* Phi - rI is v x v x f cells, so only a BIBD bounds it
+        # A = Phi* Phi - rI is v x f x v cells, so only a BIBD bounds it
         bibd_fail = next((c.name for c in d.bibd.checks if not c.passed), None)
         if "drackn" in wanted and bibd_fail:
             _skip("drackn", f"needs a BIBD: {bibd_fail} fails", reports, explicit)
-        elif "drackn" in wanted and (drackn := d.drackn) is None:
+        elif "drackn" in wanted and d.drackn is None:
             _skip("drackn", "c = k(r-1)/f is not an integer", reports, explicit)
         elif "drackn" in wanted:
-            a, dp = drackn
-            reports.append(V.verify_drackn(a, m.group, dp.c))
-            del a, drackn  # Phi* Phi - rI is not kept through the GQ and SRG stages
+            reports.append(V.verify_drackn(d.drackn[0], m.group, d.drackn[1].c))
+        # A, read by algebraic and drackn, is not kept through the GQ and SRG stages
+        vars(d).pop("drackn", None)
         if k != f:
             gq_skip = f"needs k = f, got k={k}, f={f}"
         elif r is None:

@@ -4,12 +4,12 @@ A PolyphaseMatrix is the constrained object the constructions emit:
 every entry is either zero or a single group element z^g.  It is stored
 as one b x v int16 array of cell codes, code c < f for z^(element c)
 and code f for a zero, which keeps the "zero or one monomial" invariant
-structural; f <= 2^10 fits int16.  Its Gram Phi* Phi, the
-product the exact checks need, is a plain (cols, cols, f) int64 array
-of group-ring coefficients, built by integer scatter with no floating
-point at all.  require_float_exact guards the float64 products the
-checks do take on integer matrices: float64 sums of integers are exact
-below 2^53.
+structural; f <= 2^10 fits int16.  Its Gram Phi* Phi, the product the
+exact checks need, is a plain (cols, f, cols) array of group-ring
+coefficients in the narrowest signed type that holds them, built by
+integer counting with no floating point at all.  require_float_exact
+guards the float64 products the checks do take on integer matrices:
+float64 sums of integers are exact below 2^53.
 
 Text serialization of a polyphase matrix:
 
@@ -123,18 +123,21 @@ class PolyphaseMatrix:
         return (self.codes != self.group.order).astype(np.int64)
 
     def gram(self) -> np.ndarray:
-        """Phi* Phi as a (cols, cols, f) int64 array whose (a, b) entry holds
-        the coefficients of a group-ring element, by integer scatter: each
-        row adds z^(e_b - e_a) at (a, b) for every ordered pair (a, b) of
-        its nonzero columns."""
+        """Phi* Phi as a (cols, f, cols) array, Gram[a, h, b] the coefficient
+        of z^h in entry (a, b), counted from the sorted slots of each row's
+        ordered pairs (a, b) of nonzero columns, which add z^(e_b - e_a): no
+        int64 array of every cell forms.  A coefficient counts rows and
+        r = (v-1)/(k-1) < v, so +-max(rows, cols) bounds Phi* Phi - rI too."""
         g = self.group
         f, v = g.order, self.cols
         ii, jj = np.nonzero(self.codes != f)
         e = self.codes[ii, jj]
         a, b = row_pairs(ii)
-        flat = (jj[a] * v + jj[b]) * f + g.add_index[g.neg_index[e[a]], e[b]]
-        counts = np.bincount(flat, minlength=v * v * f)
-        return counts.reshape(v, v, f)
+        flat = (jj[a] * f + g.add_index[g.neg_index[e[a]], e[b]]) * v + jj[b]
+        slots, counts = np.unique(flat, return_counts=True)
+        out = np.zeros(v * f * v, dtype=np.min_scalar_type(-max(self.rows, v) - 1))
+        out[slots] = counts
+        return out.reshape(v, f, v)
 
     def evaluate(self, gamma: Character) -> np.ndarray:
         """Phi at gamma: float64 when gamma is real (every value is +-1),

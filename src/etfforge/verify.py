@@ -8,18 +8,16 @@ deviation and a relative singular value cutoff of 1e-8 for rank.
 Verifiers raise only on API misuse; a malformed design gets a FAIL.
 
 A Design derives what several checks read off one polyphase matrix Phi
-once.  The exact and numeric routes stay independent: the combinatorial
-verifier counts triple products with one bincount per row span over a
-column-pair step table, the algebraic verifier multiplies each span of
-rows of Phi into the integer Gram Phi* Phi by summing whole rows of the
-Gram transposed and narrowed to the smallest exact integer type, and the
-numeric verifier only ever sees evaluated matrices: complex128, or
-float64 at a real character.  Evaluation at a conjugate character
-conjugates every entry and changes no reported quantity, so the numeric
-checks run once per conjugate pair.
-
-The DRACKN check reads A = Phi* Phi - rI as a plain (v, v, f) integer
-array in row spans, and counts A^2 from the exponent table of A's
+once, among them its one Gram array A = Phi* Phi - rI, narrow and laid
+out (v, f, v).  The exact and numeric routes stay independent: the
+combinatorial verifier counts triple products with one bincount per row
+span over a column-pair step table, the algebraic verifier multiplies
+each span of rows of Phi into A by summing whole rows of A, with no
+copy, and the numeric verifier only ever sees evaluated matrices:
+complex128, or float64 at a real character.  Evaluation at a conjugate
+character conjugates every entry and changes no reported quantity, so
+the numeric checks run once per conjugate pair.  The DRACKN check reads
+the same A in row spans, and counts A^2 from the exponent table of A's
 monomial off-diagonal cells with one bincount per span.
 
 The GQ and SRG checks count from the nonzero cells of a 0/1 incidence Z
@@ -173,9 +171,8 @@ def verify_bibd(x: np.ndarray, v: int, k: int) -> VerificationReport:
 class Design:
     """One polyphase matrix Phi and what the checks share, derived once:
     x = |Phi|^2, v, f, k (row 0's weight), r = (v-1)/(k-1) or None, the
-    BIBD report; the Gram, a plain (v, v, f) int64 array, and the GQ lift
-    cells when first read.  The DRACKN, a copy of the Gram, is rebuilt on
-    each read, so it is not kept past its check."""
+    BIBD report; when first read, the GQ lift cells and the DRACKN, whose
+    A is the one Gram array algebraic and drackn read."""
 
     def __init__(self, m: PolyphaseMatrix):
         self.m, self.x = m, m.modulus_squared()
@@ -186,19 +183,14 @@ class Design:
         self.bibd = verify_bibd(self.x, self.v, self.k)
 
     @functools.cached_property
-    def gram(self) -> np.ndarray:
-        """Phi* Phi, the (v, v, f) int64 coefficient array of PolyphaseMatrix.gram."""
-        return self.m.gram()
-
-    @property
     def drackn(self) -> tuple[np.ndarray, DracknParams] | None:
-        """(A, its parameters), where A = Phi* Phi - r I is a copy of the Gram
-        with r taken off each diagonal cell at the identity; None unless
-        c = k(r-1)/f is integral."""
+        """(A, its parameters), where A = Phi* Phi - r I is the (v, f, v)
+        Gram of PolyphaseMatrix.gram with r taken off each diagonal cell at
+        the identity; None unless c = k(r-1)/f is integral."""
         if self.r is None or self.k * (self.r - 1) % self.f:
             return None
-        a = self.gram.copy()
-        a[np.arange(self.v), np.arange(self.v), 0] -= self.r
+        a = self.m.gram()
+        a[np.arange(self.v), 0, np.arange(self.v)] -= self.r
         return a, DracknParams(self.v, self.f, self.k * (self.r - 1) // self.f)
 
     @functools.cached_property
@@ -269,10 +261,11 @@ def verify_polyphase_combinatorial(d: Design) -> VerificationReport:
 
 def verify_polyphase_algebraic(d: Design) -> VerificationReport:
     """Exact group-ring identity: Phi Phi* Phi = (r+k-1) Phi + (k/f) G (J - X)
-    where G is the sum of all group elements, checked against the integer
-    Gram Phi* Phi laid out once as whole rows T[(j, h), c] = Gram[j, c](h)
-    in the narrowest exact integer type.  Each bounded row span gathers
-    the contiguous rows of T its support selects and stops at the first
+    where G is the sum of all group elements, checked as
+    Phi A = (k-1) Phi + (k/f) G (J - X) on the Design's A = Phi* Phi - rI,
+    read with no copy as whole rows T[(j, h), c] = A[j, h, c].  Each
+    bounded row span gathers the contiguous rows of T its support selects,
+    sums them in the narrowest exact integer type and stops at the first
     span with an offence; the witness is the row-major first offence, and
     its info names the first group element off its target and its count."""
     rep, ok = _design_head(d, "algebraic")
@@ -281,27 +274,25 @@ def verify_polyphase_algebraic(d: Design) -> VerificationReport:
     m, x, v, k, r, f = d.m, d.x, d.v, d.k, d.r, d.f
     g = m.group
     quota = k // f
-    coeffs = d.gram
-    # every partial sum of k Gram coefficients lies in [0, k * max] and each
-    # subtracted term (quota or r+k-1) is at most r+k-1, so this type is
-    # exact for any input
-    dt = np.min_scalar_type(-(k * int(coeffs.max()) + r + k))
-    gram_t = np.empty((v, f, v), dt)
-    gram_t[...] = coeffs.transpose(0, 2, 1)
-    gram_t = gram_t.reshape(v * f, v)
+    a = d.drackn[0]  # f | k makes c = k(r-1)/f integral, so A is there
+    # the Gram's largest coefficient is A's or r; a partial sum of k
+    # coefficients of A lies in [0, k * that] and each subtracted term
+    # (quota or k-1) is below r+k, so this type is exact for any input
+    dt = np.min_scalar_type(-(k * max(int(a.max()), r) + r + k))
+    t = a.reshape(v * f, v)
     sub = g.add_index[:, g.neg_index]  # sub[a, b] = index of a - b
     sup, e = _blocks(d)
-    # row i of the left side at (h, c) is sum_j Gram[j, c](h - e_ij): the
-    # rows j f + sub[h, e_ij] of T, summed over the k support columns j
+    # row i of Phi A at (h, c) is sum_j A[j, h - e_ij, c]: the rows
+    # j f + sub[h, e_ij] of T, summed over the k support columns j
     diff, info = None, f"a={r + k - 1}"
     for r0, r1 in row_spans(np.full(m.rows, k * f * v), SPAN_CELLS // 8):
         n = r1 - r0
         idx = sup[r0:r1, :, None] * f + sub.T[e[r0:r1]]
-        lhs = gram_t.take(idx.ravel(), axis=0).reshape(n, k, f, v).sum(axis=1, dtype=dt)
+        lhs = t.take(idx.ravel(), axis=0).reshape(n, k, f, v).sum(axis=1, dtype=dt)
         lhs -= (quota * (x[r0:r1] == 0).astype(dt))[:, None, :]
-        lhs[np.arange(n)[:, None], e[r0:r1], sup[r0:r1]] -= r + k - 1
+        lhs[np.arange(n)[:, None], e[r0:r1], sup[r0:r1]] -= k - 1
         if lhs.any():
-            # a support cell (i, c) always holds (r+k-1) z^(e_ic), as row i is
+            # a support cell (i, c) always holds (k-1) z^(e_ic), as row i is
             # the only row through c and another of its columns; so the
             # offence is at a zero cell, whose target is quota everywhere
             i, c = _first_bad(lhs.any(axis=1))
@@ -374,7 +365,7 @@ def verify_etf_numeric(phi: np.ndarray, tol: float = NUMERIC_TOL) -> Verificatio
 # cells per row span of the GQ triple-product check, small enough to
 # stay in cache; the point-pair spans may hold as many pairs as Z^T Z has
 # cells, combinatorial gathers SPAN_CELLS // 64 per span and algebraic
-# SPAN_CELLS // 8 narrowed Gram cells, at most 256 KiB at int16; drackn
+# sums SPAN_CELLS // 8 cells of A, at most 256 KiB at int16; drackn
 # reads SPAN_CELLS // 16 cells of A, and counts as many sums, per span
 SPAN_CELLS = 2**20
 
@@ -525,23 +516,24 @@ def verify_gq_axioms(z, s: int, t: int, check_spread: bool = False) -> Verificat
 
 
 def verify_drackn(a: np.ndarray, group: AbelianGroup, c: int) -> VerificationReport:
-    """A = Phi* Phi - r I as an (n, n, f) integer array of group-ring
-    coefficients: self-adjoint, hollow, monomial off the diagonal, and the
-    exact quadratic A^2 = (n - fc - 2) A + (n-1) I + c G (J - I); then each
-    nontrivial character evaluation must be an ETF signature matrix.  A is
-    read in bounded row spans.  A^2 is counted from the exponent table D of
-    A's monomial off-diagonal cells: each span takes the sums D_ik + D_kj
-    from one add table and counts them with one bincount.  That is A^2
-    wherever A is hollow and monomial off its diagonal; elsewhere only that
-    part is counted, and the report already fails.  The signatures are
-    evaluated once per conjugate pair of characters, in float64 at a real
-    character; the second of a pair repeats the first's residual."""
+    """A = Phi* Phi - r I as an (n, f, n) array of any integer type, A[i, h, j]
+    the coefficient of z^h in entry (i, j): self-adjoint, hollow, monomial
+    off the diagonal, with A^2 = (n - fc - 2) A + (n-1) I + c G (J - I)
+    exactly; then each nontrivial character evaluation must be an ETF
+    signature matrix.  A is read in bounded row spans.  A^2 is counted
+    from the exponent table D of A's monomial off-diagonal cells: each
+    span takes the sums D_ik + D_kj from one add table and counts them with
+    one bincount.  That is A^2 wherever A is hollow and monomial off its
+    diagonal; elsewhere only that part is counted, and the report already
+    fails.  The signatures are evaluated once per conjugate pair of
+    characters, in float64 at a real character; the second of a pair
+    repeats the first's residual."""
     a = np.asarray(a)
     n, f = a.shape[0] if a.ndim else 0, group.order
-    if a.shape != (n, n, f):
-        raise ValueError(f"expected an (n, n, {f}) array, got shape {a.shape}")
+    if a.shape != (n, f, n):
+        raise ValueError(f"expected an (n, {f}, n) array, got shape {a.shape}")
     rep = VerificationReport(subject=f"({n},{f},{c})-DRACKN")
-    spans = list(row_spans(np.full(n, n * f), SPAN_CELLS // 16))
+    spans = list(row_spans(np.full(n, f * n), SPAN_CELLS // 16))
     # D holds the exponent of each monomial off-diagonal cell of A; every
     # other cell is a hole, coded as f
     d = np.full((n, n), f, dtype=np.intp)
@@ -549,16 +541,16 @@ def verify_drackn(a: np.ndarray, group: AbelianGroup, c: int) -> VerificationRep
     for r0, r1 in spans:
         span, off = a[r0:r1], np.arange(n) != np.arange(r0, r1)[:, None]
         # row i of A* is column i of A under the involution
-        bad = (span != a[:, r0:r1, group.neg_index].transpose(1, 0, 2)).any(axis=2)
+        bad = (span != a[:, group.neg_index, r0:r1].transpose(2, 1, 0)).any(axis=1)
         if adjoint_bad is None and (hit := _first_bad(bad)):
             adjoint_bad = (r0 + hit[0], hit[1])
         nonzero = span != 0
-        monomial = (np.sum(span == 1, axis=2) == 1) & (np.sum(nonzero, axis=2) == 1) & off
+        monomial = (np.sum(span == 1, axis=1) == 1) & (np.sum(nonzero, axis=1) == 1) & off
         if monomial_bad is None and (hit := _first_bad(~monomial & off)):
             monomial_bad = (r0 + hit[0], hit[1])
-        np.copyto(d[r0:r1], nonzero.argmax(axis=2), where=monomial)
+        np.copyto(d[r0:r1], nonzero.argmax(axis=1), where=monomial)
     rep.add("self-adjoint", adjoint_bad is None, witness=adjoint_bad)
-    diag = a[np.arange(n), np.arange(n)]
+    diag = a[np.arange(n), :, np.arange(n)]
     rep.add("zero-diagonal", bool(np.all(diag == 0)), witness=_first_bad(diag.any(axis=1)))
     rep.add("monomial-off-diagonal", monomial_bad is None, witness=monomial_bad)
     delta = n - f * c - 2
@@ -581,12 +573,13 @@ def verify_drackn(a: np.ndarray, group: AbelianGroup, c: int) -> VerificationRep
         g = add[d[r0:r0 + m]].take(index[:m, j0:])
         g += slot[:m, j0:]
         counts = np.bincount(g.ravel(), minlength=m * n * (f + 1)).reshape(m, n, f + 1)
-        lhs = counts[:, j0:, :f]
-        lhs -= delta * a[r0:r0 + m, j0:] + c
+        # laid out (i, h, j) as A is, in int64 whatever A's type
+        lhs = counts[:, j0:, :f].transpose(0, 2, 1)
+        lhs -= np.multiply(a[r0:r0 + m, :, j0:], delta, dtype=lhs.dtype) + c
         i = np.arange(m)
-        lhs[i, r0 - j0 + i] += c - (n - 1) * (np.arange(f) == 0)
+        lhs[i, :, r0 - j0 + i] += c - (n - 1) * (np.arange(f) == 0)
         if lhs.any():
-            i, j = _first_bad(lhs.any(axis=2))
+            i, j = _first_bad(lhs.any(axis=1))
             diff = (r0 + i, j0 + j)
             break
     rep.add("quadratic", diff is None, witness=diff, info=f"delta={delta}")
@@ -615,7 +608,7 @@ def _signature_residual(a: np.ndarray, gamma, delta: int, spans) -> float:
     values = gamma.typed_values
     sig = np.empty((n, n), dtype=values.dtype)
     for r0, r1 in spans:
-        sig[r0:r1] = np.tensordot(a[r0:r1], values, axes=([2], [0]))
+        sig[r0:r1] = values @ a[r0:r1]
     off = ~np.eye(n, dtype=bool)
     return max(
         float(np.max(np.abs(sig - sig.conj().T))),
@@ -644,9 +637,9 @@ def verify_srg_collinearity(
     pairs = z.pairs  # P = Z^T Z; the adjacency is A = P - (t+1) I
     rep = VerificationReport(subject=f"SRG({n},{deg},{lam},{mu})")
     rep.add("gq-axioms", True)
+    # P counts each block's point pairs both ways, so it is symmetric
     diag = pairs.diagonal()
-    simple = (np.array_equal(pairs, pairs.T) and np.all(diag == t + 1)
-              and np.count_nonzero(pairs > 1) == np.count_nonzero(diag > 1))
+    simple = np.all(diag == t + 1) and np.count_nonzero(pairs > 1) == np.count_nonzero(diag > 1)
     rep.add("adjacency-simple", bool(simple))
     rows = pairs.sum(axis=1) - (t + 1)
     rep.add("regular", bool(np.all(rows == deg)), witness=_first_bad(rows != deg))

@@ -113,7 +113,7 @@ def test_criterion_3_example_reproduction():
             else:
                 want[i, j, EXPECTED_GRAM_EXPONENTS[i][j]] = 1
     assert gram == GroupRingMatrix(m.group, want)
-    assert np.array_equal(m.gram(), want)
+    assert np.array_equal(m.gram(), want.transpose(0, 2, 1))
     assert verify_polyphase_algebraic(Design(m)).passed
     assert verify_polyphase_combinatorial(Design(m)).passed
     _line(3, "printed 9x9 Gram reproduced entrywise; 12x9 identity exact")

@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import random
@@ -218,27 +217,54 @@ def test_verify_derives_each_object_once(tmp_path, capsys, monkeypatch):
     # Z^T Z once for the design's 9 points (the BIBD pair balance) and once
     # for the 27 points of its GQ lift (gq and srg share it)
     assert sorted(point_counts) == [9, 27]
-    # Phi* Phi - rI is rebuilt on read, not kept on the Design
+    # A = Phi* Phi - rI is dropped from the Design once drackn has read it
     assert len(designs) == 1 and "drackn" not in vars(designs[0])
 
 
 def test_exact_routes_are_independent_of_each_other(affine3_file, capsys, monkeypatch):
     # combinatorial counts from the exponents alone and never reads the
     # Gram; algebraic does group-ring algebra on it, built once per verify
-    builds = []
+    builds, original = [], PolyphaseMatrix.gram
 
     def gram(self):
         builds.append(self)
-        return self.m.gram()
+        return original(self)
 
-    stub = functools.cached_property(gram)
-    stub.__set_name__(cli.V.Design, "gram")
-    monkeypatch.setattr(cli.V.Design, "gram", stub)
+    monkeypatch.setattr(PolyphaseMatrix, "gram", gram)
     code, out, _ = run(capsys, "verify", str(affine3_file), "--checks", "bibd,combinatorial")
     assert code == 0 and "PASS triple-products" in out and builds == []
     code, out, _ = run(capsys, "verify", str(affine3_file), "--checks", "bibd,combinatorial,algebraic")
     assert code == 0 and "PASS triple-products" in out and "PASS triple-identity" in out
     assert len(builds) == 1
+
+
+def test_algebraic_and_drackn_read_one_gram_buffer(affine3_file, capsys, monkeypatch):
+    # A = Phi* Phi - rI is built once: algebraic reads the Design's A, and
+    # verify_drackn receives that same memory, not a copy
+    built, read, received = [], [], []
+    gram, drackn = PolyphaseMatrix.gram, cli.V.verify_drackn
+    algebraic = cli.V.verify_polyphase_algebraic
+
+    def building(self):
+        built.append(gram(self))
+        return built[-1]
+
+    def reading(d):
+        rep = algebraic(d)
+        read.append(vars(d)["drackn"][0])
+        return rep
+
+    def receiving(a, *args):
+        received.append(a)
+        return drackn(a, *args)
+
+    monkeypatch.setattr(PolyphaseMatrix, "gram", building)
+    monkeypatch.setattr(cli.V, "verify_polyphase_algebraic", reading)
+    monkeypatch.setattr(cli.V, "verify_drackn", receiving)
+    code, out, _ = run(capsys, "verify", str(affine3_file), "--checks", "algebraic,drackn")
+    assert code == 0 and "PASS triple-identity" in out and "PASS (9,3,3)-DRACKN" in out
+    assert (len(built), len(read), len(received)) == (1, 1, 1)
+    assert np.shares_memory(read[0], built[0]) and np.shares_memory(received[0], read[0])
 
 
 def test_verify_drops_drackn_matrix_before_gq(tmp_path, capsys, monkeypatch):
@@ -296,15 +322,13 @@ def test_verify_skips_drackn_without_a_bibd(tmp_path, capsys, monkeypatch):
     # c = k(r-1)/f = 1998 is integral; but A = Phi* Phi - rI would take
     # v x v x f cells, and without a BIBD nothing bounds that, so the Gram
     # is never built
-    builds = []
+    builds, original = [], PolyphaseMatrix.gram
 
     def gram(self):
         builds.append(self)
-        return self.m.gram()
+        return original(self)
 
-    stub = functools.cached_property(gram)
-    stub.__set_name__(cli.V.Design, "gram")
-    monkeypatch.setattr(cli.V.Design, "gram", stub)
+    monkeypatch.setattr(PolyphaseMatrix, "gram", gram)
     row = " ".join(["0", "0"] + ["."] * 1998)
     code, out, err = _verify_text(tmp_path, capsys, f"POLYPHASE rows=1 cols=2000 group=Z2\n{row}\n",
                                   "--checks", "drackn")

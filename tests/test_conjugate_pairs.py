@@ -82,9 +82,9 @@ def _direct_etf(m, gamma):
 
 
 def _direct_signature(a, gamma, delta):
-    """The signature residual of A at gamma itself, in complex128."""
+    """The signature residual of the (n, f, n) A at gamma itself, in complex128."""
     n = len(a)
-    sig = np.tensordot(a, gamma.values, axes=([2], [0]))
+    sig = np.tensordot(a, gamma.values, axes=([1], [0]))
     off = ~np.eye(n, dtype=bool)
     return max(
         float(np.max(np.abs(sig - sig.conj().T))),

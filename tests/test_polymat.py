@@ -424,10 +424,26 @@ def test_gram_matches_adjoint_product_on_ragged_rows(group):
     for rows, cols in ((5, 4), (1, 3), (3, 1)):
         m = _random_polyphase(group, rows, cols, rng)
         gram = m.gram()
-        assert gram.dtype == np.int64
-        assert np.array_equal(gram, (adjoint(m) @ m).coeffs)
+        assert gram.dtype == np.int8
+        assert np.array_equal(gram, (adjoint(m) @ m).coeffs.transpose(0, 2, 1))
     empty = PolyphaseMatrix(group, np.full((2, 3), group.order))
-    assert np.array_equal(empty.gram(), np.zeros((3, 3, group.order)))
+    assert np.array_equal(empty.gram(), np.zeros((3, group.order, 3)))
+
+
+def test_gram_is_narrow_with_no_int64_array_of_every_cell():
+    # every coefficient counts rows, so b (or v, which bounds r) sizes the type
+    assert example_9_3_3().gram().dtype == np.int8
+    assert brouwer_polyphase(5).gram().dtype == np.int16
+    m = affine_polyphase(16)
+    v, f = m.cols, m.group.order
+    tracemalloc.start()
+    try:
+        gram = m.gram()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gram.shape == (v, f, v) and gram.dtype == np.int16
+    assert peak < v * v * f * 8
 
 
 @pytest.mark.parametrize("factors", CODE_EDGE_FACTORS, ids=str)
@@ -440,13 +456,13 @@ def test_gram_matches_entrywise_ring_products_at_the_code_edge(factors):
         m = _random_polyphase(group, rows, cols, rng)
         ring = to_group_ring(m)
         gram = m.gram()
-        assert gram.dtype == np.int64 and gram.shape == (cols, cols, group.order)
+        assert gram.dtype == np.int8 and gram.shape == (cols, group.order, cols)
         for a in range(cols):
             for b in range(cols):
                 want = GroupRingElement(group, np.zeros(group.order))
                 for i in range(rows):
                     want = want + ring.entry(i, a).involution() * ring.entry(i, b)
-                assert np.array_equal(gram[a, b], want.coeffs), (rows, cols, a, b)
+                assert np.array_equal(gram[a, :, b], want.coeffs), (rows, cols, a, b)
 
 
 def test_require_float_exact_at_the_2_53_boundary():

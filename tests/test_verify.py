@@ -329,7 +329,7 @@ def test_algebraic_matches_dense_reference_on_int16_grams():
         cases += [_change_exponent(m, seed) for seed in range(4)]
         for n, case in enumerate(cases):
             d = Design(case)
-            assert d.k * int(d.gram.max()) + d.r + d.k > 127
+            assert d.k * int(case.gram().max()) + d.r + d.k > 127
             rep = verify_polyphase_algebraic(d)
             *frame, last = [(c.name, c.passed, c.witness, c.info) for c in rep.checks]
             assert all(passed for _, passed, _, _ in frame), rep.as_text()
@@ -342,7 +342,8 @@ def test_algebraic_matches_dense_reference_on_int16_grams():
 def test_gram_matches_adjoint_product(families):
     for m in _algebraic_fixtures(families):
         for case in (m, _change_exponent(m, 0)):
-            assert np.array_equal(case.gram(), (adjoint(case) @ to_group_ring(case)).coeffs)
+            want = (adjoint(case) @ to_group_ring(case)).coeffs
+            assert np.array_equal(case.gram(), want.transpose(0, 2, 1))
 
 
 def test_exact_and_numeric_routes_agree(families):
@@ -693,6 +694,19 @@ def test_design_lift_is_translation_invariant():
             assert np.array_equal(moved, keys), repr(m)
 
 
+def test_point_pairs_are_symmetric_for_any_incidence():
+    # adjacency-simple does not test P = Z^T Z for symmetry: each block adds
+    # both orders of every pair of its points, whatever the input
+    rng = np.random.default_rng(17)
+    cells = [verify_module._Cells.from_dense((rng.random((b, v)) < p).astype(np.int64))
+             for b, v, p in ((1, 1, 1.0), (7, 5, 0.5), (30, 12, 0.3), (12, 40, 0.8))]
+    designs = _golden_designs()[::3] + [_unequal_rows()]
+    designs += [_change_exponent(m, seed) for m in designs for seed in range(2)]
+    cells += [Design(m).gq for m in designs]
+    for z in cells:
+        assert np.array_equal(z.pairs, z.pairs.T), z.shape
+
+
 def test_gq_and_srg_row_spans_match_dense_reference(families, monkeypatch):
     # one row per triple-product span; the half-dense cases hold more
     # point pairs than Z^T Z has cells, so the pair count spans as well
@@ -735,7 +749,7 @@ def test_drackn_families(families):
     for name, want in [("example933", (9, 3, 3, -2)), ("brouwer3", (28, 4, 8, -6))]:
         a, params = Design(families[name]).drackn
         assert (params.n, params.f, params.c, params.delta) == want
-        assert a.shape == (params.n, params.n, params.f) and a.dtype == np.int64
+        assert a.shape == (params.n, params.f, params.n) and a.dtype == np.int8
         rep = verify_drackn(a, families[name].group, params.c)
         assert rep.passed, rep.as_text()
         sigs = [c for c in rep.checks if c.name.startswith("signature@")]
@@ -745,8 +759,8 @@ def test_drackn_families(families):
 def test_drackn_shape_guards(families):
     m = families["example933"]
     a, params = Design(m).drackn
-    for bad, group in ((a[:-1], m.group), (a[:, :-1], m.group), (a[0], m.group),
-                       (a, AbelianGroup([params.f + 1])), (a[:, :, :2], m.group)):
+    for bad, group in ((a[:-1], m.group), (a[:, :, :-1], m.group), (a[0], m.group),
+                       (a, AbelianGroup([params.f + 1])), (a[:, :2], m.group)):
         with pytest.raises(ValueError, match="expected an"):
             verify_drackn(bad, group, params.c)
 
@@ -754,8 +768,8 @@ def test_drackn_shape_guards(families):
 def test_drackn_catches_tampering(families):
     m = families["example933"]
     a, params = Design(m).drackn
-    a[0, 1, :] = 0
-    a[0, 1, 0] = 2
+    a[0, :, 1] = 0
+    a[0, 0, 1] = 2
     rep = verify_drackn(a, m.group, params.c)
     bad = {c.name for c in rep.checks if not c.passed}
     assert "monomial-off-diagonal" in bad and "self-adjoint" in bad
@@ -807,11 +821,13 @@ def _reference_drackn(a, group, c):
 
 def _check_drackn_against_reference(a, group, c, monkeypatch):
     """verify_drackn against the dense reference, with the default spans,
-    one row per span and an uneven split.  Pass/fail, residuals and every
-    witness but the quadratic's match the dense report.  The quadratic's
-    witness is that of A's monomial off-diagonal part squared, against
-    the right side of A itself, which is the dense one wherever A is
-    hollow and monomial off its diagonal.  Returns the quadratic's witness."""
+    one row per span and an uneven split.  a is laid out (n, n, f), as the
+    reference reads it, and reaches verify_drackn as an (n, f, n) view.
+    Pass/fail, residuals and every witness but the quadratic's match the
+    dense report.  The quadratic's witness is that of A's monomial
+    off-diagonal part squared, against the right side of A itself, which
+    is the dense one wherever A is hollow and monomial off its diagonal.
+    Returns the quadratic's witness."""
     n = len(a)
     want = _reference_drackn(a, group, c)
     counted = want[3][2]
@@ -822,7 +838,7 @@ def _check_drackn_against_reference(a, group, c, monkeypatch):
     uneven = next(s for s in range(2, n + 2) if n % s)
     for cells in (verify_module.SPAN_CELLS, 1, 16 * uneven * n * n):
         monkeypatch.setattr(verify_module, "SPAN_CELLS", cells)
-        rep = verify_drackn(a, group, c)
+        rep = verify_drackn(np.moveaxis(a, 2, 1), group, c)
         got = [(ch.name, ch.passed, ch.witness, ch.residual, ch.info) for ch in rep.checks]
         assert [g[:2] for g in got] == [w[:2] for w in want], (cells, rep.as_text())
         for (name, _, witness, residual, info), w in zip(got, want):
@@ -839,7 +855,8 @@ def _check_drackn_against_reference(a, group, c, monkeypatch):
 def test_drackn_matches_dense_reference_on_golden_designs(monkeypatch):
     for m in _golden_designs():
         a, params = Design(m).drackn
-        assert _check_drackn_against_reference(a, m.group, params.c, monkeypatch) is None
+        assert _check_drackn_against_reference(np.moveaxis(a, 1, 2), m.group, params.c,
+                                               monkeypatch) is None
         assert verify_drackn(a, m.group, params.c).passed
 
 
@@ -913,7 +930,7 @@ def test_drackn_matches_dense_reference_on_tampered_arrays(families, monkeypatch
     for name in ("example933", "affine3", "affine4", "brouwer2", "brouwer3", "simplex5"):
         m = families[name]
         a, params = Design(m).drackn
-        for b in _tampered(a, m.group, rng):
+        for b in _tampered(np.moveaxis(a, 1, 2), m.group, rng):
             counted = _check_drackn_against_reference(b, m.group, params.c, monkeypatch)
             dense = _reference_drackn(b, m.group, params.c)[3][2]
             late += counted is not None and counted[0] > 0
@@ -927,12 +944,18 @@ def test_drackn_support_swap_moves_only_the_quadratic_witness(monkeypatch):
     # affine q=3 with row 1's cell at column 1 moved to column 0 is no BIBD,
     # so A is neither hollow nor monomial off its diagonal.  The dense A^2
     # first misses its target at (0, 0), the count of A's monomial
-    # off-diagonal part at (0, 1); every other line is the dense report's
+    # off-diagonal part at (0, 1); every other line is the dense report's.
+    # Column 1 now holds r - 1 cells, so A's narrow type carries a negative
+    # diagonal, and the report reads the same off an int64 copy
     m = affine_polyphase(3)
     swapped = replaced(replaced(m, 1, 1, None), 1, 0, entry(m, 1, 1))
     a, params = Design(swapped).drackn
-    assert _check_drackn_against_reference(a, m.group, params.c, monkeypatch) == (0, 1)
-    assert _reference_drackn(a, m.group, params.c)[3][:3] == ("quadratic", False, (0, 0))
+    assert a.dtype == np.int8 and a[1, 0, 1] == -1
+    dense = np.moveaxis(a, 1, 2)
+    assert _check_drackn_against_reference(dense, m.group, params.c, monkeypatch) == (0, 1)
+    assert _reference_drackn(dense, m.group, params.c)[3][:3] == ("quadratic", False, (0, 0))
+    narrow, wide = (verify_drackn(b, m.group, params.c) for b in (a, a.astype(np.int64)))
+    assert narrow.as_dict() == wide.as_dict()
 
 
 def test_screen_rows_for_smallest_block_sizes():
