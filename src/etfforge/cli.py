@@ -240,7 +240,7 @@ def cmd_verify(args) -> int:
             elif name == "gq":
                 reports.append(gq)
             else:
-                reports.append(V.verify_srg_collinearity(lift, k - 1, r, gq=gq))
+                reports.append(V.verify_srg_collinearity(lift, k - 1, r))
 
     ok = all(rep.passed for rep in reports)
     for rep in reports:

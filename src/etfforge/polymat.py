@@ -7,9 +7,7 @@ and code f for a zero, which keeps the "zero or one monomial" invariant
 structural; f <= 2^10 fits int16.  Its Gram Phi* Phi, the product the
 exact checks need, is a plain (cols, f, cols) array of group-ring
 coefficients in the narrowest signed type that holds them, built by
-integer counting with no floating point at all.  require_float_exact
-guards the float64 products the checks do take on integer matrices:
-float64 sums of integers are exact below 2^53.
+integer counting with no floating point at all.
 
 Text serialization of a polyphase matrix:
 
@@ -81,15 +79,6 @@ def row_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.repeat(np.arange(len(rows)), reps)
     b = np.arange(len(a)) - np.repeat(np.cumsum(reps) - reps, reps) + start[a]
     return a, b
-
-
-def require_float_exact(inner: int, a_max: int, b_max: int):
-    """Raise unless a float64 product with this inner dimension and these
-    entry bounds is exact: every partial sum must stay below 2^53."""
-    if int(inner) * int(a_max) * int(b_max) >= 2**53:
-        raise ValueError(
-            f"float64 product not exact: inner {inner} x max|a| {a_max} x max|b| {b_max} >= 2^53"
-        )
 
 
 class PolyphaseMatrix:

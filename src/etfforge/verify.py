@@ -22,17 +22,18 @@ monomial off-diagonal cells with one bincount per span.
 
 The GQ and SRG checks count from the nonzero cells of a 0/1 incidence Z
 (a dense array's, or a Design's GQ lift cells) in bounded row spans, with
-P = Z^T Z from one bincount over the point pairs of each block; the BIBD
-pair balance counts its Z^T Z the same way.  The
-SRG quadratic of A = P - (t+1)I is checked as P^2 - (s+t)P - (t+1)J.
+P = Z^T Z from one integer bincount over the point pairs of each block;
+the BIBD pair balance counts its Z^T Z the same way.
 For any Phi, each x in its group maps the lift onto itself: lifted row
 v + i f + a goes to v + i f + (a + x), point j f + b to j f + (b + x),
-and each spread row stays.  Z, P and both sides of each identity are
+and each spread row stays.  Z, P and both sides of the triple product are
 invariant too, so a row offends exactly when the lowest-index row of its
-orbit does, and the row-major first offence lies in such a row.  Both
-products are formed on those rows only (the spread rows and rows v + i f,
-points j f): f times fewer rows, the same witnesses.  A dense array has
-translation order 1, so every row is read.
+orbit does, and the row-major first offence lies in such a row.  The
+triple product is formed on those rows only (the spread rows and rows
+v + i f): f times fewer rows, the same witnesses.  A dense array has
+translation order 1, so every row is read.  The axioms report is counted
+once per set of cells and (s, t), and the SRG check reads it: once the
+axioms pass, every SRG identity follows from them, so no P^2 is formed.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 
 from .construct import DracknParams, gq_cells
 from .groupring import AbelianGroup, characters_of, first_of_conjugates
-from .polymat import PolyphaseMatrix, require_float_exact, row_pairs, row_spans
+from .polymat import PolyphaseMatrix, row_pairs, row_spans
 
 NUMERIC_TOL = 1e-9
 RANK_REL_TOL = 1e-8
@@ -382,15 +383,13 @@ def _block_pairs(ii, rows, n_points: int):
 
 def _point_pairs(ii, jj, rows, n_points: int) -> np.ndarray:
     """Z^T Z of a 0/1 matrix: entry (a, c) counts the blocks through both
-    points, by one bincount per row span of the ordered point pairs.  The
-    counts are float64, exact below 2^53, so the SRG quadratic can
-    multiply them with no copy."""
+    points, by one integer bincount per row span of the ordered point pairs."""
     total = None
     for lo, a, c in _block_pairs(ii, rows, n_points):
-        part = np.bincount(jj[lo:][a] * n_points + jj[lo:][c], np.ones(len(a)), n_points**2)
+        part = np.bincount(jj[lo:][a] * n_points + jj[lo:][c], minlength=n_points**2)
         total = part if total is None else np.add(total, part, out=total)
     if total is None:  # no blocks
-        total = np.zeros(n_points * n_points)
+        total = np.zeros(n_points * n_points, dtype=np.intp)
     return total.reshape(n_points, n_points)
 
 
@@ -399,12 +398,13 @@ class _Cells:
     their row sums, the first cell that is not 1 (None for a lift, whose
     cells are all ones) and its translation order f: the group order for a
     lift, whose translation orbits are each spread row, the lifted rows
-    v + i f + a and the points j f + b; 1 for a dense array.  Z^T Z is
-    counted on first use."""
+    v + i f + a and the points j f + b; 1 for a dense array.  Z^T Z, and
+    the GQ axioms report for each (s, t), are counted on first use."""
 
     def __init__(self, shape, ii, jj, f, not_one=None):
         self.shape, self.ii, self.jj, self.f, self.not_one = shape, ii, jj, f, not_one
         self.rows = np.bincount(ii, minlength=shape[0])
+        self.axioms: dict[tuple[int, int], VerificationReport] = {}
 
     @classmethod
     def from_dense(cls, z) -> "_Cells":
@@ -481,6 +481,27 @@ def verify_gq_axioms(z, s: int, t: int, check_spread: bool = False) -> Verificat
     row per translation orbit of a Design's lift, where the first offence
     lies (see the module docstring), so witnesses are the full product's."""
     z = _cells(z)
+    axioms = _gq_axioms(z, s, t)
+    rep = VerificationReport(axioms.subject)
+    rep.extend(axioms)
+    # a report that stopped at its dimensions or zero-one line gets no spread
+    if check_spread and rep.checks[-1].name == "triple-product":
+        # the first st+1 rows hold the points j(s+1) .. j(s+1)+s in row j
+        head, points = np.searchsorted(z.ii, s * t + 1), np.arange(z.shape[1])
+        rep.add("spread", np.array_equal(z.ii[:head], points // (s + 1))
+                and np.array_equal(z.jj[:head], points))
+    return rep
+
+
+def _gq_axioms(z: _Cells, s: int, t: int) -> VerificationReport:
+    """verify_gq_axioms's report on z with no spread line, counted once
+    per (s, t) and kept on z."""
+    if (s, t) not in z.axioms:
+        z.axioms[s, t] = _count_gq_axioms(z, s, t)
+    return z.axioms[s, t]
+
+
+def _count_gq_axioms(z: _Cells, s: int, t: int) -> VerificationReport:
     rep = VerificationReport(subject=f"GQ({s},{t}) axioms")
     n_blocks = (t + 1) * (s * t + 1)
     n_points = (s + 1) * (s * t + 1)
@@ -496,8 +517,7 @@ def verify_gq_axioms(z, s: int, t: int, check_spread: bool = False) -> Verificat
     rep.add("row-sums", bool(np.all(rows == s + 1)), witness=_first_bad(rows != s + 1))
     cols = np.bincount(jj, minlength=n_points)
     rep.add("col-sums", bool(np.all(cols == t + 1)), witness=_first_bad(cols != t + 1))
-    pairs = z.pairs
-    shared = pairs > 1
+    shared = z.pairs > 1
     np.fill_diagonal(shared, False)
     # for a 0/1 matrix two blocks share two points exactly when two
     # points share two blocks, so only an offence needs the block search
@@ -507,11 +527,6 @@ def verify_gq_axioms(z, s: int, t: int, check_spread: bool = False) -> Verificat
     rep.add("point-pair-collinearity", witness is None, witness=witness)
     witness = _first_triple_offence(z, s, t)
     rep.add("triple-product", witness is None, witness=witness)
-    if check_spread:
-        # the first st+1 rows hold the points j(s+1) .. j(s+1)+s in row j
-        head, points = np.searchsorted(ii, s * t + 1), np.arange(n_points)
-        rep.add("spread", np.array_equal(ii[:head], points // (s + 1))
-                and np.array_equal(jj[:head], points))
     return rep
 
 
@@ -618,46 +633,29 @@ def _signature_residual(a: np.ndarray, gamma, delta: int, spans) -> float:
     )
 
 
-def verify_srg_collinearity(
-    z, s: int, t: int, gq: VerificationReport | None = None
-) -> VerificationReport:
+def verify_srg_collinearity(z, s: int, t: int) -> VerificationReport:
     """Collinearity graph of a GQ(s, t): strongly regular with parameters
     ((s+1)(st+1), s(t+1), s-1, t+1).  z is a dense array or a Design, as
-    for verify_gq_axioms; gq is that check's report on the same z,
-    computed here when not given; its spread line is ignored.  The
-    quadratic is formed on one point j f per translation orbit, as for
-    the triple product, so witnesses are the full N x N product's."""
-    z = _cells(z)
-    if gq is None:
-        gq = verify_gq_axioms(z, s, t)
-    axioms = [c for c in gq.checks if c.name != "spread"]
-    if not all(c.passed for c in axioms):
-        return VerificationReport(f"SRG of GQ({s},{t}) (GQ axioms failed)", axioms)
-    n, deg, lam, mu = (s + 1) * (s * t + 1), s * (t + 1), s - 1, t + 1
-    pairs = z.pairs  # P = Z^T Z; the adjacency is A = P - (t+1) I
-    rep = VerificationReport(subject=f"SRG({n},{deg},{lam},{mu})")
-    rep.add("gq-axioms", True)
-    # P counts each block's point pairs both ways, so it is symmetric
-    diag = pairs.diagonal()
-    simple = np.all(diag == t + 1) and np.count_nonzero(pairs > 1) == np.count_nonzero(diag > 1)
-    rep.add("adjacency-simple", bool(simple))
-    rows = pairs.sum(axis=1) - (t + 1)
-    rep.add("regular", bool(np.all(rows == deg)), witness=_first_bad(rows != deg))
-    # A^2 - (lam - mu) A - (deg - mu) I - mu J = P^2 - (s+t) P - (t+1) J must
-    # vanish, exactly in float64 under the guard (the inner dimension is
-    # still n).  Rows j f of P^2 form a (n / f) x n product; the rest is
-    # subtracted in place in row spans of about a megabyte
-    pmax, f = int(pairs.max(initial=0)), z.f
-    require_float_exact(n, pmax, pmax)
-    quad, witness = pairs[::f] @ pairs, None
-    for r0, r1 in row_spans(np.full(len(quad), n), SPAN_CELLS // 8):
-        span = quad[r0:r1]
-        span -= (s + t) * pairs[r0 * f:r1 * f:f] + (t + 1)
-        if span.any():
-            i, j = _first_bad(span != 0)
-            witness = ((r0 + i) * f, j)
-            break
-    rep.add("srg-quadratic", witness is None, witness=witness)
+    for verify_gq_axioms, whose report on z (with no spread line) this
+    reads, counted once per z and (s, t); if it fails, its lines are
+    this report's.  If it passes, so does every SRG line, by exact integer
+    algebra on what it checked (0/1 entries, row sums s+1, column sums
+    t+1, P = Z^T Z at most 1 off its diagonal, Z Z^T Z = (s+t) Z + J):
+    - diag P is the column sums, t+1, and P is 0 or 1 off it, so the
+      adjacency A = P - (t+1) I is simple;
+    - row a of P sums the sizes of the t+1 blocks through a, (t+1)(s+1),
+      so A is regular of degree s(t+1);
+    - P^2 = Z^T (Z Z^T Z) = Z^T ((s+t) Z + J) = (s+t) P + (t+1) J, which
+      is A^2 = (lam - mu) A + (deg - mu) I + mu J.
+    No step reads a lift's structure, so this holds for any incidence."""
+    axioms = _gq_axioms(_cells(z), s, t)
+    if not axioms.passed:
+        rep = VerificationReport(f"SRG of GQ({s},{t}) (GQ axioms failed)")
+        rep.extend(axioms)
+        return rep
+    rep = VerificationReport(f"SRG({(s + 1) * (s * t + 1)},{s * (t + 1)},{s - 1},{t + 1})")
+    for name in ("gq-axioms", "adjacency-simple", "regular", "srg-quadratic"):
+        rep.add(name, True)
     return rep
 
 

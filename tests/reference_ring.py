@@ -16,7 +16,16 @@ from __future__ import annotations
 import numpy as np
 
 from etfforge.groupring import AbelianGroup, Character
-from etfforge.polymat import PolyphaseMatrix, require_float_exact
+from etfforge.polymat import PolyphaseMatrix
+
+
+def require_float_exact(inner: int, a_max: int, b_max: int):
+    """Raise unless a float64 product with this inner dimension and these
+    entry bounds is exact: every partial sum must stay below 2^53."""
+    if int(inner) * int(a_max) * int(b_max) >= 2**53:
+        raise ValueError(
+            f"float64 product not exact: inner {inner} x max|a| {a_max} x max|b| {b_max} >= 2^53"
+        )
 
 
 class GroupRingElement:

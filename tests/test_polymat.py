@@ -21,7 +21,6 @@ from etfforge.polymat import (
     format_polyphase,
     parse_incidence,
     parse_polyphase,
-    require_float_exact,
 )
 from reference_ring import (
     GroupRingElement,
@@ -29,6 +28,7 @@ from reference_ring import (
     adjoint,
     entry,
     replaced,
+    require_float_exact,
     to_group_ring,
 )
 
@@ -466,7 +466,7 @@ def test_gram_matches_entrywise_ring_products_at_the_code_edge(factors):
 
 
 def test_require_float_exact_at_the_2_53_boundary():
-    # the guard behind the SRG quadratic:
+    # the guard behind the reference ring's float64 products:
     # inner x max|a| x max|b| bounds every partial sum, and must stay below 2^53
     for inner, a_max, b_max in ((2**53, 1, 1), (2, 2**26, 2**26), (1, 2**27, 2**26)):
         with pytest.raises(ValueError, match="2\\^53"):

@@ -140,7 +140,7 @@ def test_bibd_pair_balance_matches_dense_gram():
 
 
 def test_bibd_memory_is_bounded_by_the_pair_counts():
-    # one block of two points among 2000: the v x v float64 pair counts are
+    # one block of two points among 2000: the v x v int64 pair counts are
     # the only array of v^2 cells, and the witness search adds no index arrays
     v = 2000
     x = np.zeros((1, v), dtype=np.int64)
@@ -477,8 +477,8 @@ def test_gq_spread_check(families):
     rep = verify_gq_axioms(shuffled, 2, 4, check_spread=True)
     assert any(c.name == "spread" and not c.passed for c in rep.checks)
     assert verify_gq_axioms(shuffled, 2, 4).passed  # still a GQ without the spread
-    # a handed-over report's spread line does not fail the SRG check
-    srg = verify_srg_collinearity(shuffled, 2, 4, gq=rep)
+    # the SRG check reads the axioms with no spread line, so it passes
+    srg = verify_srg_collinearity(shuffled, 2, 4)
     assert srg.passed and srg.subject == "SRG(27,10,1,5)"
 
 
@@ -547,6 +547,10 @@ def _triples(rep):
 
 
 def test_gq_and_srg_match_dense_reference(families):
+    # the SRG lines are read off the axioms with no lift structure, so the
+    # inputs include incidences that are not lifts: each lift's dual, a
+    # GQ(t, s), and the lift with its rows and columns permuted
+    rng = np.random.default_rng(29)
     for name in ("example933", "brouwer2", "brouwer3", "affine3"):
         m = families[name]
         s, t = _design_order(m)
@@ -554,15 +558,47 @@ def test_gq_and_srg_match_dense_reference(families):
         z = lifted.astype(np.int64)
         assert (_triples(verify_gq_axioms(lifted, s, t, check_spread=True))
                 == _triples(verify_gq_axioms(z, s, t, check_spread=True)))
-        # most mutants offend at both (i, j) and (j, i) of a product, so
-        # this also pins the witness to the row-major first offence
-        mutants = [_swap_cell(z, seed) for seed in range(20)]
-        for case in [z] + mutants:
-            got = verify_gq_axioms(case, s, t, check_spread=True)
-            assert _triples(got) == _dense_gq_reference(case, s, t, check_spread=True), name
-            srg = verify_srg_collinearity(case, s, t)
-            assert _triples(srg) == _dense_srg_reference(case, s, t), name
-            assert got.passed == (case is z), name
+        permuted = z[rng.permutation(z.shape[0])][:, rng.permutation(z.shape[1])]
+        for order, intact, count in (((s, t), z, 20), ((t, s), z.T.copy(), 10), ((s, t), permuted, 10)):
+            # most mutants offend at both (i, j) and (j, i) of a product, so
+            # this also pins the witness to the row-major first offence
+            mutants = [_swap_cell(intact, seed) for seed in range(count)]
+            for case in [intact] + mutants:
+                got = verify_gq_axioms(case, *order, check_spread=True)
+                assert _triples(got) == _dense_gq_reference(case, *order, check_spread=True), name
+                srg = verify_srg_collinearity(case, *order)
+                assert _triples(srg) == _dense_srg_reference(case, *order), name
+                assert srg.passed == (case is intact), name
+    # example933's dual is the GQ(4, 2) of SRG(45, 12, 3, 3)
+    dual = verify_srg_collinearity(gq_from_polyphase(families["example933"]).T, 4, 2)
+    assert dual.passed and dual.subject == "SRG(45,12,3,3)"
+
+
+def test_srg_reads_the_axioms_of_its_own_cells(families):
+    # the SRG lines are a corollary of the axioms report on the same cells:
+    # a mutant reports its own failing axioms, even right after its parent
+    # design passed
+    for name in ("example933", "brouwer2", "brouwer3", "affine3"):
+        m = families[name]
+        s, t = _design_order(m)
+        assert verify_gq_axioms(Design(m), s, t).passed, name
+        for case in [_change_exponent(m, seed) for seed in range(5)]:
+            srg = verify_srg_collinearity(Design(case), s, t)
+            assert srg.subject == f"SRG of GQ({s},{t}) (GQ axioms failed)", name
+            assert _triples(srg) == _dense_gq_reference(gq_from_polyphase(case), s, t), name
+    # once the axioms are counted, no points^2 array forms, not even of bools
+    d = Design(families["brouwer3"])
+    assert verify_gq_axioms(d, 3, 9).passed
+    n = d.gq.shape[1]
+    tracemalloc.start()
+    try:
+        srg = verify_srg_collinearity(d, 3, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert srg.passed and peak < n * n, peak
+    # the same cells at another order get a report of their own
+    assert _triples(verify_srg_collinearity(d, 9, 3)) == [("dimensions", False, (280, 112))]
 
 
 def test_design_lift_checks_match_dense_lift(families, monkeypatch):
@@ -579,68 +615,7 @@ def test_design_lift_checks_match_dense_lift(families, monkeypatch):
                 assert _triples(gq) == _triples(verify_gq_axioms(z, s, t, check_spread=True)), name
                 srg = verify_srg_collinearity(d, s, t)
                 assert _triples(srg) == _triples(verify_srg_collinearity(z, s, t)), name
-                assert _triples(verify_srg_collinearity(d, s, t, gq=gq)) == _triples(srg), name
                 assert gq.passed == (case is m), name
-
-
-def _rephase_rows(m, seed):
-    """Draw new exponents for three rows other than row 0."""
-    rng = np.random.default_rng(seed)
-    codes, f = m.codes.copy(), m.group.order
-    for i in rng.choice(np.arange(1, m.rows), 3, replace=False):
-        support = codes[i] != f
-        codes[i, support] = rng.integers(0, f, int(support.sum()))
-    return PolyphaseMatrix(m.group, codes)
-
-
-def test_srg_orbit_route_matches_dense_lift_on_mutants(families, monkeypatch):
-    # verify runs the SRG quadratic only after gq passes, so a broken lift
-    # never reaches its witness; an all-PASS gq report forces it there.
-    # The collinearity graph has diameter 2, so nearly every offence shows
-    # in point 0's row; a few re-phased designs first offend in a later orbit
-    witnesses = set()
-    for cells in (verify_module.SPAN_CELLS, 1):
-        monkeypatch.setattr(verify_module, "SPAN_CELLS", cells)
-        for name in ("example933", "brouwer2", "brouwer3", "affine3"):
-            m = families[name]
-            s, t = _design_order(m)
-            passed = verify_gq_axioms(Design(m), s, t)
-            assert passed.passed, name
-            cases = [_change_exponent(m, seed) for seed in range(10)]
-            if name == "example933":
-                cases += [_rephase_rows(m, seed) for seed in range(40)]
-            for case in cases:
-                got = _triples(verify_srg_collinearity(Design(case), s, t, gq=passed))
-                dense = verify_srg_collinearity(gq_from_polyphase(case), s, t, gq=passed)
-                assert got == _triples(dense), name
-                witnesses.add(got[-1][2])
-    assert len(witnesses) > 10 and max(w[0] for w in witnesses if w) > 0
-
-
-def test_srg_quadratic_memory_and_guard(monkeypatch):
-    # the quadratic forms P^2 on one point per translation orbit: a
-    # (N / f) x N product, where the full one would hold N^2 float64 cells
-    m = brouwer_polyphase(5)
-    s, t = _design_order(m)
-    d = Design(m)
-    gq, n = verify_gq_axioms(d, s, t), d.gq.shape[1]
-    guard, calls = verify_module.require_float_exact, []
-
-    def counting(*args):
-        calls.append(args)
-        return guard(*args)
-
-    monkeypatch.setattr(verify_module, "require_float_exact", counting)
-    tracemalloc.start()
-    try:
-        rep = verify_srg_collinearity(d, s, t, gq=gq)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rep.passed, rep.as_text()
-    assert peak < n * n * 8 / 2, peak
-    # the inner dimension of the product is still every point
-    assert calls == [(n, t + 1, t + 1)]
 
 
 def _golden_designs():
@@ -725,7 +700,7 @@ def test_gq_and_srg_row_spans_match_dense_reference(families, monkeypatch):
         for case in half:
             ii, jj = np.nonzero(case)
             pairs = verify_module._point_pairs(ii, jj, case.sum(axis=1), case.shape[1])
-            assert np.array_equal(pairs, case.T @ case), name
+            assert pairs.dtype.kind == "i" and np.array_equal(pairs, case.T @ case), name
 
 
 def test_srg_parameters(families):
