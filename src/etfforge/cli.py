@@ -82,6 +82,10 @@ def _select_characters(group, selector: str):
 
 
 def _build_family(args) -> tuple[str, PolyphaseMatrix]:
+    if args.q is not None and args.family in ("simplex", "example933"):
+        raise ValueError(f"--family {args.family} takes no --q")
+    if args.v is not None and args.family != "simplex":
+        raise ValueError(f"--family {args.family} takes no --v")
     if args.family == "example933":
         return "example933", example_9_3_3()
     if args.family == "simplex":
@@ -135,7 +139,7 @@ def _manifest(name: str, family: str, m: PolyphaseMatrix, args) -> dict:
         man["drackn"] = None
     if args.q is not None:
         man["q"] = args.q
-    if args.v is not None and family == "simplex":
+    if args.v is not None:
         man["v"] = args.v
     return man
 

@@ -18,7 +18,8 @@ PolyphaseMatrix cell codes, f for a zero.  affine_polyphase and
 simplex_phased refuse a b x v matrix over MAX_DENSE_CELLS before they
 allocate anything.  brouwer_polyphase threads all ovoid points in one
 search over z2, which is free because an ovoid point always has y3 or
-y4 nonzero, and fills its cells in row spans of WRITE_SPAN_CELLS.
+y4 nonzero, and finds each row's cells among the q^2+1 points of its
+polar line, in row spans of WRITE_SPAN_CELLS candidates.
 """
 
 from __future__ import annotations
@@ -242,19 +243,21 @@ def _isotropic_points(t: _HermitianForm) -> tuple[np.ndarray, np.ndarray]:
 
 def _orbit_reps(t: _HermitianForm, finite: np.ndarray) -> np.ndarray:
     """One representative per orbit of j . x = (x1, B^j x2, B^j x3, B^j x4)
-    on the points with x1 = 1.  The representative minimises (not
-    preferred, x), where a preferred member has x2 = 0 or x3 = x4 = 0, so
-    the sorted keys list the representatives preferred first."""
-    n = t.field.order
-    rep_keys = np.full(len(finite), 2 * n**3)
-    for bj in t.beta_pows:
-        x2, x3, x4 = t.field.mul[bj, finite[:, 1:].T].astype(np.int64)
-        preferred = (x2 == 0) | ((x3 == 0) & (x4 == 0))
-        np.minimum(rep_keys, ((~preferred * n + x2) * n + x3) * n + x4, out=rep_keys)
-    rep_keys, sizes = np.unique(rep_keys, return_counts=True)
-    if np.any(sizes != t.q + 1):
+    on the points with x1 = 1 (finite, in lexicographic order): the
+    lexicographically least member.  All members share their zero
+    pattern, and B acts freely on GF(q^2)*, so x is the least iff its
+    first nonzero a among (x2, x3, x4) is the least of the q+1 images
+    B^j a, which one per-element table records.  Preferred
+    representatives, x2 = 0 or x3 = x4 = 0, come first."""
+    images = t.field.mul[t.beta_pows[:, None], np.arange(1, t.field.order)]
+    ordered = np.sort(images, axis=0)
+    least = np.concatenate(([False], images.argmin(axis=0) == 0))
+    x2, x3, x4 = finite[:, 1:].T
+    reps = finite[least[np.where(x2 != 0, x2, np.where(x3 != 0, x3, x4))]]
+    if np.any(ordered[1:] == ordered[:-1]) or len(reps) * (t.q + 1) != len(finite):
         raise AssertionError("orbit collapsed; the action should be free")
-    return _points(1, rep_keys // (n * n) % n, rep_keys // n % n, rep_keys % n)
+    preferred = (reps[:, 1] == 0) | ((reps[:, 2] == 0) & (reps[:, 3] == 0))
+    return np.concatenate((reps[preferred], reps[~preferred]))
 
 
 def _threading_vectors(t: _HermitianForm, cols: np.ndarray) -> np.ndarray:
@@ -301,17 +304,51 @@ def brouwer_polyphase(q: int) -> PolyphaseMatrix:
     search over all columns, z2 = 0, 1, ... in turn; at z2 = 0 only the
     q+1 columns (0, 0, 1, c) have no isotropic z, and at q <= 7 every
     column is threaded by z2 = 17.
+
+    The columns orthogonal to x are the isotropic points of its polar
+    line a2 y2 + a3 y3 + a4 y4 = 0 (a = frob x) in the plane y1 = 0, q+1
+    of its q^2+1 points, as on every secant of the Hermitian curve.  So
+    each row tests those q^2+1 candidates, not all q^3+1 columns, and a
+    hit finds its column by its key (y2 n + y3) n + y4, which increases
+    in column order.
     """
     t = _HermitianForm(q)
+    add, mul, neg, inv, norm = t.field.add, t.field.mul, t.field.neg, t.field.inv, t.norm
+    n = t.field.order
     finite, ovoid = _isotropic_points(t)
     rows = _orbit_reps(t, finite)
     cols = ovoid[np.lexsort(ovoid.T[::-1])]
+    col_keys = (cols[:, 1].astype(np.intp) * n + cols[:, 2]) * n + cols[:, 3]
     threading = _threading_vectors(t, cols)
+    # the polar line as the n points p + w d and the point d, in leading-one
+    # (y2, y3, y4) form: p = (1, 0, -a2/a4), d = (0, 1, -a3/a4) if a4 != 0;
+    # else d = (0, 0, 1), never isotropic, and p = (1, -a2/a3, 0), or
+    # (0, 1, 0) if a3 = 0 too, which is the one orbit of (1, x2, 0, 0)
+    a2, a3, a4 = t.frob[rows[:, 1:].T]
+    zero, one = np.zeros_like(a2), np.ones_like(a2)
+    p = np.where(
+        a4 != 0,
+        [one, zero, mul[neg[a2], inv[a4]]],
+        np.where(a3 != 0, [one, mul[neg[a2], inv[a3]], zero], [zero, one, zero]),
+    )
+    d = np.where(a4 != 0, [zero, one, mul[neg[a3], inv[a4]]], [zero, zero, one])
+    # each sum a 1-d take from a raveled table at u n + v
+    row = n * np.arange(n)
+    minus_norms = neg[add[norm[:, None], norm]]  # -(N(u) + N(v))
     codes = np.full((len(rows), len(cols)), q + 1, dtype=np.int16)
-    for r0, r1 in row_spans(np.full(len(rows), len(cols)), WRITE_SPAN_CELLS):
-        r, c = np.nonzero(t.dot(rows[r0:r1, None, :], cols) == 0)
+    for r0, r1 in row_spans(np.full(len(rows), n + 1), WRITE_SPAN_CELLS):
+        y = np.empty((3, r1 - r0, n + 1), dtype=np.int16)
+        y[..., n] = d[:, r0:r1]
+        for l in range(3):  # one coordinate at a time keeps the intp index small
+            y[l, :, :n] = add.take(row[p[l, r0:r1, None]] + mul[d[l, r0:r1]])
+        r, w = np.nonzero(norm[y[2]] == minus_norms.take(row[y[0]] + y[1]))
+        y2, y3, y4 = y[:, r, w].astype(np.intp)
+        key = (y2 * n + y3) * n + y4
+        c = np.searchsorted(col_keys, key)
+        if not np.array_equal(col_keys.take(c, mode="clip"), key):
+            raise AssertionError("an isotropic point of a polar line is not an ovoid column")
         r += r0
-        g = t.beta_dlog[t.field.add[1, t.field.neg[t.dot(rows[r], threading[c])]]]  # 1 - x.z
+        g = t.beta_dlog[add[1, neg[t.dot(rows[r], threading[c])]]]  # 1 - x.z
         if np.any(g < 0):
             raise AssertionError("1 - x.z must have norm one when x is orthogonal to y")
         codes[r, c] = g

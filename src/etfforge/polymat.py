@@ -46,9 +46,10 @@ def dense_cap_refusal(rows: int, cols: int) -> str | None:
     return None
 
 
-# cells per row span of the writers, format_polyphase and the brouwer
-# support: whole-matrix gathers would hold b*v intp temporaries, and
-# spans of 2^15 cells (256 KiB of intp) write as fast as larger ones
+# cells per row span of the writers: format_polyphase counts cells, the
+# brouwer support its polar-line candidates, q^2+1 per row.  Whole-matrix
+# gathers would hold b*v intp temporaries, and spans of 2^15 cells
+# (256 KiB of intp) write as fast as larger ones
 WRITE_SPAN_CELLS = 2**15
 
 

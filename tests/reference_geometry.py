@@ -6,7 +6,9 @@ brouwer_polyphase builds its matrix from the isotropic points alone
 (etfforge.construct._isotropic_points and _orbit_reps); this module
 adds the totally isotropic planes, written out member by member, so
 the geometry's counts and its partial-linear-space axioms can be
-checked and its bytes pinned.
+checked and its bytes pinned.  Its orbit representatives come from
+orbit_reps, a minimum over every image, not from the one-table
+_orbit_reps.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from etfforge.construct import _HermitianForm, _isotropic_points, _orbit_reps, _points
+from etfforge.construct import _HermitianForm, _isotropic_points, _points
 from etfforge.gf import FiniteField
 
 
@@ -42,6 +44,24 @@ class BrouwerGeometry:
     ovoid: list
     orbit_reps: list
     blocks: list
+
+
+def orbit_reps(t: _HermitianForm, finite: np.ndarray) -> np.ndarray:
+    """One representative per orbit of j . x = (x1, B^j x2, B^j x3, B^j x4)
+    on the points with x1 = 1, in q+1 passes, one per image.  The
+    representative minimises (not preferred, x), where a preferred member
+    has x2 = 0 or x3 = x4 = 0, so the sorted keys list the
+    representatives preferred first."""
+    n = t.field.order
+    rep_keys = np.full(len(finite), 2 * n**3)
+    for bj in t.beta_pows:
+        x2, x3, x4 = t.field.mul[bj, finite[:, 1:].T].astype(np.int64)
+        preferred = (x2 == 0) | ((x3 == 0) & (x4 == 0))
+        np.minimum(rep_keys, ((~preferred * n + x2) * n + x3) * n + x4, out=rep_keys)
+    rep_keys, sizes = np.unique(rep_keys, return_counts=True)
+    if np.any(sizes != t.q + 1):
+        raise AssertionError("orbit collapsed; the action should be free")
+    return _points(1, rep_keys // (n * n) % n, rep_keys // n % n, rep_keys % n)
 
 
 def _tuples(points: np.ndarray) -> list:
@@ -79,7 +99,7 @@ def brouwer_geometry(q: int) -> BrouwerGeometry:
     norm, beta_pows = t.norm, t.beta_pows
     minus_one = neg[1]
     finite, ovoid = _isotropic_points(t)
-    orbit_reps = _orbit_reps(t, finite)
+    reps = orbit_reps(t, finite)
 
     d = np.arange(t.field.order)
     # N(a) + N(b) = -1, then every j
@@ -111,7 +131,7 @@ def brouwer_geometry(q: int) -> BrouwerGeometry:
         field=t.field,
         vertices=_tuples(finite) + ovoid,
         ovoid=ovoid,
-        orbit_reps=_tuples(orbit_reps),
+        orbit_reps=_tuples(reps),
         blocks=blocks,
     )
 

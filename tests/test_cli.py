@@ -71,6 +71,22 @@ def test_construct_flag_validation(tmp_path, capsys):
     assert code == 2 and "6 is not a prime power" in err
 
 
+@pytest.mark.parametrize(
+    "flags,unused",
+    [
+        (("--family", "example933", "--q", "5"), "--q"),
+        (("--family", "simplex", "--v", "5", "--q", "3"), "--q"),
+        (("--family", "affine", "--q", "3", "--v", "4"), "--v"),
+        (("--family", "brouwer", "--q", "2", "--v", "4"), "--v"),
+    ],
+)
+def test_construct_refuses_flags_its_family_ignores(tmp_path, capsys, flags, unused):
+    code, out, err = run(capsys, "construct", *flags, "-o", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err == f"error: --family {flags[1]} takes no {unused}\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_construct_rejects_field_over_cap_before_allocating(tmp_path, capsys):
     start = time.perf_counter()
     code, _, err = run(capsys, "construct", "--family", "affine", "--q", "2048", "-o", str(tmp_path))
@@ -574,6 +590,19 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "9" in proc.stdout
+
+
+def test_package_entry_point(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "etfforge", "construct", "--family", "brouwer", "--q", "2",
+         "-o", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"wrote {tmp_path / 'brouwer_q2.polyphase'}\nwrote {tmp_path / 'brouwer_q2.json'}\n"
+    assert parse_polyphase((tmp_path / "brouwer_q2.polyphase").read_text()).rows == 12
 
 
 def test_import_leaves_scipy_sparse_unloaded(tmp_path):

@@ -19,13 +19,14 @@ from etfforge.construct import (
     simplex_phased,
     _HermitianForm,
     _isotropic_points,
+    _orbit_reps,
     _threading_vectors,
 )
 from etfforge.gf import field_create, prime_power_split
 from etfforge.groupring import AbelianGroup, characters_of
 from etfforge.polymat import PolyphaseMatrix
 from etfforge.verify import Design
-from reference_geometry import brouwer_geometry
+from reference_geometry import brouwer_geometry, orbit_reps
 from reference_ring import GroupRingMatrix, adjoint, entry
 
 
@@ -475,9 +476,31 @@ def test_simplex_matches_pair_loop(v):
     assert simplex_phased(v) == _ref_simplex_phased(v)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
-def test_brouwer_polyphase_matches_geometry_route(q):
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+def test_brouwer_polyphase_matches_geometry_route(q, monkeypatch):
+    monkeypatch.setattr(construct, "BROUWER_SIZE_GUARD", 8)
     assert brouwer_polyphase(q) == _ref_brouwer_polyphase(q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_orbit_reps_match_minimum_over_images(q, monkeypatch):
+    monkeypatch.setattr(construct, "BROUWER_SIZE_GUARD", 9)
+    t = _HermitianForm(q)
+    finite, _ = _isotropic_points(t)
+    got = _orbit_reps(t, finite)
+    assert got.dtype == np.int16 and len(got) == q * q * (q * q - q + 1)
+    assert np.array_equal(got, orbit_reps(t, finite))
+
+
+@pytest.mark.parametrize("reps", [_orbit_reps, orbit_reps], ids=["table", "reference"])
+def test_orbit_reps_refuse_a_non_free_action(reps, monkeypatch):
+    t = _HermitianForm(3)
+    finite, _ = _isotropic_points(t)
+    with pytest.raises(AssertionError, match="orbit collapsed; the action should be free"):
+        reps(t, finite[1:])  # one point short of whole orbits
+    monkeypatch.setattr(t, "beta_pows", np.append(t.beta_pows[:-1], t.beta_pows[0]))
+    with pytest.raises(AssertionError, match="orbit collapsed; the action should be free"):
+        reps(t, finite)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
@@ -493,9 +516,10 @@ def test_threading_vectors_match_per_point_search(q):
     assert np.array_equal(late, (ovoid[:, 1] == 0) & (t.norm[ovoid[:, 3]] == t.field.neg[1]))
 
 
-@pytest.mark.parametrize("cells", [1, 3 * 344 + 17])
+@pytest.mark.parametrize("cells", [1, 3 * 50 + 17, 3 * 344 + 17])
 def test_brouwer_support_spans_match_whole_matrix(monkeypatch, cells):
-    # one row per span, then an uneven split of brouwer q=7's 344 columns
+    # one row per span, then uneven splits of brouwer q=7's 50 polar-line
+    # candidates per row: just over 3 rows, then about 21 rows per span
     want = brouwer_polyphase(7)
     monkeypatch.setattr(construct, "WRITE_SPAN_CELLS", cells)
     assert brouwer_polyphase(7) == want
@@ -510,8 +534,9 @@ def test_brouwer_polyphase_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 2.27 MiB measured: the b x v int16 cell codes take 1.4 MB of it, the
-    # rest is row-span temporaries
+    # 2.73 MiB measured: the b x v int16 cell codes take 1.4 MB of it, the
+    # rest is row-span temporaries, the largest the intp index of the
+    # isotropy test over a span's polar-line candidates
     assert peak <= 3 * 2**20
 
 

@@ -10,6 +10,7 @@ import hashlib
 
 import pytest
 
+from etfforge import construct
 from etfforge.cli import main
 from reference_geometry import brouwer_geometry
 
@@ -34,6 +35,12 @@ POLYPHASE_SHA256 = {
     ("brouwer", "--q", "7"): "07994897623939b50dee5b17257144da1192e5248af6831a11bb0972fc3fdde2",
 }
 
+# past BROUWER_SIZE_GUARD, built with the guard raised to 9
+BROUWER_PAST_GUARD_SHA256 = {
+    8: "c6c95750e3795f511b94299210dbdc2d3a8019d2e9b77ed54339595dcef0bd8f",
+    9: "769935b2857c8061e321800e8bff2f4c093c9b0767a03b6b8a3a9bedf03e3733",
+}
+
 GEOMETRY_SHA256 = {
     2: "52451fb789131842344829447e2b9b7b221a82e2dd7e952084a24ab254e39cf2",
     3: "9486bd46127c68b6c330f1838fa17d5a1cf1bb418ca50599ecfec8691b93db09",
@@ -54,6 +61,15 @@ def test_polyphase_bytes_pinned(member, tmp_path, capsys):
     capsys.readouterr()
     (path,) = tmp_path.glob("*.polyphase")
     assert _sha256(path.read_bytes()) == POLYPHASE_SHA256[member]
+
+
+@pytest.mark.parametrize("q", sorted(BROUWER_PAST_GUARD_SHA256))
+def test_brouwer_past_the_size_guard_pinned(q, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(construct, "BROUWER_SIZE_GUARD", 9)
+    assert main(["construct", "--family", "brouwer", "--q", str(q), "-o", str(tmp_path)]) == 0
+    capsys.readouterr()
+    path = tmp_path / f"brouwer_q{q}.polyphase"
+    assert _sha256(path.read_bytes()) == BROUWER_PAST_GUARD_SHA256[q]
 
 
 @pytest.mark.parametrize("q", sorted(GEOMETRY_SHA256))
