@@ -35,7 +35,7 @@ from .polymat import (
     MAX_DENSE_CELLS,
     WRITE_SPAN_CELLS,
     PolyphaseMatrix,
-    dense_cap_refusal,
+    listed_cells_refusal,
     parse_polyphase,
     row_spans,
     zero_one_array,
@@ -178,7 +178,7 @@ def affine_polyphase(q: int) -> PolyphaseMatrix:
     return PolyphaseMatrix(group, codes)
 
 
-BROUWER_SIZE_GUARD = 7
+BROUWER_SIZE_GUARD = 9
 
 
 class _HermitianForm:
@@ -226,12 +226,21 @@ def _points(*coords) -> np.ndarray:
 
 def _isotropic_points(t: _HermitianForm) -> tuple[np.ndarray, np.ndarray]:
     """Isotropic points in leading-one form as int16 rows: x1 = 1 in
-    lexicographic order (the zeros of an n^3 cube, cost about q^6), then
-    the ovoid x1 = 0."""
-    add, norm = t.field.add, t.norm
+    lexicographic order, then the ovoid x1 = 0.  For each (x2, x3), x4
+    runs over the norm fibre N(x4) = -1 - N(x2) - N(x3); with GF(q^2)
+    sorted once by (norm, value), one repeat over the n^2 pairs lists
+    each fibre in order, about q^4 cells in all."""
+    add, neg, norm = t.field.add, t.field.neg, t.norm
+    n = t.field.order
     one_plus = add[1, norm]  # 1 + N(x)
-    cube = add[add[one_plus[:, None], norm][:, :, None], norm]
-    finite = _points(1, *np.nonzero(cube == 0))
+    by_norm = np.argsort(norm, kind="stable").astype(np.int16)
+    size = np.bincount(norm, minlength=n)
+    fibre = neg[add[one_plus[:, None], norm]].ravel()  # the N(x4) of each (x2, x3)
+    start, reps = (np.cumsum(size) - size)[fibre], size[fibre]
+    first = np.repeat(start - np.cumsum(reps) + reps, reps)
+    first += np.arange(len(first))
+    x2, x3 = np.repeat(np.indices((n, n), dtype=np.int16).reshape(2, -1), reps, axis=1)
+    finite = _points(1, x2, x3, by_norm[first])
     ovoid = np.concatenate(
         [
             _points(0, 1, *np.nonzero(add[one_plus[:, None], norm] == 0)),
@@ -302,7 +311,7 @@ def brouwer_polyphase(q: int) -> PolyphaseMatrix:
     translation permutation that records which block through y each
     orbit member lands in.  The threading vectors z_y come from one
     search over all columns, z2 = 0, 1, ... in turn; at z2 = 0 only the
-    q+1 columns (0, 0, 1, c) have no isotropic z, and at q <= 7 every
+    q+1 columns (0, 0, 1, c) have no isotropic z, and at q <= 9 every
     column is threaded by z2 = 17.
 
     The columns orthogonal to x are the isotropic points of its polar
@@ -355,20 +364,26 @@ def brouwer_polyphase(q: int) -> PolyphaseMatrix:
     return PolyphaseMatrix(AbelianGroup([q + 1]), codes)
 
 
-def gq_cells(m: PolyphaseMatrix) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
-    """Shape and row-major ones of the GQ lift of m: spread row j meets
-    points j f .. j f + f - 1, and lifted row v + i f + a meets point
-    j f + b when Phi_ij = z^g with a = g + b.  Raises before any cell is
-    allocated unless f equals the first row's weight and the shape is
-    within the dense cap."""
+def _gq_shape(m: PolyphaseMatrix) -> tuple[int, int]:
+    """Shape of the GQ lift of m; raises unless f equals the first row's weight."""
     f, v = m.group.order, m.cols
     k = int(np.count_nonzero(m.codes[0] != f)) if m.rows else 0
     if k != f:
         raise ValueError(f"group order {f} must equal block size {k}")
-    shape = (v + m.rows * f, v * f)
-    if refusal := dense_cap_refusal(*shape):
-        raise ValueError(refusal)
+    return v + m.rows * f, v * f
+
+
+def gq_cells(m: PolyphaseMatrix) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
+    """Shape and row-major ones of the GQ lift of m: spread row j meets
+    points j f .. j f + f - 1, and lifted row v + i f + a meets point
+    j f + b when Phi_ij = z^g with a = g + b.  Raises before any cell of
+    the lift is listed unless f equals the first row's weight and the
+    lift's v f + f nnz(m) cells are within listed_cells_refusal's cap."""
+    shape = _gq_shape(m)
+    f, v = m.group.order, m.cols
     ii, jj = np.nonzero(m.codes != f)
+    if refusal := listed_cells_refusal(*shape, (v + len(ii)) * f):
+        raise ValueError(refusal)
     b, points = np.arange(f), np.arange(v * f)
     rows = v + ii[:, None] * f + m.group.add_index[m.codes[ii, jj][:, None], b]
     rows = np.concatenate((points // f, rows.ravel()))
@@ -380,9 +395,10 @@ def gq_cells(m: PolyphaseMatrix) -> tuple[tuple[int, int], np.ndarray, np.ndarra
 def gq_from_polyphase(m: PolyphaseMatrix) -> np.ndarray:
     """The GQ lift of gq_cells as a dense int8 0/1 array: the incidence of
     a GQ with a spread when |.|^2 is a BIBD(v, k, 1) with k = f and the
-    polyphase identities hold; verify_gq_axioms reports what else is wrong."""
-    shape, rows, cols = gq_cells(m)
-    z = zero_one_array(*shape)
+    polyphase identities hold; verify_gq_axioms reports what else is wrong.
+    Raises zero_one_array's dense cap before any cell is listed."""
+    z = zero_one_array(*_gq_shape(m))
+    _, rows, cols = gq_cells(m)
     z[rows, cols] = 1
     return z
 

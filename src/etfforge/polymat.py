@@ -46,6 +46,16 @@ def dense_cap_refusal(rows: int, cols: int) -> str | None:
     return None
 
 
+def listed_cells_refusal(rows: int, cols: int, cells: int) -> str | None:
+    """Why a rows x cols 0/1 incidence held as its cell lists is refused,
+    or None: its cells exceed MAX_DENSE_CELLS // 16, so the two intp lists
+    take no more bytes than the int8 cells of a dense array at the cap."""
+    cap = MAX_DENSE_CELLS // 16
+    if cells > cap:
+        return f"{rows}x{cols} incidence lists {cells} cells; the cap is {cap}"
+    return None
+
+
 # cells per row span of the writers: format_polyphase counts cells, the
 # brouwer support its polar-line candidates, q^2+1 per row.  Whole-matrix
 # gathers would hold b*v intp temporaries, and spans of 2^15 cells

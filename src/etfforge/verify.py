@@ -21,16 +21,21 @@ the same A in row spans, and counts A^2 from the exponent table of A's
 monomial off-diagonal cells with one bincount per span.
 
 The GQ and SRG checks count from the nonzero cells of a 0/1 incidence Z
-(a dense array's, or a Design's GQ lift cells) in bounded row spans, with
-P = Z^T Z from one integer bincount over the point pairs of each block;
-the BIBD pair balance counts its Z^T Z the same way.
+(a dense array's, or a Design's GQ lift cells) by walks over its two CSR
+views, block -> points and point -> blocks: a row of P = Z^T Z counts the
+point -> block -> point walks from its point, a row of Z Z^T Z the
+block -> point -> block -> point walks from its block.  One kernel
+expands a bounded span of sources at a time and counts where the walks
+end with one bincount, so no array grows with points^2; the BIBD pair
+balance walks its Z^T Z the same way.
 For any Phi, each x in its group maps the lift onto itself: lifted row
 v + i f + a goes to v + i f + (a + x), point j f + b to j f + (b + x),
-and each spread row stays.  Z, P and both sides of the triple product are
-invariant too, so a row offends exactly when the lowest-index row of its
-orbit does, and the row-major first offence lies in such a row.  The
-triple product is formed on those rows only (the spread rows and rows
-v + i f): f times fewer rows, the same witnesses.  A dense array has
+and each spread row stays.  Z, P, Z Z^T and both sides of the triple
+product are invariant too, so a row offends exactly when the
+lowest-index row of its orbit does, and the row-major first offence
+lies in such a row.  The walks start from those rows only: the points
+j f for P, the spread rows and rows v + i f for Z Z^T and the triple
+product; f times fewer sources, the same witnesses.  A dense array has
 translation order 1, so every row is read.  The axioms report is counted
 once per set of cells and (s, t), and the SRG check reads it: once the
 axioms pass, every SRG identity follows from them, so no P^2 is formed.
@@ -46,7 +51,7 @@ import numpy as np
 
 from .construct import DracknParams, gq_cells
 from .groupring import AbelianGroup, characters_of, first_of_conjugates
-from .polymat import PolyphaseMatrix, row_pairs, row_spans
+from .polymat import PolyphaseMatrix, row_spans
 
 NUMERIC_TOL = 1e-9
 RANK_REL_TOL = 1e-8
@@ -159,11 +164,16 @@ def verify_bibd(x: np.ndarray, v: int, k: int) -> VerificationReport:
     rep.add("row-sums", bool(np.all(rows == k)), witness=_first_bad(rows != k))
     cols = x.sum(axis=0)
     rep.add("col-sums", bool(np.all(cols == r)), witness=_first_bad(cols != r))
-    # Z^T Z counted from the ones, as for the GQ check: r on the diagonal, 1 off it
-    pairs = _Cells.from_dense(x).pairs
-    bad = pairs != 1
-    bad[np.diag_indices(v)] = pairs.diagonal() != r
-    rep.add("pair-balance", not bad.any(), witness=_first_bad(bad))
+    # Z^T Z by point -> block -> point walks, as for the GQ check: r on the
+    # diagonal, 1 off it
+    def off_balance(at, pairs):
+        mask, diagonal = pairs != 1, (np.arange(len(at)), at)
+        mask[diagonal] = pairs[diagonal] != r
+        return mask
+
+    to_points, to_blocks = _Cells.from_dense(x).hops
+    bad = _first_offence(np.arange(v), (to_blocks, to_points), v, off_balance)
+    rep.add("pair-balance", not bad, witness=bad and bad[:2])
     rep.add("fisher", x.shape[0] >= v,
             witness=None if x.shape[0] >= v else (x.shape[0], v))
     return rep
@@ -363,34 +373,69 @@ def verify_etf_numeric(phi: np.ndarray, tol: float = NUMERIC_TOL) -> Verificatio
     return rep
 
 
-# cells per row span of the GQ triple-product check, small enough to
-# stay in cache; the point-pair spans may hold as many pairs as Z^T Z has
-# cells, combinatorial gathers SPAN_CELLS // 64 per span and algebraic
-# sums SPAN_CELLS // 8 cells of A, at most 256 KiB at int16; drackn
-# reads SPAN_CELLS // 16 cells of A, and counts as many sums, per span
+# cells per row span: the walk kernel of the GQ and pair-balance checks
+# holds SPAN_CELLS // 16 walks plus counted cells per span, or width^2 / 4
+# if fewer, so its few intp arrays per span take no more bytes than the
+# int64 Z^T Z of that width that they stand in for;
+# combinatorial gathers SPAN_CELLS // 64 per span and algebraic sums
+# SPAN_CELLS // 8 cells of A, at most 256 KiB at int16; drackn reads
+# SPAN_CELLS // 16 cells of A, and counts as many sums, per span
 SPAN_CELLS = 2**20
 
 
-def _block_pairs(ii, rows, n_points: int):
-    """(lo, a, b): cells lo + a and lo + b of every ordered pair of cells
-    on a common block, in block order, one bounded row span at a time;
-    ii are the rows of the row-major nonzero cells and rows the row sums."""
-    ptr = np.concatenate(([0], np.cumsum(rows)))
-    for r0, r1 in row_spans(rows * rows, max(n_points * n_points, SPAN_CELLS)):
-        lo = ptr[r0]
-        yield (lo, *row_pairs(ii[lo:ptr[r1]]))
+def _hop(at, ptr, targets):
+    """One hop of a walk from each node in at, along the CSR view (ptr,
+    targets), node u stepping to each of targets[ptr[u]:ptr[u+1]]: the
+    nodes reached, grouped by start, and how many each start reaches."""
+    start = ptr.take(at)
+    deg = ptr.take(at + 1) - start
+    start -= np.cumsum(deg)
+    start += deg
+    first = np.repeat(start, deg)
+    first += np.arange(len(first))
+    return targets.take(first), deg
 
 
-def _point_pairs(ii, jj, rows, n_points: int) -> np.ndarray:
-    """Z^T Z of a 0/1 matrix: entry (a, c) counts the blocks through both
-    points, by one integer bincount per row span of the ordered point pairs."""
-    total = None
-    for lo, a, c in _block_pairs(ii, rows, n_points):
-        part = np.bincount(jj[lo:][a] * n_points + jj[lo:][c], minlength=n_points**2)
-        total = part if total is None else np.add(total, part, out=total)
-    if total is None:  # no blocks
-        total = np.zeros(n_points * n_points, dtype=np.intp)
-    return total.reshape(n_points, n_points)
+def _walk_counts(sources, hops, width: int):
+    """Yield (r0, counts) per span of sources: counts[i, c] is the number
+    of walks from sources[r0 + i] along the chain of CSR hops that end at
+    c < width.  Each span expands its walks hop by hop and counts their
+    ends with one bincount; it holds at most the budget in walks plus
+    counted cells, unless one source alone exceeds it."""
+    # walks from each node to the end of the chain, counted back from the end
+    walks = np.ones(width, dtype=np.intp)
+    for ptr, targets in reversed(hops):
+        ends = np.concatenate(([0], np.cumsum(walks.take(targets))))
+        walks = np.diff(ends.take(ptr))
+    budget = min(SPAN_CELLS // 16, width * width // 4)
+    for r0, r1 in row_spans(walks.take(sources) + width, budget):
+        at = sources[r0:r1]
+        # a span's walks stay grouped by source, hop after hop
+        slot = np.repeat(width * np.arange(r1 - r0), walks.take(at))
+        for ptr, targets in hops:
+            at = _hop(at, ptr, targets)[0]
+        slot += at
+        yield r0, np.bincount(slot, minlength=(r1 - r0) * width).reshape(r1 - r0, width)
+
+
+def _first_offence(sources, hops, width: int, bad) -> tuple | None:
+    """(source, end, count) at the row-major first cell of the walk counts
+    of _walk_counts where bad(at, counts) holds, at the span's sources;
+    None if there is none.  The search stops at the first such span."""
+    for r0, counts in _walk_counts(sources, hops, width):
+        at = sources[r0:r0 + len(counts)]
+        mask = bad(at, counts)
+        if mask.any():
+            i, c = _first_bad(mask)
+            return int(at[i]), c, int(counts[i, c])
+    return None
+
+
+def _shared(at, counts):
+    """Off-diagonal counts above 1: two nodes joined by two walks."""
+    mask = counts > 1
+    mask[np.arange(len(at)), at] = False
+    return mask
 
 
 class _Cells:
@@ -398,8 +443,9 @@ class _Cells:
     their row sums, the first cell that is not 1 (None for a lift, whose
     cells are all ones) and its translation order f: the group order for a
     lift, whose translation orbits are each spread row, the lifted rows
-    v + i f + a and the points j f + b; 1 for a dense array.  Z^T Z, and
-    the GQ axioms report for each (s, t), are counted on first use."""
+    v + i f + a and the points j f + b; 1 for a dense array.  The two CSR
+    views the walks hop along, and the GQ axioms report for each (s, t),
+    are derived on first use."""
 
     def __init__(self, shape, ii, jj, f, not_one=None):
         self.shape, self.ii, self.jj, self.f, self.not_one = shape, ii, jj, f, not_one
@@ -416,8 +462,15 @@ class _Cells:
         return cls(z.shape, ii, jj, 1, (int(ii[bad[0]]), int(jj[bad[0]])) if len(bad) else None)
 
     @functools.cached_property
-    def pairs(self) -> np.ndarray:
-        return _point_pairs(self.ii, self.jj, self.rows, self.shape[1])
+    def hops(self) -> tuple[tuple, tuple]:
+        """(block -> points, point -> blocks) as CSR (ptr, targets): the
+        row-major cells, and the blocks of each point in order.  As ii
+        ascends, one sort of the distinct keys jj b + ii is a stable sort
+        of jj, and far faster than a stable argsort."""
+        cols = np.bincount(self.jj, minlength=self.shape[1])
+        by_point = np.sort(self.jj * self.shape[0] + self.ii) % self.shape[0]
+        return ((np.concatenate(([0], np.cumsum(self.rows))), self.jj),
+                (np.concatenate(([0], np.cumsum(cols))), by_point))
 
 
 def _cells(z) -> _Cells:
@@ -427,59 +480,17 @@ def _cells(z) -> _Cells:
     return z if isinstance(z, _Cells) else _Cells.from_dense(z)
 
 
-def _first_shared_block_pair(ii, jj, rows, shared) -> tuple:
-    """Row-major first off-diagonal entry (i, j) of Z Z^T above 1, given
-    the off-diagonal point pairs that share two blocks: i is the first
-    block holding such a pair, j the first other block meeting i twice."""
-    for lo, a, c in _block_pairs(ii, rows, len(shared)):
-        hit = np.flatnonzero(shared[jj[lo:][a], jj[lo:][c]])
-        if len(hit):
-            i = int(ii[lo + a[hit[0]]])
-            break
-    meets = np.bincount(ii[np.isin(jj, jj[ii == i])], minlength=len(rows))
-    meets[i] = 0
-    return i, int(np.flatnonzero(meets > 1)[0])
-
-
-def _first_triple_offence(z: _Cells, s: int, t: int) -> tuple | None:
-    """Row-major first entry where Z (Z^T Z) != (s+t) Z + J, read on the
-    spread rows and rows v + i f, one per translation orbit.  Row i of the
-    product sums the point-pair rows of the points of block i; each
-    bounded row span adds one point per row per step (short rows add a
-    zero row) and the search stops at the first span with an offence."""
-    n_points = z.shape[1]
-    # every count is at most the number of ones of z
-    padded = np.zeros((n_points + 1, n_points), dtype=np.int32 if len(z.ii) < 2**31 else np.int64)
-    padded[:n_points] = z.pairs
-    # the spread rows and rows v + i f with their cells, renumbered 0, 1, ...
-    keep = np.maximum(np.arange(z.shape[0]) - n_points // z.f, 0) % z.f == 0
-    cell = keep[z.ii]
-    ii, jj, rows = (np.cumsum(keep) - 1)[z.ii[cell]], z.jj[cell], z.rows[keep]
-    ptr = np.concatenate(([0], np.cumsum(rows)))
-    for r0, r1 in row_spans((rows + 1) * n_points, SPAN_CELLS):
-        lo, hi = ptr[r0], ptr[r1]
-        at = ii[lo:hi] - r0
-        slots = np.full((r1 - r0, rows[r0:r1].max(initial=0)), n_points)
-        slots[at, np.arange(lo, hi) - ptr[r0:r1][at]] = jj[lo:hi]
-        span = np.full((r1 - r0, n_points), -1, dtype=padded.dtype)
-        for points in slots.T:
-            span += padded[points]
-        span[at, jj[lo:hi]] -= s + t
-        if np.count_nonzero(span):
-            i, c = _first_bad(span != 0)
-            return int(np.flatnonzero(keep)[r0 + i]), c
-    return None
-
-
 def verify_gq_axioms(z, s: int, t: int, check_spread: bool = False) -> VerificationReport:
     """Point-block incidence of a generalized quadrangle of order (s, t):
     blocks of size s+1, t+1 blocks per point, no repeated pairs, and the
     triple product Z Z^T Z = (s+t) Z + J.  z is a dense array or a
-    Design, whose GQ lift is read; everything is counted from the nonzero
-    cells and the point-pair matrix Z^T Z, so no blocks x blocks or
-    blocks x points array is formed.  The triple product is formed on one
-    row per translation orbit of a Design's lift, where the first offence
-    lies (see the module docstring), so witnesses are the full product's."""
+    Design, whose GQ lift is read; everything is counted by walks over the
+    nonzero cells in bounded spans, so no blocks x blocks, blocks x points
+    or points x points array is formed.  The walks start from one row per
+    translation orbit of a Design's lift, where the first offence lies
+    (see the module docstring), so witnesses are the full products'.  A
+    failing row-sums, col-sums or triple-product line names the count at
+    its witness against its target, as "got X, want Y"."""
     z = _cells(z)
     axioms = _gq_axioms(z, s, t)
     rep = VerificationReport(axioms.subject)
@@ -513,20 +524,38 @@ def _count_gq_axioms(z: _Cells, s: int, t: int) -> VerificationReport:
     rep.add("zero-one", z.not_one is None, witness=z.not_one)
     if z.not_one is not None:
         return rep
-    ii, jj, rows = z.ii, z.jj, z.rows
-    rep.add("row-sums", bool(np.all(rows == s + 1)), witness=_first_bad(rows != s + 1))
-    cols = np.bincount(jj, minlength=n_points)
-    rep.add("col-sums", bool(np.all(cols == t + 1)), witness=_first_bad(cols != t + 1))
-    shared = z.pairs > 1
-    np.fill_diagonal(shared, False)
+    to_points, to_blocks = z.hops
+    cols = np.diff(to_blocks[0])
+    for name, sums, want in (("row-sums", z.rows, s + 1), ("col-sums", cols, t + 1)):
+        witness = _first_bad(sums != want)
+        rep.add(name, witness is None, witness=witness,
+                info="" if witness is None else f"got {sums[witness]}, want {want}")
+    # the first offence of Z^T Z lies in a point j f, and that of Z Z^T or
+    # of the triple product in a spread row or a row v + i f
+    points = np.arange(0, n_points, z.f)
+    blocks = np.flatnonzero(np.maximum(np.arange(n_blocks) - n_points // z.f, 0) % z.f == 0)
+    pair = _first_offence(points, (to_blocks, to_points), n_points, _shared)
     # for a 0/1 matrix two blocks share two points exactly when two
-    # points share two blocks, so only an offence needs the block search
-    witness = _first_shared_block_pair(ii, jj, rows, shared) if shared.any() else None
-    rep.add("block-pair-intersections", witness is None, witness=witness)
-    witness = _first_bad(shared)
-    rep.add("point-pair-collinearity", witness is None, witness=witness)
-    witness = _first_triple_offence(z, s, t)
-    rep.add("triple-product", witness is None, witness=witness)
+    # points share two blocks, so only an offence needs the block walks
+    block_pair = pair and _first_offence(blocks, (to_points, to_blocks), n_blocks, _shared)
+    rep.add("block-pair-intersections", not block_pair, witness=block_pair and block_pair[:2])
+    rep.add("point-pair-collinearity", not pair, witness=pair and pair[:2])
+
+    def off_target(at, counts):
+        # row i of Z Z^T Z is s+t+1 on the points of block i, 1 elsewhere
+        mask = counts != 1
+        ends, deg = _hop(at, *to_points)
+        on = np.repeat(np.arange(len(at)), deg), ends
+        mask[on] = counts[on] != s + t + 1
+        return mask
+
+    triple = _first_offence(blocks, (to_points, to_blocks, to_points), n_points, off_target)
+    info = ""
+    if triple:
+        i, c, got = triple
+        want = s + t + 1 if c in z.jj[to_points[0][i]:to_points[0][i + 1]] else 1
+        info = f"got {got}, want {want}"
+    rep.add("triple-product", not triple, witness=triple and triple[:2], info=info)
     return rep
 
 

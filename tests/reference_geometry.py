@@ -6,9 +6,10 @@ brouwer_polyphase builds its matrix from the isotropic points alone
 (etfforge.construct._isotropic_points and _orbit_reps); this module
 adds the totally isotropic planes, written out member by member, so
 the geometry's counts and its partial-linear-space axioms can be
-checked and its bytes pinned.  Its orbit representatives come from
-orbit_reps, a minimum over every image, not from the one-table
-_orbit_reps.
+checked and its bytes pinned.  Its points come from isotropic_points,
+the zeros of a whole n^3 cube, not from the norm-fibre listing of
+_isotropic_points, and its orbit representatives from orbit_reps, a
+minimum over every image, not from the one-table _orbit_reps.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from etfforge.construct import _HermitianForm, _isotropic_points, _points
+from etfforge.construct import _HermitianForm, _points
 from etfforge.gf import FiniteField
 
 
@@ -44,6 +45,23 @@ class BrouwerGeometry:
     ovoid: list
     orbit_reps: list
     blocks: list
+
+
+def isotropic_points(t: _HermitianForm) -> tuple[np.ndarray, np.ndarray]:
+    """Isotropic points in leading-one form as int16 rows: x1 = 1 in
+    lexicographic order (the zeros of an n^3 cube, cost about q^6), then
+    the ovoid x1 = 0."""
+    add, norm = t.field.add, t.norm
+    one_plus = add[1, norm]  # 1 + N(x)
+    cube = add[add[one_plus[:, None], norm][:, :, None], norm]
+    finite = _points(1, *np.nonzero(cube == 0))
+    ovoid = np.concatenate(
+        [
+            _points(0, 1, *np.nonzero(add[one_plus[:, None], norm] == 0)),
+            _points(0, 0, 1, *np.nonzero(one_plus == 0)),
+        ]
+    )
+    return finite, ovoid
 
 
 def orbit_reps(t: _HermitianForm, finite: np.ndarray) -> np.ndarray:
@@ -98,7 +116,7 @@ def brouwer_geometry(q: int) -> BrouwerGeometry:
     add, mul, neg = t.field.add, t.field.mul, t.field.neg
     norm, beta_pows = t.norm, t.beta_pows
     minus_one = neg[1]
-    finite, ovoid = _isotropic_points(t)
+    finite, ovoid = isotropic_points(t)
     reps = orbit_reps(t, finite)
 
     d = np.arange(t.field.order)

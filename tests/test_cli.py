@@ -87,6 +87,15 @@ def test_construct_refuses_flags_its_family_ignores(tmp_path, capsys, flags, unu
     assert not any(tmp_path.iterdir())
 
 
+def test_construct_brouwer_up_to_the_size_guard(tmp_path, capsys):
+    code, _, err = run(capsys, "construct", "--family", "brouwer", "--q", "8", "-o", str(tmp_path))
+    assert (code, err) == (0, "") and (tmp_path / "brouwer_q8.polyphase").exists()
+    code, out, err = run(capsys, "construct", "--family", "brouwer", "--q", "11",
+                         "-o", str(tmp_path / "q11"))
+    assert (code, out, err) == (2, "", "error: q = 11 exceeds the size guard 9\n")
+    assert not (tmp_path / "q11").exists()
+
+
 def test_construct_rejects_field_over_cap_before_allocating(tmp_path, capsys):
     start = time.perf_counter()
     code, _, err = run(capsys, "construct", "--family", "affine", "--q", "2048", "-o", str(tmp_path))
@@ -205,13 +214,13 @@ def test_verify_derives_each_object_once(tmp_path, capsys, monkeypatch):
 
         def wrapper(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
-            if name == "_point_pairs":
-                point_counts.append(args[3])
+            if name == "_walk_counts":
+                point_counts.append(args[2])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("verify_bibd", "_point_pairs", "gq_cells"):
+    for name in ("verify_bibd", "_walk_counts", "gq_cells"):
         counting(cli.V, name)
     counting(PolyphaseMatrix, "gram")
     # no dense lift: neither the dense GQ lift nor any zeroed 0/1 array
@@ -229,10 +238,11 @@ def test_verify_derives_each_object_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.V.Design, "__init__", recording)
     code, out, _ = run(capsys, "verify", str(tmp_path / "brouwer_q2.polyphase"))
     assert code == 0 and "PASS (9,3,3)-DRACKN" in out and "PASS SRG(27,10,1,5)" in out
-    assert calls == {"verify_bibd": 1, "gram": 1, "_point_pairs": 2, "gq_cells": 1}
-    # Z^T Z once for the design's 9 points (the BIBD pair balance) and once
-    # for the 27 points of its GQ lift (gq and srg share it)
-    assert sorted(point_counts) == [9, 27]
+    assert calls == {"verify_bibd": 1, "gram": 1, "_walk_counts": 3, "gq_cells": 1}
+    # walks ending at the design's 9 points once (the BIBD pair balance),
+    # and at the 27 points of its GQ lift twice, for the collinearity and
+    # the triple product, which gq and srg share
+    assert sorted(point_counts) == [9, 27, 27]
     # A = Phi* Phi - rI is dropped from the Design once drackn has read it
     assert len(designs) == 1 and "drackn" not in vars(designs[0])
 
@@ -408,9 +418,10 @@ def test_verify_skips_gq_and_srg_over_the_lift_cap(tmp_path, capsys, monkeypatch
     run(capsys, "construct", "--family", "brouwer", "--q", "2", "-o", str(tmp_path))
     path = str(tmp_path / "brouwer_q2.polyphase")
     _, rest, _ = run(capsys, "verify", path, "--checks", "bibd,combinatorial,algebraic,etf,drackn")
-    # the lift is (9 + 12*3) x 9*3; the cap counts max(45, 27) * 27 cells
+    # the lift is (9 + 12*3) x 9*3 and lists (9 + 12*3) * 3 cells; verify
+    # caps them at 100 // 16, and export --to gq caps max(45, 27) * 27 cells
     monkeypatch.setattr(polymat, "MAX_DENSE_CELLS", 100)
-    reason = "45x27 incidence and its point pairs need 1215 cells; the cap is 100"
+    reason = "45x27 incidence lists 135 cells; the cap is 6"
     code, out, err = run(capsys, "verify", path)
     assert (code, err) == (0, "")
     assert out == f"SKIP gq ({reason})\nSKIP srg ({reason})\n" + rest
@@ -418,6 +429,7 @@ def test_verify_skips_gq_and_srg_over_the_lift_cap(tmp_path, capsys, monkeypatch
     assert (code, err) == (1, "")
     failed = f"FAIL {{}}\n  FAIL applicable witness=() [{reason}]\n"
     assert out == failed.format("GQ") + failed.format("SRG") + "overall: FAIL\n"
+    reason = "45x27 incidence and its point pairs need 1215 cells; the cap is 100"
     code, _, err = run(capsys, "export", path, "--to", "gq", "-o", str(tmp_path / "gq.txt"))
     assert (code, err) == (2, f"error: {reason}\n")
 

@@ -26,7 +26,7 @@ from etfforge.gf import field_create, prime_power_split
 from etfforge.groupring import AbelianGroup, characters_of
 from etfforge.polymat import PolyphaseMatrix
 from etfforge.verify import Design
-from reference_geometry import brouwer_geometry, orbit_reps
+from reference_geometry import brouwer_geometry, isotropic_points, orbit_reps
 from reference_ring import GroupRingMatrix, adjoint, entry
 
 
@@ -221,10 +221,10 @@ def test_brouwer_geometry_is_partial_linear(q):
 
 
 def test_brouwer_geometry_guard():
-    with pytest.raises(ValueError):
-        brouwer_geometry(8)
-    with pytest.raises(ValueError):
-        brouwer_polyphase(9)
+    with pytest.raises(ValueError, match="exceeds the size guard 9"):
+        brouwer_geometry(11)
+    with pytest.raises(ValueError, match="exceeds the size guard 9"):
+        brouwer_polyphase(11)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -287,9 +287,10 @@ def test_gq_requires_group_order_k():
 
 
 def test_gq_lift_refuses_oversized_incidence_before_allocating():
-    # one full row over Z1024: the lift would be 2048 x 2^20 cells
+    # 16 full rows over Z1024: the lift would be 17408 x 2^20, over the
+    # dense cap, and list (1024 + 16 * 1024) * 1024 cells, over 2^28 // 16
     group = AbelianGroup([1024])
-    m = PolyphaseMatrix(group, np.zeros((1, 1024), dtype=np.int16))
+    m = PolyphaseMatrix(group, np.zeros((16, 1024), dtype=np.int16))
     for lift in (lambda: gq_from_polyphase(m), lambda: Design(m).gq):
         tracemalloc.start()
         try:
@@ -490,6 +491,18 @@ def test_orbit_reps_match_minimum_over_images(q, monkeypatch):
     got = _orbit_reps(t, finite)
     assert got.dtype == np.int16 and len(got) == q * q * (q * q - q + 1)
     assert np.array_equal(got, orbit_reps(t, finite))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_isotropic_points_match_cube_zeros(q):
+    # the norm-fibre listing against the zeros of the whole n^3 cube
+    t = _HermitianForm(q)
+    got, want = _isotropic_points(t), isotropic_points(t)
+    assert [a.dtype for a in got] == [np.int16, np.int16]
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    # q^3+1 ovoid points, and q^2 (q^2 - q + 1) orbits of q+1 points with x1 = 1
+    assert (len(got[0]), len(got[1])) == ((q + 1) * q * q * (q * q - q + 1), q**3 + 1)
 
 
 @pytest.mark.parametrize("reps", [_orbit_reps, orbit_reps], ids=["table", "reference"])

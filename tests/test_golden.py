@@ -10,7 +10,6 @@ import hashlib
 
 import pytest
 
-from etfforge import construct
 from etfforge.cli import main
 from reference_geometry import brouwer_geometry
 
@@ -35,7 +34,7 @@ POLYPHASE_SHA256 = {
     ("brouwer", "--q", "7"): "07994897623939b50dee5b17257144da1192e5248af6831a11bb0972fc3fdde2",
 }
 
-# past BROUWER_SIZE_GUARD, built with the guard raised to 9
+# brouwer q = 8 and 9, the largest members BROUWER_SIZE_GUARD admits
 BROUWER_PAST_GUARD_SHA256 = {
     8: "c6c95750e3795f511b94299210dbdc2d3a8019d2e9b77ed54339595dcef0bd8f",
     9: "769935b2857c8061e321800e8bff2f4c093c9b0767a03b6b8a3a9bedf03e3733",
@@ -64,8 +63,7 @@ def test_polyphase_bytes_pinned(member, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("q", sorted(BROUWER_PAST_GUARD_SHA256))
-def test_brouwer_past_the_size_guard_pinned(q, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(construct, "BROUWER_SIZE_GUARD", 9)
+def test_brouwer_past_the_size_guard_pinned(q, tmp_path, capsys):
     assert main(["construct", "--family", "brouwer", "--q", str(q), "-o", str(tmp_path)]) == 0
     capsys.readouterr()
     path = tmp_path / f"brouwer_q{q}.polyphase"

@@ -601,6 +601,49 @@ def test_srg_reads_the_axioms_of_its_own_cells(families):
     assert _triples(verify_srg_collinearity(d, 9, 3)) == [("dimensions", False, (280, 112))]
 
 
+def test_gq_fail_lines_name_their_count_and_target(families):
+    # one seeded brouwer q=3 mutant per line: a cell added to row 20
+    # (row-sums), a cell moved along its row (col-sums) and a changed
+    # exponent (triple-product, through the Design's lift); got is the
+    # entry of the dense product at the witness, want its target
+    m = families["brouwer3"]
+    z = gq_from_polyphase(m).astype(np.int64)
+    added = z.copy()
+    added[20, np.flatnonzero(z[20] == 0)[0]] = 1
+    moved = _swap_cell(z, 3)
+    mutant = _change_exponent(m, 1)
+    lifted = gq_from_polyphase(mutant).astype(np.int64)
+    cases = [
+        ("row-sums", added, added.sum(axis=1), 4, (20,), "got 5, want 4"),
+        ("col-sums", moved, moved.sum(axis=0), 10, (7,), "got 9, want 10"),
+        ("triple-product", Design(mutant), lifted @ lifted.T @ lifted, 12 * lifted + 1,
+         (28, 25), "got 0, want 1"),
+    ]
+    for name, case, product, target, witness, info in cases:
+        line = next(c for c in verify_gq_axioms(case, 3, 9).checks if c.name == name)
+        assert (line.passed, line.witness, line.info) == (False, witness, info), name
+        want = target[witness] if np.ndim(target) else target
+        assert info == f"got {product[witness]}, want {want}", name
+    # PASS lines carry no count
+    assert all(c.info == "" for c in verify_gq_axioms(Design(m), 3, 9).checks)
+
+
+@pytest.mark.parametrize("family,q,bound_mib", [("brouwer", 7, 24), ("affine", 27, 64)])
+def test_gq_axioms_memory_is_bounded_by_the_walk_spans(family, q, bound_mib):
+    # no points^2 array: affine q=27 is a GQ(26, 28) on 19683 points, whose
+    # Z^T Z alone would take 369 MiB at int8
+    m = (brouwer_polyphase if family == "brouwer" else affine_polyphase)(q)
+    s, t = _design_order(m)
+    tracemalloc.start()
+    try:
+        rep = verify_gq_axioms(Design(m), s, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.subject == f"GQ({s},{t}) axioms", rep.as_text()
+    assert peak <= bound_mib * 2**20, peak / 2**20
+
+
 def test_design_lift_checks_match_dense_lift(families, monkeypatch):
     # the Design route reads one row per translation orbit, the dense one
     # every row; with SPAN_CELLS = 1 each representative row is its own span
@@ -669,38 +712,60 @@ def test_design_lift_is_translation_invariant():
             assert np.array_equal(moved, keys), repr(m)
 
 
+def _walked(z, chain):
+    """Walk counts of the kernel along chain, a word in "b" (block) and
+    "p" (point) naming the node kinds a walk visits, from every node of
+    the first kind; stacked over its spans, which must cover the sources
+    in order."""
+    to_points, to_blocks = z.hops
+    hops = [to_points if kind == "p" else to_blocks for kind in chain[1:]]
+    sources = np.arange(z.shape[chain[0] == "p"])
+    spans = list(verify_module._walk_counts(sources, hops, z.shape[chain[-1] == "p"]))
+    assert [r0 for r0, _ in spans] == list(np.cumsum([0] + [len(c) for _, c in spans])[:-1])
+    return np.concatenate([counts for _, counts in spans])
+
+
 def test_point_pairs_are_symmetric_for_any_incidence():
     # adjacency-simple does not test P = Z^T Z for symmetry: each block adds
-    # both orders of every pair of its points, whatever the input
+    # both orders of every pair of its points, whatever the input; the
+    # point -> block -> point walks count P row by row
     rng = np.random.default_rng(17)
-    cells = [verify_module._Cells.from_dense((rng.random((b, v)) < p).astype(np.int64))
+    dense = [(rng.random((b, v)) < p).astype(np.int64)
              for b, v, p in ((1, 1, 1.0), (7, 5, 0.5), (30, 12, 0.3), (12, 40, 0.8))]
     designs = _golden_designs()[::3] + [_unequal_rows()]
     designs += [_change_exponent(m, seed) for m in designs for seed in range(2)]
-    cells += [Design(m).gq for m in designs]
-    for z in cells:
-        assert np.array_equal(z.pairs, z.pairs.T), z.shape
+    cases = [(verify_module._Cells.from_dense(z), z) for z in dense]
+    cases += [(Design(m).gq, gq_from_polyphase(m)) for m in designs]
+    for z, case in cases:
+        pairs = _walked(z, "pbp")
+        assert pairs.dtype.kind == "i" and np.array_equal(pairs, pairs.T), z.shape
+        # a float64 product of 0/1 arrays is exact at these sizes
+        assert np.array_equal(pairs, case.T.astype(np.float64) @ case), z.shape
 
 
 def test_gq_and_srg_row_spans_match_dense_reference(families, monkeypatch):
-    # one row per triple-product span; the half-dense cases hold more
-    # point pairs than Z^T Z has cells, so the pair count spans as well
-    monkeypatch.setattr(verify_module, "SPAN_CELLS", 1)
+    # one source per walk span, then an uneven split; the half-dense cases
+    # hold more walks per source than the sparse ones, and every chain of
+    # the checks counts its dense product
     rng = np.random.default_rng(5)
     for name in ("brouwer3", "affine3"):
         m = families[name]
         s, t = _design_order(m)
         z = gq_from_polyphase(m).astype(np.int64)
         half = [(rng.random(z.shape) < 0.5).astype(np.int64) for _ in range(3)]
-        for case in [z] + [_swap_cell(z, seed) for seed in range(10)] + half:
-            got = verify_gq_axioms(case, s, t, check_spread=True)
-            assert _triples(got) == _dense_gq_reference(case, s, t, check_spread=True), name
-            srg = verify_srg_collinearity(case, s, t)
-            assert _triples(srg) == _dense_srg_reference(case, s, t), name
-        for case in half:
-            ii, jj = np.nonzero(case)
-            pairs = verify_module._point_pairs(ii, jj, case.sum(axis=1), case.shape[1])
-            assert pairs.dtype.kind == "i" and np.array_equal(pairs, case.T @ case), name
+        for cells in (1, 16 * (3 * z.shape[1] + 17)):
+            monkeypatch.setattr(verify_module, "SPAN_CELLS", cells)
+            for case in [z] + [_swap_cell(z, seed) for seed in range(10)] + half:
+                got = verify_gq_axioms(case, s, t, check_spread=True)
+                assert _triples(got) == _dense_gq_reference(case, s, t, check_spread=True), name
+                srg = verify_srg_collinearity(case, s, t)
+                assert _triples(srg) == _dense_srg_reference(case, s, t), name
+            case = half[0]
+            cells = verify_module._Cells.from_dense(case)
+            for chain, product in (("pbp", case.T @ case), ("bpb", case @ case.T),
+                                   ("bpbp", case @ case.T @ case)):
+                walks = _walked(cells, chain)
+                assert walks.dtype.kind == "i" and np.array_equal(walks, product), (name, chain)
 
 
 def test_srg_parameters(families):
