@@ -388,8 +388,8 @@ def gq_cells(m: PolyphaseMatrix) -> tuple[tuple[int, int], np.ndarray, np.ndarra
     rows = v + ii[:, None] * f + m.group.add_index[m.codes[ii, jj][:, None], b]
     rows = np.concatenate((points // f, rows.ravel()))
     cols = np.concatenate((points, (jj[:, None] * f + b).ravel()))
-    order = np.argsort(rows * shape[1] + cols, kind="stable")
-    return shape, rows[order], cols[order]
+    # the keys are distinct, so a plain sort orders them as a stable one would
+    return shape, *np.divmod(np.sort(rows * shape[1] + cols), shape[1])
 
 
 def gq_from_polyphase(m: PolyphaseMatrix) -> np.ndarray:

@@ -16,9 +16,10 @@ each span of rows of Phi into A by summing whole rows of A, with no
 copy, and the numeric verifier only ever sees evaluated matrices:
 complex128, or float64 at a real character.  Evaluation at a conjugate
 character conjugates every entry and changes no reported quantity, so
-the numeric checks run once per conjugate pair.  The DRACKN check reads
-the same A in row spans, and counts A^2 from the exponent table of A's
-monomial off-diagonal cells with one bincount per span.
+the numeric checks run once per conjugate pair.  The DRACKN check
+evaluates the same A in row spans once per conjugate pair of characters,
+the trivial one included; the squares give the signature residuals and,
+by Parseval over the group, A^2 exactly under an a-priori float guard.
 
 The GQ and SRG checks count from the nonzero cells of a 0/1 incidence Z
 (a dense array's, or a Design's GQ lift cells) by walks over its two CSR
@@ -139,7 +140,9 @@ def _first_bad(mask) -> tuple | None:
 
 def verify_bibd(x: np.ndarray, v: int, k: int) -> VerificationReport:
     """Row sums k, column sums r = (v-1)/(k-1), every pair of columns
-    meeting exactly once, and Fisher's bound."""
+    meeting exactly once, and Fisher's bound.  A failing row-sums, col-sums
+    or pair-balance line names the count at its witness against its
+    target, as "got X, want Y"."""
     rep = VerificationReport(subject=f"BIBD(v={v}, k={k}, lambda=1)")
     if k < 2 or v <= k:
         rep.add("parameters", False, info=f"block size k = {k} must be >= 2" if k < 2
@@ -160,10 +163,10 @@ def verify_bibd(x: np.ndarray, v: int, k: int) -> VerificationReport:
         rep.add("zero-one", False, witness=_first_bad(not_01))
         return rep
     rep.add("zero-one", True)
-    rows = x.sum(axis=1)
-    rep.add("row-sums", bool(np.all(rows == k)), witness=_first_bad(rows != k))
-    cols = x.sum(axis=0)
-    rep.add("col-sums", bool(np.all(cols == r)), witness=_first_bad(cols != r))
+    for name, sums, want in (("row-sums", x.sum(axis=1), k), ("col-sums", x.sum(axis=0), r)):
+        witness = _first_bad(sums != want)
+        rep.add(name, witness is None, witness=witness,
+                info="" if witness is None else f"got {sums[witness]}, want {want}")
     # Z^T Z by point -> block -> point walks, as for the GQ check: r on the
     # diagonal, 1 off it
     def off_balance(at, pairs):
@@ -173,7 +176,8 @@ def verify_bibd(x: np.ndarray, v: int, k: int) -> VerificationReport:
 
     to_points, to_blocks = _Cells.from_dense(x).hops
     bad = _first_offence(np.arange(v), (to_blocks, to_points), v, off_balance)
-    rep.add("pair-balance", not bad, witness=bad and bad[:2])
+    rep.add("pair-balance", not bad, witness=bad and bad[:2],
+            info="" if not bad else f"got {bad[2]}, want {r if bad[0] == bad[1] else 1}")
     rep.add("fisher", x.shape[0] >= v,
             witness=None if x.shape[0] >= v else (x.shape[0], v))
     return rep
@@ -378,8 +382,8 @@ def verify_etf_numeric(phi: np.ndarray, tol: float = NUMERIC_TOL) -> Verificatio
 # if fewer, so its few intp arrays per span take no more bytes than the
 # int64 Z^T Z of that width that they stand in for;
 # combinatorial gathers SPAN_CELLS // 64 per span and algebraic sums
-# SPAN_CELLS // 8 cells of A, at most 256 KiB at int16; drackn reads
-# SPAN_CELLS // 16 cells of A, and counts as many sums, per span
+# SPAN_CELLS // 8 cells of A, at most 256 KiB at int16; drackn evaluates
+# SPAN_CELLS // 16 cells of A per span
 SPAN_CELLS = 2**20
 
 
@@ -562,103 +566,97 @@ def _count_gq_axioms(z: _Cells, s: int, t: int) -> VerificationReport:
 def verify_drackn(a: np.ndarray, group: AbelianGroup, c: int) -> VerificationReport:
     """A = Phi* Phi - r I as an (n, f, n) array of any integer type, A[i, h, j]
     the coefficient of z^h in entry (i, j): self-adjoint, hollow, monomial
-    off the diagonal, with A^2 = (n - fc - 2) A + (n-1) I + c G (J - I)
-    exactly; then each nontrivial character evaluation must be an ETF
-    signature matrix.  A is read in bounded row spans.  A^2 is counted
-    from the exponent table D of A's monomial off-diagonal cells: each
-    span takes the sums D_ik + D_kj from one add table and counts them with
-    one bincount.  That is A^2 wherever A is hollow and monomial off its
-    diagonal; elsewhere only that part is counted, and the report already
-    fails.  The signatures are evaluated once per conjugate pair of
-    characters, in float64 at a real character; the second of a pair
-    repeats the first's residual."""
+    off the diagonal, with A^2 = delta A + (n-1) I + c G (J - I) exactly,
+    delta = n - fc - 2; then each nontrivial character evaluation must be
+    an ETF signature matrix.  Both read one product per conjugate pair of
+    characters, the trivial one included: S = A at gamma, evaluated by row
+    spans, and E = S^2 - delta S - (n-1) I, less c f (J - I) at the trivial
+    character.  E is the integer error D = A^2 - (the right side) at gamma,
+    so by Parseval the energy sum_gamma |E[i, j]|^2 (a pair's first counted
+    twice) is f sum_h D[i, h, j]^2, 0 or at least f: a cell offends iff its
+    float energy exceeds f/2.  The info names the first group element whose
+    exact count at the row-major first offence misses its target.
+    The guard (Higham, ch. 3, first order in u = 2^-53): with B = sum_h |A|
+    in int64 (abs of an int8 -128 wraps), b its largest cell and R its
+    largest row sum, |E| <= E* = R b + |delta| b + n + |c| f.  A character
+    value errs by (8 pi f + 6) u, as its phase sums t factors of orders q
+    with (t + 2) sum(q) <= 4f, and a length-m complex dot product by
+    (m + 2) u sum |x||y|, so |E^ - E| <= (16 pi f + 2f + n + 21) u E*,
+    under 0.85 eps for eps = 64 (n + f) u E*.  While (2 E* + eps) eps < 1/2
+    each |E^|^2 is within 0.43 of |E|^2, and the energy decides every cell
+    exactly; past that, `quadratic` fails naming the guard."""
     a = np.asarray(a)
     n, f = a.shape[0] if a.ndim else 0, group.order
     if a.shape != (n, f, n):
         raise ValueError(f"expected an (n, {f}, n) array, got shape {a.shape}")
     rep = VerificationReport(subject=f"({n},{f},{c})-DRACKN")
     spans = list(row_spans(np.full(n, f * n), SPAN_CELLS // 16))
-    # D holds the exponent of each monomial off-diagonal cell of A; every
-    # other cell is a hole, coded as f
-    d = np.full((n, n), f, dtype=np.intp)
     adjoint_bad = monomial_bad = None
+    b_max = b_rows = 0
     for r0, r1 in spans:
         span, off = a[r0:r1], np.arange(n) != np.arange(r0, r1)[:, None]
         # row i of A* is column i of A under the involution
         bad = (span != a[:, group.neg_index, r0:r1].transpose(2, 1, 0)).any(axis=1)
         if adjoint_bad is None and (hit := _first_bad(bad)):
             adjoint_bad = (r0 + hit[0], hit[1])
-        nonzero = span != 0
-        monomial = (np.sum(span == 1, axis=1) == 1) & (np.sum(nonzero, axis=1) == 1) & off
+        monomial = (np.sum(span == 1, axis=1) == 1) & (np.sum(span != 0, axis=1) == 1) & off
         if monomial_bad is None and (hit := _first_bad(~monomial & off)):
             monomial_bad = (r0 + hit[0], hit[1])
-        np.copyto(d[r0:r1], nonzero.argmax(axis=1), where=monomial)
+        b = np.abs(span, dtype=np.int64).sum(axis=1)
+        b_max, b_rows = max(b_max, int(b.max())), max(b_rows, int(b.sum(axis=1).max()))
     rep.add("self-adjoint", adjoint_bad is None, witness=adjoint_bad)
     diag = a[np.arange(n), :, np.arange(n)]
     rep.add("zero-diagonal", bool(np.all(diag == 0)), witness=_first_bad(diag.any(axis=1)))
     rep.add("monomial-off-diagonal", monomial_bad is None, witness=monomial_bad)
     delta = n - f * c - 2
-    # the group's add table plus a hole row and column that send any hole
-    # to slot f, which is dropped.  Span row i reads add[D_ik, D_kj] from
-    # add[D[span]] at flat index (i n + k)(f + 1) + D_kj, laid out (i, j, k)
-    # and counted into slots (i n + j)(f + 1) + h
-    add = np.full((f + 1, f + 1), f, dtype=np.intp)
-    add[:f, :f] = group.add_index
-    rows = max(1, SPAN_CELLS // 16 // (n * n))
-    index = (f + 1) * (n * np.arange(rows)[:, None, None] + np.arange(n)) + d.T
-    slot = (f + 1) * np.arange(rows * n).reshape(rows, n, 1)
-    diff = None
-    for r0 in range(0, n, rows):
-        m = min(rows, n - r0)
-        # a self-adjoint A has a self-adjoint A^2 - (the right side), whose
-        # row-major first offence lies on or right of the diagonal, so its
-        # spans count the columns from the first row's diagonal on
-        j0 = r0 if adjoint_bad is None else 0
-        g = add[d[r0:r0 + m]].take(index[:m, j0:])
-        g += slot[:m, j0:]
-        counts = np.bincount(g.ravel(), minlength=m * n * (f + 1)).reshape(m, n, f + 1)
-        # laid out (i, h, j) as A is, in int64 whatever A's type
-        lhs = counts[:, j0:, :f].transpose(0, 2, 1)
-        lhs -= np.multiply(a[r0:r0 + m, :, j0:], delta, dtype=lhs.dtype) + c
-        i = np.arange(m)
-        lhs[i, :, r0 - j0 + i] += c - (n - 1) * (np.arange(f) == 0)
-        if lhs.any():
-            i, j = _first_bad(lhs.any(axis=1))
-            diff = (r0 + i, j0 + j)
-            break
-    rep.add("quadratic", diff is None, witness=diff, info=f"delta={delta}")
+    firsts = first_of_conjugates(chars := characters_of(group))
+    energy, residuals = np.zeros((n, n)), {}
+    for i in sorted(set(firsts)):
+        e, residuals[i] = _character_square(a, chars[i], delta, spans)
+        if i == 0:  # G (J - I) is f (J - I) at the trivial character, 0 at any other
+            e -= c * f * (1 - np.eye(n))
+        energy += (1 + (group.neg_index[i] != i)) * np.abs(e) ** 2
+    e_max = (b_rows + abs(delta)) * b_max + n + abs(c) * f
+    eps = 64 * (n + f) * 2.0**-53 * e_max
+    diff, info = _first_bad(energy > f / 2), f"delta={delta}"
+    if (2 * e_max + eps) * eps >= 0.5:
+        diff, info = (), f"{info}, past the float guard: E*={e_max}, eps={eps:.3g}"
+    elif diff:
+        # the exact count in cell (i, j) of A^2 from n f^2 integer products
+        i, j = diff
+        counts = np.zeros(f, dtype=np.int64)
+        np.add.at(counts, group.add_index, a[i].astype(np.int64) @ a[:, :, j].astype(np.int64))
+        want = delta * a[i, :, j].astype(np.int64) + c * (i != j)
+        want[0] += (n - 1) * (i == j)
+        h = int(np.flatnonzero(counts != want)[0])
+        info += f", element {group.elements[h]} got {counts[h]}, want {want[h]}"
+    rep.add("quadratic", diff is None, witness=diff, info=info)
     dim = n / 2 * (1 - delta / math.sqrt(delta * delta + 4 * (n - 1)))
-    chars = characters_of(group)
-    residuals = {}
-    for i, (gamma, first) in enumerate(zip(chars, first_of_conjugates(chars))):
-        if gamma.is_trivial:
-            continue
-        # A at the conjugate of a character is the conjugate matrix, with
-        # the same residual, so the pair's second line repeats its first
-        if first == i:
-            residuals[i] = _signature_residual(a, gamma, delta, spans)
-        res = residuals[first]
-        rep.add(f"signature@{gamma.exponents}", res <= NUMERIC_TOL, residual=res,
-                info=f"d={dim:.6g}")
+    # A at the conjugate of a character is the conjugate matrix, with the
+    # same residual, so the pair's second line repeats its first
+    for gamma, first in zip(chars[1:], firsts[1:]):
+        rep.add(f"signature@{gamma.exponents}", residuals[first] <= NUMERIC_TOL,
+                residual=residuals[first], info=f"d={dim:.6g}")
     return rep
 
 
-def _signature_residual(a: np.ndarray, gamma, delta: int, spans) -> float:
-    """Largest deviation of S = A evaluated at gamma from an ETF signature
-    matrix: S self-adjoint, hollow, unimodular off its diagonal, with
-    S^2 = delta S + (n-1) I.  S is float64 at a real character, else
-    complex128, and is evaluated one row span of A at a time."""
+def _character_square(a: np.ndarray, gamma, delta: int, spans) -> tuple[np.ndarray, float]:
+    """E = S^2 - delta S - (n-1) I for S = A evaluated at gamma, in float64
+    at a real character, else complex128, one row span of A at a time; and
+    the largest deviation of S from an ETF signature matrix: S self-adjoint,
+    hollow, unimodular off its diagonal, with E = 0."""
     n = len(a)
     values = gamma.typed_values
     sig = np.empty((n, n), dtype=values.dtype)
     for r0, r1 in spans:
         sig[r0:r1] = values @ a[r0:r1]
+    e = sig @ sig - delta * sig - (n - 1) * np.eye(n)
     off = ~np.eye(n, dtype=bool)
-    return max(
+    return e, max(
         float(np.max(np.abs(sig - sig.conj().T))),
         float(np.max(np.abs(np.diagonal(sig)))),
         float(np.max(np.abs(np.abs(sig[off]) - 1))),
-        float(np.max(np.abs(sig @ sig - delta * sig - (n - 1) * np.eye(n)))),
+        float(np.max(np.abs(e))),
     )
 
 

@@ -172,6 +172,9 @@ def test_verify_unequal_supports_fails_with_reports(tmp_path, capsys):
     code, out, err = run(capsys, "verify", str(target))
     assert code == 1 and err == ""
     assert "FAIL BIBD(v=4, k=2, lambda=1)" in out and "FAIL row-sums witness=(2,)" in out
+    assert "FAIL row-sums witness=(2,) [got 3, want 2]\n" in out
+    assert "FAIL col-sums witness=(0,) [got 2, want 3]\n" in out
+    assert "FAIL pair-balance witness=(0, 0) [got 2, want 3]\n" in out
     assert "FAIL GQ(1,3) axioms" in out and "FAIL dimensions witness=(10, 8)" in out
     assert "FAIL SRG of GQ(1,3) (GQ axioms failed)" in out
     assert out.rstrip().endswith("overall: FAIL")

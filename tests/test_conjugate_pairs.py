@@ -166,23 +166,25 @@ def test_single_characters_match_direct(selector, tmp_path):
 def test_verify_checks_each_conjugate_pair_once(tmp_path, monkeypatch):
     # brouwer q=5 is over Z6: characters 1 and 5, 2 and 4 pair, and 3 is real
     monkeypatch.setenv("ETFFORGE_THREADS", "1")
-    etf, sigs = verify_module.verify_etf_numeric, verify_module._signature_residual
+    # the DRACKN forms one S S per first of a pair, the trivial character
+    # included: its quadratic and signatures share them
+    etf, square = verify_module.verify_etf_numeric, verify_module._character_square
     seen = {"etf": [], "sig": []}
 
     def recording_etf(phi, *args):
         seen["etf"].append(phi.dtype)
         return etf(phi, *args)
 
-    def recording_sig(a, gamma, *args):
+    def recording_square(a, gamma, *args):
         seen["sig"].append(gamma.exponents)
-        return sigs(a, gamma, *args)
+        return square(a, gamma, *args)
 
     monkeypatch.setattr(verify_module, "verify_etf_numeric", recording_etf)
-    monkeypatch.setattr(verify_module, "_signature_residual", recording_sig)
+    monkeypatch.setattr(verify_module, "_character_square", recording_square)
     reports = _cli_reports(tmp_path, brouwer_polyphase(5), "--checks", "etf,drackn")
     assert len(reports) == 6 and all(r["passed"] for r in reports)
     assert seen["etf"] == [np.complex128, np.complex128, np.float64]
-    assert seen["sig"] == [(1,), (2,), (3,)]
+    assert seen["sig"] == [(0,), (1,), (2,), (3,)]
     seen["etf"].clear()
     _cli_reports(tmp_path, brouwer_polyphase(5), "--checks", "etf", "--character", "index:5")
     assert seen["etf"] == [np.complex128]

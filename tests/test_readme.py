@@ -1,9 +1,12 @@
-"""The README's library example runs as printed."""
+"""The README's library example runs as printed, and its family table
+states the brouwer size guard."""
 
 import contextlib
 import io
 import re
 from pathlib import Path
+
+from etfforge.construct import BROUWER_SIZE_GUARD
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -17,3 +20,9 @@ def test_readme_python_blocks_run():
             exec(compile(block, str(README), "exec"), {})
     # the example's last line prints the coherence, the Welch bound 1/4
     assert abs(float(out.getvalue().split()[-1]) - 0.25) < 1e-12
+
+
+def test_readme_states_the_brouwer_size_guard():
+    table = re.compile(r"^\| `brouwer` +\| `--q` prime power ≤ (\d+) ", re.M)
+    rows = table.findall(README.read_text(encoding="utf-8"))
+    assert rows == [str(BROUWER_SIZE_GUARD)]

@@ -93,6 +93,13 @@ def test_bibd_flags_corruption_with_witness():
     bad = {c.name: c for c in rep.checks if not c.passed}
     assert "row-sums" in bad and bad["row-sums"].witness == (2,)
     assert "col-sums" in bad and bad["col-sums"].witness == (0,)
+    # each names its count against k, r and, for a pair, r on the
+    # diagonal and 1 off it; a passing line names nothing
+    lines = (bad["row-sums"], bad["col-sums"], bad["pair-balance"])
+    assert [(c.witness, c.info) for c in lines] == [
+        ((2,), "got 4, want 3"), ((0,), "got 4, want 3"), ((0, 0), "got 4, want 3")]
+    clean = verify_bibd(FANO, 7, 3).checks
+    assert all(c.info == "" for c in clean if c.name != "replication-integral")
 
 
 def test_bibd_fisher_violation():
@@ -132,9 +139,12 @@ def test_bibd_pair_balance_matches_dense_gram():
         if got is None:  # r not integral
             continue
         r = (v - 1) // (k - 1)
-        bad = x.T @ x != (r - 1) * np.eye(v, dtype=np.int64) + 1
+        target = (r - 1) * np.eye(v, dtype=np.int64) + 1
+        bad = x.T @ x != target
         want = tuple(int(i) for i in np.argwhere(bad)[0]) if bad.any() else None
         assert (got.passed, got.witness) == (want is None, want), (x, v, k)
+        info = want and f"got {(x.T @ x)[want]}, want {target[want]}"
+        assert got.info == (info or ""), (x, v, k)
         fails += want is not None and want[0] != want[1]
     assert fails >= 10  # off-diagonal first offences are covered
 
@@ -843,8 +853,13 @@ def _reference_drackn(a, group, c):
     out.append(("monomial-off-diagonal", len(bad) == 0,
                 tuple(int(x) for x in bad[0]) if len(bad) else None, None, ""))
     delta = n - f * c - 2
-    diff = (m @ m).first_difference(_drackn_right_side(a, group, c))
-    out.append(("quadratic", diff is None, diff, None, f"delta={delta}"))
+    square, right = m @ m, _drackn_right_side(a, group, c)
+    diff, info = square.first_difference(right), f"delta={delta}"
+    if diff is not None:
+        got, want = square.coeffs[diff], right.coeffs[diff]
+        h = int(np.flatnonzero(got != want)[0])
+        info += f", element {group.elements[h]} got {got[h]}, want {want[h]}"
+    out.append(("quadratic", diff is None, diff, None, info))
     off, eye = ~np.eye(n, dtype=bool), np.eye(n)
     dim = n / 2 * (1 - delta / math.sqrt(delta * delta + 4 * (n - 1)))
     for gamma in characters_of(group)[1:]:
@@ -863,18 +878,10 @@ def _check_drackn_against_reference(a, group, c, monkeypatch):
     """verify_drackn against the dense reference, with the default spans,
     one row per span and an uneven split.  a is laid out (n, n, f), as the
     reference reads it, and reaches verify_drackn as an (n, f, n) view.
-    Pass/fail, residuals and every witness but the quadratic's match the
-    dense report.  The quadratic's witness is that of A's monomial
-    off-diagonal part squared, against the right side of A itself, which
-    is the dense one wherever A is hollow and monomial off its diagonal.
-    Returns the quadratic's witness."""
+    Pass/fail, residuals, every witness and every info match the dense
+    report, the quadratic's included.  Returns the quadratic's witness."""
     n = len(a)
     want = _reference_drackn(a, group, c)
-    counted = want[3][2]
-    masked = a * _monomial_off_diagonal(a)[:, :, None]
-    if not np.array_equal(masked, a):
-        m = GroupRingMatrix(group, masked)
-        counted = (m @ m).first_difference(_drackn_right_side(a, group, c))
     uneven = next(s for s in range(2, n + 2) if n % s)
     for cells in (verify_module.SPAN_CELLS, 1, 16 * uneven * n * n):
         monkeypatch.setattr(verify_module, "SPAN_CELLS", cells)
@@ -883,13 +890,13 @@ def _check_drackn_against_reference(a, group, c, monkeypatch):
         assert [g[:2] for g in got] == [w[:2] for w in want], (cells, rep.as_text())
         for (name, _, witness, residual, info), w in zip(got, want):
             assert info == w[4], name
-            assert witness == (counted if name == "quadratic" else w[2]), (name, cells)
+            assert witness == w[2], (name, cells)
             if residual is not None:
                 # a monomial A evaluates to exact roots of unity, so only a
                 # malformed one can round differently from the dense route
                 assert residual == pytest.approx(w[3], rel=1e-12, abs=1e-12), name
     monkeypatch.undo()
-    return counted
+    return want[3][2]
 
 
 def test_drackn_matches_dense_reference_on_golden_designs(monkeypatch):
@@ -966,34 +973,78 @@ def _tampered(a, group, rng):
 
 def test_drackn_matches_dense_reference_on_tampered_arrays(families, monkeypatch):
     rng = np.random.default_rng(2016)
-    late = moved = 0
+    offending = late = moved = 0
     for name in ("example933", "affine3", "affine4", "brouwer2", "brouwer3", "simplex5"):
         m = families[name]
         a, params = Design(m).drackn
         for b in _tampered(np.moveaxis(a, 1, 2), m.group, rng):
-            counted = _check_drackn_against_reference(b, m.group, params.c, monkeypatch)
-            dense = _reference_drackn(b, m.group, params.c)[3][2]
-            late += counted is not None and counted[0] > 0
-            moved += counted != dense
-    # diagonal edits put the offence in late rows, past clean spans, and
-    # only there does the count's witness leave the dense one
-    assert late >= 10 and moved >= 10
+            witness = _check_drackn_against_reference(b, m.group, params.c, monkeypatch)
+            counted = verify_drackn(np.moveaxis(b, 2, 1), m.group, params.c).checks[3].witness
+            offending += witness is not None
+            late += witness is not None and witness[0] > 0
+            moved += counted != witness
+    # the witness is the dense one on every array, non-monomial ones
+    # included.  Each edit lies in a late row i or column i, and row 0 of
+    # A holds a unit at (0, i), so the first offence of the true A^2 is in
+    # row 0 whatever the edit
+    assert offending >= 40 and late == 0 and moved == 0
 
 
-def test_drackn_support_swap_moves_only_the_quadratic_witness(monkeypatch):
+def test_drackn_quadratic_names_the_dense_count(families):
+    # the FAIL info names the first group element whose count in the
+    # witness cell of A^2 misses its target, with the dense product's
+    # count and target there
+    rng = np.random.default_rng(21)
+    named = set()
+    for name in ("example933", "affine3", "brouwer2", "brouwer3"):
+        m = families[name]
+        a, params = Design(m).drackn
+        for b in _tampered(np.moveaxis(a, 1, 2), m.group, rng):
+            square = GroupRingMatrix(m.group, b) @ GroupRingMatrix(m.group, b)
+            right = _drackn_right_side(b, m.group, params.c)
+            line = verify_drackn(np.moveaxis(b, 2, 1), m.group, params.c).checks[3]
+            if square == right:
+                assert line.passed
+                continue
+            i, j = square.first_difference(right)
+            h = int(np.flatnonzero(square.coeffs[i, j] != right.coeffs[i, j])[0])
+            assert (line.name, line.passed, line.witness) == ("quadratic", False, (i, j))
+            assert line.info == (f"delta={params.delta}, element {m.group.elements[h]} "
+                                 f"got {square.coeffs[i, j, h]}, want {right.coeffs[i, j, h]}")
+            named.add(h)
+    assert len(named) > 1
+
+
+def test_drackn_guard_fails_quadratic_past_float_exactness(families):
+    # A times 2^22 squares to counts near 2^47, past what the energy can
+    # decide: quadratic fails naming the guard, and every other line is
+    # the dense reference's
+    m = families["example933"]
+    a, params = Design(m).drackn
+    big = np.moveaxis(a, 1, 2).astype(np.int64) << 22
+    want = _reference_drackn(big, m.group, params.c)
+    rep = verify_drackn(np.moveaxis(big, 2, 1), m.group, params.c)
+    got = [(ch.name, ch.passed, ch.witness, ch.residual, ch.info) for ch in rep.checks]
+    assert got[3][:3] == ("quadratic", False, ())
+    assert got[3][4].startswith(f"delta={params.delta}, past the float guard: E*=")
+    assert [g[:3] for g in got[:3] + got[4:]] == [w[:3] for w in want[:3] + want[4:]]
+    for g, w in zip(got[4:], want[4:]):
+        assert g[4] == w[4] and g[3] == pytest.approx(w[3], rel=1e-12), g[0]
+
+
+def test_drackn_support_swap_reports_the_dense_witness(monkeypatch):
     # affine q=3 with row 1's cell at column 1 moved to column 0 is no BIBD,
-    # so A is neither hollow nor monomial off its diagonal.  The dense A^2
-    # first misses its target at (0, 0), the count of A's monomial
-    # off-diagonal part at (0, 1); every other line is the dense report's.
-    # Column 1 now holds r - 1 cells, so A's narrow type carries a negative
-    # diagonal, and the report reads the same off an int64 copy
+    # so A is neither hollow nor monomial off its diagonal.  The quadratic
+    # counts the true A^2, so its witness is the dense (0, 0), and every
+    # line is the dense report's.  Column 1 now holds r - 1 cells, so A's
+    # narrow type carries a negative diagonal, and the report reads the
+    # same off an int64 copy
     m = affine_polyphase(3)
     swapped = replaced(replaced(m, 1, 1, None), 1, 0, entry(m, 1, 1))
     a, params = Design(swapped).drackn
     assert a.dtype == np.int8 and a[1, 0, 1] == -1
     dense = np.moveaxis(a, 1, 2)
-    assert _check_drackn_against_reference(dense, m.group, params.c, monkeypatch) == (0, 1)
-    assert _reference_drackn(dense, m.group, params.c)[3][:3] == ("quadratic", False, (0, 0))
+    assert _check_drackn_against_reference(dense, m.group, params.c, monkeypatch) == (0, 0)
     narrow, wide = (verify_drackn(b, m.group, params.c) for b in (a, a.astype(np.int64)))
     assert narrow.as_dict() == wide.as_dict()
 
