@@ -204,13 +204,13 @@ def cmd_verify(args) -> int:
             gammas = _select_characters(m.group, args.character)
             # Phi at the conjugate of a character is Phi there conjugated, with
             # the same report: the second of a selected pair repeats the
-            # first's lines.  Each worker evaluates its own character, so at
-            # most one evaluated matrix per worker is alive at a time
+            # first's lines.  Each worker reads Phi's cells at its own
+            # character, so no evaluated b x v matrix forms
             firsts = first_of_conjugates(gammas)
             todo = [p for p, first in enumerate(firsts) if first == p]
             with ThreadPoolExecutor(max_workers=min(_thread_count(), len(todo))) as pool:
                 checked = dict(zip(todo, pool.map(
-                    lambda p: V.verify_etf_numeric(m.evaluate(gammas[p])), todo)))
+                    lambda p: V.verify_etf_numeric(m, gamma=gammas[p]), todo)))
             for gamma, first in zip(gammas, firsts):
                 rep = checked[first]
                 subject = f"{rep.subject} at character {gamma.exponents}"

@@ -85,13 +85,14 @@ class AbelianGroup:
 
 def _character_values(group: AbelianGroup, exponents: np.ndarray) -> np.ndarray:
     """Row c holds the values at every element of the character whose
-    exponent tuple is row c of exponents.  Each phase is sum_i (e_i g_i)/q_i,
-    summed left to right over the factors."""
+    exponent tuple is row c of exponents.  Each phase is
+    sum_i (e_i g_i mod q_i)/q_i, summed left to right over the factors and
+    reduced mod 1, so exp sees an angle in [0, 2 pi)."""
     digits = np.indices(group.factors).reshape(len(group.factors), group.order)
     phases = 0
     for e, g, q in zip(exponents.T, digits, group.factors):
-        phases = phases + (e[:, None] * g) / q
-    values = np.exp(2j * np.pi * phases)
+        phases = phases + (e[:, None] * g % q) / q
+    values = np.exp(2j * np.pi * (phases % 1))
     # fourth roots of unity come out exact: snap the float residue
     for part in (values.real, values.imag):
         near = np.abs(part - np.rint(part)) < 1e-12

@@ -4,7 +4,8 @@ Each verifier returns a VerificationReport: a list of named checks,
 each pass/fail with a witness (index of the first offence) or a
 residual (largest deviation).  Integer checks are authoritative and
 exact; numeric checks use absolute tolerance 1e-9 on max entry
-deviation and a relative singular value cutoff of 1e-8 for rank.
+deviation.  The numeric rank comes from the frame potential, and a
+relative singular value cutoff of 1e-8 sets it only when tightness fails.
 Verifiers raise only on API misuse; a malformed design gets a FAIL.
 
 A Design derives what several checks read off one polyphase matrix Phi
@@ -13,13 +14,14 @@ out (v, f, v).  The exact and numeric routes stay independent: the
 combinatorial verifier counts triple products with one bincount per row
 span over a column-pair step table, the algebraic verifier multiplies
 each span of rows of Phi into A by summing whole rows of A, with no
-copy, and the numeric verifier only ever sees evaluated matrices:
-complex128, or float64 at a real character.  Evaluation at a conjugate
-character conjugates every entry and changes no reported quantity, so
-the numeric checks run once per conjugate pair.  The DRACKN check
-evaluates the same A in row spans once per conjugate pair of characters,
-the trivial one included; the squares give the signature residuals and,
-by Parseval over the group, A^2 exactly under an a-priori float guard.
+copy, and the numeric verifier sums Phi* Phi from Phi's nonzero cells
+evaluated at one character, in complex128, or float64 at a real
+character.  Evaluation at a conjugate character conjugates every entry
+and changes no reported quantity, so the numeric checks run once per
+conjugate pair.  The DRACKN check evaluates the same A in row spans once
+per conjugate pair of characters, the trivial one included; the squares
+give the signature residuals and, by Parseval over the group, A^2
+exactly under an a-priori float guard.
 
 The GQ and SRG checks count from the nonzero cells of a 0/1 incidence Z
 (a dense array's, or a Design's GQ lift cells) by walks over its two CSR
@@ -51,7 +53,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .construct import DracknParams, gq_cells
-from .groupring import AbelianGroup, characters_of, first_of_conjugates
+from .groupring import AbelianGroup, Character, characters_of, first_of_conjugates
 from .polymat import PolyphaseMatrix, row_spans
 
 NUMERIC_TOL = 1e-9
@@ -319,39 +321,79 @@ def verify_polyphase_algebraic(d: Design) -> VerificationReport:
     return rep
 
 
-def verify_etf_numeric(phi: np.ndarray, tol: float = NUMERIC_TOL) -> VerificationReport:
+def verify_etf_numeric(phi, tol: float = NUMERIC_TOL, *, gamma: Character | None = None
+                       ) -> VerificationReport:
     """Equal norms, equiangularity, tightness of the Gram, and Welch-bound
     equality, plus the signature quadratic when off-diagonals are nonzero.
-    A real phi, as PolyphaseMatrix.evaluate gives at a real character, is
-    checked in float64, any other in complex128.  Every quantity reported
-    is unchanged when phi is conjugated entrywise, so the report at a
-    character also holds at its conjugate."""
-    phi = np.asarray(phi)
-    phi = phi.astype(np.complex128 if np.iscomplexobj(phi) else np.float64, copy=False)
-    if phi.ndim != 2 or phi.shape[1] == 0:
+    phi is a PolyphaseMatrix, read at the character gamma, or a dense
+    matrix; either way only its nonzero cells are read.  A real character
+    or a real phi is checked in float64, any other in complex128.  Every
+    quantity reported is unchanged when phi is conjugated entrywise, so the
+    report at a character also holds at its conjugate.
+
+    G = Phi* Phi is summed from each row's outer product of its cells, and
+    the one product G^2 serves tightness and the signature quadratic.  d is
+    the frame potential's estimate round((tr G)^2 / tr G^2): that ratio is
+    n / (1 + (n-1)(w/r)^2) for norms r and off-diagonal moduli w, at most
+    rank G, with equality iff the nonzero eigenvalues are equal (Welch;
+    Benedetto-Fickus, 2003); a = tr G / d.  Why a passing tightness pins d:
+    G is Hermitian, so E = G^2 - aG has the eigenvalue lam (lam - a) at each
+    eigenvalue lam of G, and |E| <= tol entrywise bounds each by n tol.  So
+    every lam lies within 2 n tol / a of 0 or of a, and as tr G = d a
+    exactly, the count m of eigenvalues near a has
+    |m - d| <= 2 n^2 tol / a^2, below 1/2 whenever a > 2 n sqrt(tol): for
+    tol = 1e-9 and a design, where a >= r >= 1, any n up to 15000.  Then
+    d = m, the rank at any cutoff between the two clusters, and the SVD's
+    rank at the relative cutoff 1e-8 whenever the singular values of Phi
+    off the top cluster are below 1e-8 of the largest, as they are at
+    rounding level on an ETF.  Only a failing tightness runs the SVD of Phi,
+    so a FAIL line's a and d are those of the numerical rank."""
+    if isinstance(phi, PolyphaseMatrix):
+        if gamma is None or gamma.group != phi.group:
+            raise ValueError("a PolyphaseMatrix is read at a character of its group")
+        shape = phi.codes.shape
+        ii, jj = np.nonzero(phi.codes != phi.group.order)
+        cells = gamma.typed_values[phi.codes[ii, jj]]
+    else:
+        phi = np.asarray(phi)
+        phi = phi.astype(np.complex128 if np.iscomplexobj(phi) else np.float64, copy=False)
+        shape = phi.shape
+        if phi.ndim == 2:
+            ii, jj = np.nonzero(phi)
+            cells = phi[ii, jj]
+    if len(shape) != 2 or shape[1] == 0:
         raise ValueError("expected a nonempty 2-d matrix")
-    n = phi.shape[1]
-    norms = np.sum(np.abs(phi) ** 2, axis=0)
-    rep = VerificationReport(subject=f"numeric ETF ({phi.shape[0]}x{n})")
+    n = shape[1]
+    gram = _cell_gram(shape, ii, jj, cells)
+    norms = gram.diagonal().real
+    rep = VerificationReport(subject=f"numeric ETF ({shape[0]}x{n})")
     if np.min(norms) <= tol:
         rep.add("nonzero-columns", False, witness=_first_bad(norms <= tol))
         return rep
     r = float(np.mean(norms))
     rep.add("equal-norms", bool(np.max(np.abs(norms - r)) <= tol),
             residual=float(np.max(np.abs(norms - r))))
-    gram = phi.conj().T @ phi
-    offmask = ~np.eye(n, dtype=bool)
     if n > 1:
-        mods = np.abs(gram[offmask])
+        mods = np.abs(gram[~np.eye(n, dtype=bool)])
         w = float(np.mean(mods))
         res = float(np.max(np.abs(mods - w)))
     else:
         w, res = 0.0, 0.0
     rep.add("equiangular", res <= tol, residual=res)
-    sv = np.linalg.svd(phi, compute_uv=False)
-    d = int(np.sum(sv > RANK_REL_TOL * sv[0]))
+    # e = G^2 - aG, in place of G^2; for Hermitian G, tr G^2 = |G|_F^2
+    e = gram @ gram
+    d = round((r * n) ** 2 / float(np.trace(e).real))
     a = r * n / d
-    res = float(np.max(np.abs(gram @ gram - a * gram)))
+    e -= a * gram
+    res = float(np.max(np.abs(e)))
+    if res > tol:
+        dense = np.zeros(shape, dtype=cells.dtype)
+        dense[ii, jj] = cells
+        sv = np.linalg.svd(dense, compute_uv=False)
+        d, a_est = int(np.sum(sv > RANK_REL_TOL * sv[0])), a
+        a = r * n / d
+        e += (a_est - a) * gram
+        res = float(np.max(np.abs(e)))
     rep.add("tightness", res <= tol, residual=res, info=f"a={a:.6g}, d={d}")
     welch = math.sqrt((n - d) / (d * (n - 1))) if n > 1 else 0.0
     coherence = w / r
@@ -359,9 +401,11 @@ def verify_etf_numeric(phi: np.ndarray, tol: float = NUMERIC_TOL) -> Verificatio
             residual=abs(coherence - welch))
     delta = None
     if w > tol:
-        s = (gram - r * np.eye(n)) / w
+        # for s = (G - rI) / w, s^2 = (G^2 - 2rG + r^2 I) / w^2, so
+        # s^2 - delta s - (n-1) I = (e + ((a - r) r - (n-1) w^2) I) / w^2
         delta = (a - 2 * r) / w
-        res = float(np.max(np.abs(s @ s - delta * s - (n - 1) * np.eye(n))))
+        e.flat[::n + 1] += (a - r) * r - (n - 1) * w * w
+        res = float(np.max(np.abs(e))) / (w * w)
         rep.add("signature-quadratic", res <= tol, residual=res,
                 info=f"delta={delta:.6g}")
         d_back = n / 2 * (1 - delta / math.sqrt(delta * delta + 4 * (n - 1)))
@@ -375,6 +419,27 @@ def verify_etf_numeric(phi: np.ndarray, tol: float = NUMERIC_TOL) -> Verificatio
         delta=None if delta is None else float(delta),
     )
     return rep
+
+
+def _cell_gram(shape, ii, jj, cells) -> np.ndarray:
+    """Phi* Phi for the b x n matrix Phi whose nonzero cells are cells at
+    (ii, jj), row-major: each row's cells are padded with zeros to the
+    widest row's count k, and the b k^2 terms of their outer products are
+    scattered by one bincount per real part."""
+    b, n = shape
+    counts = np.bincount(ii, minlength=b)
+    slot = np.arange(len(ii)) - (np.cumsum(counts) - counts).take(ii)
+    cols = np.zeros((b, counts.max(initial=0)), dtype=np.intp)
+    vals = np.zeros(cols.shape, dtype=cells.dtype)
+    cols[ii, slot], vals[ii, slot] = jj, cells
+    # G[j, j'] sums conj(Phi[i, j]) Phi[i, j'] over the rows i
+    at = (cols[:, :, None] * n + cols[:, None, :]).ravel()
+    terms = (vals.conj()[:, :, None] * vals[:, None, :]).ravel()
+    gram = np.empty(n * n, dtype=cells.dtype)
+    gram.real = np.bincount(at, weights=terms.real, minlength=n * n)
+    if np.iscomplexobj(terms):
+        gram.imag = np.bincount(at, weights=terms.imag, minlength=n * n)
+    return gram.reshape(n, n)
 
 
 # cells per row span: the walk kernel of the GQ and pair-balance checks
@@ -579,10 +644,11 @@ def verify_drackn(a: np.ndarray, group: AbelianGroup, c: int) -> VerificationRep
     The guard (Higham, ch. 3, first order in u = 2^-53): with B = sum_h |A|
     in int64 (abs of an int8 -128 wraps), b its largest cell and R its
     largest row sum, |E| <= E* = R b + |delta| b + n + |c| f.  A character
-    value errs by (8 pi f + 6) u, as its phase sums t factors of orders q
-    with (t + 2) sum(q) <= 4f, and a length-m complex dot product by
-    (m + 2) u sum |x||y|, so |E^ - E| <= (16 pi f + 2f + n + 21) u E*,
-    under 0.85 eps for eps = 64 (n + f) u E*.  While (2 E* + eps) eps < 1/2
+    value errs by (2 pi (t^2 + 2) + 2) u <= (8 pi f + 6) u, as its phase
+    sums t reduced terms below 1 and t^2 + 2 <= 4f, and a length-m complex
+    dot product by (m + 2) u sum |x||y|, so
+    |E^ - E| <= (16 pi f + 2f + n + 21) u E*, under 0.85 eps for
+    eps = 64 (n + f) u E*.  While (2 E* + eps) eps < 1/2
     each |E^|^2 is within 0.43 of |E|^2, and the energy decides every cell
     exactly; past that, `quadratic` fails naming the guard."""
     a = np.asarray(a)

@@ -171,9 +171,9 @@ def test_verify_checks_each_conjugate_pair_once(tmp_path, monkeypatch):
     etf, square = verify_module.verify_etf_numeric, verify_module._character_square
     seen = {"etf": [], "sig": []}
 
-    def recording_etf(phi, *args):
-        seen["etf"].append(phi.dtype)
-        return etf(phi, *args)
+    def recording_etf(phi, *args, gamma=None, **kwargs):
+        seen["etf"].append(gamma.typed_values.dtype)
+        return etf(phi, *args, gamma=gamma, **kwargs)
 
     def recording_square(a, gamma, *args):
         seen["sig"].append(gamma.exponents)

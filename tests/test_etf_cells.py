@@ -1,0 +1,147 @@
+"""The numeric ETF check reads a PolyphaseMatrix's cells at a character.
+
+verify_etf_numeric sums the Gram from each row's outer product of its
+nonzero cells, takes the rank from the frame potential and runs an SVD
+only when tightness fails.  Every report here is held against the dense
+route in reference_etf: the same check names, pass/fail, witnesses and
+info texts, with residuals within 1e-10.
+"""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from etfforge import cli
+from etfforge.construct import brouwer_polyphase
+from etfforge.groupring import AbelianGroup, characters_of
+from etfforge.polymat import PolyphaseMatrix, format_polyphase
+from etfforge.verify import RANK_REL_TOL, verify_etf_numeric
+
+from reference_etf import dense_etf_numeric
+from test_conjugate_pairs import GOLDEN, MUTANTS, _golden, _mutant
+
+
+def _assert_matches_dense(got, phi):
+    want = dense_etf_numeric(phi)
+    assert got.subject == want.subject
+    got, want = got.as_dict()["checks"], want.as_dict()["checks"]
+    assert [(c["name"], c["passed"], c["witness"], c["info"]) for c in got] == [
+        (c["name"], c["passed"], c["witness"], c["info"]) for c in want]
+    for g, w in zip(got, want):
+        if w["residual"] is None:
+            assert g["residual"] is None, g["name"]
+        else:
+            assert abs(g["residual"] - w["residual"]) <= 1e-10, g["name"]
+
+
+def _every_nontrivial(m):
+    for gamma in characters_of(m.group)[1:]:
+        yield gamma, verify_etf_numeric(m, gamma=gamma)
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_cells_route_matches_dense_on_golden_designs(name):
+    m = _golden(name)
+    for gamma, rep in _every_nontrivial(m):
+        assert rep.passed, (name, gamma)
+        _assert_matches_dense(rep, m.evaluate(gamma))
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_cells_route_matches_dense_on_mutants(mutant):
+    name, kind, seed = MUTANTS[mutant]
+    m = _mutant(_golden(name), kind, seed)
+    failing = 0
+    for gamma, rep in _every_nontrivial(m):
+        failing += not rep.passed
+        _assert_matches_dense(rep, m.evaluate(gamma))
+    assert failing > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cells_route_matches_dense_on_random_sparse_phases(seed):
+    # rows of unequal weight and one all-zero row, as codes over Z6 and as
+    # dense complex and +-1 matrices; row 0 is full, so no column is zero
+    rng = np.random.default_rng(seed)
+    b, n = 14, 9
+    density = rng.uniform(0.2, 0.9, size=(b, 1))
+    codes = np.where(rng.random((b, n)) < density, rng.integers(0, 6, size=(b, n)), 6)
+    codes[0], codes[3] = rng.integers(0, 6, size=n), 6
+    m = PolyphaseMatrix(AbelianGroup([6]), codes)
+    for gamma, rep in _every_nontrivial(m):
+        _assert_matches_dense(rep, m.evaluate(gamma))
+    support = codes != 6
+    for phi in (np.exp(2j * np.pi * rng.random((b, n))) * support,
+                rng.choice((-1.0, 1.0), size=(b, n)) * support):
+        rep = verify_etf_numeric(phi)
+        assert not rep.passed
+        _assert_matches_dense(rep, phi)
+
+
+def test_cli_etf_evaluates_nothing_and_runs_no_svd(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cell route must not call this")
+
+    path = tmp_path / "brouwer5.polyphase"
+    path.write_text(format_polyphase(brouwer_polyphase(5)))
+    monkeypatch.setattr(PolyphaseMatrix, "evaluate", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", str(path), "--checks", "etf", "--json", str(out)]) == 0
+    reports = json.loads(out.read_text())["reports"]
+    assert len(reports) == 5 and all(r["passed"] for r in reports)
+
+
+def test_etf_peak_memory_below_the_dense_evaluation():
+    # one complex character at brouwer q=9 (5913 x 730 over Z10)
+    m = brouwer_polyphase(9)
+    gamma = characters_of(m.group)[1]
+    assert not gamma.is_real()
+    tracemalloc.start()
+    try:
+        rep = verify_etf_numeric(m, gamma=gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < m.rows * m.cols * 16, peak
+
+
+def _svd_rank(phi):
+    sv = np.linalg.svd(phi, compute_uv=False)
+    return int(np.sum(sv > RANK_REL_TOL * sv[0]))
+
+
+def test_failing_tightness_reports_the_svd_rank(monkeypatch):
+    # a generic frame and the mutants at every nontrivial character: the
+    # SVD runs exactly when tightness fails, and then sets d
+    rng = np.random.default_rng(3)
+    generic = rng.normal(size=(6, 9)) + 1j * rng.normal(size=(6, 9))
+    cases = [(lambda: verify_etf_numeric(generic), _svd_rank(generic))]
+    for name, kind, seed in MUTANTS.values():
+        m = _mutant(_golden(name), kind, seed)
+        cases += [(lambda m=m, g=g: verify_etf_numeric(m, gamma=g), _svd_rank(m.evaluate(g)))
+                  for g in characters_of(m.group)[1:]]
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    failing = 0
+    for check, rank in cases:
+        calls.clear()
+        rep = check()
+        tight = next(c for c in rep.checks if c.name == "tightness")
+        assert len(calls) == (not tight.passed)
+        if not tight.passed:
+            failing += 1
+            assert rep.numerics.d == rank and tight.info.endswith(f"d={rank}")
+    assert failing >= 5
+
+
+def test_polyphase_matrix_needs_a_character_of_its_group():
+    m = brouwer_polyphase(2)  # over Z3
+    with pytest.raises(ValueError, match="character of its group"):
+        verify_etf_numeric(m)
+    with pytest.raises(ValueError, match="character of its group"):
+        verify_etf_numeric(m, gamma=characters_of(AbelianGroup([4]))[1])

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 
@@ -91,11 +92,12 @@ def test_index_tables_match_per_digit_build(factors):
 
 
 def _comprehension_values(group, exponents):
-    """A character's values from one Python sum per element: the earlier
-    construction, which characters_of must match bit for bit."""
+    """A character's values from one Python sum per element of the phases
+    reduced mod each factor, then mod 1: characters_of must match it bit
+    for bit."""
     phases = np.array(
         [
-            sum(e * g / q for e, g, q in zip(exponents, g_tup, group.factors))
+            sum(e * g % q / q for e, g, q in zip(exponents, g_tup, group.factors)) % 1
             for g_tup in group.elements
         ]
     )
@@ -119,6 +121,20 @@ def test_characters_match_comprehension_bitwise(factors):
         assert np.array_equal(chars[i].values.view(np.uint64), want), i
         single = Character(group, group.elements[i]).values
         assert np.array_equal(single.view(np.uint64), want), i
+
+
+@pytest.mark.parametrize("factors", [(1024,), (32, 32), (10,)], ids=str)
+def test_character_values_within_4_ulp_of_the_reduced_phase(factors):
+    # the exact phase of character e at g is sum_i e_i g_i / q_i mod 1,
+    # N / L over L = lcm(q_i); cmath.exp there is the reference, one value
+    # per residue N
+    group = AbelianGroup(factors)
+    lcm = math.lcm(*factors)
+    ref = np.array([cmath.exp(2j * cmath.pi * (t / lcm)) for t in range(lcm)])
+    e = np.array(group.elements)
+    residue = sum(np.outer(e[:, i], e[:, i]) % q * (lcm // q) for i, q in enumerate(factors))
+    got = np.array([c.values for c in characters_of(group)])
+    assert np.max(np.abs(got - ref[residue % lcm])) <= 4 * np.spacing(1.0)
 
 
 def test_group_order_capped():
