@@ -101,7 +101,7 @@ def _build_family(args) -> tuple[str, PolyphaseMatrix]:
 
 def _manifest(name: str, family: str, m: PolyphaseMatrix, args) -> dict:
     f = m.group.order
-    params = BibdParams.from_vk(m.cols, int(np.count_nonzero(m.codes[0] != f)))
+    params = BibdParams.from_vk(m.cols, int(np.searchsorted(m.ii, 1)))
     d = params.etf_dimension
     man = {
         "name": name,

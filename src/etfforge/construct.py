@@ -13,8 +13,8 @@ Conventions shared by everything below:
   the auxiliary vector that threads the blocks through an isotropic
   point), ties break lexicographically on coordinate encodings.
 
-The constructions are array programs that fill one int16 array of
-PolyphaseMatrix cell codes, f for a zero.  affine_polyphase and
+The constructions are array programs that list the nonzero cells of a
+PolyphaseMatrix row-major, with no b x v array.  affine_polyphase and
 simplex_phased refuse a b x v matrix over MAX_DENSE_CELLS before they
 allocate anything.  brouwer_polyphase threads all ovoid points in one
 search over z2, which is free because an ovoid point always has y3 or
@@ -113,13 +113,10 @@ def simplex_phased(v: int) -> PolyphaseMatrix:
     if v < 3:
         raise ValueError(f"need v >= 3, got {v}")
     _require_dense_cap(v * (v - 1) // 2, v)
-    group = AbelianGroup([2])
     a, b = np.triu_indices(v, 1)
-    pair = np.arange(len(a))
-    codes = np.full((len(a), v), 2, dtype=np.int16)
-    codes[pair, a] = 0
-    codes[pair, b] = 1
-    return PolyphaseMatrix(group, codes)
+    n = len(a)
+    return PolyphaseMatrix(AbelianGroup([2]), (n, v), np.arange(n).repeat(2),
+                           np.stack((a, b), axis=1).ravel(), np.tile([0, 1], n))
 
 
 _EXAMPLE_9_3_3 = """POLYPHASE rows=12 cols=9 group=Z3
@@ -165,17 +162,16 @@ def affine_polyphase(q: int) -> PolyphaseMatrix:
     # row-major, i.e. with the digits reversed
     place = p ** np.arange(m)
     group_index = np.arange(q)[:, None] // place % p @ place[::-1]
-    i_idx, j_idx, y_idx = np.indices((q, q, q))
-    i, j, y = els[i_idx], els[j_idx], els[y_idx]
-    x = fld.add[y, fld.mul[i, j]]
-    rows = i_idx * q + pos[x]
-    cols = j_idx * q + y_idx
-    b, v = (q + 1) * q, q * q
-    codes = np.full((b, v), q, dtype=np.int16)
-    codes[rows, cols] = group_index[fld.mul[j, fld.add[x, y]]]
-    # infinity row x meets the q columns of intercept j = x, unphased
-    codes[q * q + np.arange(v) // q, np.arange(v)] = 0
-    return PolyphaseMatrix(group, codes)
+    # row (i, x) meets column (j, x - i j) at each intercept j, in column order
+    i_idx, x_idx, j_idx = np.indices((q, q, q))
+    i, x, j = els[i_idx], els[x_idx], els[j_idx]
+    y = fld.add[x, fld.neg[fld.mul[i, j]]]
+    v = q * q
+    # then infinity row x meets the q columns of intercept j = x, unphased
+    ii = np.concatenate(((i_idx * q + x_idx).ravel(), v + np.arange(v) // q))
+    jj = np.concatenate(((j_idx * q + pos[y]).ravel(), np.arange(v)))
+    e = np.concatenate((group_index[fld.mul[j, fld.add[x, y]]].ravel(), np.zeros(v, np.intp)))
+    return PolyphaseMatrix(group, (v + q, v), ii, jj, e)
 
 
 BROUWER_SIZE_GUARD = 9
@@ -344,7 +340,7 @@ def brouwer_polyphase(q: int) -> PolyphaseMatrix:
     # each sum a 1-d take from a raveled table at u n + v
     row = n * np.arange(n)
     minus_norms = neg[add[norm[:, None], norm]]  # -(N(u) + N(v))
-    codes = np.full((len(rows), len(cols)), q + 1, dtype=np.int16)
+    cells = []
     for r0, r1 in row_spans(np.full(len(rows), n + 1), WRITE_SPAN_CELLS):
         y = np.empty((3, r1 - r0, n + 1), dtype=np.int16)
         y[..., n] = d[:, r0:r1]
@@ -360,14 +356,16 @@ def brouwer_polyphase(q: int) -> PolyphaseMatrix:
         g = t.beta_dlog[add[1, neg[t.dot(rows[r], threading[c])]]]  # 1 - x.z
         if np.any(g < 0):
             raise AssertionError("1 - x.z must have norm one when x is orthogonal to y")
-        codes[r, c] = g
-    return PolyphaseMatrix(AbelianGroup([q + 1]), codes)
+        order = np.argsort(r * len(cols) + c)
+        cells.append((r[order], c[order], g[order]))
+    return PolyphaseMatrix(AbelianGroup([q + 1]), (len(rows), len(cols)),
+                           *map(np.concatenate, zip(*cells)))
 
 
 def _gq_shape(m: PolyphaseMatrix) -> tuple[int, int]:
     """Shape of the GQ lift of m; raises unless f equals the first row's weight."""
     f, v = m.group.order, m.cols
-    k = int(np.count_nonzero(m.codes[0] != f)) if m.rows else 0
+    k = int(np.searchsorted(m.ii, 1))
     if k != f:
         raise ValueError(f"group order {f} must equal block size {k}")
     return v + m.rows * f, v * f
@@ -381,13 +379,12 @@ def gq_cells(m: PolyphaseMatrix) -> tuple[tuple[int, int], np.ndarray, np.ndarra
     lift's v f + f nnz(m) cells are within listed_cells_refusal's cap."""
     shape = _gq_shape(m)
     f, v = m.group.order, m.cols
-    ii, jj = np.nonzero(m.codes != f)
-    if refusal := listed_cells_refusal(*shape, (v + len(ii)) * f):
+    if refusal := listed_cells_refusal(*shape, (v + len(m.e)) * f):
         raise ValueError(refusal)
     b, points = np.arange(f), np.arange(v * f)
-    rows = v + ii[:, None] * f + m.group.add_index[m.codes[ii, jj][:, None], b]
+    rows = v + m.ii[:, None] * f + m.group.add_index[m.e[:, None], b]
     rows = np.concatenate((points // f, rows.ravel()))
-    cols = np.concatenate((points, (jj[:, None] * f + b).ravel()))
+    cols = np.concatenate((points, (m.jj[:, None] * f + b).ravel()))
     # the keys are distinct, so a plain sort orders them as a stable one would
     return shape, *np.divmod(np.sort(rows * shape[1] + cols), shape[1])
 
@@ -434,9 +431,7 @@ def polyphase_from_gq(z, group: AbelianGroup) -> PolyphaseMatrix:
         raise ValueError(
             f"block ({ii[bad]}, {jj[bad]}) is neither zero nor a translation permutation"
         )
-    codes = np.full((b, v), f, dtype=np.int16)
-    codes[ii, jj] = exps
-    return PolyphaseMatrix(group, codes)
+    return PolyphaseMatrix(group, (b, v), ii, jj, exps)
 
 
 def phased_to_polyphase(phi: np.ndarray, p: int, tol: float = 1e-9) -> PolyphaseMatrix:
@@ -448,17 +443,14 @@ def phased_to_polyphase(phi: np.ndarray, p: int, tol: float = 1e-9) -> Polyphase
     phi = np.asarray(phi, dtype=np.complex128)
     # moduli by hypot, as scalar abs() takes them: np.abs of a complex
     # array can be an ulp off, which moves entries across tol
-    support = ~(np.hypot(phi.real, phi.imag) <= tol)
-    vals = phi[support]
+    ii, jj = np.nonzero(~(np.hypot(phi.real, phi.imag) <= tol))
+    vals = phi[ii, jj]
     ell = np.round(np.angle(vals) * p / (2 * np.pi)) % p
     off = vals - np.exp(1j * (2 * np.pi * ell / p))
     ok = np.hypot(off.real, off.imag) <= tol
     if not ok.all():
-        i, j = np.argwhere(support)[np.argmin(ok)]
+        i, j = ii[np.argmin(ok)], jj[np.argmin(ok)]
         raise ValueError(
             f"entry ({i}, {j}) = {phi[i, j]} is not a {p}-th root of unity within {tol}"
         )
-    group = AbelianGroup([p])  # refuses p over the group cap, before the int16 fill
-    codes = np.full(phi.shape, p, dtype=np.int16)
-    codes[support] = ell
-    return PolyphaseMatrix(group, codes)
+    return PolyphaseMatrix(AbelianGroup([p]), phi.shape, ii, jj, ell.astype(np.intp))

@@ -2,12 +2,12 @@
 
 A PolyphaseMatrix is the constrained object the constructions emit:
 every entry is either zero or a single group element z^g.  It is stored
-as one b x v int16 array of cell codes, code c < f for z^(element c)
-and code f for a zero, which keeps the "zero or one monomial" invariant
-structural; f <= 2^10 fits int16.  Its Gram Phi* Phi, the product the
-exact checks need, is a plain (cols, f, cols) array of group-ring
-coefficients in the narrowest signed type that holds them, built by
-integer counting with no floating point at all.
+as its shape and its nonzero cells, row-major: row, column and the
+int16 element index (f <= 2^10 fits int16), so no b x v array forms
+outside evaluate and modulus_squared, which export reads.  Its Gram
+Phi* Phi, the product the exact checks need, is a plain (cols, f, cols)
+array of group-ring coefficients in the narrowest signed type that holds
+them, built by integer counting with no floating point at all.
 
 Text serialization of a polyphase matrix:
 
@@ -17,14 +17,17 @@ Text serialization of a polyphase matrix:
 Lines use spaces between entries, LF endings, UTF-8.  The writer goes
 one bounded row span at a time: one gather from a table of NUL-padded
 byte cells, then one mask that drops the padding.  The reader goes one
-row at a time through a table of the f + 1 labels.  It also takes tabs,
-CR LF, blank lines and non-canonical cells ("5" over Z3, "+1", "-1",
-"01"), read as integers reduced mod each factor.  It stores a row only
-once it has read it, so a header cannot size an allocation.  A 0/1
-incidence is one line of "0"/"1" per row, written and read as bytes.
+row at a time through a table of the f + 1 labels, and keeps a row
+span's cells from one scan of its codes.  It also takes tabs, CR LF,
+blank lines and non-canonical cells ("5" over Z3, "+1", "-1", "01"),
+read as integers reduced mod each factor.  It stores a row only once it
+has read it, so a header cannot size an allocation.  A 0/1 incidence is
+one line of "0"/"1" per row, written and read as bytes.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -93,46 +96,44 @@ def row_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class PolyphaseMatrix:
-    """Matrix whose entries are zero or a single z^g, held as codes, a
-    b x v int16 array: cell (i, j) holds the element index of its z^g,
-    or f for a zero.  The hole is f rather than -1 so that a gather
-    through a table of f rows raises IndexError on a hole, where -1
-    would silently read element f - 1; a table that must read holes
-    carries an extra row."""
+    """Matrix whose entries are zero or a single z^g, held as its shape
+    (rows, cols) and its nonzero cells, row-major and distinct: row ii,
+    column jj and the int16 element index e of each z^g.  Each index is
+    checked before the int16 cast, which would wrap 65537 into range."""
 
-    def __init__(self, group: AbelianGroup, codes):
-        codes = np.asarray(codes)
-        if codes.ndim != 2 or not np.issubdtype(codes.dtype, np.integer):
-            raise ValueError(f"cell codes must be a 2-d integer array, got {codes.dtype}")
-        # checked before the int16 cast, which would wrap 70000 into range
-        if codes.size and (codes.min() < 0 or codes.max() > group.order):
-            raise ValueError(f"cell code out of range 0..{group.order}")
-        self.group = group
-        self.codes = codes.astype(np.int16, copy=False)
-
-    @property
-    def rows(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.codes.shape[1]
+    def __init__(self, group: AbelianGroup, shape, ii, jj, e):
+        cells = [np.asarray(a) for a in (ii, jj, e)]
+        if len({a.shape for a in cells}) > 1 or any(
+                a.ndim != 1 or a.size and not np.issubdtype(a.dtype, np.integer) for a in cells):
+            raise ValueError("cells must be 1-d integer arrays of one length")
+        self.group, self.shape = group, tuple(map(operator.index, shape))
+        if len(self.shape) != 2 or min(self.shape) < 0:
+            raise ValueError(f"shape must be two sizes >= 0, got {shape}")
+        for a, bound, what in zip(cells, self.shape + (group.order,), ("row", "column", "element")):
+            if len(a) and (a.min() < 0 or a.max() >= bound):
+                raise ValueError(f"{what} index out of range 0..{bound - 1}")
+        (i0, i1), (j0, j1) = ((a[:-1], a[1:]) for a in cells[:2])
+        if np.any((i1 < i0) | ((i1 == i0) & (j1 <= j0))):
+            raise ValueError("cells must be row-major and distinct")
+        self.rows, self.cols = self.shape
+        self.ii, self.jj = (a.astype(np.intp, copy=False) for a in cells[:2])
+        self.e = cells[2].astype(np.int16, copy=False)
 
     def modulus_squared(self) -> np.ndarray:
-        """0/1 incidence of entrywise |.|^2, the underlying design."""
-        return (self.codes != self.group.order).astype(np.int64)
+        """Dense 0/1 incidence of entrywise |.|^2, the underlying design."""
+        x = np.zeros(self.shape, dtype=np.int64)
+        x[self.ii, self.jj] = 1
+        return x
 
     def gram(self) -> np.ndarray:
         """Phi* Phi as a (cols, f, cols) array, Gram[a, h, b] the coefficient
         of z^h in entry (a, b), counted from the sorted slots of each row's
-        ordered pairs (a, b) of nonzero columns, which add z^(e_b - e_a): no
-        int64 array of every cell forms.  A coefficient counts rows and
-        r = (v-1)/(k-1) < v, so +-max(rows, cols) bounds Phi* Phi - rI too."""
-        g = self.group
+        ordered pairs (a, b) of nonzero columns, which add z^(e_b - e_a).
+        A coefficient counts rows and r = (v-1)/(k-1) < v, so
+        +-max(rows, cols) bounds Phi* Phi - rI too."""
+        g, jj, e = self.group, self.jj, self.e
         f, v = g.order, self.cols
-        ii, jj = np.nonzero(self.codes != f)
-        e = self.codes[ii, jj]
-        a, b = row_pairs(ii)
+        a, b = row_pairs(self.ii)
         flat = (jj[a] * f + g.add_index[g.neg_index[e[a]], e[b]]) * v + jj[b]
         slots, counts = np.unique(flat, return_counts=True)
         out = np.zeros(v * f * v, dtype=np.min_scalar_type(-max(self.rows, v) - 1))
@@ -140,17 +141,19 @@ class PolyphaseMatrix:
         return out.reshape(v, f, v)
 
     def evaluate(self, gamma: Character) -> np.ndarray:
-        """Phi at gamma: float64 when gamma is real (every value is +-1),
-        complex128 otherwise."""
+        """Phi at gamma as a dense array: float64 when gamma is real (every
+        value is +-1), complex128 otherwise."""
         if gamma.group != self.group:
             raise ValueError("character belongs to a different group")
-        return np.append(gamma.typed_values, 0)[self.codes]
+        phi = np.zeros(self.shape, dtype=gamma.typed_values.dtype)
+        phi[self.ii, self.jj] = gamma.typed_values[self.e]
+        return phi
 
     def __eq__(self, other):
         return (
             isinstance(other, PolyphaseMatrix)
-            and other.group == self.group
-            and bool(np.array_equal(other.codes, self.codes))
+            and (other.group, other.shape) == (self.group, self.shape)
+            and all(map(np.array_equal, (other.ii, other.jj, other.e), (self.ii, self.jj, self.e)))
         )
 
     def __repr__(self):
@@ -172,8 +175,10 @@ def format_polyphase(m: PolyphaseMatrix) -> str:
     lead = len(labels) * (np.arange(m.cols) > 0)  # the space-led labels after column 0
     out = bytearray(f"POLYPHASE rows={m.rows} cols={m.cols} group={m.group.name()}\n".encode())
     for r0, r1 in row_spans(np.full(m.rows, m.cols + 1), WRITE_SPAN_CELLS):
+        lo, hi = np.searchsorted(m.ii, (r0, r1))
         codes = np.full((r1 - r0, m.cols + 1), len(cells) - 1)
-        np.add(m.codes[r0:r1], lead, out=codes[:, :-1])
+        codes[:, :-1] = lead + m.group.order
+        codes[m.ii[lo:hi] - r0, m.jj[lo:hi]] += m.e[lo:hi] - m.group.order
         text = cells.take(codes).view(np.uint8)
         out.extend(text[text != 0])
     return out.decode("ascii")
@@ -205,20 +210,25 @@ def parse_polyphase(text: str) -> PolyphaseMatrix:
         raise ValueError(f"need rows >= 1 and cols >= 1, got rows={rows}, cols={cols}")
     if len(lines) - 1 != rows:
         raise ValueError(f"expected {rows} rows, found {len(lines) - 1}")
-    # the PolyphaseMatrix cell codes; a row is stored only once its cells
-    # are read, so no allocation runs ahead of the text
+    # each span's cells, from one scan of its codes; a row is stored only
+    # once it is read, so no allocation runs ahead of the text
     lut = {label: i for i, label in enumerate(_cell_labels(group))}
-    codes = []
-    for ln in lines[1:]:
-        cells = ln.split()
-        if len(cells) != cols:
-            raise ValueError(f"expected {cols} entries per row, found {len(cells)}")
-        try:
-            codes.append(np.fromiter(map(lut.__getitem__, cells), np.int16, cols))
-        except KeyError:
-            row = [lut[c] if c in lut else _cell_index(group, c) for c in cells]
-            codes.append(np.array(row, dtype=np.int16))
-    return PolyphaseMatrix(group, np.stack(codes))
+    cells = []
+    for r0, r1 in row_spans(np.full(rows, cols), WRITE_SPAN_CELLS):
+        codes = []
+        for ln in lines[1 + r0:1 + r1]:
+            words = ln.split()
+            if len(words) != cols:
+                raise ValueError(f"expected {cols} entries per row, found {len(words)}")
+            try:
+                codes.append(np.fromiter(map(lut.__getitem__, words), np.int16, cols))
+            except KeyError:
+                row = [lut[c] if c in lut else _cell_index(group, c) for c in words]
+                codes.append(np.array(row, dtype=np.int16))
+        codes = np.concatenate(codes)
+        at = np.flatnonzero(codes != group.order)
+        cells.append((at // cols + r0, at % cols, codes.take(at)))
+    return PolyphaseMatrix(group, (rows, cols), *map(np.concatenate, zip(*cells)))
 
 
 def format_incidence(x: np.ndarray) -> str:

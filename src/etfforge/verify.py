@@ -140,19 +140,18 @@ def _first_bad(mask) -> tuple | None:
     return tuple(int(i) for i in np.unravel_index(np.argmax(mask), mask.shape))
 
 
-def verify_bibd(x: np.ndarray, v: int, k: int) -> VerificationReport:
+def verify_bibd(x, v: int, k: int) -> VerificationReport:
     """Row sums k, column sums r = (v-1)/(k-1), every pair of columns
-    meeting exactly once, and Fisher's bound.  A failing row-sums, col-sums
-    or pair-balance line names the count at its witness against its
-    target, as "got X, want Y"."""
+    meeting exactly once, and Fisher's bound, of a dense array or _Cells x.
+    A failing row-sums, col-sums or pair-balance line names the count at
+    its witness against its target, as "got X, want Y"."""
     rep = VerificationReport(subject=f"BIBD(v={v}, k={k}, lambda=1)")
     if k < 2 or v <= k:
         rep.add("parameters", False, info=f"block size k = {k} must be >= 2" if k < 2
                 else f"need v > k, got v = {v}, k = {k}")
         return rep
-    x = np.asarray(x)
-    if x.ndim != 2 or x.shape[1] != v:
-        rep.add("dimensions", False, witness=tuple(x.shape))
+    if len(np.shape(x)) != 2 or np.shape(x)[1] != v:
+        rep.add("dimensions", False, witness=np.shape(x))
         return rep
     rep.add("dimensions", True)
     if (v - 1) % (k - 1):
@@ -160,12 +159,12 @@ def verify_bibd(x: np.ndarray, v: int, k: int) -> VerificationReport:
         return rep
     r = (v - 1) // (k - 1)
     rep.add("replication-integral", True, info=f"r={r}")
-    not_01 = (x != 0) & (x != 1)
-    if not_01.any():
-        rep.add("zero-one", False, witness=_first_bad(not_01))
+    x = x if isinstance(x, _Cells) else _Cells.from_dense(x)
+    rep.add("zero-one", x.not_one is None, witness=x.not_one)
+    if x.not_one is not None:
         return rep
-    rep.add("zero-one", True)
-    for name, sums, want in (("row-sums", x.sum(axis=1), k), ("col-sums", x.sum(axis=0), r)):
+    to_points, to_blocks = x.hops
+    for name, sums, want in (("row-sums", x.rows, k), ("col-sums", np.diff(to_blocks[0]), r)):
         witness = _first_bad(sums != want)
         rep.add(name, witness is None, witness=witness,
                 info="" if witness is None else f"got {sums[witness]}, want {want}")
@@ -176,28 +175,26 @@ def verify_bibd(x: np.ndarray, v: int, k: int) -> VerificationReport:
         mask[diagonal] = pairs[diagonal] != r
         return mask
 
-    to_points, to_blocks = _Cells.from_dense(x).hops
     bad = _first_offence(np.arange(v), (to_blocks, to_points), v, off_balance)
     rep.add("pair-balance", not bad, witness=bad and bad[:2],
             info="" if not bad else f"got {bad[2]}, want {r if bad[0] == bad[1] else 1}")
-    rep.add("fisher", x.shape[0] >= v,
-            witness=None if x.shape[0] >= v else (x.shape[0], v))
+    b = x.shape[0]
+    rep.add("fisher", b >= v, witness=None if b >= v else (b, v))
     return rep
 
 
 class Design:
     """One polyphase matrix Phi and what the checks share, derived once:
-    x = |Phi|^2, v, f, k (row 0's weight), r = (v-1)/(k-1) or None, the
-    BIBD report; when first read, the GQ lift cells and the DRACKN, whose
+    v, f, k (row 0's cells), r = (v-1)/(k-1) or None, the BIBD report on
+    Phi's cells; when first read, the GQ lift cells and the DRACKN, whose
     A is the one Gram array algebraic and drackn read."""
 
     def __init__(self, m: PolyphaseMatrix):
-        self.m, self.x = m, m.modulus_squared()
-        self.v, self.f = m.cols, m.group.order
-        self.k = int(self.x[0].sum()) if m.rows else 0
+        self.m, self.v, self.f = m, m.cols, m.group.order
+        self.k = int(np.searchsorted(m.ii, 1))
         integral = self.k > 1 and (self.v - 1) % (self.k - 1) == 0
         self.r = (self.v - 1) // (self.k - 1) if integral else None
-        self.bibd = verify_bibd(self.x, self.v, self.k)
+        self.bibd = verify_bibd(_Cells(m.shape, m.ii, m.jj, 1), self.v, self.k)
 
     @functools.cached_property
     def drackn(self) -> tuple[np.ndarray, DracknParams] | None:
@@ -230,9 +227,8 @@ def _design_head(d: Design, kind: str) -> tuple[VerificationReport, bool]:
 
 def _blocks(d: Design) -> tuple[np.ndarray, np.ndarray]:
     """The support columns and intp exponents of each row, as b x k arrays:
-    once the BIBD has passed, every row holds k ones."""
-    ii, jj = np.nonzero(d.x)
-    return jj.reshape(-1, d.k), d.m.codes[ii, jj].astype(np.intp).reshape(-1, d.k)
+    once the BIBD has passed, every row holds k cells."""
+    return d.m.jj.reshape(-1, d.k), d.m.e.astype(np.intp).reshape(-1, d.k)
 
 
 def verify_polyphase_combinatorial(d: Design) -> VerificationReport:
@@ -246,7 +242,7 @@ def verify_polyphase_combinatorial(d: Design) -> VerificationReport:
     rep, ok = _design_head(d, "combinatorial")
     if not ok:
         return rep
-    m, x, v, k, f = d.m, d.x, d.v, d.k, d.f
+    m, v, k, f = d.m, d.v, d.k, d.f
     quota = k // f
     sub = m.group.add_index[:, m.group.neg_index]  # sub[a, b] = index of a - b
     sup, e = _blocks(d)
@@ -258,7 +254,9 @@ def verify_polyphase_combinatorial(d: Design) -> VerificationReport:
     add = m.group.add_index.ravel()
     bad, info = None, f"quota={quota}"
     for r0, r1 in row_spans(np.full(m.rows, k * (v - k)), SPAN_CELLS // 64):
-        zeros = np.nonzero(x[r0:r1] == 0)[1].reshape(r1 - r0, v - k)
+        zeros = np.ones((r1 - r0, v), dtype=bool)  # the span's zero cells
+        zeros[np.arange(r1 - r0)[:, None], sup[r0:r1]] = False
+        zeros = np.nonzero(zeros)[1].reshape(r1 - r0, v - k)
         # g[i, c, t] = e_(ij') + step[j', j] for row r0+i, its zero column
         # j = zeros[i, c] and its t-th block j', offset to a bincount slot
         g = step.take(v * sup[r0:r1, None, :] + zeros[:, :, None])
@@ -288,7 +286,7 @@ def verify_polyphase_algebraic(d: Design) -> VerificationReport:
     rep, ok = _design_head(d, "algebraic")
     if not ok:
         return rep
-    m, x, v, k, r, f = d.m, d.x, d.v, d.k, d.r, d.f
+    m, v, k, r, f = d.m, d.v, d.k, d.r, d.f
     g = m.group
     quota = k // f
     a = d.drackn[0]  # f | k makes c = k(r-1)/f integral, so A is there
@@ -306,7 +304,8 @@ def verify_polyphase_algebraic(d: Design) -> VerificationReport:
         n = r1 - r0
         idx = sup[r0:r1, :, None] * f + sub.T[e[r0:r1]]
         lhs = t.take(idx.ravel(), axis=0).reshape(n, k, f, v).sum(axis=1, dtype=dt)
-        lhs -= (quota * (x[r0:r1] == 0).astype(dt))[:, None, :]
+        lhs -= quota  # the target at a zero cell; at a support cell, (k-1) z^(e_ic)
+        lhs[np.arange(n)[:, None], :, sup[r0:r1]] += quota
         lhs[np.arange(n)[:, None], e[r0:r1], sup[r0:r1]] -= k - 1
         if lhs.any():
             # a support cell (i, c) always holds (k-1) z^(e_ic), as row i is
@@ -351,9 +350,7 @@ def verify_etf_numeric(phi, tol: float = NUMERIC_TOL, *, gamma: Character | None
     if isinstance(phi, PolyphaseMatrix):
         if gamma is None or gamma.group != phi.group:
             raise ValueError("a PolyphaseMatrix is read at a character of its group")
-        shape = phi.codes.shape
-        ii, jj = np.nonzero(phi.codes != phi.group.order)
-        cells = gamma.typed_values[phi.codes[ii, jj]]
+        shape, ii, jj, cells = phi.shape, phi.ii, phi.jj, gamma.typed_values[phi.e]
     else:
         phi = np.asarray(phi)
         phi = phi.astype(np.complex128 if np.iscomplexobj(phi) else np.float64, copy=False)
@@ -607,8 +604,9 @@ def _count_gq_axioms(z: _Cells, s: int, t: int) -> VerificationReport:
     # for a 0/1 matrix two blocks share two points exactly when two
     # points share two blocks, so only an offence needs the block walks
     block_pair = pair and _first_offence(blocks, (to_points, to_blocks), n_blocks, _shared)
-    rep.add("block-pair-intersections", not block_pair, witness=block_pair and block_pair[:2])
-    rep.add("point-pair-collinearity", not pair, witness=pair and pair[:2])
+    for name, hit in (("block-pair-intersections", block_pair), ("point-pair-collinearity", pair)):
+        rep.add(name, not hit, witness=hit and hit[:2],
+                info=f"got {hit[2]}, want at most 1" if hit else "")
 
     def off_target(at, counts):
         # row i of Z Z^T Z is s+t+1 on the points of block i, 1 elsewhere

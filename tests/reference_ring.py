@@ -9,6 +9,8 @@ adjoint turn a PolyphaseMatrix into this form, so Phi* Phi, A^2 and the
 triple product can be formed entry by entry, independently of the
 counting and scatter kernels in etfforge.  entry and replaced read and
 edit a PolyphaseMatrix one cell at a time, by group-element tuple.
+from_codes and dense_codes are the dense way in and out: a b x v array
+of cell codes, the element index of each z^g and f for a zero.
 """
 
 from __future__ import annotations
@@ -204,10 +206,25 @@ class GroupRingMatrix:
         return f"GroupRingMatrix({self.rows}x{self.cols} over {self.group.name()})"
 
 
+def from_codes(group: AbelianGroup, codes) -> PolyphaseMatrix:
+    """The PolyphaseMatrix of a dense b x v array of cell codes."""
+    codes = np.asarray(codes)
+    ii, jj = np.nonzero(codes != group.order)
+    return PolyphaseMatrix(group, codes.shape, ii, jj, codes[ii, jj])
+
+
+def dense_codes(m: PolyphaseMatrix) -> np.ndarray:
+    """The b x v int16 cell codes of m, read-only: a write raises rather
+    than being lost, as the codes are a copy; edit one and use from_codes."""
+    codes = np.full(m.shape, m.group.order, dtype=np.int16)
+    codes[m.ii, m.jj] = m.e
+    codes.flags.writeable = False
+    return codes
+
+
 def to_group_ring(m: PolyphaseMatrix) -> GroupRingMatrix:
     c = np.zeros((m.rows, m.cols, m.group.order), dtype=np.int64)
-    ii, jj = np.nonzero(m.codes != m.group.order)
-    c[ii, jj, m.codes[ii, jj]] = 1
+    c[m.ii, m.jj, m.e] = 1
     return GroupRingMatrix(m.group, c)
 
 
@@ -217,12 +234,13 @@ def adjoint(m: PolyphaseMatrix) -> GroupRingMatrix:
 
 def entry(m: PolyphaseMatrix, i: int, j: int):
     """Entry (i, j) of m as a group-element tuple, or None for a zero."""
-    code = int(m.codes[i, j])
-    return None if code == m.group.order else m.group.element(code)
+    lo, hi = np.searchsorted(m.ii, (i, i + 1))
+    at = lo + int(np.searchsorted(m.jj[lo:hi], j))
+    return m.group.element(int(m.e[at])) if at < hi and m.jj[at] == j else None
 
 
 def replaced(m: PolyphaseMatrix, i: int, j: int, g) -> PolyphaseMatrix:
     """Copy of m with entry (i, j) set to z^g, or to zero for None."""
-    codes = m.codes.copy()
+    codes = dense_codes(m).copy()
     codes[i, j] = m.group.order if g is None else m.group.index(g)
-    return PolyphaseMatrix(m.group, codes)
+    return from_codes(m.group, codes)

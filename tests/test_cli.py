@@ -155,7 +155,7 @@ def test_verify_json_is_deterministic(affine3_file, tmp_path, capsys):
 
 def test_verify_mutated_file_fails_with_witness(affine3_file, tmp_path, capsys):
     m = parse_polyphase(affine3_file.read_text())
-    i = int(np.nonzero(m.codes[0] != m.group.order)[0][0])
+    i = int(m.jj[0])
     old = entry(m, 0, i)
     bad = replaced(m, 0, i, tuple((x + 1) % q for x, q in zip(old, m.group.factors)))
     target = tmp_path / "mutated.polyphase"

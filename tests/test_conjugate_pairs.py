@@ -23,8 +23,9 @@ from etfforge import cli
 from etfforge import verify as verify_module
 from etfforge.construct import affine_polyphase, brouwer_polyphase, example_9_3_3, simplex_phased
 from etfforge.groupring import AbelianGroup, Character, characters_of, first_of_conjugates
-from etfforge.polymat import PolyphaseMatrix, format_polyphase
+from etfforge.polymat import format_polyphase
 from etfforge.verify import Design, verify_etf_numeric
+from reference_ring import dense_codes, from_codes
 
 GOLDEN = {
     **{f"simplex{v}": (simplex_phased, v) for v in range(3, 8)},
@@ -44,10 +45,9 @@ def _mutant(m, kind, seed):
     cell moved within its row, or a cell dropped (both break the BIBD)."""
     rng = np.random.default_rng(seed)
     f = m.group.order
-    ii, jj = np.nonzero(m.codes != f)
-    t = int(rng.integers(len(ii)))
-    i, j = int(ii[t]), int(jj[t])
-    codes = m.codes.copy()
+    t = int(rng.integers(len(m.e)))
+    i, j = int(m.ii[t]), int(m.jj[t])
+    codes = dense_codes(m).copy()
     if kind == "exponent":
         codes[i, j] = (codes[i, j] + rng.integers(1, f)) % f
     elif kind == "move":
@@ -56,7 +56,7 @@ def _mutant(m, kind, seed):
         codes[i, j] = f
     else:
         codes[i, j] = f
-    return PolyphaseMatrix(m.group, codes)
+    return from_codes(m.group, codes)
 
 
 MUTANTS = {
@@ -210,7 +210,7 @@ def test_real_characters_evaluate_into_float64():
     for m in (brouwer_polyphase(3), affine_polyphase(4), example_9_3_3()):
         for gamma in characters_of(m.group):
             phi = m.evaluate(gamma)
-            full = np.append(gamma.values, 0)[m.codes]
+            full = np.append(gamma.values, 0)[dense_codes(m)]
             if gamma.is_real():
                 assert phi.dtype == np.float64 and set(np.unique(phi)) <= {-1.0, 0.0, 1.0}
                 assert np.array_equal(phi, full.real) and not full.imag.any()

@@ -27,7 +27,7 @@ from etfforge.groupring import AbelianGroup, characters_of
 from etfforge.polymat import PolyphaseMatrix
 from etfforge.verify import Design
 from reference_geometry import brouwer_geometry, isotropic_points, orbit_reps
-from reference_ring import GroupRingMatrix, adjoint, entry
+from reference_ring import GroupRingMatrix, adjoint, entry, from_codes
 
 
 def _bibd_shape(m):
@@ -280,8 +280,8 @@ def test_gq_roundtrip():
 
 def test_gq_requires_group_order_k():
     m = example_9_3_3()
-    # the same cells over Z4: the zero code moves from 3 to 4
-    bad = PolyphaseMatrix(AbelianGroup([4]), np.where(m.codes == m.group.order, 4, m.codes))
+    # the same cells over Z4
+    bad = PolyphaseMatrix(AbelianGroup([4]), m.shape, m.ii, m.jj, m.e)
     with pytest.raises(ValueError):
         gq_from_polyphase(bad)
 
@@ -290,7 +290,7 @@ def test_gq_lift_refuses_oversized_incidence_before_allocating():
     # 16 full rows over Z1024: the lift would be 17408 x 2^20, over the
     # dense cap, and list (1024 + 16 * 1024) * 1024 cells, over 2^28 // 16
     group = AbelianGroup([1024])
-    m = PolyphaseMatrix(group, np.zeros((16, 1024), dtype=np.int16))
+    m = from_codes(group, np.zeros((16, 1024), dtype=np.int16))
     for lift in (lambda: gq_from_polyphase(m), lambda: Design(m).gq):
         tracemalloc.start()
         try:
@@ -354,7 +354,7 @@ def _ref_simplex_phased(v):
     for i, (a, b) in enumerate(pairs):
         codes[i, a] = 0
         codes[i, b] = 1
-    return PolyphaseMatrix(AbelianGroup([2]), codes)
+    return from_codes(AbelianGroup([2]), codes)
 
 
 def _ref_dot(t, x, y):
@@ -397,7 +397,7 @@ def _ref_brouwer_polyphase(q):
     assert np.all(g >= 0)
     codes = np.full(support.shape, q + 1, dtype=np.int16)
     codes[r, c] = g
-    return PolyphaseMatrix(AbelianGroup([q + 1]), codes)
+    return from_codes(AbelianGroup([q + 1]), codes)
 
 
 def _ref_polyphase_from_gq(z, group):
@@ -432,7 +432,7 @@ def _ref_polyphase_from_gq(z, group):
                     f"block ({i}, {j}) is neither zero nor a translation permutation"
                 )
             codes[i, j] = gi
-    return PolyphaseMatrix(group, codes)
+    return from_codes(group, codes)
 
 
 def _ref_phased_to_polyphase(phi, p, tol=1e-9):
@@ -452,7 +452,7 @@ def _ref_phased_to_polyphase(phi, p, tol=1e-9):
                     f"entry ({i}, {j}) = {val} is not a {p}-th root of unity within {tol}"
                 )
             codes[i, j] = ell
-    return PolyphaseMatrix(AbelianGroup([p]), codes)
+    return from_codes(AbelianGroup([p]), codes)
 
 
 def _outcome(fn, *args):
@@ -547,10 +547,22 @@ def test_brouwer_polyphase_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 2.73 MiB measured: the b x v int16 cell codes take 1.4 MB of it, the
-    # rest is row-span temporaries, the largest the intp index of the
-    # isotropy test over a span's polar-line candidates
+    # 1.57 MiB measured: the cell lists, with no b x v array, and row-span
+    # temporaries, the largest the intp index of the isotropy test over a
+    # span's polar-line candidates
     assert peak <= 3 * 2**20
+
+
+def test_brouwer_polyphase_9_allocates_less_than_its_dense_codes():
+    # 3.3 MiB measured at q=9, where the b x v int16 codes alone took 8.2 MiB
+    brouwer_polyphase(9)
+    tracemalloc.start()
+    try:
+        m = brouwer_polyphase(9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * m.rows * m.cols, peak
 
 
 def test_brouwer_polyphase_builds_no_geometry():

@@ -20,6 +20,7 @@ from etfforge.polymat import PolyphaseMatrix, format_polyphase
 from etfforge.verify import RANK_REL_TOL, verify_etf_numeric
 
 from reference_etf import dense_etf_numeric
+from reference_ring import from_codes
 from test_conjugate_pairs import GOLDEN, MUTANTS, _golden, _mutant
 
 
@@ -69,7 +70,7 @@ def test_cells_route_matches_dense_on_random_sparse_phases(seed):
     density = rng.uniform(0.2, 0.9, size=(b, 1))
     codes = np.where(rng.random((b, n)) < density, rng.integers(0, 6, size=(b, n)), 6)
     codes[0], codes[3] = rng.integers(0, 6, size=n), 6
-    m = PolyphaseMatrix(AbelianGroup([6]), codes)
+    m = from_codes(AbelianGroup([6]), codes)
     for gamma, rep in _every_nontrivial(m):
         _assert_matches_dense(rep, m.evaluate(gamma))
     support = codes != 6

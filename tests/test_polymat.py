@@ -26,7 +26,9 @@ from reference_ring import (
     GroupRingElement,
     GroupRingMatrix,
     adjoint,
+    dense_codes,
     entry,
+    from_codes,
     replaced,
     require_float_exact,
     to_group_ring,
@@ -40,7 +42,7 @@ CODE_EDGE_FACTORS = [(2,) * 10, (1024,)]
 def _random_polyphase(group, rows, cols, rng, density=0.6):
     support = rng.random((rows, cols)) < density
     exps = rng.integers(0, group.order, size=(rows, cols))
-    return PolyphaseMatrix(group, np.where(support, exps, group.order))
+    return from_codes(group, np.where(support, exps, group.order))
 
 
 def _random_grm(group, rows, cols, rng):
@@ -89,10 +91,12 @@ def test_parse_polyphase_errors():
 # matrices and their error messages.
 def _reference_format_polyphase(m):
     lines = [f"POLYPHASE rows={m.rows} cols={m.cols} group={m.group.name()}"]
+    codes = dense_codes(m)  # once: one densify per cell would take minutes at brouwer q=7
     for i in range(m.rows):
         cells = []
         for j in range(m.cols):
-            e = entry(m, i, j)
+            c = int(codes[i, j])
+            e = None if c == m.group.order else m.group.element(c)
             cells.append("." if e is None else ",".join(str(c) for c in e))
         lines.append(" ".join(cells))
     return "\n".join(lines) + "\n"
@@ -109,7 +113,7 @@ def _from_entries(group, entries):
         for j, e in enumerate(row):
             if e is not None:
                 codes[i, j] = group.index(e)
-    return PolyphaseMatrix(group, codes)
+    return from_codes(group, codes)
 
 
 def _reference_parse_polyphase(text):
@@ -177,7 +181,7 @@ def _assert_parses_like_reference(text):
     want = _outcome(_reference_parse_polyphase, text)
     assert got == want, repr(text)
     if not isinstance(want, str):
-        assert got.codes.dtype == want.codes.dtype == np.int16, repr(text)
+        assert got.e.dtype == want.e.dtype == np.int16, repr(text)
 
 
 GOLDEN_DESIGNS = {
@@ -208,9 +212,9 @@ def test_text_matches_reference_on_random_matrices(factors, monkeypatch):
     rng = np.random.default_rng(11)
     shapes = ((1, 1, 1.0), (1, 9, 0.5), (6, 1, 0.5), (7, 11, 0.3), (12, 5, 0.9), (4, 6, 0.0))
     cases = [_random_polyphase(group, rows, cols, rng, density) for rows, cols, density in shapes]
-    m = _random_polyphase(group, 9, 13, rng, 0.5)
-    m.codes[[0, 4, 8]] = group.order
-    cases.append(PolyphaseMatrix(group, m.codes))  # some all-zero rows
+    codes = dense_codes(_random_polyphase(group, 9, 13, rng, 0.5)).copy()
+    codes[[0, 4, 8]] = group.order
+    cases.append(from_codes(group, codes))  # some all-zero rows
     zero_rows = np.flatnonzero(~cases[-1].modulus_squared().any(axis=1))
     assert {0, 4, 8} <= set(zero_rows.tolist()) and len(zero_rows) < 9
     # no cells: the reader refuses these, the writer must still match
@@ -242,6 +246,20 @@ def test_format_memory_is_bounded_by_the_text():
         assert peak <= 3.5 * len(text)
 
 
+def test_parse_memory_is_bounded_by_the_text():
+    # brouwer q=9: b x v = 4.3 M cells, 59 130 of them nonzero; 10.9 MiB
+    # measured against a text of 8.2 MiB, most of it the text's lines
+    text = format_polyphase(brouwer_polyphase(9))
+    tracemalloc.start()
+    try:
+        m = parse_polyphase(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (m.rows, m.cols, len(m.e)) == (5913, 730, 59130)
+    assert peak < 2 * len(text), peak
+
+
 def test_parse_matches_reference_on_text_variants():
     base = "POLYPHASE rows=2 cols=3 group=Z2xZ3\n0,1 . 1,2\n. 1,0 0,0\n"
     variants = [
@@ -262,7 +280,7 @@ def test_parse_matches_reference_on_text_variants():
     assert parse_polyphase(variants[0]) == parse_polyphase(base)
     assert parse_polyphase(variants[1]) == parse_polyphase(base)
     assert parse_polyphase(variants[2]) == parse_polyphase(base)
-    assert parse_polyphase(variants[-2]).codes.tolist() == [[2, 1, 2, 1]]
+    assert dense_codes(parse_polyphase(variants[-2])).tolist() == [[2, 1, 2, 1]]
 
 
 @pytest.mark.parametrize(
@@ -426,7 +444,7 @@ def test_gram_matches_adjoint_product_on_ragged_rows(group):
         gram = m.gram()
         assert gram.dtype == np.int8
         assert np.array_equal(gram, (adjoint(m) @ m).coeffs.transpose(0, 2, 1))
-    empty = PolyphaseMatrix(group, np.full((2, 3), group.order))
+    empty = from_codes(group, np.full((2, 3), group.order))
     assert np.array_equal(empty.gram(), np.zeros((3, group.order, 3)))
 
 
@@ -496,15 +514,16 @@ def test_evaluate_at_trivial_is_incidence():
 def test_filter_bank_lift_blocks(group):
     rng = np.random.default_rng(7)
     f = group.order
-    m = _random_polyphase(group, 3, max(5, f + 1), rng)
+    codes = dense_codes(_random_polyphase(group, 3, max(5, f + 1), rng)).copy()
     # the GQ lift needs a first row of weight f; the other rows keep random weights
-    keep = np.isin(np.arange(m.cols), rng.permutation(m.cols)[:f])
-    m.codes[0] = np.where(keep, rng.integers(0, f, m.cols), f)
+    keep = np.isin(np.arange(codes.shape[1]), rng.permutation(codes.shape[1])[:f])
+    codes[0] = np.where(keep, rng.integers(0, f, codes.shape[1]), f)
+    m = from_codes(group, codes)
     assert np.count_nonzero(m.modulus_squared()[0]) == f
     lifted = gq_from_polyphase(m)[m.cols:]
     assert np.array_equal(lifted, _blockwise_lift(to_group_ring(m)))
     # nonzero blocks are permutation matrices
-    for i, j in zip(*np.nonzero(m.codes != f)):
+    for i, j in zip(m.ii, m.jj):
         blk = lifted[i * f : (i + 1) * f, j * f : (j + 1) * f]
         assert np.array_equal(blk.sum(axis=0), np.ones(f, dtype=np.int64))
         assert np.array_equal(blk.sum(axis=1), np.ones(f, dtype=np.int64))
@@ -603,16 +622,62 @@ def test_complex_csv_format():
 
 def test_exponent_range_validated():
     group = AbelianGroup([2])
-    # -1 and f + 1 are out of range; 70000 and 65537 would wrap in an int16
-    # cast (65537 to the valid 1); a 1-d or 3-d array, floats and bools are
-    # no code arrays
-    for bad in ([[-1]], [[3]], [[70000]], [[65537]], [0, 1], [[[0]]], [[0.0]], [[True]]):
-        with pytest.raises(ValueError):
-            PolyphaseMatrix(group, bad)
-    m = PolyphaseMatrix(group, [[0, 1, 2]])
-    assert m.codes.dtype == np.int16
+    # -1 and f are no element index; 70000 and 65537 would wrap in an int16
+    # cast (65537 to the valid 1)
+    for e in (-1, 2, 70000, 65537):
+        with pytest.raises(ValueError, match="^element index out of range 0..1$"):
+            PolyphaseMatrix(group, (1, 3), [0], [0], [e])
+    # floats, bools and arrays of any ndim but 1 are no cell lists
+    for cells in (([0], [0], [0.0]), ([0.0], [0], [0]), ([0], [True], [0]),
+                  ([[0]], [[0]], [[0]]), (0, 0, 0)):
+        with pytest.raises(ValueError, match="^cells must be 1-d integer arrays of one length$"):
+            PolyphaseMatrix(group, (1, 3), *cells)
+    # empty lists hold no cell of any type: the zero matrix
+    assert PolyphaseMatrix(group, (2, 3), [], [], []).modulus_squared().tolist() == [[0] * 3] * 2
+    m = PolyphaseMatrix(group, (1, 3), [0, 0], [0, 1], [0, 1])
+    assert m.e.dtype == np.int16 and m.ii.dtype == m.jj.dtype == np.intp
     assert m.modulus_squared().tolist() == [[1, 1, 0]]
     big = AbelianGroup([1024])
-    assert PolyphaseMatrix(big, [[1023, 1024]]).modulus_squared().tolist() == [[1, 0]]
-    with pytest.raises(ValueError):
-        PolyphaseMatrix(big, [[1025]])
+    assert PolyphaseMatrix(big, (1, 2), [0], [0], [1023]).modulus_squared().tolist() == [[1, 0]]
+    with pytest.raises(ValueError, match="^element index out of range 0..1023$"):
+        PolyphaseMatrix(big, (1, 2), [0], [0], [1024])
+
+
+@pytest.mark.parametrize(
+    "shape, ii, jj, message",
+    [
+        ((2, 3), [0, 0], [1, 0], "cells must be row-major and distinct"),  # unsorted in a row
+        ((2, 3), [1, 0], [0, 1], "cells must be row-major and distinct"),  # unsorted rows
+        ((2, 3), [0, 0], [1, 1], "cells must be row-major and distinct"),  # a repeated cell
+        ((2, 3), [0, 2], [0, 0], "row index out of range 0..1"),
+        ((2, 3), [-1, 0], [0, 0], "row index out of range 0..1"),
+        ((2, 3), [0, 0], [0, 3], "column index out of range 0..2"),
+        ((2, 3), [0, 0], [0], "cells must be 1-d integer arrays of one length"),
+        ((2, 3, 1), [0, 0], [0, 1], "shape must be two sizes >= 0, got (2, 3, 1)"),
+        ((2, -3), [0, 0], [0, 1], "shape must be two sizes >= 0, got (2, -3)"),
+    ],
+)
+def test_cell_constructor_rejects_bad_cells(shape, ii, jj, message):
+    with pytest.raises(ValueError) as exc:
+        PolyphaseMatrix(AbelianGroup([3]), shape, ii, jj, [0, 1])
+    assert str(exc.value) == message
+
+
+def test_cell_constructor_memory_is_independent_of_shape():
+    # one cell of a 10^9 x 10^9 matrix: nothing is sized by the shape
+    tracemalloc.start()
+    try:
+        m = PolyphaseMatrix(AbelianGroup([3]), (10**9, 10**9), [10**9 - 1], [10**9 - 1], [2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.shape == (10**9, 10**9) and m.e.tolist() == [2]
+    assert peak < 2**20
+
+
+def test_dense_codes_are_read_only():
+    m = example_9_3_3()
+    codes = dense_codes(m)
+    with pytest.raises(ValueError, match="read-only"):
+        codes[0, 0] = 1
+    assert from_codes(m.group, codes) == m

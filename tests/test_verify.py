@@ -27,7 +27,15 @@ from etfforge.verify import (
     verify_srg_collinearity,
 )
 from reference_geometry import brouwer_geometry
-from reference_ring import GroupRingMatrix, adjoint, entry, replaced, to_group_ring
+from reference_ring import (
+    GroupRingMatrix,
+    adjoint,
+    dense_codes,
+    entry,
+    from_codes,
+    replaced,
+    to_group_ring,
+)
 
 FANO = np.array(
     [
@@ -173,11 +181,25 @@ def test_bibd_rejects_non_binary_entries():
     assert any(c.name == "zero-one" and not c.passed for c in rep.checks)
 
 
+def test_design_memory_is_below_one_byte_per_cell():
+    # brouwer q=9: the BIBD report is read from the 59 130 cells, with no
+    # b x v array (4.3 M cells); 2.2 MiB measured
+    m = brouwer_polyphase(9)
+    tracemalloc.start()
+    try:
+        d = Design(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.bibd.passed and (d.k, d.r) == (10, 81)
+    assert peak < m.rows * m.cols, peak
+
+
 def test_polyphase_verifiers_pass_on_all_families(families):
     for name, m in families.items():
         assert verify_polyphase_combinatorial(Design(m)).passed, name
         assert verify_polyphase_algebraic(Design(m)).passed, name
-        # int16 codes widen before the checks offset them by f times an index
+        # int16 element indices widen before the checks offset them by f times an index
         assert verify_module._blocks(Design(m))[1].dtype == np.intp, name
 
 
@@ -209,11 +231,10 @@ def _algebraic_fixtures(families):
 def _change_exponent(m, seed):
     """Move one supported entry to a different group element."""
     rng = np.random.default_rng(seed)
-    ii, jj = np.nonzero(m.codes != m.group.order)
-    p = int(rng.integers(len(ii)))
-    i, j = int(ii[p]), int(jj[p])
+    p = int(rng.integers(len(m.e)))
+    i, j = int(m.ii[p]), int(m.jj[p])
     shift = int(rng.integers(1, m.group.order))
-    e = m.group.add_index[m.codes[i, j], shift]
+    e = m.group.add_index[m.e[p], shift]
     return replaced(m, i, j, m.group.element(int(e)))
 
 
@@ -255,9 +276,10 @@ def _reference_triple_products(m):
     row-major order, with tuple arithmetic on the group elements."""
     x, g = m.modulus_squared(), m.group
     quota = int(x[0].sum()) // g.order
+    codes = dense_codes(m)
 
     def elem(i, j):
-        return np.array(g.elements[m.codes[i, j]])
+        return np.array(g.elements[codes[i, j]])
 
     for i, j in zip(*np.nonzero(x == 0)):
         counts = {e: 0 for e in g.elements}
@@ -294,9 +316,9 @@ def _late_offence(m):
     meets[0] = False
     order = np.concatenate([np.flatnonzero(~meets)[1:], np.flatnonzero(meets), [0]])
     j = int(np.flatnonzero(x[0])[0])
-    shifted = m.group.add_index[m.codes[0, j], 1]
+    shifted = m.group.add_index[dense_codes(m)[0, j], 1]
     bad = replaced(m, 0, j, m.group.element(int(shifted)))
-    return PolyphaseMatrix(m.group, bad.codes[order]), int(meets.sum())
+    return from_codes(m.group, dense_codes(bad)[order]), int(meets.sum())
 
 
 def test_exact_checks_match_references_across_span_boundaries(families, monkeypatch):
@@ -334,8 +356,8 @@ def test_algebraic_matches_dense_reference_on_int16_grams():
     witnesses = set()
     for m in (affine_polyphase(11), simplex_phased(50)):
         f = m.group.order
-        noise = np.random.default_rng(3).integers(0, f, m.codes.shape)
-        cases = [m, _late_offence(m)[0], PolyphaseMatrix(m.group, np.where(m.codes == f, f, noise))]
+        noise = np.random.default_rng(3).integers(0, f, m.shape)[m.ii, m.jj]
+        cases = [m, _late_offence(m)[0], PolyphaseMatrix(m.group, m.shape, m.ii, m.jj, noise)]
         cases += [_change_exponent(m, seed) for seed in range(4)]
         for n, case in enumerate(cases):
             d = Design(case)
@@ -364,7 +386,7 @@ def test_exact_and_numeric_routes_agree(families):
         numeric = all(verify_etf_numeric(m.evaluate(g)).passed for g in gammas)
         assert exact and numeric, name
         i = int(rng.integers(m.rows))
-        js = np.nonzero(m.codes[i] != m.group.order)[0]
+        js = m.jj[m.ii == i]
         j = int(js[rng.integers(len(js))])
         old = entry(m, i, j)
         shift = tuple((old[l] + 1) % q for l, q in enumerate(m.group.factors))
@@ -638,6 +660,22 @@ def test_gq_fail_lines_name_their_count_and_target(families):
     assert all(c.info == "" for c in verify_gq_axioms(Design(m), 3, 9).checks)
 
 
+def test_gq_pair_lines_name_their_count(families):
+    # example933's lift with row 9's incidence moved from point 0 to point
+    # 4: blocks 1 and 9 now share two points, and so do points 3 and 4
+    z = gq_from_polyphase(families["example933"]).astype(np.int64)
+    assert (z[9, 0], z[9, 4]) == (1, 0)
+    z[9, [0, 4]] = 0, 1
+    assert (z @ z.T)[1, 9] == (z.T @ z)[3, 4] == 2
+    want = [
+        "FAIL block-pair-intersections witness=(1, 9) [got 2, want at most 1]",
+        "FAIL point-pair-collinearity witness=(3, 4) [got 2, want at most 1]",
+    ]
+    # the SRG report repeats the failing axiom lines
+    for rep in (verify_gq_axioms(z, 2, 4), verify_srg_collinearity(z, 2, 4)):
+        assert [c.line() for c in rep.checks if c.name.endswith(("sections", "linearity"))] == want
+
+
 @pytest.mark.parametrize("family,q,bound_mib", [("brouwer", 7, 24), ("affine", 27, 64)])
 def test_gq_axioms_memory_is_bounded_by_the_walk_spans(family, q, bound_mib):
     # no points^2 array: affine q=27 is a GQ(26, 28) on 19683 points, whose
@@ -684,7 +722,7 @@ def _unequal_rows():
     support = rng.random((6, m.cols)) < np.linspace(0, 0.6, 6)[:, None]
     support[0] = np.arange(m.cols) < 3
     exps = rng.integers(0, m.group.order, size=support.shape)
-    return PolyphaseMatrix(m.group, np.where(support, exps, m.group.order))
+    return from_codes(m.group, np.where(support, exps, m.group.order))
 
 
 def test_design_lift_cells_are_the_dense_lift_scan():
