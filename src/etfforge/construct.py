@@ -441,6 +441,8 @@ def phased_to_polyphase(phi: np.ndarray, p: int, tol: float = 1e-9) -> Polyphase
     if p < 2:
         raise ValueError(f"need p >= 2, got {p}")
     phi = np.asarray(phi, dtype=np.complex128)
+    if phi.ndim != 2:
+        raise ValueError(f"phi must be a 2-d array, got shape {phi.shape}")
     # moduli by hypot, as scalar abs() takes them: np.abs of a complex
     # array can be an ulp off, which moves entries across tol
     ii, jj = np.nonzero(~(np.hypot(phi.real, phi.imag) <= tol))

@@ -135,9 +135,7 @@ class EtfNumerics:
 
 def _first_bad(mask) -> tuple | None:
     """Row-major first True of a boolean array, or None, by argmax: no index arrays."""
-    if not mask.any():
-        return None
-    return tuple(int(i) for i in np.unravel_index(np.argmax(mask), mask.shape))
+    return tuple(int(i) for i in np.unravel_index(np.argmax(mask), mask.shape)) if mask.any() else None
 
 
 def verify_bibd(x, v: int, k: int) -> VerificationReport:
@@ -159,15 +157,9 @@ def verify_bibd(x, v: int, k: int) -> VerificationReport:
         return rep
     r = (v - 1) // (k - 1)
     rep.add("replication-integral", True, info=f"r={r}")
-    x = x if isinstance(x, _Cells) else _Cells.from_dense(x)
-    rep.add("zero-one", x.not_one is None, witness=x.not_one)
-    if x.not_one is not None:
+    x = _cells(x)
+    if not _add_sums(rep, x, k, r):
         return rep
-    to_points, to_blocks = x.hops
-    for name, sums, want in (("row-sums", x.rows, k), ("col-sums", np.diff(to_blocks[0]), r)):
-        witness = _first_bad(sums != want)
-        rep.add(name, witness is None, witness=witness,
-                info="" if witness is None else f"got {sums[witness]}, want {want}")
     # Z^T Z by point -> block -> point walks, as for the GQ check: r on the
     # diagonal, 1 off it
     def off_balance(at, pairs):
@@ -175,7 +167,7 @@ def verify_bibd(x, v: int, k: int) -> VerificationReport:
         mask[diagonal] = pairs[diagonal] != r
         return mask
 
-    bad = _first_offence(np.arange(v), (to_blocks, to_points), v, off_balance)
+    bad = _first_offence(np.arange(v), x.hops[::-1], v, off_balance)
     rep.add("pair-balance", not bad, witness=bad and bad[:2],
             info="" if not bad else f"got {bad[2]}, want {r if bad[0] == bad[1] else 1}")
     b = x.shape[0]
@@ -540,10 +532,22 @@ class _Cells:
 
 
 def _cells(z) -> _Cells:
-    """A Design's GQ lift cells, counted once per Design, or a dense array's."""
+    """A Design's GQ lift cells, counted once per Design, a _Cells as is, or a dense array's."""
     if isinstance(z, Design):
         return z.gq
     return z if isinstance(z, _Cells) else _Cells.from_dense(z)
+
+
+def _add_sums(rep: VerificationReport, z: _Cells, row: int, col: int) -> bool:
+    """Add z's zero-one line, then, if z is 0/1, its row and col sums lines; return whether."""
+    rep.add("zero-one", z.not_one is None, witness=z.not_one)
+    if z.not_one is not None:
+        return False
+    for name, sums, want in (("row-sums", z.rows, row), ("col-sums", np.diff(z.hops[1][0]), col)):
+        witness = _first_bad(sums != want)
+        rep.add(name, witness is None, witness=witness,
+                info="" if witness is None else f"got {sums[witness]}, want {want}")
+    return True
 
 
 def verify_gq_axioms(z, s: int, t: int, check_spread: bool = False) -> VerificationReport:
@@ -587,15 +591,9 @@ def _count_gq_axioms(z: _Cells, s: int, t: int) -> VerificationReport:
                 info=f"expected {n_blocks}x{n_points}")
         return rep
     rep.add("dimensions", True)
-    rep.add("zero-one", z.not_one is None, witness=z.not_one)
-    if z.not_one is not None:
+    if not _add_sums(rep, z, s + 1, t + 1):
         return rep
     to_points, to_blocks = z.hops
-    cols = np.diff(to_blocks[0])
-    for name, sums, want in (("row-sums", z.rows, s + 1), ("col-sums", cols, t + 1)):
-        witness = _first_bad(sums != want)
-        rep.add(name, witness is None, witness=witness,
-                info="" if witness is None else f"got {sums[witness]}, want {want}")
     # the first offence of Z^T Z lies in a point j f, and that of Z Z^T or
     # of the triple product in a spread row or a row v + i f
     points = np.arange(0, n_points, z.f)

@@ -334,6 +334,12 @@ def test_phased_to_polyphase_rejects_foreign_phase():
         phased_to_polyphase(phi, 1)
 
 
+@pytest.mark.parametrize("phi", [np.ones(3), np.array(1.0), np.ones((2, 2, 2))])
+def test_phased_to_polyphase_rejects_non_matrix(phi):
+    with pytest.raises(ValueError, match="2-d array, got shape"):
+        phased_to_polyphase(phi, 2)
+
+
 def test_phased_to_polyphase_mercedes_benz():
     phi = np.array([[1, -1, 0], [1, 0, -1], [0, 1, -1]], dtype=float)
     m = phased_to_polyphase(phi, 2)
