@@ -39,9 +39,9 @@ from .polymat import (
     PolyphaseMatrix,
     format_complex_csv,
     format_incidence,
-    format_polyphase,
     parse_incidence,
     parse_polyphase,
+    polyphase_chunks,
 )
 from . import verify as V
 
@@ -58,11 +58,19 @@ def _thread_count() -> int:
     return min(8, os.cpu_count() or 1)
 
 
-def _atomic_write(path: Path, text: str):
+def _atomic_write(path: Path, text):
+    """Write text, a str or bytes-like chunks, to path through a temporary
+    name; if a chunk or a write raises, path keeps its old bytes."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in [text.encode()] if isinstance(text, str) else text:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _select_characters(group, selector: str):
@@ -149,7 +157,7 @@ def cmd_construct(args) -> int:
     out = Path(args.out)
     matrix_path = out / f"{name}.polyphase"
     manifest_path = out / f"{name}.json"
-    _atomic_write(matrix_path, format_polyphase(m))
+    _atomic_write(matrix_path, polyphase_chunks(m))
     manifest = _manifest(name, args.family, m, args)
     _atomic_write(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {matrix_path}")
@@ -303,9 +311,9 @@ def cmd_export(args) -> int:
     return 0
 
 
-def _render_export(m: PolyphaseMatrix, args) -> tuple[bool, str]:
+def _render_export(m: PolyphaseMatrix, args) -> tuple[bool, object]:
     if args.to == "polyphase":
-        return False, format_polyphase(m)
+        return False, polyphase_chunks(m)
     if args.to == "gq":
         return False, format_incidence(gq_from_polyphase(m))
     if args.to == "incidence":

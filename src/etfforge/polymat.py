@@ -14,11 +14,11 @@ Text serialization of a polyphase matrix:
     POLYPHASE rows=<b> cols=<v> group=Z{q1}x...
     <one line per row: "." for a zero entry, "g1,g2,..." for z^(g1,...)>
 
-Lines use spaces between entries, LF endings, UTF-8.  The writer goes
-one bounded row span at a time: one gather from a table of NUL-padded
-byte cells, then one mask that drops the padding.  The reader goes one
-row at a time through a table of the f + 1 labels, and keeps a row
-span's cells from one scan of its codes.  It also takes tabs, CR LF,
+Lines use spaces between entries, LF endings, UTF-8.  The writer yields
+the text in bounded row spans, for a caller to stream to a file: a fill
+of ". " with each nonzero cell's label written over its dot.  The reader
+goes one row at a time through a table of the f + 1 labels, and keeps a
+row span's cells from one scan of its codes.  It also takes tabs, CR LF,
 blank lines and non-canonical cells ("5" over Z3, "+1", "-1", "01"),
 read as integers reduced mod each factor.  It stores a row only once it
 has read it, so a header cannot size an allocation.  A 0/1 incidence is
@@ -59,10 +59,10 @@ def listed_cells_refusal(rows: int, cols: int, cells: int) -> str | None:
     return None
 
 
-# cells per row span of the writers: format_polyphase counts cells, the
-# brouwer support its polar-line candidates, q^2+1 per row.  Whole-matrix
-# gathers would hold b*v intp temporaries, and spans of 2^15 cells
-# (256 KiB of intp) write as fast as larger ones
+# cells per row span of the writers: polyphase_chunks counts cells, the
+# brouwer support its polar-line candidates, q^2+1 per row.  Streaming the
+# ladder's seven files took 8-12 ms at 2^15, as at 2^16 to 2^18 within
+# noise, against 15-25 ms at 2^13; the brouwer q=9 stream peaks at 0.24 MiB
 WRITE_SPAN_CELLS = 2**15
 
 
@@ -165,23 +165,46 @@ def _cell_labels(group: AbelianGroup) -> list[str]:
     return [",".join(map(str, e)) for e in group.elements] + ["."]
 
 
-def format_polyphase(m: PolyphaseMatrix) -> str:
-    """The text form, built as bytes and decoded once.  Each cell of a
-    span is a code into a table of byte cells, NUL-padded to one width:
-    the f + 1 labels for a row's first column, the same led by a space
-    for the others, and a row end after the last column."""
-    labels = [s.encode() for s in _cell_labels(m.group)]
-    cells = np.array(labels + [b" " + s for s in labels] + [b"\n"])
-    lead = len(labels) * (np.arange(m.cols) > 0)  # the space-led labels after column 0
-    out = bytearray(f"POLYPHASE rows={m.rows} cols={m.cols} group={m.group.name()}\n".encode())
+def polyphase_chunks(m: PolyphaseMatrix):
+    """The text form as ASCII bytes-like chunks: the header, then one per
+    row span.  A span is filled with one ". " word per cell, each nonzero
+    cell's label and a space are written over its word, shifted by the
+    extra words of the row's earlier labels, and each row's last byte
+    becomes a row end.  An even-length label's last byte is inserted last."""
+    yield f"POLYPHASE rows={m.rows} cols={m.cols} group={m.group.name()}\n".encode()
+    if not m.cols:
+        yield b"\n" * m.rows
+        return
+    labels = [s.encode() for s in _cell_labels(m.group)[:-1]]
+    lens = np.array([len(s) for s in labels])
+    words = np.array([s[:(n - 1) | 1] + b" " for s, n in zip(labels, lens)])
+    words = words.view(np.uint16).reshape(len(labels), -1).T.copy()
+    size, even = (lens + 1) // 2, lens % 2 == 0
+    tail = np.array([s[-1] for s in labels], dtype=np.uint8)
+    dots = np.frombuffer(b". ", np.uint16)[0]
     for r0, r1 in row_spans(np.full(m.rows, m.cols + 1), WRITE_SPAN_CELLS):
         lo, hi = np.searchsorted(m.ii, (r0, r1))
-        codes = np.full((r1 - r0, m.cols + 1), len(cells) - 1)
-        codes[:, :-1] = lead + m.group.order
-        codes[m.ii[lo:hi] - r0, m.jj[lo:hi]] += m.e[lo:hi] - m.group.order
-        text = cells.take(codes).view(np.uint8)
-        out.extend(text[text != 0])
-    return out.decode("ascii")
+        ii, e = m.ii[lo:hi] - r0, m.e[lo:hi]
+        nw = size.take(e)
+        shift = np.concatenate(([0], np.cumsum(nw - 1)))
+        at = ii * m.cols + m.jj[lo:hi] + shift[:-1]
+        ends = m.cols * np.arange(1, r1 - r0 + 1)
+        ends += shift.take(np.searchsorted(ii, np.arange(1, r1 - r0 + 1)))
+        text = np.full(ends[-1], dots)
+        for t in range(len(words)):
+            k = nw > t
+            text[at[k] + t] = words[t].take(e[k])
+        text = text.view(np.uint8)
+        text[2 * ends - 1] = ord("\n")
+        if even.any():
+            k = even.take(e)
+            text = np.insert(text, 2 * (at[k] + nw[k]) - 1, tail.take(e[k]))
+        yield text.data
+
+
+def format_polyphase(m: PolyphaseMatrix) -> str:
+    """The text form, joined from polyphase_chunks and decoded once."""
+    return b"".join(polyphase_chunks(m)).decode("ascii")
 
 
 def _cell_index(group: AbelianGroup, cell: str) -> int:

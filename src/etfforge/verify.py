@@ -338,7 +338,8 @@ def verify_etf_numeric(phi, tol: float = NUMERIC_TOL, *, gamma: Character | None
     rank at the relative cutoff 1e-8 whenever the singular values of Phi
     off the top cluster are below 1e-8 of the largest, as they are at
     rounding level on an ETF.  Only a failing tightness runs the SVD of Phi,
-    so a FAIL line's a and d are those of the numerical rank."""
+    taken from the R of a QR built one row span at a time, so a FAIL line's
+    a and d are those of the numerical rank."""
     if isinstance(phi, PolyphaseMatrix):
         if gamma is None or gamma.group != phi.group:
             raise ValueError("a PolyphaseMatrix is read at a character of its group")
@@ -376,9 +377,17 @@ def verify_etf_numeric(phi, tol: float = NUMERIC_TOL, *, gamma: Character | None
     e -= a * gram
     res = float(np.max(np.abs(e)))
     if res > tol:
-        dense = np.zeros(shape, dtype=cells.dtype)
-        dense[ii, jj] = cells
-        sv = np.linalg.svd(dense, compute_uv=False)
+        # Phi = QR and R share their singular values; R is refactored with
+        # each n/2 rows stacked under it, ~4 n^2 cells with qr's own copy
+        step = max(1, n // 2)
+        buf, top = np.zeros((n + step, n), dtype=cells.dtype), 0
+        for r0, r1 in row_spans(np.full(shape[0], n), n * step):
+            lo, hi = np.searchsorted(ii, (r0, r1))
+            buf[top:] = 0
+            buf[top + ii[lo:hi] - r0, jj[lo:hi]] = cells[lo:hi]
+            rows, top = top + r1 - r0, min(top + r1 - r0, n)
+            buf[:top] = np.linalg.qr(buf[:rows], mode="r")
+        sv = np.linalg.svd(buf[:top], compute_uv=False)
         d, a_est = int(np.sum(sv > RANK_REL_TOL * sv[0])), a
         a = r * n / d
         e += (a_est - a) * gram

@@ -45,6 +45,20 @@ def test_construct_is_deterministic(tmp_path, capsys):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_failed_stream_leaves_the_old_file_and_no_tmp(tmp_path, capsys, monkeypatch):
+    def chunks(m):
+        yield b"POLYPHASE "
+        raise OSError("disk full")
+
+    target = tmp_path / "brouwer_q2.polyphase"
+    target.write_bytes(b"old bytes\n")
+    monkeypatch.setattr(cli, "polyphase_chunks", chunks)
+    code, _, err = run(capsys, "construct", "--family", "brouwer", "--q", "2", "-o", str(tmp_path))
+    assert code == 2 and "disk full" in err
+    assert target.read_bytes() == b"old bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["brouwer_q2.polyphase"]
+
+
 def test_construct_brouwer_q2_manifest(tmp_path, capsys):
     run(capsys, "construct", "--family", "brouwer", "--q", "2", "-o", str(tmp_path))
     man = json.loads((tmp_path / "brouwer_q2.json").read_text())
@@ -642,12 +656,13 @@ def test_import_leaves_scipy_sparse_unloaded(tmp_path):
 
 def test_verify_leaves_numpy_ma_unloaded(tmp_path):
     # the first np.unique of a process imports numpy.ma, about 10 ms of a
-    # cold verify; pytest may have loaded it already, so a fresh child runs
+    # cold construct or verify; pytest may have loaded it already, so a
+    # fresh child runs both
     path = tmp_path / "affine_q3.polyphase"
-    path.write_text(format_polyphase(construct.affine_polyphase(3)))
     code = (
         "import sys\n"
         "from etfforge.cli import main\n"
+        f"assert main(['construct', '--family', 'affine', '--q', '3', '-o', {str(tmp_path)!r}]) == 0\n"
         f"assert main(['verify', {str(path)!r}]) == 0\n"
         "assert 'numpy.ma' not in sys.modules\n"
     )

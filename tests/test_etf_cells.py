@@ -110,6 +110,23 @@ def test_etf_peak_memory_below_the_dense_evaluation():
     assert peak < m.rows * m.cols * 16, peak
 
 
+def test_failing_etf_peak_memory_below_the_dense_evaluation():
+    # a one-exponent mutant of brouwer q=9 fails tightness, so its rank
+    # comes from the singular values: a=89.8632, d=658 by the dense SVD of
+    # Phi, whose b x v complex cells alone take the bound's bytes
+    m = _mutant(brouwer_polyphase(9), "exponent", 1)
+    gamma = characters_of(m.group)[1]
+    tracemalloc.start()
+    try:
+        rep = verify_etf_numeric(m, gamma=gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tight = next(c for c in rep.checks if c.name == "tightness")
+    assert not tight.passed and tight.info == "a=89.8632, d=658"
+    assert peak < m.rows * m.cols * 16, peak
+
+
 def _svd_rank(phi):
     sv = np.linalg.svd(phi, compute_uv=False)
     return int(np.sum(sv > RANK_REL_TOL * sv[0]))

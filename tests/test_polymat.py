@@ -12,7 +12,7 @@ from etfforge.construct import (
     gq_from_polyphase,
     simplex_phased,
 )
-from etfforge import polymat
+from etfforge import cli, polymat
 from etfforge.groupring import AbelianGroup, characters_of
 from etfforge.polymat import (
     PolyphaseMatrix,
@@ -21,6 +21,7 @@ from etfforge.polymat import (
     format_polyphase,
     parse_incidence,
     parse_polyphase,
+    polyphase_chunks,
 )
 from reference_ring import (
     GroupRingElement,
@@ -192,12 +193,20 @@ GOLDEN_DESIGNS = {
 }
 
 
+def _streamed(m, tmp_path) -> bytes:
+    """The bytes construct and export write: m's chunks streamed to a file."""
+    path = tmp_path / "streamed.polyphase"
+    cli._atomic_write(path, polyphase_chunks(m))
+    return path.read_bytes()
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_DESIGNS))
-def test_text_matches_reference_on_golden_designs(name):
+def test_text_matches_reference_on_golden_designs(name, tmp_path):
     build, *args = GOLDEN_DESIGNS[name]
     m = build(*args)
     text = format_polyphase(m)
     assert text == _reference_format_polyphase(m)
+    assert _streamed(m, tmp_path) == text.encode()
     back = parse_polyphase(text)
     assert back == _reference_parse_polyphase(text) == m
 
@@ -205,7 +214,7 @@ def test_text_matches_reference_on_golden_designs(name):
 @pytest.mark.parametrize(
     "factors", [(2, 3), (4, 2), (5,), (2, 2, 2, 2, 2), (12, 5), (11,), *CODE_EDGE_FACTORS], ids=str
 )
-def test_text_matches_reference_on_random_matrices(factors, monkeypatch):
+def test_text_matches_reference_on_random_matrices(factors, monkeypatch, tmp_path):
     # Z2^5 cells take 10 bytes, wider than a machine word; the labels of
     # Z12xZ5 and Z11 vary in width; Z2^10 and Z1024 code a zero as 1024
     group = AbelianGroup(factors)
@@ -222,10 +231,10 @@ def test_text_matches_reference_on_random_matrices(factors, monkeypatch):
     # the default spans, one row per span, and uneven spans of 30 cells
     for span in (polymat.WRITE_SPAN_CELLS, 1, 30):
         monkeypatch.setattr(polymat, "WRITE_SPAN_CELLS", span)
-        for m in cases:
-            assert format_polyphase(m) == _reference_format_polyphase(m)
-        for m in empty:
-            assert format_polyphase(m) == _reference_format_polyphase(m)
+        for m in cases + empty:
+            text = format_polyphase(m)
+            assert text == _reference_format_polyphase(m)
+            assert _streamed(m, tmp_path) == text.encode()
     # the reader takes no spans, so each text is read back once; each read
     # builds the group from the header, 24 ms at Z2^10
     for m in cases:
@@ -242,8 +251,23 @@ def test_format_memory_is_bounded_by_the_text():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the text itself counts; a whole-matrix gather would take 11x
-        assert peak <= 3.5 * len(text)
+        # the text itself counts, and its bytes before the decode; a
+        # whole-matrix gather would take 11x
+        assert peak <= 2.5 * len(text)
+
+
+def test_streamed_write_memory_is_bounded_by_a_span(tmp_path):
+    # brouwer q=9: an 8.2 MiB text, written through spans of 2^15 cells
+    m = brouwer_polyphase(9)
+    path = tmp_path / "brouwer_q9.polyphase"
+    tracemalloc.start()
+    try:
+        cli._atomic_write(path, polyphase_chunks(m))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 8 << 20
+    assert peak < 1 << 20, peak
 
 
 def test_parse_memory_is_bounded_by_the_text():
