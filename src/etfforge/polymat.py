@@ -60,9 +60,9 @@ def listed_cells_refusal(rows: int, cols: int, cells: int) -> str | None:
 
 
 # cells per row span of the writers: polyphase_chunks counts cells, the
-# brouwer support its polar-line candidates, q^2+1 per row.  Streaming the
-# ladder's seven files took 8-12 ms at 2^15, as at 2^16 to 2^18 within
-# noise, against 15-25 ms at 2^13; the brouwer q=9 stream peaks at 0.24 MiB
+# brouwer support its polar-line candidates, q^2+1 per row.  On a 2-core
+# VM, streaming the ladder's seven files took 8-12 ms at 2^15, as at 2^16
+# to 2^18 within noise, and 15-25 ms at 2^13; brouwer q=9 peaks at 0.24 MiB
 WRITE_SPAN_CELLS = 2**15
 
 
