@@ -15,6 +15,7 @@ Files are written to a temporary name and renamed into place.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -328,7 +329,10 @@ def _render_export(m: PolyphaseMatrix, args) -> tuple[bool, object]:
     return True, format_complex_csv(phi.conj().T @ phi)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each verb's cmd_* function is
+    bound at that build, so a later rebinding of the name is not seen."""
     parser = argparse.ArgumentParser(
         prog="etfforge",
         description="construct, verify, screen, and export phased designs",

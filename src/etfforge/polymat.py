@@ -7,7 +7,7 @@ int16 element index (f <= 2^10 fits int16), so no b x v array forms
 outside evaluate and modulus_squared, which export reads.  Its Gram
 Phi* Phi, the product the exact checks need, is a plain (cols, f, cols)
 array of group-ring coefficients in the narrowest signed type that holds
-them, built by integer counting with no floating point at all.
+them, counted one column span at a time with no floating point at all.
 
 Text serialization of a polyphase matrix:
 
@@ -17,16 +17,18 @@ Text serialization of a polyphase matrix:
 Lines use spaces between entries, LF endings, UTF-8.  The writer yields
 the text in bounded row spans, for a caller to stream to a file: a fill
 of ". " with each nonzero cell's label written over its dot.  The reader
-goes one row at a time through a table of the f + 1 labels, and keeps a
-row span's cells from one scan of its codes.  It also takes tabs, CR LF,
-blank lines and non-canonical cells ("5" over Z3, "+1", "-1", "01"),
-read as integers reduced mod each factor.  It stores a row only once it
-has read it, so a header cannot size an allocation.  A 0/1 incidence is
-one line of "0"/"1" per row, written and read as bytes.
+counts the lines, then reads one row span of them at a time, each row
+through a table of the f + 1 labels, and keeps a span's cells from one
+scan of its codes.  It also takes tabs, CR LF, blank lines and
+non-canonical cells ("5" over Z3, "+1", "-1", "01"), read as integers
+reduced mod each factor.  It stores a row only once it has read it, so a
+header cannot size an allocation.  A 0/1 incidence is one line of
+"0"/"1" per row, written and read as bytes.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 
 import numpy as np
@@ -66,6 +68,12 @@ def listed_cells_refusal(rows: int, cols: int, cells: int) -> str | None:
 WRITE_SPAN_CELLS = 2**15
 
 
+# slots per column span of PolyphaseMatrix.gram: a column costs the row
+# pairs through it plus its f v counters, so the span's intp pair arrays
+# and its int64 counters hold about 2^16 entries (512 KiB) each
+GRAM_SPAN_SLOTS = 2**16
+
+
 def row_spans(cost: np.ndarray, budget: int):
     """Consecutive row ranges [r0, r1) of at least one row each, whose
     summed cost stays within budget unless one row alone exceeds it."""
@@ -83,16 +91,6 @@ def zero_one_array(rows: int, cols: int) -> np.ndarray:
     if refusal := dense_cap_refusal(rows, cols):
         raise ValueError(refusal)
     return np.zeros((rows, cols), dtype=np.int8)
-
-
-def row_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (a, b), in order of a, of every two entries (a = b
-    included) that share a row, given the sorted row label of each entry."""
-    start = np.searchsorted(rows, rows)
-    reps = np.searchsorted(rows, rows, side="right") - start
-    a = np.repeat(np.arange(len(rows)), reps)
-    b = np.arange(len(a)) - np.repeat(np.cumsum(reps) - reps, reps) + start[a]
-    return a, b
 
 
 class PolyphaseMatrix:
@@ -127,18 +125,36 @@ class PolyphaseMatrix:
 
     def gram(self) -> np.ndarray:
         """Phi* Phi as a (cols, f, cols) array, Gram[a, h, b] the coefficient
-        of z^h in entry (a, b), counted from the sorted slots of each row's
-        ordered pairs (a, b) of nonzero columns, which add z^(e_b - e_a).
-        A coefficient counts rows and r = (v-1)/(k-1) < v, so
-        +-max(rows, cols) bounds Phi* Phi - rI too."""
-        g, jj, e = self.group, self.jj, self.e
-        f, v = g.order, self.cols
-        a, b = row_pairs(self.ii)
-        flat = (jj[a] * f + g.add_index[g.neg_index[e[a]], e[b]]) * v + jj[b]
-        slots, counts = np.unique(flat, return_counts=True)
-        out = np.zeros(v * f * v, dtype=np.min_scalar_type(-max(self.rows, v) - 1))
-        out[slots] = counts
-        return out.reshape(v, f, v)
+        of z^h in entry (a, b): each row through columns a and b adds
+        z^(e_b - e_a).  A coefficient counts rows through column a, and
+        Gram[a, 0, a] counts them all, so the largest column count is the
+        largest coefficient and sizes the narrowest signed type: int8 on
+        every design of up to 127 rows per column.  The cells are sorted by
+        column once; each span of columns expands the rows through it into
+        their ordered pairs, counts the pairs with one bincount into int64
+        counters of the span's slots and casts them into its slice."""
+        g, f, v = self.group, self.group.order, self.cols
+        per_col = np.bincount(self.jj, minlength=v)
+        out = np.zeros((v, f, v), dtype=np.min_scalar_type(-int(per_col.max(initial=0)) - 1))
+        by_col = np.argsort(self.jj, kind="stable")
+        col_ptr = np.concatenate(([0], np.cumsum(per_col)))
+        row_ptr = np.searchsorted(self.ii, np.arange(self.rows + 1))
+        width = np.diff(row_ptr)  # cells per row
+        pairs = np.bincount(self.jj, weights=width[self.ii], minlength=v).astype(np.intp)
+        neg, add = g.neg_index[self.e] * f, g.add_index.ravel()
+        for c0, c1 in row_spans(pairs + f * v, GRAM_SPAN_SLOTS):
+            src = by_col[col_ptr[c0]:col_ptr[c1]]  # the span's cells, column a
+            row = self.ii.take(src)
+            n = width.take(row)
+            # each cell of src, in column a, pairs with every cell of its
+            # row, in column b, to count in slot ((a - c0) f + e_b - e_a) v + b
+            mate = np.arange(n.sum()) + np.repeat(row_ptr.take(row) - np.cumsum(n) + n, n)
+            slot = np.repeat((self.jj.take(src) - c0) * f, n)
+            slot += add.take(np.repeat(neg.take(src), n) + self.e.take(mate))
+            slot *= v
+            slot += self.jj.take(mate)
+            out[c0:c1] = np.bincount(slot, minlength=(c1 - c0) * f * v).reshape(c1 - c0, f, v)
+        return out
 
     def evaluate(self, gamma: Character) -> np.ndarray:
         """Phi at gamma as a dense array: float64 when gamma is real (every
@@ -216,12 +232,27 @@ def _cell_index(group: AbelianGroup, cell: str) -> int:
     return group.index(tuple(c % q for c, q in zip(g, group.factors)))
 
 
+def _nonblank_lines(text: str):
+    """The pieces of text.split("\n") that hold more than whitespace, one
+    at a time, so no list of every line forms."""
+    start = 0
+    while start >= 0:
+        end = text.find("\n", start)
+        line = text[start:end] if end >= 0 else text[start:]
+        if line.strip():
+            yield line
+        start = end + 1 if end >= 0 else -1
+
+
 def parse_polyphase(text: str) -> PolyphaseMatrix:
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    if not lines or not lines[0].startswith("POLYPHASE"):
+    # the rows are counted first, then read one span of lines at a time
+    count = sum(1 for _ in _nonblank_lines(text))
+    lines = _nonblank_lines(text)
+    header = next(lines, "")
+    if not header.startswith("POLYPHASE"):
         raise ValueError("missing POLYPHASE header")
     fields = {}
-    for tok in lines[0].split()[1:]:
+    for tok in header.split()[1:]:
         key, _, val = tok.partition("=")
         fields[key] = val
     try:
@@ -231,15 +262,15 @@ def parse_polyphase(text: str) -> PolyphaseMatrix:
         raise ValueError(f"header missing field {exc}") from exc
     if rows < 1 or cols < 1:
         raise ValueError(f"need rows >= 1 and cols >= 1, got rows={rows}, cols={cols}")
-    if len(lines) - 1 != rows:
-        raise ValueError(f"expected {rows} rows, found {len(lines) - 1}")
+    if count - 1 != rows:
+        raise ValueError(f"expected {rows} rows, found {count - 1}")
     # each span's cells, from one scan of its codes; a row is stored only
     # once it is read, so no allocation runs ahead of the text
     lut = {label: i for i, label in enumerate(_cell_labels(group))}
     cells = []
     for r0, r1 in row_spans(np.full(rows, cols), WRITE_SPAN_CELLS):
         codes = []
-        for ln in lines[1 + r0:1 + r1]:
+        for ln in itertools.islice(lines, r1 - r0):
             words = ln.split()
             if len(words) != cols:
                 raise ValueError(f"expected {cols} entries per row, found {len(words)}")

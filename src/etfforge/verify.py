@@ -192,10 +192,15 @@ class Design:
     def drackn(self) -> tuple[np.ndarray, DracknParams] | None:
         """(A, its parameters), where A = Phi* Phi - r I is the (v, f, v)
         Gram of PolyphaseMatrix.gram with r taken off each diagonal cell at
-        the identity; None unless c = k(r-1)/f is integral."""
+        the identity; None unless c = k(r-1)/f is integral.  A keeps the
+        Gram's type, sized by the largest column count, unless -r does not
+        fit it: r is a column count of a BIBD, so only a design whose
+        columns miss r widens A, to the narrowest type that holds -r."""
         if self.r is None or self.k * (self.r - 1) % self.f:
             return None
         a = self.m.gram()
+        if -self.r < np.iinfo(a.dtype).min:
+            a = a.astype(np.min_scalar_type(-self.r))
         a[np.arange(self.v), 0, np.arange(self.v)] -= self.r
         return a, DracknParams(self.v, self.f, self.k * (self.r - 1) // self.f)
 
@@ -272,9 +277,12 @@ def verify_polyphase_algebraic(d: Design) -> VerificationReport:
     Phi A = (k-1) Phi + (k/f) G (J - X) on the Design's A = Phi* Phi - rI,
     read with no copy as whole rows T[(j, h), c] = A[j, h, c].  Each
     bounded row span gathers the contiguous rows of T its support selects,
-    sums them in the narrowest exact integer type and stops at the first
-    span with an offence; the witness is the row-major first offence, and
-    its info names the first group element off its target and its count."""
+    sums them and stops at the first span with an offence; the witness is
+    the row-major first offence, and its info names the first group element
+    off its target and its count.  The sums are exact in the narrowest type
+    that holds k max|A| + 2k: a sum of k coefficients lies within k max|A|,
+    and the quota (k/f) and k-1 it is compared with are each at most k.  On
+    a design of 0/1 Gram coefficients that is 3k, int8 up to k = 42."""
     rep, ok = _design_head(d, "algebraic")
     if not ok:
         return rep
@@ -282,10 +290,7 @@ def verify_polyphase_algebraic(d: Design) -> VerificationReport:
     g = m.group
     quota = k // f
     a = d.drackn[0]  # f | k makes c = k(r-1)/f integral, so A is there
-    # the Gram's largest coefficient is A's or r; a partial sum of k
-    # coefficients of A lies in [0, k * that] and each subtracted term
-    # (quota or k-1) is below r+k, so this type is exact for any input
-    dt = np.min_scalar_type(-(k * max(int(a.max()), r) + r + k))
+    dt = np.min_scalar_type(-(k * max(int(a.max()), -int(a.min())) + 2 * k) - 1)
     t = a.reshape(v * f, v)
     sub = g.add_index[:, g.neg_index]  # sub[a, b] = index of a - b
     sup, e = _blocks(d)
@@ -300,13 +305,16 @@ def verify_polyphase_algebraic(d: Design) -> VerificationReport:
         lhs[np.arange(n)[:, None], :, sup[r0:r1]] += quota
         lhs[np.arange(n)[:, None], e[r0:r1], sup[r0:r1]] -= k - 1
         if lhs.any():
-            # a support cell (i, c) always holds (k-1) z^(e_ic), as row i is
-            # the only row through c and another of its columns; so the
-            # offence is at a zero cell, whose target is quota everywhere
+            # on A = Phi* Phi - rI a support cell (i, c) always holds
+            # (k-1) z^(e_ic), as row i is the only row through c and another
+            # of its columns, so the offence is at a zero cell; any other A
+            # may offend at a support cell first
             i, c = _first_bad(lhs.any(axis=1))
             h = int(np.flatnonzero(lhs[i, :, c])[0])
             diff = (r0 + i, c)
-            info += f", element {g.elements[h]} got {int(lhs[i, h, c]) + quota}, want {quota}"
+            at = sup[r0 + i] == c
+            want = (k - 1) * int(e[r0 + i][at][0] == h) if at.any() else quota
+            info += f", element {g.elements[h]} got {int(lhs[i, h, c]) + want}, want {want}"
             break
     rep.add("triple-identity", diff is None, witness=diff, info=info)
     return rep

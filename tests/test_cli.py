@@ -8,6 +8,7 @@ import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -336,6 +337,31 @@ def test_verify_empty_check_list_is_a_usage_error(affine3_file, capsys, monkeypa
         code, out, err = run(capsys, "verify", str(affine3_file), "--checks", checks)
         assert (code, out) == (2, "")
         assert err.startswith("error: unknown check ''; pick from bibd,")
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    # two calls share one parser, and an argparse usage error after a good
+    # call still exits 2 with its usage text
+    built = []
+
+    class Counting(cli.argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=Counting))
+    cli.build_parser.cache_clear()
+    try:
+        for _ in range(2):
+            code, out, _ = run(capsys, "screen", "--kmin", "3", "--kmax", "3", "--csv")
+            assert code == 0 and out
+        assert built.count("etfforge") == 1 and len(built) == 5  # and four verbs
+        with pytest.raises(SystemExit) as exc:
+            main(["screen", "--kmin", "3"])
+        assert exc.value.code == 2 and "--kmax" in capsys.readouterr().err
+        assert len(built) == 5
+    finally:
+        cli.build_parser.cache_clear()
 
 
 def test_verify_names_non_integer_thread_count(affine3_file, capsys, monkeypatch):

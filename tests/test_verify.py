@@ -238,16 +238,20 @@ def _change_exponent(m, seed):
     return replaced(m, i, j, m.group.element(int(e)))
 
 
-def _reference_triple_identity(m):
-    """The triple-identity check recomputed from the dense product."""
+def _reference_triple_identity(m, a=None):
+    """The triple-identity check recomputed from the dense product: Phi Phi* Phi
+    against (r+k-1) Phi + (k/f) G (J - X), or, given a (v, f, v) array A,
+    Phi A against (k-1) Phi + (k/f) G (J - X)."""
     x = m.modulus_squared()
     k = int(x.sum(axis=1)[0])
     r = (m.cols - 1) // (k - 1)
     grm = to_group_ring(m)
-    lhs = grm @ (adjoint(m) @ grm)
-    rhs = (r + k - 1) * grm + GroupRingMatrix.all_geometric(
-        m.group, (k // m.group.order) * (1 - x)
-    )
+    geometric = GroupRingMatrix.all_geometric(m.group, (k // m.group.order) * (1 - x))
+    if a is None:
+        lhs, rhs = grm @ (adjoint(m) @ grm), (r + k - 1) * grm + geometric
+    else:
+        a = GroupRingMatrix(m.group, np.moveaxis(a, 1, 2).astype(np.int64))
+        lhs, rhs = grm @ a, (k - 1) * grm + geometric
     diff = lhs.first_difference(rhs)
     info = f"a={r + k - 1}"
     if diff is not None:
@@ -349,10 +353,13 @@ def test_exact_checks_match_references_across_span_boundaries(families, monkeypa
 
 
 def test_algebraic_matches_dense_reference_on_int16_grams():
-    # k * (max Gram coefficient) + r + k exceeds 127 on affine q=11 and on
-    # the pairs design of K50 over Z2, so the narrowed Gram is int16, not
-    # the int8 of the fixtures above; each design gets its late mutant, one
-    # table of seeded random exponents and four exponent mutants
+    # every Gram here is int8, and so are its sums: k max|A| + 2k is 3k, at
+    # most 127 while k <= 42.  So the wider sums are driven by a cached A
+    # times 130, for which k max|A| + 2k exceeds 127 and the count at any
+    # witness would wrap in int8; its first offence, at a support cell or
+    # a zero cell, must match the dense product Phi (130 A).  Each design
+    # also gets its late mutant, one table of seeded random exponents and
+    # four exponent mutants, each checked on its own A as well
     witnesses = set()
     for m in (affine_polyphase(11), simplex_phased(50)):
         f = m.group.order
@@ -361,13 +368,21 @@ def test_algebraic_matches_dense_reference_on_int16_grams():
         cases += [_change_exponent(m, seed) for seed in range(4)]
         for n, case in enumerate(cases):
             d = Design(case)
-            assert d.k * int(case.gram().max()) + d.r + d.k > 127
+            a, params = d.drackn
+            assert a.dtype == np.int8
             rep = verify_polyphase_algebraic(d)
             *frame, last = [(c.name, c.passed, c.witness, c.info) for c in rep.checks]
             assert all(passed for _, passed, _, _ in frame), rep.as_text()
             assert last == _reference_triple_identity(case), rep.subject
             assert last[1] == (n == 0), rep.subject
             witnesses.add(last[2])
+            d.drackn = (130 * a.astype(np.int16), params)
+            assert d.k * int(np.abs(d.drackn[0]).max()) + 2 * d.k > 127
+            rep = verify_polyphase_algebraic(d)
+            *frame, last = [(c.name, c.passed, c.witness, c.info) for c in rep.checks]
+            assert all(passed for _, passed, _, _ in frame), rep.as_text()
+            assert last == _reference_triple_identity(case, d.drackn[0]), rep.subject
+            assert not last[1], rep.subject
     assert len(witnesses) > 10
 
 
@@ -842,6 +857,39 @@ def test_drackn_families(families):
         assert rep.passed, rep.as_text()
         sigs = [c for c in rep.checks if c.name.startswith("signature@")]
         assert len(sigs) == params.f - 1
+
+
+def test_design_widens_a_only_when_minus_r_does_not_fit():
+    # k = 2 of 200 columns sets r = 199, yet no column has more than two
+    # rows: the Gram is int8, and A widens so that its diagonal holds -r
+    # exactly instead of wrapping
+    m = PolyphaseMatrix(AbelianGroup([2]), (3, 200), [0, 0, 1, 1, 2, 2],
+                        [0, 1, 0, 2, 3, 199], np.zeros(6, dtype=np.int16))
+    d = Design(m)
+    assert (d.k, d.r) == (2, 199) and not d.bibd.passed
+    gram, (a, params) = m.gram(), d.drackn
+    assert gram.dtype == np.int8 and a.dtype == np.int16 and params.c == 198
+    diagonal = np.arange(200), 0, np.arange(200)
+    assert np.array_equal(a[diagonal], np.bincount(m.jj, minlength=200) - 199)
+    a[diagonal] += 199
+    assert np.array_equal(a, gram)
+
+
+def test_drackn_reports_alike_on_int8_and_int16_arrays(families):
+    # the int8 A of Design reads as its int16 copy, residuals included, on
+    # clean and tampered arrays and on one holding int8's -128
+    rng = np.random.default_rng(8)
+    for name in ("example933", "affine4", "brouwer3"):
+        m = families[name]
+        a, params = Design(m).drackn
+        assert a.dtype == np.int8
+        low = a.copy()
+        low[1, 0, 2] = -128
+        arrays = [a, low] + [np.moveaxis(b, 2, 1) for b in _tampered(np.moveaxis(a, 1, 2), m.group, rng)]
+        for b in arrays:
+            assert b.dtype == np.int8
+            got = verify_drackn(b, m.group, params.c).as_dict()
+            assert got == verify_drackn(b.astype(np.int16), m.group, params.c).as_dict(), name
 
 
 def test_drackn_shape_guards(families):
