@@ -7,7 +7,8 @@ int16 element index (f <= 2^10 fits int16), so no b x v array forms
 outside evaluate and modulus_squared, which export reads.  Its Gram
 Phi* Phi, the product the exact checks need, is a plain (cols, f, cols)
 array of group-ring coefficients in the narrowest signed type that holds
-them, counted one column span at a time with no floating point at all.
+them, counted into that array one column span at a time, with no
+floating point and no wider counter.
 
 Text serialization of a polyphase matrix:
 
@@ -17,9 +18,12 @@ Text serialization of a polyphase matrix:
 Lines use spaces between entries, LF endings, UTF-8.  The writer yields
 the text in bounded row spans, for a caller to stream to a file: a fill
 of ". " with each nonzero cell's label written over its dot.  The reader
-counts the lines, then reads one row span of them at a time, each row
-through a table of the f + 1 labels, and keeps a span's cells from one
-scan of its codes.  It also takes tabs, CR LF, blank lines and
+counts the lines, then reads one row span of them at a time as bytes:
+word edges from a table of the bytes str.split() splits ASCII on, words
+per line from the edges, a one-byte "." word as a zero cell, and only
+the other words looked up, in a bytes-keyed table of the f labels.  A
+span with non-ASCII text is first respaced line by line.  The reader
+also takes tabs, CR LF, blank lines, any Unicode space and
 non-canonical cells ("5" over Z3, "+1", "-1", "01"), read as integers
 reduced mod each factor.  It stores a row only once it has read it, so a
 header cannot size an allocation.  A 0/1 incidence is one line of
@@ -68,10 +72,10 @@ def listed_cells_refusal(rows: int, cols: int, cells: int) -> str | None:
 WRITE_SPAN_CELLS = 2**15
 
 
-# slots per column span of PolyphaseMatrix.gram: a column costs the row
-# pairs through it plus its f v counters, so the span's intp pair arrays
-# and its int64 counters hold about 2^16 entries (512 KiB) each
-GRAM_SPAN_SLOTS = 2**16
+# row pairs per column span of PolyphaseMatrix.gram, which counts them
+# straight into the Gram: the budget bounds only the span's few intp pair
+# arrays, about 128 KiB each
+GRAM_SPAN_SLOTS = 2**14
 
 
 def row_spans(cost: np.ndarray, budget: int):
@@ -131,8 +135,8 @@ class PolyphaseMatrix:
         largest coefficient and sizes the narrowest signed type: int8 on
         every design of up to 127 rows per column.  The cells are sorted by
         column once; each span of columns expands the rows through it into
-        their ordered pairs, counts the pairs with one bincount into int64
-        counters of the span's slots and casts them into its slice."""
+        their ordered pairs and adds one per pair into its slot of the
+        result, which is exact as no slot exceeds the largest column count."""
         g, f, v = self.group, self.group.order, self.cols
         per_col = np.bincount(self.jj, minlength=v)
         out = np.zeros((v, f, v), dtype=np.min_scalar_type(-int(per_col.max(initial=0)) - 1))
@@ -141,19 +145,23 @@ class PolyphaseMatrix:
         row_ptr = np.searchsorted(self.ii, np.arange(self.rows + 1))
         width = np.diff(row_ptr)  # cells per row
         pairs = np.bincount(self.jj, weights=width[self.ii], minlength=v).astype(np.intp)
-        neg, add = g.neg_index[self.e] * f, g.add_index.ravel()
-        for c0, c1 in row_spans(pairs + f * v, GRAM_SPAN_SLOTS):
+        neg, add = g.neg_index * f, g.add_index.ravel()
+        one = out.dtype.type(1)  # a typed value keeps add.at on its fast path
+        for c0, c1 in row_spans(pairs, GRAM_SPAN_SLOTS):
             src = by_col[col_ptr[c0]:col_ptr[c1]]  # the span's cells, column a
             row = self.ii.take(src)
             n = width.take(row)
             # each cell of src, in column a, pairs with every cell of its
-            # row, in column b, to count in slot ((a - c0) f + e_b - e_a) v + b
-            mate = np.arange(n.sum()) + np.repeat(row_ptr.take(row) - np.cumsum(n) + n, n)
-            slot = np.repeat((self.jj.take(src) - c0) * f, n)
-            slot += add.take(np.repeat(neg.take(src), n) + self.e.take(mate))
+            # row, in column b, to count in slot (a f + e_b - e_a) v + b
+            mate = np.repeat(row_ptr.take(row) - np.cumsum(n) + n, n)
+            mate += np.arange(len(mate))
+            slot = np.repeat(neg.take(self.e.take(src)), n)
+            slot += self.e.take(mate)
+            slot = add.take(slot)
+            slot += np.repeat(self.jj.take(src) * f, n)
             slot *= v
             slot += self.jj.take(mate)
-            out[c0:c1] = np.bincount(slot, minlength=(c1 - c0) * f * v).reshape(c1 - c0, f, v)
+            np.add.at(out.reshape(-1), slot, one)
         return out
 
     def evaluate(self, gamma: Character) -> np.ndarray:
@@ -232,6 +240,11 @@ def _cell_index(group: AbelianGroup, cell: str) -> int:
     return group.index(tuple(c % q for c, q in zip(g, group.factors)))
 
 
+# bytes.translate table: 1 at the bytes str.split() splits ASCII text on,
+# \t \n \v \f \r, \x1c-\x1f and " ", 0 at every other byte
+_SPLIT_BYTES = bytes(9 <= b <= 13 or 28 <= b <= 32 for b in range(256))
+
+
 def _nonblank_lines(text: str):
     """The pieces of text.split("\n") that hold more than whitespace, one
     at a time, so no list of every line forms."""
@@ -242,6 +255,39 @@ def _nonblank_lines(text: str):
         if line.strip():
             yield line
         start = end + 1 if end >= 0 else -1
+
+
+def _span_cells(span: list[str], cols: int, group: AbelianGroup, lut: dict) -> tuple:
+    """The row-major positions and element indices of the nonzero cells of
+    a span of lines, read as bytes.  Only the words other than "." are
+    looked up, in lut by their bytes, then by _cell_index; a span with
+    non-ASCII text is first respaced line by line by str.split().  The
+    first line of the wrong width raises once every line before it is read."""
+    if not all(map(str.isascii, span)):
+        span = [" ".join(ln.split()) for ln in span]
+    buf = "\n".join(["", *span, ""]).encode()  # each line between two row ends
+    text = np.frombuffer(buf, np.uint8)
+    # word edges: where a byte str.split() splits on meets one it keeps
+    blank = np.frombuffer(buf.translate(_SPLIT_BYTES), np.bool_)
+    edges = np.flatnonzero(blank[1:] != blank[:-1])
+    edges += 1
+    starts, ends = edges[::2], edges[1::2]
+    per_line = np.diff(np.searchsorted(starts, np.flatnonzero(text == ord("\n"))))
+    wide = per_line != cols
+    good = int(np.argmax(wide)) if wide.any() else len(span)
+    # a "." word is a zero cell: a dot followed by a byte that splits
+    dots = text == ord(".")
+    dots[:-1] &= blank[1:]
+    at = np.flatnonzero(~dots.take(starts[:good * cols]))
+    words = list(map(buf.__getitem__, map(slice, starts.take(at).tolist(), ends.take(at).tolist())))
+    try:
+        codes = np.fromiter(map(lut.__getitem__, words), np.int16, len(words))
+    except KeyError:
+        codes = np.array([lut[w] if w in lut else _cell_index(group, w.decode()) for w in words],
+                         dtype=np.int16)
+    if good < len(span):
+        raise ValueError(f"expected {cols} entries per row, found {per_line[good]}")
+    return at, codes
 
 
 def parse_polyphase(text: str) -> PolyphaseMatrix:
@@ -264,24 +310,13 @@ def parse_polyphase(text: str) -> PolyphaseMatrix:
         raise ValueError(f"need rows >= 1 and cols >= 1, got rows={rows}, cols={cols}")
     if count - 1 != rows:
         raise ValueError(f"expected {rows} rows, found {count - 1}")
-    # each span's cells, from one scan of its codes; a row is stored only
-    # once it is read, so no allocation runs ahead of the text
-    lut = {label: i for i, label in enumerate(_cell_labels(group))}
+    # each span's cells; a row is stored only once it is read, so no
+    # allocation runs ahead of the text
+    lut = {label.encode(): i for i, label in enumerate(_cell_labels(group)[:-1])}
     cells = []
     for r0, r1 in row_spans(np.full(rows, cols), WRITE_SPAN_CELLS):
-        codes = []
-        for ln in itertools.islice(lines, r1 - r0):
-            words = ln.split()
-            if len(words) != cols:
-                raise ValueError(f"expected {cols} entries per row, found {len(words)}")
-            try:
-                codes.append(np.fromiter(map(lut.__getitem__, words), np.int16, cols))
-            except KeyError:
-                row = [lut[c] if c in lut else _cell_index(group, c) for c in words]
-                codes.append(np.array(row, dtype=np.int16))
-        codes = np.concatenate(codes)
-        at = np.flatnonzero(codes != group.order)
-        cells.append((at // cols + r0, at % cols, codes.take(at)))
+        at, codes = _span_cells(list(itertools.islice(lines, r1 - r0)), cols, group, lut)
+        cells.append((at // cols + r0, at % cols, codes))
     return PolyphaseMatrix(group, (rows, cols), *map(np.concatenate, zip(*cells)))
 
 

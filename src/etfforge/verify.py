@@ -11,10 +11,12 @@ Verifiers raise only on API misuse; a malformed design gets a FAIL.
 A Design derives what several checks read off one polyphase matrix Phi
 once, among them its one Gram array A = Phi* Phi - rI, narrow and laid
 out (v, f, v).  The exact and numeric routes stay independent: the
-combinatorial verifier counts triple products with one bincount per row
-span over a column-pair step table, the algebraic verifier multiplies
-each span of rows of Phi into A by summing whole rows of A, with no
-copy, and the numeric verifier sums Phi* Phi from Phi's nonzero cells
+combinatorial verifier never reads A: it gathers whole rows of a
+column-pair step table for each row span and counts the span's triple
+products, at every column, with one bincount; the algebraic verifier
+never reads the step table: it multiplies each span of rows of Phi into
+A by adding whole rows of A, one support column at a time, with no copy
+of A; and the numeric verifier sums Phi* Phi from Phi's nonzero cells
 evaluated at one character, in complex128, or float64 at a real
 character.  Evaluation at a conjugate character conjugates every entry
 and changes no reported quantity, so the numeric checks run once per
@@ -233,39 +235,45 @@ def verify_polyphase_combinatorial(d: Design) -> VerificationReport:
     z^(i,j') z^(i',j')~ z^(i',j) over the blocks j' of i, where i' is the
     row through columns j' and j, must cover each group element exactly
     k/f times.  The last two factors depend on (j', j) alone, so they are
-    read from one v x v step table, and each bounded row span counts its
-    products with one bincount.  The witness is the row-major first
+    read from one v x v step table, narrow enough to hold f^2.  Each
+    bounded row span gathers the k whole table rows its blocks select,
+    counts the products at every column with one bincount, and clears its
+    support cells before the search.  The witness is the row-major first
     offence; its info names the first group element off its quota."""
     rep, ok = _design_head(d, "combinatorial")
     if not ok:
         return rep
     m, v, k, f = d.m, d.v, d.k, d.f
     quota = k // f
-    sub = m.group.add_index[:, m.group.neg_index]  # sub[a, b] = index of a - b
     sup, e = _blocks(d)
-    # step[j' v + j] = e_(i'j) - e_(i'j') along the row i' through both
-    # columns, unique under the BIBD; the diagonal is unread.  The span
-    # loop gathers from flat tables, as 1-d takes are the fastest gathers
-    step = np.zeros(v * v, dtype=np.intp)
-    step[v * sup[:, :, None] + sup[:, None, :]] = sub[e[:, None, :], e[:, :, None]]
+    # step[j', j] = e_(i'j) - e_(i'j') along the row i' through both
+    # columns, unique under the BIBD; the diagonal reaches only support
+    # cells.  It adds f e below, so it is typed to hold f^2, the size of
+    # the flat add table, and is written one block j' of every row at a
+    # time, so no b x k x k array forms
+    step = np.zeros((v, v), dtype=np.min_scalar_type(f * f))
+    sub = m.group.add_index[:, m.group.neg_index].astype(step.dtype)  # sub[a, b] = a - b
+    for t in range(k):
+        step[sup[:, t, None], sup] = sub[e, e[:, t, None]]
     add = m.group.add_index.ravel()
+    fe = (f * e).astype(step.dtype)
     bad, info = None, f"quota={quota}"
-    for r0, r1 in row_spans(np.full(m.rows, k * (v - k)), SPAN_CELLS // 64):
-        zeros = np.ones((r1 - r0, v), dtype=bool)  # the span's zero cells
-        zeros[np.arange(r1 - r0)[:, None], sup[r0:r1]] = False
-        zeros = np.nonzero(zeros)[1].reshape(r1 - r0, v - k)
-        # g[i, c, t] = e_(ij') + step[j', j] for row r0+i, its zero column
-        # j = zeros[i, c] and its t-th block j', offset to a bincount slot
-        g = step.take(v * sup[r0:r1, None, :] + zeros[:, :, None])
-        g += f * e[r0:r1, None, :]
+    for r0, r1 in row_spans(np.full(m.rows, k * v), SPAN_CELLS // 32):
+        n = r1 - r0
+        # g[i, t, j] = e_(ij') + step[j', j] for row r0+i, its t-th block j'
+        # and every column j, offset to slot (i v + j) f of a bincount; the
+        # support columns count junk, cleared before the search
+        g = step.take(sup[r0:r1], axis=0)
+        g += fe[r0:r1, :, None]
         g = add.take(g)
-        g += (f * np.arange(zeros.size)).reshape(zeros.shape + (1,))
-        counts = np.bincount(g.ravel(), minlength=zeros.size * f).reshape(zeros.shape + (f,))
+        g += (f * np.arange(n * v)).reshape(n, 1, v)
+        counts = np.bincount(g.ravel(), minlength=n * v * f).reshape(n, v, f)
+        counts[np.arange(n)[:, None], sup[r0:r1]] = quota
         off = counts != quota
         if off.any():
-            i, c, h = _first_bad(off)
-            bad = (r0 + i, int(zeros[i, c]))
-            info += f", element {m.group.elements[h]} counted {counts[i, c, h]}"
+            i, j, h = _first_bad(off)
+            bad = (r0 + i, j)
+            info += f", element {m.group.elements[h]} counted {counts[i, j, h]}"
             break
     rep.add("triple-products", bad is None, witness=bad, info=info)
     return rep
@@ -276,10 +284,11 @@ def verify_polyphase_algebraic(d: Design) -> VerificationReport:
     where G is the sum of all group elements, checked as
     Phi A = (k-1) Phi + (k/f) G (J - X) on the Design's A = Phi* Phi - rI,
     read with no copy as whole rows T[(j, h), c] = A[j, h, c].  Each
-    bounded row span gathers the contiguous rows of T its support selects,
-    sums them and stops at the first span with an offence; the witness is
-    the row-major first offence, and its info names the first group element
-    off its target and its count.  The sums are exact in the narrowest type
+    bounded row span, of f v sums per row, adds the rows of T its support
+    selects one support column at a time, and the search stops at the
+    first span with an offence; the witness is the row-major first
+    offence, and its info names the first group element off its target
+    and its count.  The sums are exact in the narrowest type
     that holds k max|A| + 2k: a sum of k coefficients lies within k max|A|,
     and the quota (k/f) and k-1 it is compared with are each at most k.  On
     a design of 0/1 Gram coefficients that is 3k, int8 up to k = 42."""
@@ -297,10 +306,12 @@ def verify_polyphase_algebraic(d: Design) -> VerificationReport:
     # row i of Phi A at (h, c) is sum_j A[j, h - e_ij, c]: the rows
     # j f + sub[h, e_ij] of T, summed over the k support columns j
     diff, info = None, f"a={r + k - 1}"
-    for r0, r1 in row_spans(np.full(m.rows, k * f * v), SPAN_CELLS // 8):
+    for r0, r1 in row_spans(np.full(m.rows, f * v), SPAN_CELLS // 8):
         n = r1 - r0
-        idx = sup[r0:r1, :, None] * f + sub.T[e[r0:r1]]
-        lhs = t.take(idx.ravel(), axis=0).reshape(n, k, f, v).sum(axis=1, dtype=dt)
+        idx = sup[r0:r1, :, None] * f + sub.T[e[r0:r1]]  # (n, k, f) rows of T
+        lhs = t.take(idx[:, 0], axis=0).astype(dt, copy=False)
+        for s in range(1, k):
+            lhs += t.take(idx[:, s], axis=0)
         lhs -= quota  # the target at a zero cell; at a support cell, (k-1) z^(e_ic)
         lhs[np.arange(n)[:, None], :, sup[r0:r1]] += quota
         lhs[np.arange(n)[:, None], e[r0:r1], sup[r0:r1]] -= k - 1
@@ -452,9 +463,12 @@ def _cell_gram(shape, ii, jj, cells) -> np.ndarray:
 # holds SPAN_CELLS // 16 walks plus counted cells per span, or width^2 / 4
 # if fewer, so its few intp arrays per span take no more bytes than the
 # int64 Z^T Z of that width that they stand in for;
-# combinatorial gathers SPAN_CELLS // 64 per span and algebraic sums
-# SPAN_CELLS // 8 cells of A, at most 256 KiB at int16; drackn evaluates
-# SPAN_CELLS // 16 cells of A per span
+# combinatorial gathers SPAN_CELLS // 32 cells of its step table per span,
+# k v per row, and counts them with one bincount (256 KiB of intp slots;
+# at affine q=16 on a 2-core VM, 5.0 ms against 7.4 ms at twice that);
+# algebraic holds SPAN_CELLS // 8 sums, f v per row, at most 256 KiB at
+# int16, and adds into them one gathered support column at a time;
+# drackn evaluates SPAN_CELLS // 16 cells of A per span
 SPAN_CELLS = 2**20
 
 

@@ -308,6 +308,23 @@ def test_parse_matches_reference_on_text_variants():
     assert dense_codes(parse_polyphase(variants[-2])).tolist() == [[2, 1, 2, 1]]
 
 
+def test_parse_matches_reference_on_every_space(monkeypatch):
+    # every other byte str.split() splits ASCII on, between cells and
+    # around a lone "."; then non-ASCII spaces, alone and in a row, in the
+    # first or the second of two one-row spans
+    base = "POLYPHASE rows=2 cols=3 group=Z2xZ3\n0,1 . 1,2\n. 1,0 0,0\n"
+    variants = [
+        "POLYPHASE rows=2 cols=3 group=Z2xZ3\n0,1\v.\f1,2\x1c\n\x1d.\x1e1,0\x1f0,0\n",
+        "POLYPHASE rows=2 cols=3 group=Z2xZ3\n0,1\x85.\u20281,2\n.\u30001,0\u2028\x85 0,0\n",
+        "POLYPHASE rows=2 cols=3 group=Z2xZ3\n0,1 . 1,2\n.\u30001,0 0,0\n",
+    ]
+    for span in (polymat.WRITE_SPAN_CELLS, 3):
+        monkeypatch.setattr(polymat, "WRITE_SPAN_CELLS", span)
+        for text in variants:
+            _assert_parses_like_reference(text)
+            assert parse_polyphase(text) == parse_polyphase(base), repr(text)
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -328,6 +345,8 @@ def test_parse_matches_reference_on_text_variants():
         "POLYPHASE rows=1 cols=1 group=Z1\n0\n",
         "no header\n0\n",
         "",
+        # NUL is no space to str.split(), so it stays inside the cell
+        "POLYPHASE rows=1 cols=2 group=Z3\n0\x00 1\n",
     ],
 )
 def test_parse_errors_match_reference(text):
@@ -364,18 +383,41 @@ def _mutate(text, rng):
     return "\n".join(lines)
 
 
-def test_parse_fuzz_matches_reference():
-    rng = random.Random(20161)
+def test_parse_fuzz_matches_reference(monkeypatch):
+    # the default spans, one row per span, and spans of 30 cells, three
+    # rows of both seeds, so a bad row may sit in any span
     seeds = [format_polyphase(affine_polyphase(3)), format_polyphase(brouwer_polyphase(2))]
-    outcomes = {"parsed": 0, "error": 0}
-    for trial in range(300):
-        text = seeds[trial % 2]
-        for _ in range(rng.choice((1, 1, 2, 3))):
-            text = _mutate(text, rng)
-        _assert_parses_like_reference(text)
-        outcomes["error" if isinstance(_outcome(parse_polyphase, text), str) else "parsed"] += 1
-    # the mutations reach both sides of the parser
-    assert min(outcomes.values()) >= 30, outcomes
+    for span in (polymat.WRITE_SPAN_CELLS, 1, 30):
+        monkeypatch.setattr(polymat, "WRITE_SPAN_CELLS", span)
+        rng = random.Random(20161)
+        outcomes = {"parsed": 0, "error": 0}
+        for trial in range(300):
+            text = seeds[trial % 2]
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                text = _mutate(text, rng)
+            _assert_parses_like_reference(text)
+            outcomes["error" if isinstance(_outcome(parse_polyphase, text), str) else "parsed"] += 1
+        # the mutations reach both sides of the parser
+        assert min(outcomes.values()) >= 30, outcomes
+
+
+def test_parse_first_bad_line_decides_across_spans(monkeypatch):
+    # a bad cell and a line of the wrong width, in either order, in one
+    # line, in one span or in different spans: the first bad line decides,
+    # and on that line the width is read before any cell
+    head = "POLYPHASE rows=4 cols=2 group=Z3\n"
+    bodies = {
+        "0 1\n0 y\n0 1\n0 1 2\n": "invalid literal",
+        "0 1\n0 1 2\n0 1\n0 y\n": "expected 2 entries",
+        "0 1\n0 1\n0 1\n0 y 2\n": "expected 2 entries",
+        "0 y\n0 1\n0 1\n0 1 2\n": "invalid literal",
+    }
+    for span in (polymat.WRITE_SPAN_CELLS, 2, 4):  # one span, one row, two rows each
+        monkeypatch.setattr(polymat, "WRITE_SPAN_CELLS", span)
+        for body, kind in bodies.items():
+            got = _outcome(parse_polyphase, head + body)
+            assert got == _outcome(_reference_parse_polyphase, head + body), (span, body)
+            assert kind in got, (span, body, got)
 
 
 def test_parse_allocates_no_more_than_the_text_holds():
@@ -475,7 +517,8 @@ def test_gram_matches_adjoint_product_on_ragged_rows(group):
 
 def test_gram_matches_adjoint_product_across_column_spans(monkeypatch):
     # one column per span, then spans of a few columns that leave the last
-    # one short, with empty columns and a column of more rows than int8 holds
+    # one short, with empty columns and a column of more rows than int8 holds;
+    # the budget counts row pairs only, 370 362 0 353 316 550 363 per column
     group, rng = AbelianGroup([2, 3]), np.random.default_rng(10)
     codes = dense_codes(_random_polyphase(group, 140, 7, rng)).copy()
     codes[:, 2] = group.order
@@ -483,10 +526,21 @@ def test_gram_matches_adjoint_product_across_column_spans(monkeypatch):
     codes[:, 5] = rng.integers(0, group.order, 140)
     m = from_codes(group, codes)
     want = (adjoint(m) @ m).coeffs.transpose(0, 2, 1)
-    cost = 140 * 7 + 7 * group.order
-    for slots in (1, 3 * cost, 2**16):
+    spans = []
+
+    def recorded_spans(cost, budget):
+        for span in polymat_row_spans(cost, budget):
+            spans.append(span)
+            yield span
+
+    polymat_row_spans = polymat.row_spans
+    monkeypatch.setattr(polymat, "row_spans", recorded_spans)
+    every = {1: [(c, c + 1) for c in range(7)], 1000: [(0, 3), (3, 5), (5, 7)], 2**16: [(0, 7)]}
+    for slots in every:
         monkeypatch.setattr(polymat, "GRAM_SPAN_SLOTS", slots)
+        spans.clear()
         gram = m.gram()
+        assert spans == every[slots]
         assert gram.dtype == np.int16 and gram[5, 0, 5] == 140
         assert np.array_equal(gram, want), slots
 

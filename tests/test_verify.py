@@ -13,7 +13,7 @@ from etfforge.construct import (
 )
 from etfforge import verify as verify_module
 from etfforge.groupring import AbelianGroup, characters_of, real_character
-from etfforge.polymat import PolyphaseMatrix
+from etfforge.polymat import PolyphaseMatrix, row_spans
 from etfforge.verify import (
     Design,
     ScreenRow,
@@ -327,11 +327,20 @@ def _late_offence(m):
 
 def test_exact_checks_match_references_across_span_boundaries(families, monkeypatch):
     # one row per span, then spans of s rows with s not dividing the row
-    # count (combinatorial spans SPAN_CELLS // 64 of its per-row cost,
-    # algebraic SPAN_CELLS // 8 of its gathered cells per row), so the
-    # last span is short; the late mutant crosses every clean
+    # count (combinatorial spans SPAN_CELLS // 32 of its k v gathered
+    # cells per row, algebraic SPAN_CELLS // 8 of its f v sums per row),
+    # so the last span is short; the late mutant crosses every clean
     # span before its first offence, pinning the early stop and the
-    # row-major first witness
+    # row-major first witness.  The spans each check runs are recorded,
+    # so a cost that no longer matches cannot fall back to one span
+    spans = []
+
+    def recorded_spans(cost, budget):
+        for span in row_spans(cost, budget):
+            spans.append(span)
+            yield span
+
+    monkeypatch.setattr(verify_module, "row_spans", recorded_spans)
     for m in _algebraic_fixtures(families):
         x = m.modulus_squared()
         rows, v, k, f = m.rows, m.cols, int(x[0].sum()), m.group.order
@@ -339,17 +348,56 @@ def test_exact_checks_match_references_across_span_boundaries(families, monkeypa
         late, met = _late_offence(m)
         cases = [m, late] + [_change_exponent(m, seed) for seed in range(12)]
         for n, case in enumerate(cases):
-            checks = ((verify_polyphase_combinatorial, _reference_triple_products(case), 64 * k * (v - k)),
-                      (verify_polyphase_algebraic, _reference_triple_identity(case), 8 * v * k * f))
+            checks = ((verify_polyphase_combinatorial, _reference_triple_products(case), 32 * k * v),
+                      (verify_polyphase_algebraic, _reference_triple_identity(case), 8 * f * v))
             for check, want, cost in checks:
                 if n == 1:
                     assert want[2][0] == rows - 1 - met > 0, want
-                for cells in (1, s * cost):
+                for cells, size in ((1, 1), (s * cost, s)):
                     monkeypatch.setattr(verify_module, "SPAN_CELLS", cells)
-                    rep = check(Design(case))
+                    d = Design(case)
+                    spans.clear()
+                    rep = check(d)
                     *frame, last = [(c.name, c.passed, c.witness, c.info) for c in rep.checks]
                     assert all(passed for _, passed, _, _ in frame), rep.as_text()
                     assert last == want, (rep.subject, n, cells)
+                    every = [(r0, min(r0 + size, rows)) for r0 in range(0, rows, size)]
+                    assert len(every) > 1
+                    if want[1]:
+                        assert spans == every, (rep.subject, n, cells)
+                    else:
+                        assert spans == every[:len(spans)], (rep.subject, n, cells)
+                        assert spans[-1][0] <= want[2][0] < spans[-1][1]
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_exact_checks_memory_at_affine_q27():
+    # 756 x 729 over Z3^3.  combinatorial holds its uint16 step table, 2 v^2
+    # bytes, and one span: 1.8 MB measured, 13.5 MB with the intp table and
+    # its b k^2 scatter arrays.  algebraic holds A (v f v int8 cells,
+    # 14.3 MB) and one span's sums, and A's build only a span's row pairs
+    # beyond A: 0.46 MB past a cached A and 0.60 MB past A with its build,
+    # where summing a whole gather and counting A in int64 spans took 0.76
+    # and 0.88 MB
+    m = affine_polyphase(27)
+    v, f = m.cols, m.group.order
+    rep, peak = _traced_peak(verify_polyphase_combinatorial, Design(m))
+    assert rep.passed and peak < 4 * v * v, peak
+    d = Design(m)
+    rep, peak = _traced_peak(verify_polyphase_algebraic, d)
+    assert rep.passed and d.drackn[0].nbytes == v * f * v
+    assert peak < v * f * v + 3 * 2**18, peak
+    rep, peak = _traced_peak(verify_polyphase_algebraic, d)
+    assert rep.passed and peak < 2**19, peak
 
 
 def test_algebraic_matches_dense_reference_on_int16_grams():
