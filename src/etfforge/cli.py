@@ -20,6 +20,7 @@ import json
 import os
 import re
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -185,6 +186,31 @@ def _skip(name: str, reason: str, reports: list, explicit: bool = False):
         print(f"SKIP {name} ({reason})")
 
 
+def _character_reports(d: V.Design, gammas: list, drackn: bool) -> list:
+    """The etf reports at gammas, each read at the first of its conjugate pair,
+    then the DRACKN report if drackn: one square of the Design's A per first."""
+    m, (a, shift) = d.m, d.gram
+    pairs = first_of_conjugates(chars := characters_of(m.group))
+    etf_at = [pairs[m.group.index(g.exponents)] for g in gammas]
+    todo, checked = sorted(set(etf_at) | set(pairs if drackn else ())), {}
+    workers, c = min(_thread_count(), len(todo)), drackn and d.drackn[1].c
+    energy, residuals, lock = np.zeros((d.v, d.v)), {}, threading.Lock()
+
+    def stage(i):  # drackn reads the square before etf writes G and G^2 over it
+        s, p = V.square_at(a, chars[i])
+        if drackn:
+            residuals[i] = V.signature_term(s, p, chars[i], c, energy, lock)
+        if i in etf_at:
+            checked[i] = V.etf_from_square(s, p, shift, m, chars[i])
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:  # each worker holds one square
+        list(pool.map(stage, todo))
+    tail = [V.verify_drackn(a, m.group, c, (energy, residuals))] if drackn else []
+    return [V.VerificationReport(f"{checked[i].subject} at character {gamma.exponents}",
+                                 list(checked[i].checks), checked[i].numerics)
+            for gamma, i in zip(gammas, etf_at)] + tail
+
+
 def cmd_verify(args) -> int:
     subject = _load_input(Path(args.input))
     explicit = args.checks is not None
@@ -207,33 +233,23 @@ def cmd_verify(args) -> int:
             reports.append(d.bibd)
         if "combinatorial" in wanted:
             reports.append(V.verify_polyphase_combinatorial(d))
+        if refusal := m.gram_refusal():  # over the dense cap, the Gram's readers do not apply
+            for name in [n for n in ("algebraic", "etf", "drackn") if n in wanted]:
+                _skip(name, refusal, reports, explicit)
+                wanted = [n for n in wanted if n != name]
+        gammas = _select_characters(m.group, args.character) if "etf" in wanted else []
         if "algebraic" in wanted:
             reports.append(V.verify_polyphase_algebraic(d))
-        if "etf" in wanted:
-            gammas = _select_characters(m.group, args.character)
-            # Phi at the conjugate of a character is Phi there conjugated, with
-            # the same report: the second of a selected pair repeats the
-            # first's lines.  Each worker reads Phi's cells at its own
-            # character, so no evaluated b x v matrix forms
-            firsts = first_of_conjugates(gammas)
-            todo = [p for p, first in enumerate(firsts) if first == p]
-            with ThreadPoolExecutor(max_workers=min(_thread_count(), len(todo))) as pool:
-                checked = dict(zip(todo, pool.map(
-                    lambda p: V.verify_etf_numeric(m, gamma=gammas[p]), todo)))
-            for gamma, first in zip(gammas, firsts):
-                rep = checked[first]
-                subject = f"{rep.subject} at character {gamma.exponents}"
-                reports.append(V.VerificationReport(subject, list(rep.checks), rep.numerics))
-        # A = Phi* Phi - rI is v x f x v cells, so only a BIBD bounds it
         bibd_fail = next((c.name for c in d.bibd.checks if not c.passed), None)
-        if "drackn" in wanted and bibd_fail:
-            _skip("drackn", f"needs a BIBD: {bibd_fail} fails", reports, explicit)
-        elif "drackn" in wanted and d.drackn is None:
-            _skip("drackn", "c = k(r-1)/f is not an integer", reports, explicit)
-        elif "drackn" in wanted:
-            reports.append(V.verify_drackn(d.drackn[0], m.group, d.drackn[1].c))
-        # A, read by algebraic and drackn, is not kept through the GQ and SRG stages
-        vars(d).pop("drackn", None)
+        drackn = "drackn" in wanted and not bibd_fail and d.drackn is not None
+        if gammas or drackn:
+            reports += _character_reports(d, gammas, drackn)
+        if "drackn" in wanted and not drackn:
+            _skip("drackn", f"needs a BIBD: {bibd_fail} fails" if bibd_fail
+                  else "c = k(r-1)/f is not an integer", reports, explicit)
+        # A, read by algebraic, etf and drackn, is not kept through the GQ and SRG stages
+        for key in ("gram", "drackn"):
+            vars(d).pop(key, None)
         if k != f:
             gq_skip = f"needs k = f, got k={k}, f={f}"
         elif r is None:

@@ -32,9 +32,9 @@ import numpy as np
 from .gf import MAX_FIELD_ORDER, field_create, prime_power_split
 from .groupring import AbelianGroup
 from .polymat import (
-    MAX_DENSE_CELLS,
     WRITE_SPAN_CELLS,
     PolyphaseMatrix,
+    dense_cap_refusal,
     listed_cells_refusal,
     parse_polyphase,
     row_spans,
@@ -97,24 +97,16 @@ class DracknParams:
         return self.n - self.f * self.c - 2
 
 
-def _require_dense_cap(rows: int, cols: int):
-    """Raise, before anything is allocated, if a rows x cols matrix has
-    more than MAX_DENSE_CELLS cells."""
-    if rows * cols > MAX_DENSE_CELLS:
-        raise ValueError(
-            f"{rows}x{cols} matrix needs {rows * cols} cells; the cap is {MAX_DENSE_CELLS}"
-        )
-
-
 def simplex_phased(v: int) -> PolyphaseMatrix:
     """The C(v,2) x v matrix over Z_2 with z^0 at the smaller vertex and
     z^1 at the larger vertex of each 2-subset; at the sign character its
     columns are a regular simplex."""
     if v < 3:
         raise ValueError(f"need v >= 3, got {v}")
-    _require_dense_cap(v * (v - 1) // 2, v)
+    n = v * (v - 1) // 2
+    if refusal := dense_cap_refusal(f"{n}x{v} matrix", n * v):
+        raise ValueError(refusal)
     a, b = np.triu_indices(v, 1)
-    n = len(a)
     return PolyphaseMatrix(AbelianGroup([2]), (n, v), np.arange(n).repeat(2),
                            np.stack((a, b), axis=1).ravel(), np.tile([0, 1], n))
 
@@ -151,8 +143,9 @@ def affine_polyphase(q: int) -> PolyphaseMatrix:
     phase z^(j(x+y)); the infinity fiber is unphased and marks x = j.
     """
     p, m = prime_power_split(q)
-    if q <= MAX_FIELD_ORDER:  # over it, field_create names the field cap
-        _require_dense_cap((q + 1) * q, q * q)
+    b, v = (q + 1) * q, q * q  # over the field cap, field_create names that cap
+    if q <= MAX_FIELD_ORDER and (refusal := dense_cap_refusal(f"{b}x{v} matrix", b * v)):
+        raise ValueError(refusal)
     fld = field_create(p, m)
     group = AbelianGroup([p] * m)
     els = np.concatenate(([0], fld.exp))
@@ -166,7 +159,6 @@ def affine_polyphase(q: int) -> PolyphaseMatrix:
     i_idx, x_idx, j_idx = np.indices((q, q, q))
     i, x, j = els[i_idx], els[x_idx], els[j_idx]
     y = fld.add[x, fld.neg[fld.mul[i, j]]]
-    v = q * q
     # then infinity row x meets the q columns of intercept j = x, unphased
     ii = np.concatenate(((i_idx * q + x_idx).ravel(), v + np.arange(v) // q))
     jj = np.concatenate(((j_idx * q + pos[y]).ravel(), np.arange(v)))

@@ -5,10 +5,10 @@ every entry is either zero or a single group element z^g.  It is stored
 as its shape and its nonzero cells, row-major: row, column and the
 int16 element index (f <= 2^10 fits int16), so no b x v array forms
 outside evaluate and modulus_squared, which export reads.  Its Gram
-Phi* Phi, the product the exact checks need, is a plain (cols, f, cols)
+Phi* Phi, which every design check reads, is a plain (cols, f, cols)
 array of group-ring coefficients in the narrowest signed type that holds
-them, counted into that array one column span at a time, with no
-floating point and no wider counter.
+them, refused over the dense cap, then counted into that array one
+column span at a time, with no floating point and no wider counter.
 
 Text serialization of a polyphase matrix:
 
@@ -43,15 +43,10 @@ from .groupring import AbelianGroup, Character
 MAX_DENSE_CELLS = 2**28
 
 
-def dense_cap_refusal(rows: int, cols: int) -> str | None:
-    """Why a rows x cols 0/1 incidence is refused, or None: its cells, or
-    the cells of its cols x cols point-pair matrix, exceed MAX_DENSE_CELLS."""
-    cells = max(rows, cols) * cols
+def dense_cap_refusal(what: str, cells: int) -> str | None:
+    """Why what is refused, or None: the cells it allocates exceed MAX_DENSE_CELLS."""
     if cells > MAX_DENSE_CELLS:
-        return (
-            f"{rows}x{cols} incidence and its point pairs need {cells} cells;"
-            f" the cap is {MAX_DENSE_CELLS}"
-        )
+        return f"{what} needs {cells} cells; the cap is {MAX_DENSE_CELLS}"
     return None
 
 
@@ -91,8 +86,8 @@ def row_spans(cost: np.ndarray, budget: int):
 
 
 def zero_one_array(rows: int, cols: int) -> np.ndarray:
-    """Zeroed int8 array for a 0/1 incidence; raises the dense_cap_refusal."""
-    if refusal := dense_cap_refusal(rows, cols):
+    """Zeroed int8 array for a 0/1 incidence; raises the dense_cap_refusal of its cells."""
+    if refusal := dense_cap_refusal(f"{rows}x{cols} incidence", rows * cols):
         raise ValueError(refusal)
     return np.zeros((rows, cols), dtype=np.int8)
 
@@ -137,6 +132,8 @@ class PolyphaseMatrix:
         column once; each span of columns expands the rows through it into
         their ordered pairs and adds one per pair into its slot of the
         result, which is exact as no slot exceeds the largest column count."""
+        if refusal := self.gram_refusal():
+            raise ValueError(refusal)
         g, f, v = self.group, self.group.order, self.cols
         per_col = np.bincount(self.jj, minlength=v)
         out = np.zeros((v, f, v), dtype=np.min_scalar_type(-int(per_col.max(initial=0)) - 1))
@@ -163,6 +160,11 @@ class PolyphaseMatrix:
             slot += self.jj.take(mate)
             np.add.at(out.reshape(-1), slot, one)
         return out
+
+    def gram_refusal(self) -> str | None:
+        """gram's dense_cap_refusal: its v f v cells, and S and S S at a character."""
+        v, f = self.cols, self.group.order
+        return dense_cap_refusal(f"{v}x{f}x{v} Gram with its square", v * f * v + 2 * v * v)
 
     def evaluate(self, gamma: Character) -> np.ndarray:
         """Phi at gamma as a dense array: float64 when gamma is real (every

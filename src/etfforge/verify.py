@@ -9,21 +9,21 @@ relative singular value cutoff of 1e-8 sets it only when tightness fails.
 Verifiers raise only on API misuse; a malformed design gets a FAIL.
 
 A Design derives what several checks read off one polyphase matrix Phi
-once, among them its one Gram array A = Phi* Phi - rI, narrow and laid
-out (v, f, v).  The exact and numeric routes stay independent: the
-combinatorial verifier never reads A: it gathers whole rows of a
-column-pair step table for each row span and counts the span's triple
-products, at every column, with one bincount; the algebraic verifier
-never reads the step table: it multiplies each span of rows of Phi into
-A by adding whole rows of A, one support column at a time, with no copy
-of A; and the numeric verifier sums Phi* Phi from Phi's nonzero cells
-evaluated at one character, in complex128, or float64 at a real
-character.  Evaluation at a conjugate character conjugates every entry
-and changes no reported quantity, so the numeric checks run once per
-conjugate pair.  The DRACKN check evaluates the same A in row spans once
-per conjugate pair of characters, the trivial one included; the squares
-give the signature residuals and, by Parseval over the group, A^2
-exactly under an a-priori float guard.
+once, among them its one Gram array A = Phi* Phi - sI, narrow and laid
+out (v, f, v), whose shift s is r when r is integral, else 0.  The exact
+routes stay independent: the combinatorial verifier never reads A: it
+gathers whole rows of a column-pair step table for each row span and
+counts the span's triple products, at every column, with one bincount;
+the algebraic verifier never reads the step table: it multiplies each
+span of rows of Phi into A by adding whole rows of A, one support column
+at a time, with no copy of A.  The numeric checks share one stage per
+character, square_at: A at the character, S, in complex128 (float64 at a
+real character) and its one product S S.  etf reads G = S + sI and
+G^2 = S S + 2sS + s^2 I off it with O(v^2) more work; the DRACKN check
+reads its signature residuals and, by Parseval over the group, A^2
+exactly under an a-priori float guard.  Evaluation at a conjugate
+character conjugates every entry and changes no reported quantity, so
+the stage runs once per conjugate pair, the trivial one included.
 
 The GQ and SRG checks count from the nonzero cells of a 0/1 incidence Z
 (a dense array's, or a Design's GQ lift cells) by walks over its two CSR
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -180,8 +181,8 @@ def verify_bibd(x, v: int, k: int) -> VerificationReport:
 class Design:
     """One polyphase matrix Phi and what the checks share, derived once:
     v, f, k (row 0's cells), r = (v-1)/(k-1) or None, the BIBD report on
-    Phi's cells; when first read, the GQ lift cells and the DRACKN, whose
-    A is the one Gram array algebraic and drackn read."""
+    Phi's cells; when first read, the GQ lift cells and the one Gram array
+    that algebraic, etf and drackn read."""
 
     def __init__(self, m: PolyphaseMatrix):
         self.m, self.v, self.f = m, m.cols, m.group.order
@@ -191,20 +192,21 @@ class Design:
         self.bibd = verify_bibd(_Cells(m.shape, m.ii, m.jj, 1), self.v, self.k)
 
     @functools.cached_property
+    def gram(self) -> tuple[np.ndarray, int]:
+        """(A, shift): PolyphaseMatrix.gram less shift I, shift = r if integral,
+        else 0; widened only where -r misses its type (columns missing r)."""
+        a, shift = self.m.gram(), self.r or 0
+        if -shift < np.iinfo(a.dtype).min:
+            a = a.astype(np.min_scalar_type(-shift))
+        a[np.arange(self.v), 0, np.arange(self.v)] -= shift
+        return a, shift
+
+    @functools.cached_property
     def drackn(self) -> tuple[np.ndarray, DracknParams] | None:
-        """(A, its parameters), where A = Phi* Phi - r I is the (v, f, v)
-        Gram of PolyphaseMatrix.gram with r taken off each diagonal cell at
-        the identity; None unless c = k(r-1)/f is integral.  A keeps the
-        Gram's type, sized by the largest column count, unless -r does not
-        fit it: r is a column count of a BIBD, so only a design whose
-        columns miss r widens A, to the narrowest type that holds -r."""
+        """(A = Phi* Phi - r I, its parameters); None unless c = k(r-1)/f is integral."""
         if self.r is None or self.k * (self.r - 1) % self.f:
             return None
-        a = self.m.gram()
-        if -self.r < np.iinfo(a.dtype).min:
-            a = a.astype(np.min_scalar_type(-self.r))
-        a[np.arange(self.v), 0, np.arange(self.v)] -= self.r
-        return a, DracknParams(self.v, self.f, self.k * (self.r - 1) // self.f)
+        return self.gram[0], DracknParams(self.v, self.f, self.k * (self.r - 1) // self.f)
 
     @functools.cached_property
     def gq(self) -> _Cells:
@@ -336,13 +338,13 @@ def verify_etf_numeric(phi, tol: float = NUMERIC_TOL, *, gamma: Character | None
     """Equal norms, equiangularity, tightness of the Gram, and Welch-bound
     equality, plus the signature quadratic when off-diagonals are nonzero.
     phi is a PolyphaseMatrix, read at the character gamma, or a dense
-    matrix; either way only its nonzero cells are read.  A real character
-    or a real phi is checked in float64, any other in complex128.  Every
-    quantity reported is unchanged when phi is conjugated entrywise, so the
-    report at a character also holds at its conjugate.
+    matrix.  A real character or a real phi is checked in float64, any
+    other in complex128.  Every quantity reported is unchanged when phi is
+    conjugated entrywise, so the report at a character also holds at its
+    conjugate.
 
-    G = Phi* Phi is summed from each row's outer product of its cells, and
-    the one product G^2 serves tightness and the signature quadratic.  d is
+    G = Phi* Phi, phi.gram() at gamma or one BLAS product, and the one
+    product G^2 serve tightness and the signature quadratic.  d is
     the frame potential's estimate round((tr G)^2 / tr G^2): that ratio is
     n / (1 + (n-1)(w/r)^2) for norms r and off-diagonal moduli w, at most
     rank G, with equality iff the nonzero eigenvalues are equal (Welch;
@@ -357,25 +359,38 @@ def verify_etf_numeric(phi, tol: float = NUMERIC_TOL, *, gamma: Character | None
     rank at the relative cutoff 1e-8 whenever the singular values of Phi
     off the top cluster are below 1e-8 of the largest, as they are at
     rounding level on an ETF.  Only a failing tightness runs the SVD of Phi,
-    taken from the R of a QR built one row span at a time, so a FAIL line's
-    a and d are those of the numerical rank."""
-    if isinstance(phi, PolyphaseMatrix):
-        if gamma is None or gamma.group != phi.group:
-            raise ValueError("a PolyphaseMatrix is read at a character of its group")
-        shape, ii, jj, cells = phi.shape, phi.ii, phi.jj, gamma.typed_values[phi.e]
-    else:
-        phi = np.asarray(phi)
-        phi = phi.astype(np.complex128 if np.iscomplexobj(phi) else np.float64, copy=False)
-        shape = phi.shape
-        if phi.ndim == 2:
-            ii, jj = np.nonzero(phi)
-            cells = phi[ii, jj]
-    if len(shape) != 2 or shape[1] == 0:
+    taken from the R of a QR of its nonzero cells built one row span at a
+    time, so a FAIL line's a and d are those of the numerical rank."""
+    if not isinstance(phi, PolyphaseMatrix):
+        phi = np.asarray(phi, dtype=np.complex128 if np.iscomplexobj(phi) else np.float64)
+    elif gamma is None or gamma.group != phi.group:
+        raise ValueError("a PolyphaseMatrix is read at a character of its group")
+    if len(phi.shape) != 2 or phi.shape[1] == 0:
         raise ValueError("expected a nonempty 2-d matrix")
-    n = shape[1]
-    gram = _cell_gram(shape, ii, jj, cells)
+    if isinstance(phi, PolyphaseMatrix):
+        return etf_from_square(*square_at(phi.gram(), gamma), 0, phi, gamma, tol)
+    return etf_from_square(gram := phi.conj().T @ phi, gram @ gram, 0, phi, tol=tol)
+
+
+def square_at(a: np.ndarray, gamma: Character) -> tuple[np.ndarray, np.ndarray]:
+    """S = the (n, f, n) a at gamma, by row spans, in float64 at a real
+    character, else complex128, and S S: the stage etf and drackn share."""
+    n, values = len(a), gamma.typed_values
+    s = np.empty((n, n), dtype=values.dtype)
+    for r0, r1 in row_spans(np.full(n, a.shape[1] * n), SPAN_CELLS // 16):
+        s[r0:r1] = values @ a[r0:r1]
+    return s, s @ s
+
+
+def etf_from_square(gram, e, shift: int, phi, gamma=None, tol=NUMERIC_TOL) -> VerificationReport:
+    """verify_etf_numeric's report on phi (at gamma) from S = Phi* Phi - shift I
+    and e = S S, which become G and G^2 - aG in place, with O(n^2) work."""
+    n = len(gram)
+    e += 2 * shift * gram
+    e.flat[::n + 1] += shift * shift
+    gram.flat[::n + 1] += shift
     norms = gram.diagonal().real
-    rep = VerificationReport(subject=f"numeric ETF ({shape[0]}x{n})")
+    rep = VerificationReport(subject=f"numeric ETF ({phi.shape[0]}x{n})")
     if np.min(norms) <= tol:
         rep.add("nonzero-columns", False, witness=_first_bad(norms <= tol))
         return rep
@@ -390,17 +405,18 @@ def verify_etf_numeric(phi, tol: float = NUMERIC_TOL, *, gamma: Character | None
         w, res = 0.0, 0.0
     rep.add("equiangular", res <= tol, residual=res)
     # e = G^2 - aG, in place of G^2; for Hermitian G, tr G^2 = |G|_F^2
-    e = gram @ gram
     d = round((r * n) ** 2 / float(np.trace(e).real))
     a = r * n / d
     e -= a * gram
     res = float(np.max(np.abs(e)))
     if res > tol:
-        # Phi = QR and R share their singular values; R is refactored with
-        # each n/2 rows stacked under it, ~4 n^2 cells with qr's own copy
+        # Phi = QR and R share their singular values; R is refactored with each
+        # n/2 rows of Phi's cells stacked under it, ~4 n^2 cells with qr's copy
+        ii, jj = np.nonzero(phi) if gamma is None else (phi.ii, phi.jj)
+        cells = phi[ii, jj] if gamma is None else gamma.typed_values[phi.e]
         step = max(1, n // 2)
         buf, top = np.zeros((n + step, n), dtype=cells.dtype), 0
-        for r0, r1 in row_spans(np.full(shape[0], n), n * step):
+        for r0, r1 in row_spans(np.full(phi.shape[0], n), n * step):
             lo, hi = np.searchsorted(ii, (r0, r1))
             buf[top:] = 0
             buf[top + ii[lo:hi] - r0, jj[lo:hi]] = cells[lo:hi]
@@ -430,33 +446,8 @@ def verify_etf_numeric(phi, tol: float = NUMERIC_TOL, *, gamma: Character | None
                 residual=abs(d_back - d))
     else:
         rep.add("signature-quadratic", True, info="vacuous (orthogonal columns)")
-    rep.numerics = EtfNumerics(
-        n=n, d=d, norm=r, gram_modulus=w, frame_constant=a,
-        welch=welch, coherence=coherence,
-        delta=None if delta is None else float(delta),
-    )
+    rep.numerics = EtfNumerics(n, d, r, w, a, welch, coherence, delta)
     return rep
-
-
-def _cell_gram(shape, ii, jj, cells) -> np.ndarray:
-    """Phi* Phi for the b x n matrix Phi whose nonzero cells are cells at
-    (ii, jj), row-major: each row's cells are padded with zeros to the
-    widest row's count k, and the b k^2 terms of their outer products are
-    scattered by one bincount per real part."""
-    b, n = shape
-    counts = np.bincount(ii, minlength=b)
-    slot = np.arange(len(ii)) - (np.cumsum(counts) - counts).take(ii)
-    cols = np.zeros((b, counts.max(initial=0)), dtype=np.intp)
-    vals = np.zeros(cols.shape, dtype=cells.dtype)
-    cols[ii, slot], vals[ii, slot] = jj, cells
-    # G[j, j'] sums conj(Phi[i, j]) Phi[i, j'] over the rows i
-    at = (cols[:, :, None] * n + cols[:, None, :]).ravel()
-    terms = (vals.conj()[:, :, None] * vals[:, None, :]).ravel()
-    gram = np.empty(n * n, dtype=cells.dtype)
-    gram.real = np.bincount(at, weights=terms.real, minlength=n * n)
-    if np.iscomplexobj(terms):
-        gram.imag = np.bincount(at, weights=terms.imag, minlength=n * n)
-    return gram.reshape(n, n)
 
 
 # cells per row span: the walk kernel of the GQ and pair-balance checks
@@ -468,7 +459,7 @@ def _cell_gram(shape, ii, jj, cells) -> np.ndarray:
 # at affine q=16 on a 2-core VM, 5.0 ms against 7.4 ms at twice that);
 # algebraic holds SPAN_CELLS // 8 sums, f v per row, at most 256 KiB at
 # int16, and adds into them one gathered support column at a time;
-# drackn evaluates SPAN_CELLS // 16 cells of A per span
+# square_at evaluates SPAN_CELLS // 16 cells of A per span
 SPAN_CELLS = 2**20
 
 
@@ -655,18 +646,19 @@ def _count_gq_axioms(z: _Cells, s: int, t: int) -> VerificationReport:
     return rep
 
 
-def verify_drackn(a: np.ndarray, group: AbelianGroup, c: int) -> VerificationReport:
-    """A = Phi* Phi - r I as an (n, f, n) array of any integer type, A[i, h, j]
-    the coefficient of z^h in entry (i, j): self-adjoint, hollow, monomial
-    off the diagonal, with A^2 = delta A + (n-1) I + c G (J - I) exactly,
-    delta = n - fc - 2; then each nontrivial character evaluation must be
-    an ETF signature matrix.  Both read one product per conjugate pair of
-    characters, the trivial one included: S = A at gamma, evaluated by row
-    spans, and E = S^2 - delta S - (n-1) I, less c f (J - I) at the trivial
-    character.  E is the integer error D = A^2 - (the right side) at gamma,
-    so by Parseval the energy sum_gamma |E[i, j]|^2 (a pair's first counted
-    twice) is f sum_h D[i, h, j]^2, 0 or at least f: a cell offends iff its
-    float energy exceeds f/2.  The info names the first group element whose
+def verify_drackn(a: np.ndarray, group: AbelianGroup, c: int, read=None) -> VerificationReport:
+    """A = Phi* Phi - r I as an (n, f, n) array of any integer type,
+    A[i, h, j] the coefficient of z^h in entry (i, j): self-adjoint,
+    hollow, monomial off the diagonal, with A^2 = delta A + (n-1) I +
+    c G (J - I) exactly, delta = n - fc - 2; then each nontrivial character
+    evaluation must be an ETF signature matrix.  Both read signature_term of
+    one product per conjugate pair of characters, the trivial one included
+    (read, when given, is its energy and residuals already summed): S = A
+    at gamma, S^2, and E = S^2 - delta S - (n-1) I, less c f (J - I) at the
+    trivial character.  E is the integer error D = A^2 - (the right side)
+    at gamma, so by Parseval the energy sum_gamma |E[i, j]|^2 (a pair's
+    first counted twice) is f sum_h D[i, h, j]^2, 0 or at least f: a cell
+    offends iff its float energy exceeds f/2.  The info names the first group element whose
     exact count at the row-major first offence misses its target.
     The guard (Higham, ch. 3, first order in u = 2^-53): with B = sum_h |A|
     in int64 (abs of an int8 -128 wraps), b its largest cell and R its
@@ -683,10 +675,9 @@ def verify_drackn(a: np.ndarray, group: AbelianGroup, c: int) -> VerificationRep
     if a.shape != (n, f, n):
         raise ValueError(f"expected an (n, {f}, n) array, got shape {a.shape}")
     rep = VerificationReport(subject=f"({n},{f},{c})-DRACKN")
-    spans = list(row_spans(np.full(n, f * n), SPAN_CELLS // 16))
     adjoint_bad = monomial_bad = None
     b_max = b_rows = 0
-    for r0, r1 in spans:
+    for r0, r1 in row_spans(np.full(n, f * n), SPAN_CELLS // 16):
         span, off = a[r0:r1], np.arange(n) != np.arange(r0, r1)[:, None]
         # row i of A* is column i of A under the involution
         bad = (span != a[:, group.neg_index, r0:r1].transpose(2, 1, 0)).any(axis=1)
@@ -703,12 +694,10 @@ def verify_drackn(a: np.ndarray, group: AbelianGroup, c: int) -> VerificationRep
     rep.add("monomial-off-diagonal", monomial_bad is None, witness=monomial_bad)
     delta = n - f * c - 2
     firsts = first_of_conjugates(chars := characters_of(group))
-    energy, residuals = np.zeros((n, n)), {}
-    for i in sorted(set(firsts)):
-        e, residuals[i] = _character_square(a, chars[i], delta, spans)
-        if i == 0:  # G (J - I) is f (J - I) at the trivial character, 0 at any other
-            e -= c * f * (1 - np.eye(n))
-        energy += (1 + (group.neg_index[i] != i)) * np.abs(e) ** 2
+    energy, residuals = read or (np.zeros((n, n)), {})
+    lock = threading.Lock()
+    for i in [] if read else sorted(set(firsts)):
+        residuals[i] = signature_term(*square_at(a, chars[i]), chars[i], c, energy, lock)
     e_max = (b_rows + abs(delta)) * b_max + n + abs(c) * f
     eps = 64 * (n + f) * 2.0**-53 * e_max
     diff, info = _first_bad(energy > f / 2), f"delta={delta}"
@@ -733,24 +722,25 @@ def verify_drackn(a: np.ndarray, group: AbelianGroup, c: int) -> VerificationRep
     return rep
 
 
-def _character_square(a: np.ndarray, gamma, delta: int, spans) -> tuple[np.ndarray, float]:
-    """E = S^2 - delta S - (n-1) I for S = A evaluated at gamma, in float64
-    at a real character, else complex128, one row span of A at a time; and
-    the largest deviation of S from an ETF signature matrix: S self-adjoint,
-    hollow, unimodular off its diagonal, with E = 0."""
-    n = len(a)
-    values = gamma.typed_values
-    sig = np.empty((n, n), dtype=values.dtype)
-    for r0, r1 in spans:
-        sig[r0:r1] = values @ a[r0:r1]
-    e = sig @ sig - delta * sig - (n - 1) * np.eye(n)
-    off = ~np.eye(n, dtype=bool)
-    return e, max(
-        float(np.max(np.abs(sig - sig.conj().T))),
-        float(np.max(np.abs(np.diagonal(sig)))),
-        float(np.max(np.abs(np.abs(sig[off]) - 1))),
-        float(np.max(np.abs(e))),
-    )
+def signature_term(s, p, gamma: Character, c: int, energy, lock) -> float:
+    """verify_drackn's reading of S = A at gamma and p = S S: adds |E|^2 to
+    energy holding lock, twice unless gamma is real, and returns the largest
+    deviation of S from a signature matrix: S* = S, hollow, unimodular, E = 0."""
+    n, f, off = len(s), gamma.group.order, ~np.eye(len(s), dtype=bool)
+    deviation = [np.max(np.abs(s.diagonal())), np.max(np.abs(np.abs(s) - 1)[off])]
+    e = np.conjugate(s)  # (S* - S)^T, then E in the same buffer: with S and p, three v x v arrays
+    e -= s.T
+    deviation.append(np.max(np.abs(e)))
+    np.subtract(p, np.multiply(s, n - f * c - 2, out=e), out=e)
+    e.flat[::n + 1] -= n - 1
+    residual = float(max(*deviation, np.max(np.abs(e))))
+    if gamma.is_trivial:  # G (J - I) is f (J - I) at the trivial character, 0 at any other
+        e -= c * f * off
+    e = np.abs(e)  # and the complex E is freed
+    e *= (1 + (not gamma.is_real())) * e
+    with lock:
+        energy += e
+    return residual
 
 
 def verify_srg_collinearity(z, s: int, t: int) -> VerificationReport:

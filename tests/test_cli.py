@@ -388,9 +388,9 @@ def test_verify_reports_design_with_fractional_block_count(tmp_path, capsys):
 
 def test_verify_skips_drackn_without_a_bibd(tmp_path, capsys, monkeypatch):
     # one row holding two cells parses as v = 2000, k = 2 over Z2, so
-    # c = k(r-1)/f = 1998 is integral; but A = Phi* Phi - rI would take
-    # v x v x f cells, and without a BIBD nothing bounds that, so the Gram
-    # is never built
+    # c = k(r-1)/f = 1998 is integral; but A is a DRACKN only with the
+    # parameters of a BIBD, so drackn alone builds no Gram.  etf reads the
+    # Gram whatever the BIBD, within the dense cap
     builds, original = [], PolyphaseMatrix.gram
 
     def gram(self):
@@ -404,12 +404,43 @@ def test_verify_skips_drackn_without_a_bibd(tmp_path, capsys, monkeypatch):
     assert (code, err) == (1, "")
     reason = "needs a BIBD: col-sums fails"
     assert out == f"FAIL DRACKN\n  FAIL applicable witness=() [{reason}]\noverall: FAIL\n"
+    assert builds == []
     # unnamed, it is a SKIP line; 20 columns keep the etf check small
     row = " ".join(["0", "0"] + ["."] * 18)
     code, out, err = _verify_text(tmp_path, capsys, f"POLYPHASE rows=1 cols=20 group=Z2\n{row}\n")
     assert (code, err) == (1, "")
     assert out.startswith(f"SKIP drackn ({reason})\n") and "DRACKN" not in out
-    assert builds == []
+    assert "numeric ETF (1x20)" in out and len(builds) == 1
+
+
+def test_verify_refuses_the_gram_over_the_dense_cap_before_allocating(tmp_path, capsys,
+                                                                     monkeypatch):
+    # one full row parses as v = 1000 over Z1024: A and one square at a
+    # character would take 1000 * 1024 * 1000 + 2 * 1000^2 cells, so
+    # algebraic, etf and drackn do not apply, as gq and srg past the lift cap
+    path = tmp_path / "wide.polyphase"
+    path.write_text("POLYPHASE rows=1 cols=1000 group=Z1024\n" + " ".join(["0"] * 1000) + "\n")
+    reason = (f"1000x1024x1000 Gram with its square needs 1026000000 cells;"
+              f" the cap is {polymat.MAX_DENSE_CELLS}")
+    skips = "".join(f"SKIP {name} ({reason})\n" for name in ("algebraic", "etf", "drackn"))
+    named = f"FAIL ETF\n  FAIL applicable witness=() [{reason}]\noverall: FAIL\n"
+    for checks in ((), ("--checks", "etf")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", str(path), *checks)
+        assert time.perf_counter() - start < 0.5
+        assert (code, err) == (1, "")
+        assert out == named if checks else out.startswith(skips) and "numeric ETF" not in out
+    # traced past the parse, whose group Z1024 holds 8 MiB of add table
+    parsed = cli._load_input(path)
+    monkeypatch.setattr(cli, "_load_input", lambda _: parsed)
+    for checks in ((), ("--checks", "etf")):
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, "verify", str(path), *checks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and peak < 2**20, peak
 
 
 def test_verify_reports_block_size_one_and_zero_column(tmp_path, capsys):
@@ -462,9 +493,10 @@ def test_verify_skips_gq_and_srg_over_the_lift_cap(tmp_path, capsys, monkeypatch
     path = str(tmp_path / "brouwer_q2.polyphase")
     _, rest, _ = run(capsys, "verify", path, "--checks", "bibd,combinatorial,algebraic,etf,drackn")
     # the lift is (9 + 12*3) x 9*3 and lists (9 + 12*3) * 3 cells; verify
-    # caps them at 100 // 16, and export --to gq caps max(45, 27) * 27 cells
-    monkeypatch.setattr(polymat, "MAX_DENSE_CELLS", 100)
-    reason = "45x27 incidence lists 135 cells; the cap is 6"
+    # caps them at 1000 // 16, and export --to gq caps its 45 * 27 cells at
+    # 1000, which leaves A and its square, 9*3*9 + 2*9*9 cells, in bounds
+    monkeypatch.setattr(polymat, "MAX_DENSE_CELLS", 1000)
+    reason = "45x27 incidence lists 135 cells; the cap is 62"
     code, out, err = run(capsys, "verify", path)
     assert (code, err) == (0, "")
     assert out == f"SKIP gq ({reason})\nSKIP srg ({reason})\n" + rest
@@ -472,7 +504,7 @@ def test_verify_skips_gq_and_srg_over_the_lift_cap(tmp_path, capsys, monkeypatch
     assert (code, err) == (1, "")
     failed = f"FAIL {{}}\n  FAIL applicable witness=() [{reason}]\n"
     assert out == failed.format("GQ") + failed.format("SRG") + "overall: FAIL\n"
-    reason = "45x27 incidence and its point pairs need 1215 cells; the cap is 100"
+    reason = "45x27 incidence needs 1215 cells; the cap is 1000"
     code, _, err = run(capsys, "export", path, "--to", "gq", "-o", str(tmp_path / "gq.txt"))
     assert (code, err) == (2, f"error: {reason}\n")
 

@@ -15,6 +15,9 @@ residuals agree to rounding.
 import ast
 import json
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -166,28 +169,53 @@ def test_single_characters_match_direct(selector, tmp_path):
 def test_verify_checks_each_conjugate_pair_once(tmp_path, monkeypatch):
     # brouwer q=5 is over Z6: characters 1 and 5, 2 and 4 pair, and 3 is real
     monkeypatch.setenv("ETFFORGE_THREADS", "1")
-    # the DRACKN forms one S S per first of a pair, the trivial character
-    # included: its quadratic and signatures share them
-    etf, square = verify_module.verify_etf_numeric, verify_module._character_square
-    seen = {"etf": [], "sig": []}
+    # one stage forms S S once per first of a pair: the DRACKN reads every
+    # first, the trivial character included, and etf its selected ones
+    square = verify_module.square_at
+    seen = []
 
-    def recording_etf(phi, *args, gamma=None, **kwargs):
-        seen["etf"].append(gamma.typed_values.dtype)
-        return etf(phi, *args, gamma=gamma, **kwargs)
+    def recording_square(a, gamma):
+        s, p = square(a, gamma)
+        seen.append((gamma.exponents, s.dtype))
+        return s, p
 
-    def recording_square(a, gamma, *args):
-        seen["sig"].append(gamma.exponents)
-        return square(a, gamma, *args)
-
-    monkeypatch.setattr(verify_module, "verify_etf_numeric", recording_etf)
-    monkeypatch.setattr(verify_module, "_character_square", recording_square)
+    monkeypatch.setattr(verify_module, "square_at", recording_square)
     reports = _cli_reports(tmp_path, brouwer_polyphase(5), "--checks", "etf,drackn")
     assert len(reports) == 6 and all(r["passed"] for r in reports)
-    assert seen["etf"] == [np.complex128, np.complex128, np.float64]
-    assert seen["sig"] == [(0,), (1,), (2,), (3,)]
-    seen["etf"].clear()
+    assert seen == [((0,), np.float64), ((1,), np.complex128), ((2,), np.complex128),
+                    ((3,), np.float64)]
+    seen.clear()
+    reports = _cli_reports(tmp_path, brouwer_polyphase(5), "--checks", "etf")
+    assert len(reports) == 5 and all(r["passed"] for r in reports)
+    assert seen == [((1,), np.complex128), ((2,), np.complex128), ((3,), np.float64)]
+    seen.clear()
     _cli_reports(tmp_path, brouwer_polyphase(5), "--checks", "etf", "--character", "index:5")
-    assert seen["etf"] == [np.complex128]
+    assert seen == [((1,), np.complex128)]
+
+
+def test_signature_terms_add_into_one_energy_across_threads():
+    # verify's workers add their |E|^2 into one DRACKN energy under a lock;
+    # the terms here are integers, so any order sums exactly, and a lost
+    # update would leave the energy below 160 times one term
+    rng = np.random.default_rng(7)
+    s = rng.integers(-3, 4, size=(384, 384)).astype(np.float64)
+    gamma = characters_of(AbelianGroup([2]))[0]
+    p, energy, lock = s @ s, np.zeros(s.shape), threading.Lock()
+    residual = verify_module.signature_term(s, p, gamma, 1, energy, lock)
+    term, energy[:] = energy.copy(), 0
+
+    def add(_):
+        for _ in range(20):
+            assert verify_module.signature_term(s, p, gamma, 1, energy, lock) == residual
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            list(pool.map(add, range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(energy, 160 * term)
 
 
 @pytest.mark.parametrize("factors", [(6,), (2, 4), (3, 3), (2, 2, 2), (4, 5)], ids=str)

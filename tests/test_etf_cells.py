@@ -1,10 +1,12 @@
-"""The numeric ETF check reads a PolyphaseMatrix's cells at a character.
+"""The numeric ETF check reads a PolyphaseMatrix at a character.
 
-verify_etf_numeric sums the Gram from each row's outer product of its
-nonzero cells, takes the rank from the frame potential and runs an SVD
-only when tightness fails.  Every report here is held against the dense
-route in reference_etf: the same check names, pass/fail, witnesses and
-info texts, with residuals within 1e-10.
+verify_etf_numeric evaluates the matrix's Gram array at the character
+and squares it once, takes the rank from the frame potential and runs an
+SVD of Phi's cells only when tightness fails; verify reads the same
+lines off the one square per character that it shares with drackn.
+Every report here is held against the dense route in reference_etf: the
+same check names, pass/fail, witnesses and info texts, with residuals
+within 1e-10.
 """
 
 import json
@@ -17,17 +19,20 @@ from etfforge import cli
 from etfforge.construct import brouwer_polyphase
 from etfforge.groupring import AbelianGroup, characters_of
 from etfforge.polymat import PolyphaseMatrix, format_polyphase
-from etfforge.verify import RANK_REL_TOL, verify_etf_numeric
+from etfforge.verify import RANK_REL_TOL, Design, verify_etf_numeric
 
 from reference_etf import dense_etf_numeric
-from reference_ring import from_codes
-from test_conjugate_pairs import GOLDEN, MUTANTS, _golden, _mutant
+from reference_ring import dense_codes, from_codes
+from test_conjugate_pairs import GOLDEN, MUTANTS, _character, _cli_reports, _golden, _mutant
 
 
 def _assert_matches_dense(got, phi):
     want = dense_etf_numeric(phi)
     assert got.subject == want.subject
-    got, want = got.as_dict()["checks"], want.as_dict()["checks"]
+    _assert_same_lines(got.as_dict()["checks"], want.as_dict()["checks"])
+
+
+def _assert_same_lines(got, want):
     assert [(c["name"], c["passed"], c["witness"], c["info"]) for c in got] == [
         (c["name"], c["passed"], c["witness"], c["info"]) for c in want]
     for g, w in zip(got, want):
@@ -35,6 +40,13 @@ def _assert_matches_dense(got, phi):
             assert g["residual"] is None, g["name"]
         else:
             assert abs(g["residual"] - w["residual"]) <= 1e-10, g["name"]
+
+
+def _row0_dropped(m):
+    """m less its first cell: row 0 then reads k - 1, so the BIBD fails."""
+    codes = dense_codes(m).copy()
+    codes[0, m.jj[0]] = m.group.order
+    return from_codes(m.group, codes)
 
 
 def _every_nontrivial(m):
@@ -163,3 +175,35 @@ def test_polyphase_matrix_needs_a_character_of_its_group():
         verify_etf_numeric(m)
     with pytest.raises(ValueError, match="character of its group"):
         verify_etf_numeric(m, gamma=characters_of(AbelianGroup([4]))[1])
+
+
+SHARED_STAGE = [*GOLDEN, *MUTANTS, "affine4-row0-dropped"]
+
+
+@pytest.mark.parametrize("checks", ["etf", "etf,drackn"])
+@pytest.mark.parametrize("name", SHARED_STAGE)
+def test_cli_etf_from_the_shared_stage_matches_both_routes(name, checks, tmp_path):
+    # verify reads each etf report off the stage drackn shares, A less its
+    # shift at the character; it must agree with the library's cell route
+    # and with the dense oracle, whether or not drackn runs
+    if name in GOLDEN:
+        m = _golden(name)
+    elif name in MUTANTS:
+        m = _mutant(_golden(MUTANTS[name][0]), *MUTANTS[name][1:])
+    else:
+        # k = 3 over v = 16 makes r = 15/2, so etf reads the shift-0 Gram
+        m = _row0_dropped(_golden("affine4"))
+        assert Design(m).gram[1] == 0
+    reports = _cli_reports(tmp_path, m, "--checks", checks)
+    etf = [r for r in reports if r["subject"].startswith("numeric ETF")]
+    assert len(etf) == m.group.order - 1
+    for rep in etf:
+        head, at = rep["subject"].split(" at character ")
+        gamma = _character(m.group, at)
+        for want in (verify_etf_numeric(m, gamma=gamma), dense_etf_numeric(m.evaluate(gamma))):
+            assert head == want.subject
+            _assert_same_lines(rep["checks"], want.as_dict()["checks"])
+    drackn = [r["subject"] for r in reports if r["subject"].endswith("DRACKN")]
+    assert len(drackn) == ("drackn" in checks)
+    if name == "affine4-row0-dropped" and drackn:
+        assert drackn == ["DRACKN"] and not reports[-1]["passed"]
