@@ -20,8 +20,6 @@ import json
 import os
 import re
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +34,7 @@ from .construct import (
     gq_from_polyphase,
     simplex_phased,
 )
-from .groupring import characters_of, first_of_conjugates, real_character
+from .groupring import characters_of, real_character
 from .polymat import (
     PolyphaseMatrix,
     format_complex_csv,
@@ -186,31 +184,6 @@ def _skip(name: str, reason: str, reports: list, explicit: bool = False):
         print(f"SKIP {name} ({reason})")
 
 
-def _character_reports(d: V.Design, gammas: list, drackn: bool) -> list:
-    """The etf reports at gammas, each read at the first of its conjugate pair,
-    then the DRACKN report if drackn: one square of the Design's A per first."""
-    m, (a, shift) = d.m, d.gram
-    pairs = first_of_conjugates(chars := characters_of(m.group))
-    etf_at = [pairs[m.group.index(g.exponents)] for g in gammas]
-    todo, checked = sorted(set(etf_at) | set(pairs if drackn else ())), {}
-    workers, c = min(_thread_count(), len(todo)), drackn and d.drackn[1].c
-    energy, residuals, lock = np.zeros((d.v, d.v)), {}, threading.Lock()
-
-    def stage(i):  # drackn reads the square before etf writes G and G^2 over it
-        s, p = V.square_at(a, chars[i])
-        if drackn:
-            residuals[i] = V.signature_term(s, p, chars[i], c, energy, lock)
-        if i in etf_at:
-            checked[i] = V.etf_from_square(s, p, shift, m, chars[i])
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:  # each worker holds one square
-        list(pool.map(stage, todo))
-    tail = [V.verify_drackn(a, m.group, c, (energy, residuals))] if drackn else []
-    return [V.VerificationReport(f"{checked[i].subject} at character {gamma.exponents}",
-                                 list(checked[i].checks), checked[i].numerics)
-            for gamma, i in zip(gammas, etf_at)] + tail
-
-
 def cmd_verify(args) -> int:
     subject = _load_input(Path(args.input))
     explicit = args.checks is not None
@@ -243,13 +216,14 @@ def cmd_verify(args) -> int:
         bibd_fail = next((c.name for c in d.bibd.checks if not c.passed), None)
         drackn = "drackn" in wanted and not bibd_fail and d.drackn is not None
         if gammas or drackn:
-            reports += _character_reports(d, gammas, drackn)
+            c = d.drackn[1].c if drackn else None
+            checked = V.character_reports(*d.gram, m.group, gammas, c, phi=m, workers=_thread_count())
+            reports += [V.VerificationReport(f"{rep.subject} at character {gamma.exponents}",
+                                             list(rep.checks), rep.numerics)
+                        for gamma, rep in zip(gammas, checked)] + checked[len(gammas):]
         if "drackn" in wanted and not drackn:
             _skip("drackn", f"needs a BIBD: {bibd_fail} fails" if bibd_fail
                   else "c = k(r-1)/f is not an integer", reports, explicit)
-        # A, read by algebraic, etf and drackn, is not kept through the GQ and SRG stages
-        for key in ("gram", "drackn"):
-            vars(d).pop(key, None)
         if k != f:
             gq_skip = f"needs k = f, got k={k}, f={f}"
         elif r is None:

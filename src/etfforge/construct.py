@@ -37,6 +37,7 @@ from .polymat import (
     dense_cap_refusal,
     listed_cells_refusal,
     parse_polyphase,
+    ragged_ranges,
     row_spans,
     zero_one_array,
 )
@@ -225,10 +226,8 @@ def _isotropic_points(t: _HermitianForm) -> tuple[np.ndarray, np.ndarray]:
     size = np.bincount(norm, minlength=n)
     fibre = neg[add[one_plus[:, None], norm]].ravel()  # the N(x4) of each (x2, x3)
     start, reps = (np.cumsum(size) - size)[fibre], size[fibre]
-    first = np.repeat(start - np.cumsum(reps) + reps, reps)
-    first += np.arange(len(first))
     x2, x3 = np.repeat(np.indices((n, n), dtype=np.int16).reshape(2, -1), reps, axis=1)
-    finite = _points(1, x2, x3, by_norm[first])
+    finite = _points(1, x2, x3, by_norm[ragged_ranges(start, reps)])
     ovoid = np.concatenate(
         [
             _points(0, 1, *np.nonzero(add[one_plus[:, None], norm] == 0)),

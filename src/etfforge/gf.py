@@ -3,8 +3,12 @@
 A field is Z_p[x] modulo a fixed monic irreducible polynomial of degree
 m.  An element is its integer encoding: the residue c0 + c1*x + ... +
 c_{m-1}*x^(m-1) is encoded as c0 + c1*p + c2*p^2 + ...  The modulus is
-chosen deterministically: monic degree-m candidates are scanned in
-ascending encoding order and the first irreducible one wins.  The
+chosen deterministically: monic degree-m candidates x^m + low are
+scanned in ascending encoding order of low and the first irreducible one
+wins.  A candidate is reducible iff it has a monic factor of degree
+d <= m/2, with a monic cofactor of degree m - d, so every product of two
+such factors is marked, read with the same x^i * a tables as the
+multiplication, taken modulo x^m; no polynomial is divided.  The
 designated multiplicative generator ``alpha`` is the least encoding
 whose order is p^m - 1.  Everything downstream (constructions,
 serialized matrices) relies on these two choices being reproducible.
@@ -55,50 +59,17 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    a = _poly_trim([x % p for x in a])
-    b = _poly_trim([x % p for x in b])
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(b[-1], p - 2, p)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    while len(r) >= len(b):
-        shift = len(r) - len(b)
-        c = (r[-1] * inv_lead) % p
-        q[shift] = c
-        for j in range(len(b)):
-            r[shift + j] = (r[shift + j] - c * b[j]) % p
-        r = _poly_trim(r)
-    return _poly_trim(q), r
-
-
-def _is_irreducible(poly: list[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg/2."""
-    deg = len(poly) - 1
-    if deg < 1:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for enc in range(p**d):
-            div = _encode_to_coeffs(enc, p, d) + [1]
-            _, rem = _poly_divmod(poly, div, p)
-            if not rem:
-                return False
-    return True
-
-
-def _encode_to_coeffs(enc: int, p: int, length: int) -> list[int]:
-    out = []
-    for _ in range(length):
-        out.append(enc % p)
-        enc //= p
-    return out
+def _x_powers(a, low, digits, place, p: int) -> np.ndarray:
+    """xpow[k, i] = x^i * a[k] as encodings, for i < m, modulo x^m + low (as
+    digits): x * a shifts the digits of a up one place and folds x^m back
+    in as minus low."""
+    top = digits[:, -1:]
+    times_x = (np.concatenate((0 * top, digits[:, :-1]), axis=1) - top * low) % p @ place
+    xpow = np.empty((len(a), len(place)), dtype=np.intp)
+    xpow[:, 0] = a
+    for i in range(1, len(place)):
+        xpow[:, i] = times_x[xpow[:, i - 1]]
+    return xpow
 
 
 class FiniteField:
@@ -114,21 +85,19 @@ class FiniteField:
         self.p = p
         self.m = m
         self.order = n = p**m
-        self.modulus = self._find_modulus()
-
         place = p ** np.arange(m, dtype=np.int32)
         digits = np.arange(n, dtype=np.int32)[:, None] // place % p  # coefficient of x^i
-        # x * a: shift the digits up one place and fold x^m back in as
-        # minus the low part of the modulus
-        low = np.array(self.modulus[:m])
-        xdigits = np.roll(digits, 1, axis=1)
-        xdigits[:, 0] = 0
-        times_x = (xdigits - digits[:, m - 1 :] * low) % p @ place
+        # x^m + low is reducible iff it is a b for a monic a of degree
+        # d <= m/2 and a monic b of degree m - d; then low is the digits of
+        # a b below x^m, read with the x^i a tables modulo x^m
+        reducible = np.zeros(n, dtype=bool)
+        for d in range(1, m // 2 + 1):
+            xa = digits[_x_powers(np.arange(p**d, 2 * p**d), 0 * place, digits, place, p)]
+            reducible[digits[p ** (m - d) : 2 * p ** (m - d)] @ xa % p @ place] = True
+        low = digits[np.argmin(reducible)]
+        self.modulus = tuple(low.tolist()) + (1,)
         # xpow[a, i] = x^i * a, so a * b = sum_i b_i * xpow[a, i]
-        xpow = np.empty((n, m), dtype=np.intp)
-        xpow[:, 0] = np.arange(n)
-        for i in range(1, m):
-            xpow[:, i] = times_x[xpow[:, i - 1]]
+        xpow = _x_powers(np.arange(n), low, digits, place, p)
         add = np.zeros((n, n), dtype=np.int32)
         mul = np.zeros((n, n), dtype=np.int32)
         for j in range(m):
@@ -148,14 +117,6 @@ class FiniteField:
         self.log[self.exp] = np.arange(n - 1)
         self.inv = np.zeros(n, dtype=np.int16)
         self.inv[self.exp] = self.exp[-np.arange(n - 1) % (n - 1)]
-
-    def _find_modulus(self) -> tuple[int, ...]:
-        # scan x^m, x^m + 1, x^m + 2, ... in encoding order of the low part
-        for enc in range(self.order):
-            cand = _encode_to_coeffs(enc, self.p, self.m) + [1]
-            if _is_irreducible(cand, self.p):
-                return tuple(cand)
-        raise AssertionError("no irreducible polynomial found")  # unreachable
 
     def _find_alpha(self) -> int:
         """Least nonzero encoding x with x^((order-1)/l) != 1 for every

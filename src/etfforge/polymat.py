@@ -85,6 +85,13 @@ def row_spans(cost: np.ndarray, budget: int):
         r0 = r1
 
 
+def ragged_ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The concatenation of the ranges [start_i, start_i + count_i)."""
+    out = np.repeat(start - np.cumsum(count) + count, count)
+    out += np.arange(len(out))
+    return out
+
+
 def zero_one_array(rows: int, cols: int) -> np.ndarray:
     """Zeroed int8 array for a 0/1 incidence; raises the dense_cap_refusal of its cells."""
     if refusal := dense_cap_refusal(f"{rows}x{cols} incidence", rows * cols):
@@ -150,8 +157,7 @@ class PolyphaseMatrix:
             n = width.take(row)
             # each cell of src, in column a, pairs with every cell of its
             # row, in column b, to count in slot (a f + e_b - e_a) v + b
-            mate = np.repeat(row_ptr.take(row) - np.cumsum(n) + n, n)
-            mate += np.arange(len(mate))
+            mate = ragged_ranges(row_ptr.take(row), n)
             slot = np.repeat(neg.take(self.e.take(src)), n)
             slot += self.e.take(mate)
             slot = add.take(slot)

@@ -16,14 +16,16 @@ gathers whole rows of a column-pair step table for each row span and
 counts the span's triple products, at every column, with one bincount;
 the algebraic verifier never reads the step table: it multiplies each
 span of rows of Phi into A by adding whole rows of A, one support column
-at a time, with no copy of A.  The numeric checks share one stage per
-character, square_at: A at the character, S, in complex128 (float64 at a
-real character) and its one product S S.  etf reads G = S + sI and
-G^2 = S S + 2sS + s^2 I off it with O(v^2) more work; the DRACKN check
-reads its signature residuals and, by Parseval over the group, A^2
-exactly under an a-priori float guard.  Evaluation at a conjugate
-character conjugates every entry and changes no reported quantity, so
-the stage runs once per conjugate pair, the trivial one included.
+at a time, with no copy of A.  The numeric checks share one pass,
+character_reports, and its one stage per character, square_at: A at the
+character, S, in complex128 (float64 at a real character) and its one
+product S S.  etf reads G = S + sI and G^2 = S S + 2sS + s^2 I off it
+with O(v^2) more work; the DRACKN check reads its signature residuals
+and, by Parseval over the group, A^2 exactly under an a-priori float
+guard.  Evaluation at a conjugate character conjugates every entry and
+changes no reported quantity, so the stage runs once per conjugate pair,
+the trivial one included: in the calling thread for one worker, else in
+a thread pool.
 
 The GQ and SRG checks count from the nonzero cells of a 0/1 incidence Z
 (a dense array's, or a Design's GQ lift cells) by walks over its two CSR
@@ -51,13 +53,14 @@ from __future__ import annotations
 import functools
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .construct import DracknParams, gq_cells
 from .groupring import AbelianGroup, Character, characters_of, first_of_conjugates
-from .polymat import PolyphaseMatrix, row_spans
+from .polymat import PolyphaseMatrix, ragged_ranges, row_spans
 
 NUMERIC_TOL = 1e-9
 RANK_REL_TOL = 1e-8
@@ -181,8 +184,8 @@ def verify_bibd(x, v: int, k: int) -> VerificationReport:
 class Design:
     """One polyphase matrix Phi and what the checks share, derived once:
     v, f, k (row 0's cells), r = (v-1)/(k-1) or None, the BIBD report on
-    Phi's cells; when first read, the GQ lift cells and the one Gram array
-    that algebraic, etf and drackn read."""
+    Phi's cells; when first read, the one Gram array that algebraic, etf
+    and drackn read, and then the GQ lift cells."""
 
     def __init__(self, m: PolyphaseMatrix):
         self.m, self.v, self.f = m, m.cols, m.group.order
@@ -210,7 +213,10 @@ class Design:
 
     @functools.cached_property
     def gq(self) -> _Cells:
-        """The GQ lift's cells, translation order f; raises gq_cells's errors."""
+        """The GQ lift's cells, translation order f; raises gq_cells's errors.
+        The Gram array is dropped first, so the GQ checks do not hold it."""
+        for key in ("gram", "drackn"):
+            vars(self).pop(key, None)
         return _Cells(*gq_cells(self.m), self.f)
 
 
@@ -368,8 +374,43 @@ def verify_etf_numeric(phi, tol: float = NUMERIC_TOL, *, gamma: Character | None
     if len(phi.shape) != 2 or phi.shape[1] == 0:
         raise ValueError("expected a nonempty 2-d matrix")
     if isinstance(phi, PolyphaseMatrix):
-        return etf_from_square(*square_at(phi.gram(), gamma), 0, phi, gamma, tol)
+        return character_reports(phi.gram(), 0, phi.group, [gamma], phi=phi, tol=tol)[0]
     return etf_from_square(gram := phi.conj().T @ phi, gram @ gram, 0, phi, tol=tol)
+
+
+def character_reports(a: np.ndarray, shift: int, group: AbelianGroup, gammas=(),
+                      c: int | None = None, *, phi=None, tol: float = NUMERIC_TOL,
+                      workers: int = 1) -> list:
+    """The one numeric pass over the characters of group, on the (n, f, n)
+    a = Phi* Phi - shift I: the etf report on phi at each of gammas, then,
+    if c is given, the DRACKN report on a with that c.  Each is read at the
+    first character of its conjugate pair, and each such first (with c,
+    every first, the trivial one included) takes one square_at: the DRACKN
+    reads S and S S before etf writes G and G^2 over them.  Past one
+    worker and one first, the firsts run in a pool of at most workers
+    threads, each holding one square, and add into one DRACKN energy under
+    a lock; otherwise they run in the calling thread."""
+    chars = characters_of(group)
+    pairs = first_of_conjugates(chars)
+    etf_at = [pairs[group.index(g.exponents)] for g in gammas]
+    todo = sorted(set(etf_at) | set(pairs if c is not None else ()))
+    energy, residuals, checked, lock = np.zeros((len(a), len(a))), {}, {}, threading.Lock()
+
+    def stage(i):
+        s, p = square_at(a, chars[i])
+        if c is not None:
+            residuals[i] = signature_term(s, p, chars[i], c, energy, lock)
+        if i in etf_at:
+            checked[i] = etf_from_square(s, p, shift, phi, chars[i], tol)
+
+    if (workers := min(workers, len(todo))) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(stage, todo))
+    else:
+        for i in todo:
+            stage(i)
+    tail = [_drackn_report(a, group, c, energy, residuals)] if c is not None else []
+    return [checked[i] for i in etf_at] + tail
 
 
 def square_at(a: np.ndarray, gamma: Character) -> tuple[np.ndarray, np.ndarray]:
@@ -469,11 +510,7 @@ def _hop(at, ptr, targets):
     nodes reached, grouped by start, and how many each start reaches."""
     start = ptr.take(at)
     deg = ptr.take(at + 1) - start
-    start -= np.cumsum(deg)
-    start += deg
-    first = np.repeat(start, deg)
-    first += np.arange(len(first))
-    return targets.take(first), deg
+    return targets.take(ragged_ranges(start, deg)), deg
 
 
 def _walk_counts(sources, hops, width: int):
@@ -646,19 +683,19 @@ def _count_gq_axioms(z: _Cells, s: int, t: int) -> VerificationReport:
     return rep
 
 
-def verify_drackn(a: np.ndarray, group: AbelianGroup, c: int, read=None) -> VerificationReport:
+def verify_drackn(a: np.ndarray, group: AbelianGroup, c: int) -> VerificationReport:
     """A = Phi* Phi - r I as an (n, f, n) array of any integer type,
     A[i, h, j] the coefficient of z^h in entry (i, j): self-adjoint,
     hollow, monomial off the diagonal, with A^2 = delta A + (n-1) I +
     c G (J - I) exactly, delta = n - fc - 2; then each nontrivial character
     evaluation must be an ETF signature matrix.  Both read signature_term of
-    one product per conjugate pair of characters, the trivial one included
-    (read, when given, is its energy and residuals already summed): S = A
-    at gamma, S^2, and E = S^2 - delta S - (n-1) I, less c f (J - I) at the
-    trivial character.  E is the integer error D = A^2 - (the right side)
-    at gamma, so by Parseval the energy sum_gamma |E[i, j]|^2 (a pair's
-    first counted twice) is f sum_h D[i, h, j]^2, 0 or at least f: a cell
-    offends iff its float energy exceeds f/2.  The info names the first group element whose
+    one product per conjugate pair of characters, the trivial one included,
+    that character_reports forms: S = A at gamma, S^2, and
+    E = S^2 - delta S - (n-1) I, less c f (J - I) at the trivial character.
+    E is the integer error D = A^2 - (the right side) at gamma, so by
+    Parseval the energy sum_gamma |E[i, j]|^2 (a pair's first counted
+    twice) is f sum_h D[i, h, j]^2, 0 or at least f: a cell offends iff its
+    float energy exceeds f/2.  The info names the first group element whose
     exact count at the row-major first offence misses its target.
     The guard (Higham, ch. 3, first order in u = 2^-53): with B = sum_h |A|
     in int64 (abs of an int8 -128 wraps), b its largest cell and R its
@@ -674,6 +711,13 @@ def verify_drackn(a: np.ndarray, group: AbelianGroup, c: int, read=None) -> Veri
     n, f = a.shape[0] if a.ndim else 0, group.order
     if a.shape != (n, f, n):
         raise ValueError(f"expected an (n, {f}, n) array, got shape {a.shape}")
+    return character_reports(a, 0, group, c=c)[0]
+
+
+def _drackn_report(a, group: AbelianGroup, c: int, energy, residuals: dict) -> VerificationReport:
+    """verify_drackn's report on a from the energy and the signature
+    residuals, by first of a conjugate pair, that character_reports summed."""
+    n, f = len(a), group.order
     rep = VerificationReport(subject=f"({n},{f},{c})-DRACKN")
     adjoint_bad = monomial_bad = None
     b_max = b_rows = 0
@@ -694,10 +738,6 @@ def verify_drackn(a: np.ndarray, group: AbelianGroup, c: int, read=None) -> Veri
     rep.add("monomial-off-diagonal", monomial_bad is None, witness=monomial_bad)
     delta = n - f * c - 2
     firsts = first_of_conjugates(chars := characters_of(group))
-    energy, residuals = read or (np.zeros((n, n)), {})
-    lock = threading.Lock()
-    for i in [] if read else sorted(set(firsts)):
-        residuals[i] = signature_term(*square_at(a, chars[i]), chars[i], c, energy, lock)
     e_max = (b_rows + abs(delta)) * b_max + n + abs(c) * f
     eps = 64 * (n + f) * 2.0**-53 * e_max
     diff, info = _first_bad(energy > f / 2), f"delta={delta}"

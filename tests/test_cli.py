@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import weakref
@@ -284,9 +285,10 @@ def test_exact_routes_are_independent_of_each_other(affine3_file, capsys, monkey
 
 def test_algebraic_and_drackn_read_one_gram_buffer(affine3_file, capsys, monkeypatch):
     # A = Phi* Phi - rI is built once: algebraic reads the Design's A, and
-    # verify_drackn receives that same memory, not a copy
+    # the character pass that makes the DRACKN report receives that same
+    # memory, not a copy
     built, read, received = [], [], []
-    gram, drackn = PolyphaseMatrix.gram, cli.V.verify_drackn
+    gram, drackn = PolyphaseMatrix.gram, cli.V.character_reports
     algebraic = cli.V.verify_polyphase_algebraic
 
     def building(self):
@@ -298,13 +300,13 @@ def test_algebraic_and_drackn_read_one_gram_buffer(affine3_file, capsys, monkeyp
         read.append(vars(d)["drackn"][0])
         return rep
 
-    def receiving(a, *args):
+    def receiving(a, *args, **kwargs):
         received.append(a)
-        return drackn(a, *args)
+        return drackn(a, *args, **kwargs)
 
     monkeypatch.setattr(PolyphaseMatrix, "gram", building)
     monkeypatch.setattr(cli.V, "verify_polyphase_algebraic", reading)
-    monkeypatch.setattr(cli.V, "verify_drackn", receiving)
+    monkeypatch.setattr(cli.V, "character_reports", receiving)
     code, out, _ = run(capsys, "verify", str(affine3_file), "--checks", "algebraic,drackn")
     assert code == 0 and "PASS triple-identity" in out and "PASS (9,3,3)-DRACKN" in out
     assert (len(built), len(read), len(received)) == (1, 1, 1)
@@ -314,17 +316,17 @@ def test_algebraic_and_drackn_read_one_gram_buffer(affine3_file, capsys, monkeyp
 def test_verify_drops_drackn_matrix_before_gq(tmp_path, capsys, monkeypatch):
     run(capsys, "construct", "--family", "brouwer", "--q", "2", "-o", str(tmp_path))
     refs, alive = [], []
-    drackn, axioms = cli.V.verify_drackn, cli.V.verify_gq_axioms
+    drackn, axioms = cli.V.character_reports, cli.V.verify_gq_axioms
 
-    def recording_drackn(a, *args):
+    def recording_drackn(a, *args, **kwargs):
         refs.append(weakref.ref(a))
-        return drackn(a, *args)
+        return drackn(a, *args, **kwargs)
 
     def probing_axioms(*args, **kwargs):
         alive.extend(ref() is not None for ref in refs)
         return axioms(*args, **kwargs)
 
-    monkeypatch.setattr(cli.V, "verify_drackn", recording_drackn)
+    monkeypatch.setattr(cli.V, "character_reports", recording_drackn)
     monkeypatch.setattr(cli.V, "verify_gq_axioms", probing_axioms)
     code, out, _ = run(capsys, "verify", str(tmp_path / "brouwer_q2.polyphase"))
     assert code == 0 and "PASS (9,3,3)-DRACKN" in out
@@ -559,18 +561,59 @@ def test_verify_thread_env(affine3_file, capsys, monkeypatch):
     assert code == 0 and out.count("numeric ETF") == 2
 
 
-def test_verify_thread_pool_clamped_to_characters(affine3_file, capsys, monkeypatch):
+def test_verify_thread_pool_clamped_to_characters(affine3_file, tmp_path, capsys, monkeypatch):
+    # one first of a conjugate pair runs in the calling thread; more run in
+    # a pool of min(workers, firsts)
     sizes = []
 
     def recording_pool(max_workers):
         sizes.append(max_workers)
         return ThreadPoolExecutor(max_workers=max_workers)
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(cli.V, "ThreadPoolExecutor", recording_pool)
     monkeypatch.setenv("ETFFORGE_THREADS", "64")
     code, _, _ = run(capsys, "verify", str(affine3_file), "--checks", "etf",
                      "--character", "index:1")
-    assert code == 0 and sizes == [1]
+    assert code == 0 and sizes == []
+    # brouwer q=3 is over Z4: etf reads the firsts 1 and 2, drackn 0 too
+    run(capsys, "construct", "--family", "brouwer", "--q", "3", "-o", str(tmp_path))
+    path = str(tmp_path / "brouwer_q3.polyphase")
+    for threads, checks, size in (("64", "etf", 2), ("64", "etf,drackn", 3), ("2", "etf,drackn", 2)):
+        monkeypatch.setenv("ETFFORGE_THREADS", threads)
+        sizes.clear()
+        code, _, _ = run(capsys, "verify", path, "--checks", checks)
+        assert code == 0 and sizes == [size]
+
+
+def test_one_worker_squares_in_the_calling_thread(tmp_path, capsys, monkeypatch):
+    def no_pool(max_workers):
+        raise AssertionError(f"a pool of {max_workers} was made")
+
+    square, threads = cli.V.square_at, []
+
+    def recording_square(a, gamma):
+        threads.append(threading.current_thread())
+        return square(a, gamma)
+
+    monkeypatch.setattr(cli.V, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(cli.V, "square_at", recording_square)
+    monkeypatch.setenv("ETFFORGE_THREADS", "1")
+    run(capsys, "construct", "--family", "brouwer", "--q", "3", "-o", str(tmp_path))
+    code, out, _ = run(capsys, "verify", str(tmp_path / "brouwer_q3.polyphase"))
+    assert code == 0 and "PASS (28,4,8)-DRACKN" in out
+    assert threads == [threading.current_thread()] * 3
+
+
+def test_two_workers_write_the_one_worker_report(tmp_path, capsys, monkeypatch):
+    run(capsys, "construct", "--family", "brouwer", "--q", "5", "-o", str(tmp_path))
+    path, texts = str(tmp_path / "brouwer_q5.polyphase"), []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("ETFFORGE_THREADS", threads)
+        report = tmp_path / f"report{threads}.json"
+        code, out, _ = run(capsys, "verify", path, "--json", str(report))
+        assert code == 0 and out.count("numeric ETF") == 5 and "SRG(" in out
+        texts.append((out, report.read_bytes()))
+    assert texts[0] == texts[1]
 
 
 def test_verify_incidence_input(affine3_file, tmp_path, capsys):
