@@ -212,12 +212,13 @@ def cmd_verify(args) -> int:
                 wanted = [n for n in wanted if n != name]
         gammas = _select_characters(m.group, args.character) if "etf" in wanted else []
         if "algebraic" in wanted:
-            reports.append(V.verify_polyphase_algebraic(d))
+            reports.append(d.algebraic)
         bibd_fail = next((c.name for c in d.bibd.checks if not c.passed), None)
         drackn = "drackn" in wanted and not bibd_fail and d.drackn is not None
         if gammas or drackn:
             c = d.drackn[1].c if drackn else None
-            checked = V.character_reports(*d.gram, m.group, gammas, c, phi=m, workers=_thread_count())
+            checked = V.character_reports(*d.gram, m.group, gammas, c, phi=m,
+                                          workers=_thread_count(), proven=d.algebraic.passed)
             reports += [V.VerificationReport(f"{rep.subject} at character {gamma.exponents}",
                                              list(rep.checks), rep.numerics)
                         for gamma, rep in zip(gammas, checked)] + checked[len(gammas):]

@@ -25,16 +25,26 @@ and, by Parseval over the group, A^2 exactly under an a-priori float
 guard.  Evaluation at a conjugate character conjugates every entry and
 changes no reported quantity, so the stage runs once per conjugate pair,
 the trivial one included: in the calling thread for one worker, else in
-a thread pool.
+a thread pool.  That full pass, and so the float guard, runs only where
+bibd (lambda = 1) or algebraic fails, and for verify_drackn and
+verify_etf_numeric: once both pass, verify derives every nontrivial etf
+and DRACKN line and forms one square to cross-check them.  Proof:
+algebraic gives Phi A = (k-1) Phi + (k/f) G (J - X), X the support; as
+G z = G and X^T X = (r-1) I + J, Phi* G (J - X) = (r-1) G (J - I), so
+A^2 = (k-1-r) A + r(k-1) I + c G (J - I), c = k(r-1)/f: the DRACKN
+quadratic.  A is self-adjoint (a Gram), hollow (col-sums = r) and
+monomial off its diagonal (pair-balance = 1).  At a nontrivial gamma,
+gamma(G) = 0: S is a signature matrix, S^2 = delta S + (n-1) I, and
+G = rI + S has G^2 = (r+k-1) G, an ETF at the Welch bound.
 
 The GQ and SRG checks count from the nonzero cells of a 0/1 incidence Z
-(a dense array's, or a Design's GQ lift cells) by walks over its two CSR
-views, block -> points and point -> blocks: a row of P = Z^T Z counts the
+(a dense array's, or a Design's GQ lift cells) by walks over its two hop
+tables, block -> points and point -> blocks: a row of P = Z^T Z counts the
 point -> block -> point walks from its point, a row of Z Z^T Z the
 block -> point -> block -> point walks from its block.  One kernel
-expands a bounded span of sources at a time and counts where the walks
-end with one bincount, so no array grows with points^2; the BIBD pair
-balance walks its Z^T Z the same way.
+gathers whole table rows for a bounded span of sources at a time and
+counts where the walks end with one bincount, so no array grows with
+points^2; the BIBD pair balance walks its Z^T Z the same way.
 For any Phi, each x in its group maps the lift onto itself: lifted row
 v + i f + a goes to v + i f + (a + x), point j f + b to j f + (b + x),
 and each spread row stays.  Z, P, Z Z^T and both sides of the triple
@@ -60,7 +70,7 @@ import numpy as np
 
 from .construct import DracknParams, gq_cells
 from .groupring import AbelianGroup, Character, characters_of, first_of_conjugates
-from .polymat import PolyphaseMatrix, ragged_ranges, row_spans
+from .polymat import PolyphaseMatrix, row_spans
 
 NUMERIC_TOL = 1e-9
 RANK_REL_TOL = 1e-8
@@ -185,7 +195,7 @@ class Design:
     """One polyphase matrix Phi and what the checks share, derived once:
     v, f, k (row 0's cells), r = (v-1)/(k-1) or None, the BIBD report on
     Phi's cells; when first read, the one Gram array that algebraic, etf
-    and drackn read, and then the GQ lift cells."""
+    and drackn read, the algebraic report, and then the GQ lift cells."""
 
     def __init__(self, m: PolyphaseMatrix):
         self.m, self.v, self.f = m, m.cols, m.group.order
@@ -210,6 +220,11 @@ class Design:
         if self.r is None or self.k * (self.r - 1) % self.f:
             return None
         return self.gram[0], DracknParams(self.v, self.f, self.k * (self.r - 1) // self.f)
+
+    @functools.cached_property
+    def algebraic(self) -> VerificationReport:
+        """verify_polyphase_algebraic's report: its verdict lets etf and drackn be derived."""
+        return verify_polyphase_algebraic(self)
 
     @functools.cached_property
     def gq(self) -> _Cells:
@@ -380,7 +395,7 @@ def verify_etf_numeric(phi, tol: float = NUMERIC_TOL, *, gamma: Character | None
 
 def character_reports(a: np.ndarray, shift: int, group: AbelianGroup, gammas=(),
                       c: int | None = None, *, phi=None, tol: float = NUMERIC_TOL,
-                      workers: int = 1) -> list:
+                      workers: int = 1, proven: bool = False) -> list:
     """The one numeric pass over the characters of group, on the (n, f, n)
     a = Phi* Phi - shift I: the etf report on phi at each of gammas, then,
     if c is given, the DRACKN report on a with that c.  Each is read at the
@@ -389,11 +404,21 @@ def character_reports(a: np.ndarray, shift: int, group: AbelianGroup, gammas=(),
     reads S and S S before etf writes G and G^2 over them.  Past one
     worker and one first, the firsts run in a pool of at most workers
     threads, each holding one square, and add into one DRACKN energy under
-    a lock; otherwise they run in the calling thread."""
+    a lock; otherwise they run in the calling thread.  If proven, Phi
+    passed bibd and algebraic (shift r), so each line at a nontrivial
+    character is derived but at one cross-check first: the first real one
+    of etf's nontrivial firsts, else the first, or with none, of every
+    nontrivial first.  If it fails, a cross-check line names the contradiction."""
+    if gammas and phi is None:
+        raise ValueError("etf reports need phi, the matrix whose Gram less shift I is a")
     chars = characters_of(group)
     pairs = first_of_conjugates(chars)
     etf_at = [pairs[group.index(g.exponents)] for g in gammas]
     todo = sorted(set(etf_at) | set(pairs if c is not None else ()))
+    if proven:
+        cross = sorted(set(etf_at) - {0}) or [i for i in todo if i]
+        cross = [i for i in cross if chars[i].is_real()] + cross
+        todo = sorted({0} & set(etf_at) | set(cross[:1]))
     energy, residuals, checked, lock = np.zeros((len(a), len(a))), {}, {}, threading.Lock()
 
     def stage(i):
@@ -409,8 +434,28 @@ def character_reports(a: np.ndarray, shift: int, group: AbelianGroup, gammas=(),
     else:
         for i in todo:
             stage(i)
-    tail = [_drackn_report(a, group, c, energy, residuals)] if c is not None else []
+    tail = [_drackn_report(a, group, c, energy, residuals, proven)] if c is not None else []
+    if proven:
+        checked = {i: checked.get(i) or _etf_exact(len(a), shift, phi.shape[0]) for i in etf_at}
+        if cross and not all(rep.passed for rep in [checked.get(cross[0]), *tail] if rep):
+            (checked.get(cross[0]) or tail[0]).add("cross-check", False, info=(
+                f"the square at {chars[cross[0]].exponents} fails, though bibd and algebraic pass"))
     return [checked[i] for i in etf_at] + tail
+
+
+def _etf_exact(n: int, r: int, rows: int) -> VerificationReport:
+    """etf_from_square's report at a nontrivial character of a design that
+    passed bibd and algebraic, where S is exactly a signature matrix: every
+    residual 0.0, a = r+k-1 with k-1 = (n-1)/r, d = nr/a, delta = k-1-r."""
+    a = r + (n - 1) // r
+    d, delta, rep = n * r // a, a - 2 * r, VerificationReport(f"numeric ETF ({rows}x{n})")
+    for name, info in (("equal-norms", ""), ("equiangular", ""), ("tightness", f"a={a:.6g}, d={d}"),
+                       ("welch-equality", ""), ("signature-quadratic", f"delta={delta:.6g}"),
+                       ("signature-dimension", "")):
+        rep.add(name, True, residual=0.0, info=info)
+    welch = math.sqrt((n - d) / (d * (n - 1)))
+    rep.numerics = EtfNumerics(n, d, float(r), 1.0, float(a), welch, 1 / r, float(delta))
+    return rep
 
 
 def square_at(a: np.ndarray, gamma: Character) -> tuple[np.ndarray, np.ndarray]:
@@ -504,35 +549,25 @@ def etf_from_square(gram, e, shift: int, phi, gamma=None, tol=NUMERIC_TOL) -> Ve
 SPAN_CELLS = 2**20
 
 
-def _hop(at, ptr, targets):
-    """One hop of a walk from each node in at, along the CSR view (ptr,
-    targets), node u stepping to each of targets[ptr[u]:ptr[u+1]]: the
-    nodes reached, grouped by start, and how many each start reaches."""
-    start = ptr.take(at)
-    deg = ptr.take(at + 1) - start
-    return targets.take(ragged_ranges(start, deg)), deg
-
-
 def _walk_counts(sources, hops, width: int):
     """Yield (r0, counts) per span of sources: counts[i, c] is the number
-    of walks from sources[r0 + i] along the chain of CSR hops that end at
-    c < width.  Each span expands its walks hop by hop and counts their
-    ends with one bincount; it holds at most the budget in walks plus
-    counted cells, unless one source alone exceeds it."""
-    # walks from each node to the end of the chain, counted back from the end
-    walks = np.ones(width, dtype=np.intp)
-    for ptr, targets in reversed(hops):
-        ends = np.concatenate(([0], np.cumsum(walks.take(targets))))
-        walks = np.diff(ends.take(ptr))
+    of walks from sources[r0 + i] along the chain of hop tables (see
+    _Cells.hops) that end at c < width.  Each span gathers whole table rows
+    hop by hop, so its walks stay grouped by source, and counts their ends
+    with one bincount; it holds at most the budget in walks plus counted
+    cells, unless one source alone exceeds it."""
     budget = min(SPAN_CELLS // 16, width * width // 4)
-    for r0, r1 in row_spans(walks.take(sources) + width, budget):
+    walks = math.prod(table.shape[1] for table in hops)
+    for r0, r1 in row_spans(np.full(len(sources), walks + width), budget):
         at = sources[r0:r1]
-        # a span's walks stay grouped by source, hop after hop
-        slot = np.repeat(width * np.arange(r1 - r0), walks.take(at))
-        for ptr, targets in hops:
-            at = _hop(at, ptr, targets)[0]
-        slot += at
-        yield r0, np.bincount(slot, minlength=(r1 - r0) * width).reshape(r1 - r0, width)
+        for table in hops:
+            at = table.take(at, axis=0)
+        # each source's ends, offset to its own row of width + 1 slots, the
+        # last of which counts the walks that reached the sink
+        at = at.reshape(r1 - r0, -1)
+        at += (width + 1) * np.arange(r1 - r0)[:, None]
+        counts = np.bincount(at.ravel(), minlength=(r1 - r0) * (width + 1))
+        yield r0, counts.reshape(r1 - r0, width + 1)[:, :width]
 
 
 def _first_offence(sources, hops, width: int, bad) -> tuple | None:
@@ -557,16 +592,16 @@ def _shared(at, counts):
 
 class _Cells:
     """A 0/1 incidence by its shape, its row-major nonzero cells (ii, jj),
-    their row sums, the first cell that is not 1 (None for a lift, whose
-    cells are all ones) and its translation order f: the group order for a
-    lift, whose translation orbits are each spread row, the lifted rows
-    v + i f + a and the points j f + b; 1 for a dense array.  The two CSR
-    views the walks hop along, and the GQ axioms report for each (s, t),
-    are derived on first use."""
+    their row and column sums, the first cell that is not 1 (None for a
+    lift, whose cells are all ones) and its translation order f: the group
+    order for a lift, whose translation orbits are each spread row, the
+    lifted rows v + i f + a and the points j f + b; 1 for a dense array.
+    The two hop tables the walks gather along, and the GQ axioms report
+    for each (s, t), are derived on first use."""
 
     def __init__(self, shape, ii, jj, f, not_one=None):
         self.shape, self.ii, self.jj, self.f, self.not_one = shape, ii, jj, f, not_one
-        self.rows = np.bincount(ii, minlength=shape[0])
+        self.rows, self.cols = (np.bincount(a, minlength=m) for a, m in zip((ii, jj), shape))
         self.axioms: dict[tuple[int, int], VerificationReport] = {}
 
     @classmethod
@@ -579,15 +614,23 @@ class _Cells:
         return cls(z.shape, ii, jj, 1, (int(ii[bad[0]]), int(jj[bad[0]])) if len(bad) else None)
 
     @functools.cached_property
-    def hops(self) -> tuple[tuple, tuple]:
-        """(block -> points, point -> blocks) as CSR (ptr, targets): the
-        row-major cells, and the blocks of each point in order.  As ii
-        ascends, one sort of the distinct keys jj b + ii is a stable sort
-        of jj, and far faster than a stable argsort."""
-        cols = np.bincount(self.jj, minlength=self.shape[1])
-        by_point = np.sort(self.jj * self.shape[0] + self.ii) % self.shape[0]
-        return ((np.concatenate(([0], np.cumsum(self.rows))), self.jj),
-                (np.concatenate(([0], np.cumsum(cols))), by_point))
+    def hops(self) -> tuple[np.ndarray, np.ndarray]:
+        """(block -> points, point -> blocks) as tables, one row of
+        neighbours per node: the row-major cells, and the blocks of each
+        point from one sort of the distinct keys jj b + ii (as ii ascends, a
+        stable sort of jj, far faster than a stable argsort).  Once the sums
+        hold they are (blocks, s+1) and (points, t+1); else short rows are
+        padded with a sink node, one past the last, whose own row, the
+        table's last, leads to the other sink."""
+        b, p = self.shape
+        return _table(self.rows, self.jj, p), _table(self.cols, np.sort(self.jj * b + self.ii) % b, b)
+
+
+def _table(degrees, targets, sink: int) -> np.ndarray:
+    """Rows of targets of the given degrees, padded with sink, and a last row of sink."""
+    table = np.full((len(degrees) + 1, degrees.max(initial=0)), sink)
+    table[:-1][np.arange(table.shape[1]) < degrees[:, None]] = targets
+    return table
 
 
 def _cells(z) -> _Cells:
@@ -602,7 +645,7 @@ def _add_sums(rep: VerificationReport, z: _Cells, row: int, col: int) -> bool:
     rep.add("zero-one", z.not_one is None, witness=z.not_one)
     if z.not_one is not None:
         return False
-    for name, sums, want in (("row-sums", z.rows, row), ("col-sums", np.diff(z.hops[1][0]), col)):
+    for name, sums, want in (("row-sums", z.rows, row), ("col-sums", z.cols, col)):
         witness = _first_bad(sums != want)
         rep.add(name, witness is None, witness=witness,
                 info="" if witness is None else f"got {sums[witness]}, want {want}")
@@ -666,19 +709,17 @@ def _count_gq_axioms(z: _Cells, s: int, t: int) -> VerificationReport:
                 info=f"got {hit[2]}, want at most 1" if hit else "")
 
     def off_target(at, counts):
-        # row i of Z Z^T Z is s+t+1 on the points of block i, 1 elsewhere
-        mask = counts != 1
-        ends, deg = _hop(at, *to_points)
-        on = np.repeat(np.arange(len(at)), deg), ends
-        mask[on] = counts[on] != s + t + 1
-        return mask
+        # row i of Z Z^T Z is s+t+1 on the points of block i, 1 elsewhere; the
+        # extra last column takes the sink, which pads blocks only when the sums fail
+        want = np.ones((len(at), n_points + 1), dtype=counts.dtype)
+        want[np.arange(len(at))[:, None], to_points.take(at, axis=0)] = s + t + 1
+        return counts != want[:, :n_points]
 
     triple = _first_offence(blocks, (to_points, to_blocks, to_points), n_points, off_target)
     info = ""
     if triple:
         i, c, got = triple
-        want = s + t + 1 if c in z.jj[to_points[0][i]:to_points[0][i + 1]] else 1
-        info = f"got {got}, want {want}"
+        info = f"got {got}, want {s + t + 1 if c in to_points[i] else 1}"
     rep.add("triple-product", not triple, witness=triple and triple[:2], info=info)
     return rep
 
@@ -714,51 +755,61 @@ def verify_drackn(a: np.ndarray, group: AbelianGroup, c: int) -> VerificationRep
     return character_reports(a, 0, group, c=c)[0]
 
 
-def _drackn_report(a, group: AbelianGroup, c: int, energy, residuals: dict) -> VerificationReport:
+def _drackn_report(a, group: AbelianGroup, c: int, energy, residuals: dict,
+                   proven: bool = False) -> VerificationReport:
     """verify_drackn's report on a from the energy and the signature
-    residuals, by first of a conjugate pair, that character_reports summed."""
+    residuals, by first of a conjugate pair, that character_reports summed.
+    If proven, a passed bibd and algebraic, so the structural lines and the
+    quadratic hold exactly (see the module docstring) and nothing is
+    scanned, and a signature line with no residual summed reads 0.0."""
     n, f = len(a), group.order
     rep = VerificationReport(subject=f"({n},{f},{c})-DRACKN")
-    adjoint_bad = monomial_bad = None
-    b_max = b_rows = 0
-    for r0, r1 in row_spans(np.full(n, f * n), SPAN_CELLS // 16):
-        span, off = a[r0:r1], np.arange(n) != np.arange(r0, r1)[:, None]
-        # row i of A* is column i of A under the involution
-        bad = (span != a[:, group.neg_index, r0:r1].transpose(2, 1, 0)).any(axis=1)
-        if adjoint_bad is None and (hit := _first_bad(bad)):
-            adjoint_bad = (r0 + hit[0], hit[1])
-        monomial = (np.sum(span == 1, axis=1) == 1) & (np.sum(span != 0, axis=1) == 1) & off
-        if monomial_bad is None and (hit := _first_bad(~monomial & off)):
-            monomial_bad = (r0 + hit[0], hit[1])
-        b = np.abs(span, dtype=np.int64).sum(axis=1)
-        b_max, b_rows = max(b_max, int(b.max())), max(b_rows, int(b.sum(axis=1).max()))
-    rep.add("self-adjoint", adjoint_bad is None, witness=adjoint_bad)
-    diag = a[np.arange(n), :, np.arange(n)]
-    rep.add("zero-diagonal", bool(np.all(diag == 0)), witness=_first_bad(diag.any(axis=1)))
-    rep.add("monomial-off-diagonal", monomial_bad is None, witness=monomial_bad)
     delta = n - f * c - 2
+    if proven:
+        for name in ("self-adjoint", "zero-diagonal", "monomial-off-diagonal"):
+            rep.add(name, True)
+        rep.add("quadratic", True, info=f"delta={delta}")
+    else:
+        adjoint_bad = monomial_bad = None
+        b_max = b_rows = 0
+        for r0, r1 in row_spans(np.full(n, f * n), SPAN_CELLS // 16):
+            span, off = a[r0:r1], np.arange(n) != np.arange(r0, r1)[:, None]
+            # row i of A* is column i of A under the involution
+            bad = (span != a[:, group.neg_index, r0:r1].transpose(2, 1, 0)).any(axis=1)
+            if adjoint_bad is None and (hit := _first_bad(bad)):
+                adjoint_bad = (r0 + hit[0], hit[1])
+            monomial = (np.sum(span == 1, axis=1) == 1) & (np.sum(span != 0, axis=1) == 1) & off
+            if monomial_bad is None and (hit := _first_bad(~monomial & off)):
+                monomial_bad = (r0 + hit[0], hit[1])
+            b = np.abs(span, dtype=np.int64).sum(axis=1)
+            b_max, b_rows = max(b_max, int(b.max())), max(b_rows, int(b.sum(axis=1).max()))
+        rep.add("self-adjoint", adjoint_bad is None, witness=adjoint_bad)
+        diag = a[np.arange(n), :, np.arange(n)]
+        rep.add("zero-diagonal", bool(np.all(diag == 0)), witness=_first_bad(diag.any(axis=1)))
+        rep.add("monomial-off-diagonal", monomial_bad is None, witness=monomial_bad)
+        e_max = (b_rows + abs(delta)) * b_max + n + abs(c) * f
+        eps = 64 * (n + f) * 2.0**-53 * e_max
+        diff, info = _first_bad(energy > f / 2), f"delta={delta}"
+        if (2 * e_max + eps) * eps >= 0.5:
+            diff, info = (), f"{info}, past the float guard: E*={e_max}, eps={eps:.3g}"
+        elif diff:
+            # the exact count in cell (i, j) of A^2 from n f^2 integer products
+            i, j = diff
+            counts = np.zeros(f, dtype=np.int64)
+            np.add.at(counts, group.add_index, a[i].astype(np.int64) @ a[:, :, j].astype(np.int64))
+            want = delta * a[i, :, j].astype(np.int64) + c * (i != j)
+            want[0] += (n - 1) * (i == j)
+            h = int(np.flatnonzero(counts != want)[0])
+            info += f", element {group.elements[h]} got {counts[h]}, want {want[h]}"
+        rep.add("quadratic", diff is None, witness=diff, info=info)
     firsts = first_of_conjugates(chars := characters_of(group))
-    e_max = (b_rows + abs(delta)) * b_max + n + abs(c) * f
-    eps = 64 * (n + f) * 2.0**-53 * e_max
-    diff, info = _first_bad(energy > f / 2), f"delta={delta}"
-    if (2 * e_max + eps) * eps >= 0.5:
-        diff, info = (), f"{info}, past the float guard: E*={e_max}, eps={eps:.3g}"
-    elif diff:
-        # the exact count in cell (i, j) of A^2 from n f^2 integer products
-        i, j = diff
-        counts = np.zeros(f, dtype=np.int64)
-        np.add.at(counts, group.add_index, a[i].astype(np.int64) @ a[:, :, j].astype(np.int64))
-        want = delta * a[i, :, j].astype(np.int64) + c * (i != j)
-        want[0] += (n - 1) * (i == j)
-        h = int(np.flatnonzero(counts != want)[0])
-        info += f", element {group.elements[h]} got {counts[h]}, want {want[h]}"
-    rep.add("quadratic", diff is None, witness=diff, info=info)
     dim = n / 2 * (1 - delta / math.sqrt(delta * delta + 4 * (n - 1)))
     # A at the conjugate of a character is the conjugate matrix, with the
     # same residual, so the pair's second line repeats its first
     for gamma, first in zip(chars[1:], firsts[1:]):
-        rep.add(f"signature@{gamma.exponents}", residuals[first] <= NUMERIC_TOL,
-                residual=residuals[first], info=f"d={dim:.6g}")
+        residual = residuals.get(first, 0.0)
+        rep.add(f"signature@{gamma.exponents}", residual <= NUMERIC_TOL,
+                residual=residual, info=f"d={dim:.6g}")
     return rep
 
 

@@ -561,7 +561,18 @@ def test_verify_thread_env(affine3_file, capsys, monkeypatch):
     assert code == 0 and out.count("numeric ETF") == 2
 
 
-def test_verify_thread_pool_clamped_to_characters(affine3_file, tmp_path, capsys, monkeypatch):
+def _exponent_mutant(tmp_path, capsys, family, q):
+    """A built design with the exponent of its first cell moved by one: it
+    passes bibd and fails algebraic, so verify runs the full numeric pass."""
+    run(capsys, "construct", "--family", family, "--q", str(q), "-o", str(tmp_path))
+    m = parse_polyphase((tmp_path / f"{family}_q{q}.polyphase").read_text())
+    path = tmp_path / f"{family}_q{q}_mutant.polyphase"
+    path.write_text(format_polyphase(replaced(m, int(m.ii[0]), int(m.jj[0]),
+                                              m.group.elements[(int(m.e[0]) + 1) % m.group.order])))
+    return str(path)
+
+
+def test_verify_thread_pool_clamped_to_characters(tmp_path, capsys, monkeypatch):
     # one first of a conjugate pair runs in the calling thread; more run in
     # a pool of min(workers, firsts)
     sizes = []
@@ -572,17 +583,16 @@ def test_verify_thread_pool_clamped_to_characters(affine3_file, tmp_path, capsys
 
     monkeypatch.setattr(cli.V, "ThreadPoolExecutor", recording_pool)
     monkeypatch.setenv("ETFFORGE_THREADS", "64")
-    code, _, _ = run(capsys, "verify", str(affine3_file), "--checks", "etf",
-                     "--character", "index:1")
-    assert code == 0 and sizes == []
+    code, _, _ = run(capsys, "verify", _exponent_mutant(tmp_path, capsys, "affine", 3),
+                     "--checks", "etf", "--character", "index:1")
+    assert code == 1 and sizes == []
     # brouwer q=3 is over Z4: etf reads the firsts 1 and 2, drackn 0 too
-    run(capsys, "construct", "--family", "brouwer", "--q", "3", "-o", str(tmp_path))
-    path = str(tmp_path / "brouwer_q3.polyphase")
+    path = _exponent_mutant(tmp_path, capsys, "brouwer", 3)
     for threads, checks, size in (("64", "etf", 2), ("64", "etf,drackn", 3), ("2", "etf,drackn", 2)):
         monkeypatch.setenv("ETFFORGE_THREADS", threads)
         sizes.clear()
         code, _, _ = run(capsys, "verify", path, "--checks", checks)
-        assert code == 0 and sizes == [size]
+        assert code == 1 and sizes == [size]
 
 
 def test_one_worker_squares_in_the_calling_thread(tmp_path, capsys, monkeypatch):
@@ -598,9 +608,8 @@ def test_one_worker_squares_in_the_calling_thread(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(cli.V, "ThreadPoolExecutor", no_pool)
     monkeypatch.setattr(cli.V, "square_at", recording_square)
     monkeypatch.setenv("ETFFORGE_THREADS", "1")
-    run(capsys, "construct", "--family", "brouwer", "--q", "3", "-o", str(tmp_path))
-    code, out, _ = run(capsys, "verify", str(tmp_path / "brouwer_q3.polyphase"))
-    assert code == 0 and "PASS (28,4,8)-DRACKN" in out
+    code, out, _ = run(capsys, "verify", _exponent_mutant(tmp_path, capsys, "brouwer", 3))
+    assert code == 1 and "FAIL (28,4,8)-DRACKN" in out
     assert threads == [threading.current_thread()] * 3
 
 

@@ -166,13 +166,9 @@ def test_single_characters_match_direct(selector, tmp_path):
         assert gamma == cli._select_characters(m.group, selector)[0]
 
 
-def test_verify_checks_each_conjugate_pair_once(tmp_path, monkeypatch):
-    # brouwer q=5 is over Z6: characters 1 and 5, 2 and 4 pair, and 3 is real
-    monkeypatch.setenv("ETFFORGE_THREADS", "1")
-    # one stage forms S S once per first of a pair: the DRACKN reads every
-    # first, the trivial character included, and etf its selected ones
-    square = verify_module.square_at
-    seen = []
+def _recorded_squares(monkeypatch):
+    """The (exponents, dtype) of each square_at call, as it is made."""
+    square, seen = verify_module.square_at, []
 
     def recording_square(a, gamma):
         s, p = square(a, gamma)
@@ -180,17 +176,72 @@ def test_verify_checks_each_conjugate_pair_once(tmp_path, monkeypatch):
         return s, p
 
     monkeypatch.setattr(verify_module, "square_at", recording_square)
-    reports = _cli_reports(tmp_path, brouwer_polyphase(5), "--checks", "etf,drackn")
-    assert len(reports) == 6 and all(r["passed"] for r in reports)
+    return seen
+
+
+def test_verify_checks_each_conjugate_pair_once(tmp_path, monkeypatch):
+    # brouwer q=5 is over Z6: characters 1 and 5, 2 and 4 pair, and 3 is real
+    monkeypatch.setenv("ETFFORGE_THREADS", "1")
+    # on a design that passes bibd and fails algebraic, one stage forms S S
+    # once per first of a pair: the DRACKN reads every first, the trivial
+    # character included, and etf its selected ones
+    m = _mutant(brouwer_polyphase(5), *MUTANTS["brouwer5-exponent"][1:])
+    seen = _recorded_squares(monkeypatch)
+    reports = _cli_reports(tmp_path, m, "--checks", "etf,drackn")
+    assert len(reports) == 6 and not all(r["passed"] for r in reports)
     assert seen == [((0,), np.float64), ((1,), np.complex128), ((2,), np.complex128),
                     ((3,), np.float64)]
     seen.clear()
-    reports = _cli_reports(tmp_path, brouwer_polyphase(5), "--checks", "etf")
-    assert len(reports) == 5 and all(r["passed"] for r in reports)
+    reports = _cli_reports(tmp_path, m, "--checks", "etf")
+    assert len(reports) == 5 and not all(r["passed"] for r in reports)
     assert seen == [((1,), np.complex128), ((2,), np.complex128), ((3,), np.float64)]
     seen.clear()
-    _cli_reports(tmp_path, brouwer_polyphase(5), "--checks", "etf", "--character", "index:5")
+    _cli_reports(tmp_path, m, "--checks", "etf", "--character", "index:5")
     assert seen == [((1,), np.complex128)]
+
+
+@pytest.mark.parametrize("checks,selector,at", [
+    (None, None, ((3,), np.float64)),
+    ("etf,drackn", None, ((3,), np.float64)),
+    ("drackn", None, ((3,), np.float64)),
+    ("etf", "index:5", ((1,), np.complex128)),
+])
+def test_passing_design_forms_one_cross_check_square(checks, selector, at, tmp_path, monkeypatch):
+    # once bibd and algebraic pass, every nontrivial etf and drackn line is
+    # exact; one square cross-checks them, at a real first if one is
+    # selected, and only its lines carry a float residual
+    seen = _recorded_squares(monkeypatch)
+    argv = [*(("--checks", checks) if checks else ()), *(("--character", selector) if selector else ())]
+    reports = _cli_reports(tmp_path, brouwer_polyphase(5), *argv)
+    assert seen == [at] and all(r["passed"] for r in reports)
+    residuals = {(r["subject"], c["name"]): c["residual"] for r in reports for c in r["checks"]
+                 if c["residual"] is not None and (r["subject"].startswith("numeric ETF")
+                                                   or r["subject"].endswith("-DRACKN"))}
+    assert residuals and all(isinstance(v, float) for v in residuals.values())
+    computed = [str(at[0]), str((-at[0][0] % 6,))]
+    assert all(v == 0.0 for (subject, name), v in residuals.items()
+               if not any(x in subject or x in name for x in computed))
+
+
+def test_cross_check_contradiction_fails_verify(tmp_path, monkeypatch, capsys):
+    # a square that disagrees with the exact bibd and algebraic passes is
+    # named as a contradiction, and verify fails
+    square = verify_module.square_at
+
+    def perturbed(a, gamma):
+        s, _ = square(a, gamma)
+        s[0, 1] += 0.5
+        return s, s @ s
+
+    monkeypatch.setattr(verify_module, "square_at", perturbed)
+    path = tmp_path / "design.polyphase"
+    path.write_text(format_polyphase(brouwer_polyphase(5)))
+    for checks in ("etf", "drackn", "etf,drackn"):
+        code = cli.main(["verify", str(path), "--checks", f"bibd,algebraic,{checks}"])
+        out = capsys.readouterr().out
+        assert code == 1 and "PASS triple-identity" in out, out
+        assert out.count("FAIL cross-check witness=() [the square at (3,) fails, though "
+                         "bibd and algebraic pass]") == 1, out
 
 
 def test_signature_terms_add_into_one_energy_across_threads():

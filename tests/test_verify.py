@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -11,9 +12,10 @@ from etfforge.construct import (
     gq_from_polyphase,
     simplex_phased,
 )
+from etfforge import cli
 from etfforge import verify as verify_module
 from etfforge.groupring import AbelianGroup, characters_of, real_character
-from etfforge.polymat import PolyphaseMatrix, row_spans
+from etfforge.polymat import PolyphaseMatrix, format_polyphase, row_spans
 from etfforge.verify import (
     Design,
     ScreenRow,
@@ -877,6 +879,89 @@ def test_gq_and_srg_row_spans_match_dense_reference(families, monkeypatch):
                                    ("bpbp", case @ case.T @ case)):
                 walks = _walked(cells, chain)
                 assert walks.dtype.kind == "i" and np.array_equal(walks, product), (name, chain)
+
+
+def _dense_walk_counts(sources, hops, width):
+    """_walk_counts as one span, by dense float64 products of the 0/1
+    adjacency of each hop table, its sink row and column dropped."""
+    counts = np.eye(len(hops[0]) - 1)[sources]
+    for table in hops:
+        adj = np.zeros((len(table), int(table[-1].max(initial=0)) + 1))
+        np.add.at(adj, (np.arange(len(table))[:, None], table), 1)
+        counts = counts @ adj[:-1, :-1]
+    assert counts.shape[1] == width
+    yield 0, counts.astype(np.intp)
+
+
+def test_walk_counts_match_dense_products_on_lifts_and_a_dense_incidence():
+    # the hop tables of every golden lift but brouwer q=7, and of the 0/1
+    # support of affine q=4, a BIBD that is no lift, walk to Z^T Z and Z Z^T Z
+    cases = [(Design(m).gq, gq_from_polyphase(m)) for m in _golden_designs()[:-1]]
+    support = affine_polyphase(4).modulus_squared()
+    cases.append((verify_module._Cells.from_dense(support), support))
+    for cells, z in cases:
+        z = z.astype(np.float64)  # exact at these sizes
+        pairs = z.T @ z
+        assert np.array_equal(_walked(cells, "pbp"), pairs), z.shape
+        assert np.array_equal(_walked(cells, "bpbp"), z @ pairs), z.shape
+        assert [t.shape for t in cells.hops] == [(len(z) + 1, z[0].sum()), (z.shape[1] + 1, z[:, 0].sum())]
+
+
+def _move_cell(m, seed):
+    """Move one supported entry, its element kept, to a zero of its row: the BIBD breaks."""
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(len(m.e)))
+    i, g = int(m.ii[p]), m.group.element(int(m.e[p]))
+    zeros = np.flatnonzero(dense_codes(m)[i] == m.group.order)
+    return replaced(replaced(m, i, int(m.jj[p]), None), i, int(zeros[rng.integers(len(zeros))]), g)
+
+
+def _verify_json(tmp_path, m):
+    path, out = tmp_path / "design.polyphase", tmp_path / "report.json"
+    path.write_text(format_polyphase(m))
+    assert cli.main(["verify", str(path), "--json", str(out)]) in (0, 1)
+    return json.loads(out.read_text())["reports"]
+
+
+def test_derived_lines_and_table_walks_match_the_full_pass(tmp_path, monkeypatch, capsys):
+    # the golden designs but brouwer q=7, and three seeded mutants of each:
+    # two exponents changed, which keep the BIBD, and one cell moved, which
+    # breaks it.  Every line of verify matches the full numeric pass on dense
+    # walk counts, residuals aside: a line derived from bibd and algebraic
+    # reads 0.0 where the pass computed rounding, and every other is the same
+    designs = _golden_designs()[:-1]
+    cases = designs + [mutant(m, seed) for m in designs
+                       for mutant, seed in ((_change_exponent, 1), (_change_exponent, 2), (_move_cell, 3))]
+    assert len(cases) - len(designs) >= 40
+    monkeypatch.setenv("ETFFORGE_THREADS", "1")
+    full_pass = verify_module.character_reports
+    derived = 0
+    for m in cases:
+        got = _verify_json(tmp_path, m)
+        with monkeypatch.context() as patch:
+            patch.setattr(verify_module, "_walk_counts", _dense_walk_counts)
+            patch.setattr(verify_module, "character_reports",
+                          lambda *args, proven, **kwargs: full_pass(*args, **kwargs))
+            want = _verify_json(tmp_path, m)
+        assert [r["subject"] for r in got] == [r["subject"] for r in want], repr(m)
+        for g, w in zip(got, want):
+            lines = [(c["name"], c["passed"], c["witness"], c["info"]) for c in g["checks"]]
+            assert lines == [(c["name"], c["passed"], c["witness"], c["info"]) for c in w["checks"]]
+            for gc, wc in zip(g["checks"], w["checks"]):
+                derived += gc["residual"] != wc["residual"]
+                assert gc["residual"] == wc["residual"] or (gc["residual"] == 0.0 and wc["residual"] <= 1e-9)
+    capsys.readouterr()
+    assert derived > 0
+
+
+def test_character_reports_need_phi_for_etf(families, monkeypatch):
+    squares = []
+    monkeypatch.setattr(verify_module, "square_at", lambda *args: squares.append(args))
+    a, shift = Design(families["affine3"]).gram
+    gammas = characters_of(families["affine3"].group)[1:]
+    with pytest.raises(ValueError, match="phi"):
+        verify_module.character_reports(a, shift, families["affine3"].group, gammas)
+    assert squares == []
 
 
 def test_srg_parameters(families):
