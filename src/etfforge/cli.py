@@ -34,7 +34,7 @@ from .construct import (
     gq_from_polyphase,
     simplex_phased,
 )
-from .groupring import characters_of, real_character
+from .groupring import select_characters
 from .polymat import (
     PolyphaseMatrix,
     format_complex_csv,
@@ -44,8 +44,6 @@ from .polymat import (
     polyphase_chunks,
 )
 from . import verify as V
-
-CHECK_NAMES = ("bibd", "combinatorial", "algebraic", "etf", "drackn", "gq", "srg")
 
 
 def _thread_count() -> int:
@@ -71,22 +69,6 @@ def _atomic_write(path: Path, text):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _select_characters(group, selector: str):
-    chars = characters_of(group)
-    if selector == "trivial":
-        return [chars[0]]
-    if selector == "real":
-        return [real_character(group)]
-    if selector == "all-nontrivial":
-        return [c for c in chars if not c.is_trivial]
-    if selector.startswith("index:"):
-        idx = int(selector.split(":", 1)[1])
-        if not 0 <= idx < len(chars):
-            raise ValueError(f"character index {idx} out of range 0..{len(chars) - 1}")
-        return [chars[idx]]
-    raise ValueError(f"bad character selector {selector!r}")
 
 
 def _build_family(args) -> tuple[str, PolyphaseMatrix]:
@@ -174,88 +156,14 @@ def _load_input(path: Path):
     return parse_incidence(text)
 
 
-def _skip(name: str, reason: str, reports: list, explicit: bool = False):
-    """A check that does not apply: a FAIL report if asked for by name, else a SKIP line."""
-    if explicit:
-        rep = V.VerificationReport(subject=name.upper())
-        rep.add("applicable", False, info=reason)
-        reports.append(rep)
-    else:
-        print(f"SKIP {name} ({reason})")
-
-
 def cmd_verify(args) -> int:
-    subject = _load_input(Path(args.input))
-    explicit = args.checks is not None
-    wanted = args.checks.split(",") if explicit else list(CHECK_NAMES)
-    for w in wanted:
-        if w not in CHECK_NAMES:
-            raise ValueError(f"unknown check {w!r}; pick from {','.join(CHECK_NAMES)}")
-    reports: list[V.VerificationReport] = []
-
-    if isinstance(subject, np.ndarray):
-        k = int(subject[0].sum()) if subject.shape[0] else 0
-        reports.append(V.verify_bibd(subject, subject.shape[1], k))
-        for name in wanted:
-            if name != "bibd":
-                _skip(name, "incidence input carries no phases", reports)
-    else:
-        d = V.Design(subject)
-        m, k, r, f = d.m, d.k, d.r, d.f
-        if "bibd" in wanted:
-            reports.append(d.bibd)
-        if "combinatorial" in wanted:
-            reports.append(V.verify_polyphase_combinatorial(d))
-        if refusal := m.gram_refusal():  # over the dense cap, the Gram's readers do not apply
-            for name in [n for n in ("algebraic", "etf", "drackn") if n in wanted]:
-                _skip(name, refusal, reports, explicit)
-                wanted = [n for n in wanted if n != name]
-        gammas = _select_characters(m.group, args.character) if "etf" in wanted else []
-        if "algebraic" in wanted:
-            reports.append(d.algebraic)
-        bibd_fail = next((c.name for c in d.bibd.checks if not c.passed), None)
-        drackn = "drackn" in wanted and not bibd_fail and d.drackn is not None
-        if gammas or drackn:
-            c = d.drackn[1].c if drackn else None
-            checked = V.character_reports(*d.gram, m.group, gammas, c, phi=m,
-                                          workers=_thread_count(), proven=d.algebraic.passed)
-            reports += [V.VerificationReport(f"{rep.subject} at character {gamma.exponents}",
-                                             list(rep.checks), rep.numerics)
-                        for gamma, rep in zip(gammas, checked)] + checked[len(gammas):]
-        if "drackn" in wanted and not drackn:
-            _skip("drackn", f"needs a BIBD: {bibd_fail} fails" if bibd_fail
-                  else "c = k(r-1)/f is not an integer", reports, explicit)
-        if k != f:
-            gq_skip = f"needs k = f, got k={k}, f={f}"
-        elif r is None:
-            gq_skip = f"r = (v-1)/(k-1) is not an integer, got v={d.v}, k={k}"
-        else:
-            gq_skip = None
-        if not gq_skip and {"gq", "srg"} & set(wanted):
-            try:  # over the lift cap, gq and srg do not apply
-                lift = d.gq
-            except ValueError as exc:
-                gq_skip = str(exc)
-            else:
-                gq = V.verify_gq_axioms(lift, k - 1, r, check_spread=True)
-        for name in [n for n in ("gq", "srg") if n in wanted]:
-            if gq_skip:
-                _skip(name, gq_skip, reports, explicit)
-            elif name == "gq":
-                reports.append(gq)
-            else:
-                reports.append(V.verify_srg_collinearity(lift, k - 1, r))
-
+    checks = None if args.checks is None else args.checks.split(",")
+    skips, reports = V.verify(_load_input(Path(args.input)), checks, args.character, _thread_count())
     ok = all(rep.passed for rep in reports)
-    for rep in reports:
-        print(rep.as_text())
-    print(f"overall: {'PASS' if ok else 'FAIL'}")
+    print(*skips, *[rep.as_text() for rep in reports], f"overall: {'PASS' if ok else 'FAIL'}",
+          sep="\n")
     if args.json:
-        payload = {
-            "input": str(args.input),
-            "passed": ok,
-            "reports": [rep.as_dict() for rep in reports],
-        }
+        payload = {"input": str(args.input), "passed": ok, "reports": [r.as_dict() for r in reports]}
         _atomic_write(Path(args.json), json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0 if ok else 1
 
@@ -310,8 +218,7 @@ def _render_export(m: PolyphaseMatrix, args) -> tuple[bool, object]:
         return False, format_incidence(gq_from_polyphase(m))
     if args.to == "incidence":
         return True, format_incidence(m.modulus_squared())
-    gammas = _select_characters(m.group, args.character)
-    gamma = gammas[0]
+    gamma = select_characters(m.group, args.character)[0]
     # evaluation inverts only when the character separates group elements
     faithful = len({complex(round(v.real, 9), round(v.imag, 9)) for v in gamma.values}) == m.group.order
     if args.to == "complex":
@@ -322,8 +229,7 @@ def _render_export(m: PolyphaseMatrix, args) -> tuple[bool, object]:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; each verb's cmd_* function is
-    bound at that build, so a later rebinding of the name is not seen."""
+    """The parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="etfforge",
         description="construct, verify, screen, and export phased designs",
@@ -335,18 +241,16 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--q", type=int, help="prime power for affine/brouwer")
     c.add_argument("--v", type=int, help="vector count for simplex")
     c.add_argument("-o", "--out", default=".", help="output directory")
-    c.set_defaults(func=cmd_construct)
 
     v = sub.add_parser("verify", help="run checks on a saved matrix")
     v.add_argument("input", help="POLYPHASE or 0/1 incidence file")
-    v.add_argument("--checks", default=None, help=f"comma list from {','.join(CHECK_NAMES)}")
+    v.add_argument("--checks", default=None, help=f"comma list from {','.join(V.CHECK_NAMES)}")
     v.add_argument(
         "--character",
         default="all-nontrivial",
         help="trivial | real | all-nontrivial | index:k",
     )
     v.add_argument("--json", default=None, help="also write the reports as JSON")
-    v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("screen", help="enumerate feasible parameters")
     s.add_argument("--kmin", type=int, required=True)
@@ -354,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--check-table1", action="store_true", dest="check_table1",
                    help="compare 3 <= k <= 9 rows against the built-in reference")
     s.add_argument("--csv", action="store_true")
-    s.set_defaults(func=cmd_screen)
 
     e = sub.add_parser("export", help="convert between formats")
     e.add_argument("input", help="POLYPHASE file")
@@ -362,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--character", default="index:1", help="trivial | real | all-nontrivial | index:k")
     e.add_argument("-o", "--out", required=True, help="output file")
     e.add_argument("--force", action="store_true", help="allow lossy conversions")
-    e.set_defaults(func=cmd_export)
     return parser
 
 
@@ -370,7 +272,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.verb}"](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

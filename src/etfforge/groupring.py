@@ -175,3 +175,25 @@ def real_character(group: AbelianGroup) -> Character:
             exps[i] = q // 2
             return Character(group, exps)
     raise ValueError(f"group {group.name()} has no even factor, no real character")
+
+
+def select_characters(group: AbelianGroup, selector: str) -> list[Character]:
+    """The characters a selector names: trivial, real, all-nontrivial, or
+    index:k, the position in characters_of's order."""
+    chars = characters_of(group)
+    if selector == "trivial":
+        return [chars[0]]
+    if selector == "real":
+        return [real_character(group)]
+    if selector == "all-nontrivial":
+        return [c for c in chars if not c.is_trivial]
+    kind, _, index = selector.partition(":")
+    try:
+        idx = int(index) if kind == "index" else None
+    except ValueError:
+        idx = None
+    if idx is None:
+        raise ValueError(f"bad character selector {selector!r}")
+    if not 0 <= idx < len(chars):
+        raise ValueError(f"character index {idx} out of range 0..{len(chars) - 1}")
+    return [chars[idx]]

@@ -69,11 +69,12 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .construct import DracknParams, gq_cells
-from .groupring import AbelianGroup, Character, characters_of, first_of_conjugates
+from .groupring import AbelianGroup, Character, characters_of, first_of_conjugates, select_characters
 from .polymat import PolyphaseMatrix, row_spans
 
 NUMERIC_TOL = 1e-9
 RANK_REL_TOL = 1e-8
+CHECK_NAMES = ("bibd", "combinatorial", "algebraic", "etf", "drackn", "gq", "srg")
 
 
 @dataclass
@@ -858,6 +859,77 @@ def verify_srg_collinearity(z, s: int, t: int) -> VerificationReport:
     for name in ("gq-axioms", "adjacency-simple", "regular", "srg-quadratic"):
         rep.add(name, True)
     return rep
+
+
+def verify(subject, checks=None, character: str = "all-nontrivial", workers: int = 1
+           ) -> tuple[list[str], list[VerificationReport]]:
+    """The check plan: (SKIP lines, reports) for each of checks (default
+    CHECK_NAMES) on subject, a PolyphaseMatrix or a 0/1 incidence array, in
+    CHECK_NAMES order.  A check that does not apply gets "SKIP name
+    (reason)", or a FAIL `applicable` report if checks names it; an
+    incidence gets the BIBD report and a SKIP line for every other check.
+    etf runs at the characters that character selects, read only then, and
+    each of its reports names its character; workers caps the numeric
+    pass's threads."""
+    wanted = list(CHECK_NAMES if checks is None else checks)
+    for name in wanted:
+        if name not in CHECK_NAMES:
+            raise ValueError(f"unknown check {name!r}; pick from {','.join(CHECK_NAMES)}")
+    if isinstance(subject, np.ndarray):
+        k = int(subject[0].sum()) if subject.shape[0] else 0
+        return ([f"SKIP {n} (incidence input carries no phases)" for n in wanted if n != "bibd"],
+                [verify_bibd(subject, subject.shape[1], k)])
+    skips, reports = [], []
+
+    def skip(name, reason):
+        if checks is None:
+            skips.append(f"SKIP {name} ({reason})")
+        else:
+            reports.append(rep := VerificationReport(subject=name.upper()))
+            rep.add("applicable", False, info=reason)
+
+    d = Design(subject)
+    if "bibd" in wanted:
+        reports.append(d.bibd)
+    if "combinatorial" in wanted:
+        reports.append(verify_polyphase_combinatorial(d))
+    if refusal := d.m.gram_refusal():  # over the dense cap, the Gram's readers do not apply
+        for name in [n for n in ("algebraic", "etf", "drackn") if n in wanted]:
+            skip(name, refusal)
+        wanted = [n for n in wanted if n not in ("algebraic", "etf", "drackn")]
+    gammas = select_characters(d.m.group, character) if "etf" in wanted else []
+    if "algebraic" in wanted:
+        reports.append(d.algebraic)
+    bibd_fail = next((c.name for c in d.bibd.checks if not c.passed), None)
+    drackn = "drackn" in wanted and not bibd_fail and d.drackn is not None
+    if gammas or drackn:
+        checked = character_reports(*d.gram, d.m.group, gammas, d.drackn[1].c if drackn else None,
+                                    phi=d.m, workers=workers, proven=d.algebraic.passed)
+        reports += [VerificationReport(f"{rep.subject} at character {gamma.exponents}",
+                                       list(rep.checks), rep.numerics)
+                    for gamma, rep in zip(gammas, checked)] + checked[len(gammas):]
+    if "drackn" in wanted and not drackn:
+        skip("drackn", f"needs a BIBD: {bibd_fail} fails" if bibd_fail
+             else "c = k(r-1)/f is not an integer")
+    if {"gq", "srg"} & set(wanted):
+        s, t = d.k - 1, d.r
+        if d.k != d.f:
+            reason = f"needs k = f, got k={d.k}, f={d.f}"
+        elif t is None:
+            reason = f"r = (v-1)/(k-1) is not an integer, got v={d.v}, k={d.k}"
+        else:
+            try:  # over the lift cap, gq and srg do not apply
+                lift, reason = d.gq, None
+            except ValueError as exc:
+                reason = str(exc)
+            else:
+                gq = verify_gq_axioms(lift, s, t, check_spread=True)
+        for name in [n for n in ("gq", "srg") if n in wanted]:
+            if reason:
+                skip(name, reason)
+            else:
+                reports.append(gq if name == "gq" else verify_srg_collinearity(lift, s, t))
+    return skips, reports
 
 
 @dataclass(frozen=True)

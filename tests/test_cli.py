@@ -553,6 +553,11 @@ def test_verify_character_selectors(tmp_path, capsys):
     assert code == 1
     code, _, err = run(capsys, "verify", path, "--checks", "etf", "--character", "index:9")
     assert code == 2 and "out of range" in err
+    code, out, err = run(capsys, "verify", path, "--checks", "etf", "--character", "index:abc")
+    assert (code, out, err) == (2, "", "error: bad character selector 'index:abc'\n")
+    # the selector is read only when etf runs
+    code, out, _ = run(capsys, "verify", path, "--checks", "bibd", "--character", "index:abc")
+    assert code == 0 and "PASS BIBD" in out
 
 
 def test_verify_thread_env(affine3_file, capsys, monkeypatch):
@@ -632,6 +637,10 @@ def test_verify_incidence_input(affine3_file, tmp_path, capsys):
     assert code == 0
     assert "BIBD(v=9, k=3" in out
     assert "SKIP etf" in out
+    # a named check is skipped too: an incidence carries no phases
+    code, out, _ = run(capsys, "verify", str(inc), "--checks", "gq")
+    assert code == 0
+    assert out.startswith("SKIP gq (incidence input carries no phases)\nPASS BIBD(v=9, k=3")
 
 
 def test_screen_text_csv_and_reference(capsys):

@@ -25,7 +25,8 @@ import pytest
 from etfforge import cli
 from etfforge import verify as verify_module
 from etfforge.construct import affine_polyphase, brouwer_polyphase, example_9_3_3, simplex_phased
-from etfforge.groupring import AbelianGroup, Character, characters_of, first_of_conjugates
+from etfforge.groupring import (AbelianGroup, Character, characters_of, first_of_conjugates,
+                                select_characters)
 from etfforge.polymat import format_polyphase
 from etfforge.verify import Design, verify_etf_numeric
 from reference_ring import dense_codes, from_codes
@@ -163,7 +164,7 @@ def test_single_characters_match_direct(selector, tmp_path):
         assert len(reports) == 1
         _assert_matches_direct(m, reports)
         gamma = _character(m.group, reports[0]["subject"].split(" at character ")[1])
-        assert gamma == cli._select_characters(m.group, selector)[0]
+        assert gamma == select_characters(m.group, selector)[0]
 
 
 def _recorded_squares(monkeypatch):

@@ -916,6 +916,13 @@ def _move_cell(m, seed):
     return replaced(replaced(m, i, int(m.jj[p]), None), i, int(zeros[rng.integers(len(zeros))]), g)
 
 
+def _seeded_cases(designs):
+    """designs, then three seeded mutants of each: two exponents changed,
+    which keep the BIBD, and one cell moved, which breaks it."""
+    return designs + [mutant(m, seed) for m in designs
+                      for mutant, seed in ((_change_exponent, 1), (_change_exponent, 2), (_move_cell, 3))]
+
+
 def _verify_json(tmp_path, m):
     path, out = tmp_path / "design.polyphase", tmp_path / "report.json"
     path.write_text(format_polyphase(m))
@@ -930,8 +937,7 @@ def test_derived_lines_and_table_walks_match_the_full_pass(tmp_path, monkeypatch
     # walk counts, residuals aside: a line derived from bibd and algebraic
     # reads 0.0 where the pass computed rounding, and every other is the same
     designs = _golden_designs()[:-1]
-    cases = designs + [mutant(m, seed) for m in designs
-                       for mutant, seed in ((_change_exponent, 1), (_change_exponent, 2), (_move_cell, 3))]
+    cases = _seeded_cases(designs)
     assert len(cases) - len(designs) >= 40
     monkeypatch.setenv("ETFFORGE_THREADS", "1")
     full_pass = verify_module.character_reports
@@ -952,6 +958,25 @@ def test_derived_lines_and_table_walks_match_the_full_pass(tmp_path, monkeypatch
                 assert gc["residual"] == wc["residual"] or (gc["residual"] == 0.0 and wc["residual"] <= 1e-9)
     capsys.readouterr()
     assert derived > 0
+
+
+def test_library_verify_matches_the_cli(tmp_path, monkeypatch, capsys):
+    # on the cases above, verify() returns the SKIP lines and reports that
+    # cli verify prints and writes to --json, at one worker and at two
+    path, out = tmp_path / "design.polyphase", tmp_path / "report.json"
+    for m in _seeded_cases(_golden_designs()[:-1]):
+        path.write_text(format_polyphase(m))
+        for workers in (1, 2):
+            monkeypatch.setenv("ETFFORGE_THREADS", str(workers))
+            code = cli.main(["verify", str(path), "--json", str(out)])
+            skips, reports = verify_module.verify(m, workers=workers)
+            ok = all(rep.passed for rep in reports)
+            lines = skips + [rep.as_text() for rep in reports] + [f"overall: {'PASS' if ok else 'FAIL'}"]
+            assert (code, capsys.readouterr().out) == (0 if ok else 1, "".join(f"{x}\n" for x in lines))
+            payload = json.loads(out.read_text())
+            assert payload["passed"] == ok, repr(m)
+            want = [rep.as_dict() for rep in reports]
+            assert json.dumps(payload["reports"], sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 def test_character_reports_need_phi_for_etf(families, monkeypatch):
