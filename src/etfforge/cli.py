@@ -18,7 +18,6 @@ import argparse
 import functools
 import json
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -39,9 +38,8 @@ from .polymat import (
     PolyphaseMatrix,
     format_complex_csv,
     format_incidence,
-    parse_incidence,
-    parse_polyphase,
     polyphase_chunks,
+    read_matrix,
 )
 from . import verify as V
 
@@ -148,12 +146,8 @@ def cmd_construct(args) -> int:
 
 
 def _load_input(path: Path):
-    """A first non-blank line (both parsers skip blank lines) that starts
-    with POLYPHASE means a polyphase matrix; otherwise 0/1 incidence."""
-    text = path.read_text(encoding="utf-8")
-    if re.match(r"(?:[^\S\n]*\n)*POLYPHASE", text):
-        return parse_polyphase(text)
-    return parse_incidence(text)
+    with open(path, encoding="utf-8") as stream:
+        return read_matrix(stream)
 
 
 def cmd_verify(args) -> int:

@@ -42,6 +42,7 @@ class AbelianGroup:
         self.order = order
         self.elements = tuple(itertools.product(*(range(q) for q in factors)))
         self._index = {g: i for i, g in enumerate(self.elements)}
+        self._characters = None  # characters_of's table, built on first call
         # index-level tables so matrix code can stay vectorized, grown one
         # factor at a time: element (p, d) of the first factors and Z_q has
         # index p q + d, and (p, d) + (p', d') = (p + p', d + d' mod q)
@@ -117,8 +118,8 @@ class Character:
     def is_trivial(self) -> bool:
         return not any(self.exponents)
 
-    def is_real(self) -> bool:
-        return bool(np.max(np.abs(self.values.imag)) < 1e-12)
+    def is_real(self) -> bool:  # gamma is its conjugate: 2 e_i = 0 mod q_i
+        return all(2 * e % q == 0 for e, q in zip(self.exponents, self.group.factors))
 
     @property
     def typed_values(self) -> np.ndarray:
@@ -143,13 +144,16 @@ class Character:
         return f"Character{self.exponents}"
 
 
-def characters_of(group: AbelianGroup) -> list[Character]:
+def characters_of(group: AbelianGroup) -> tuple[Character, ...]:
     """All characters, ordered lexicographically by exponent tuple; the
     trivial character comes first.  Character i has the exponents of
     element i, so its conjugate is character group.neg_index[i].  The
-    values of all of them are one f x f array program."""
-    values = _character_values(group, np.array(group.elements))
-    return [Character(group, exps, row) for exps, row in zip(group.elements, values)]
+    values of all are one f x f array program, kept on group, read-only."""
+    if group._characters is None:
+        values = _character_values(group, np.array(group.elements))
+        values.flags.writeable = False
+        group._characters = tuple(Character(group, e, row) for e, row in zip(group.elements, values))
+    return group._characters
 
 
 def first_of_conjugates(gammas: list[Character]) -> list[int]:

@@ -18,22 +18,23 @@ Text serialization of a polyphase matrix:
 Lines use spaces between entries, LF endings, UTF-8.  The writer yields
 the text in bounded row spans, for a caller to stream to a file: a fill
 of ". " with each nonzero cell's label written over its dot.  The reader
-counts the lines, then reads one row span of them at a time as bytes:
-word edges from a table of the bytes str.split() splits ASCII on, words
-per line from the edges, a one-byte "." word as a zero cell, and only
-the other words looked up, in a bytes-keyed table of the f labels.  A
-span with non-ASCII text is first respaced line by line.  The reader
-also takes tabs, CR LF, blank lines, any Unicode space and
-non-canonical cells ("5" over Z3, "+1", "-1", "01"), read as integers
-reduced mod each factor.  It stores a row only once it has read it, so a
-header cannot size an allocation.  A 0/1 incidence is one line of
-"0"/"1" per row, written and read as bytes.
+takes the lines of an open file (read_matrix) or of a str
+(parse_polyphase) in two passes: the first measures the nonblank lines,
+the second reads them one row span at a time as bytes, where a one-byte
+"." word is a zero cell and only the other words are looked up, in a
+bytes-keyed table of the f labels.  It also takes tabs, CR LF, blank
+lines, any Unicode space (a span with non-ASCII text is first respaced)
+and non-canonical cells ("5" over Z3, "+1", "-1", "01"), read as
+integers reduced mod each factor.  It stores a row only once it has read
+it, so a header cannot size an allocation.  A 0/1 incidence is one line
+of "0"/"1" per row, written and read as bytes.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+import re
 
 import numpy as np
 
@@ -60,10 +61,11 @@ def listed_cells_refusal(rows: int, cols: int, cells: int) -> str | None:
     return None
 
 
-# cells per row span of the writers: polyphase_chunks counts cells, the
-# brouwer support its polar-line candidates, q^2+1 per row.  On a 2-core
-# VM, streaming the ladder's seven files took 8-12 ms at 2^15, as at 2^16
-# to 2^18 within noise, and 15-25 ms at 2^13; brouwer q=9 peaks at 0.24 MiB
+# cells per row span of the writers, characters per span of the reader:
+# polyphase_chunks counts cells, the brouwer support its polar-line
+# candidates, q^2+1 per row.  On a 2-core VM, streaming the ladder's seven
+# files took 8-12 ms at 2^15, as at 2^16 to 2^18 within noise, and 15-25 ms
+# at 2^13; brouwer q=9 peaks at 0.24 MiB
 WRITE_SPAN_CELLS = 2**15
 
 
@@ -192,9 +194,9 @@ class PolyphaseMatrix:
         return f"PolyphaseMatrix({self.rows}x{self.cols} over {self.group.name()})"
 
 
-def _cell_labels(group: AbelianGroup) -> list[str]:
-    """Text of each cell code: "g1,g2,..." per element index, then "." for f."""
-    return [",".join(map(str, e)) for e in group.elements] + ["."]
+def _cell_labels(group: AbelianGroup) -> list[bytes]:
+    """The ASCII text "g1,g2,..." of each element index."""
+    return [",".join(map(str, e)).encode() for e in group.elements]
 
 
 def polyphase_chunks(m: PolyphaseMatrix):
@@ -207,7 +209,7 @@ def polyphase_chunks(m: PolyphaseMatrix):
     if not m.cols:
         yield b"\n" * m.rows
         return
-    labels = [s.encode() for s in _cell_labels(m.group)[:-1]]
+    labels = _cell_labels(m.group)
     lens = np.array([len(s) for s in labels])
     words = np.array([s[:(n - 1) | 1] + b" " for s, n in zip(labels, lens)])
     words = words.view(np.uint16).reshape(len(labels), -1).T.copy()
@@ -253,36 +255,25 @@ def _cell_index(group: AbelianGroup, cell: str) -> int:
 _SPLIT_BYTES = bytes(9 <= b <= 13 or 28 <= b <= 32 for b in range(256))
 
 
-def _nonblank_lines(text: str):
-    """The pieces of text.split("\n") that hold more than whitespace, one
-    at a time, so no list of every line forms."""
-    start = 0
-    while start >= 0:
-        end = text.find("\n", start)
-        line = text[start:end] if end >= 0 else text[start:]
-        if line.strip():
-            yield line
-        start = end + 1 if end >= 0 else -1
-
-
 def _span_cells(span: list[str], cols: int, group: AbelianGroup, lut: dict) -> tuple:
     """The row-major positions and element indices of the nonzero cells of
-    a span of lines, read as bytes.  Only the words other than "." are
-    looked up, in lut by their bytes, then by _cell_index; a span with
-    non-ASCII text is first respaced line by line by str.split().  The
-    first line of the wrong width raises once every line before it is read."""
+    a span of LF-ended lines (the text's last may lack its LF), as bytes.
+    Only words other than "." are looked up, in lut, then by _cell_index;
+    non-ASCII text is first respaced by str.split().  The first line of the
+    wrong width raises once every line before it is read."""
     if not all(map(str.isascii, span)):
-        span = [" ".join(ln.split()) for ln in span]
-    buf = "\n".join(["", *span, ""]).encode()  # each line between two row ends
+        span = [" ".join(ln.split()) + "\n" for ln in span]
+    # a row end before each line and after the last, perhaps past one LF
+    buf = "".join(["\n", *span, "\n"]).encode()
     text = np.frombuffer(buf, np.uint8)
     # word edges: where a byte str.split() splits on meets one it keeps
     blank = np.frombuffer(buf.translate(_SPLIT_BYTES), np.bool_)
     edges = np.flatnonzero(blank[1:] != blank[:-1])
     edges += 1
     starts, ends = edges[::2], edges[1::2]
-    per_line = np.diff(np.searchsorted(starts, np.flatnonzero(text == ord("\n"))))
-    wide = per_line != cols
-    good = int(np.argmax(wide)) if wide.any() else len(span)
+    rows = np.flatnonzero(text == ord("\n"))[:len(span) + 1]
+    per_line = np.diff(np.searchsorted(starts, rows))
+    good = int(np.argmax(np.append(per_line != cols, True)))  # len(span) if all fit
     # a "." word is a zero cell: a dot followed by a byte that splits
     dots = text == ord(".")
     dots[:-1] &= blank[1:]
@@ -298,17 +289,30 @@ def _span_cells(span: list[str], cols: int, group: AbelianGroup, lut: dict) -> t
     return at, codes
 
 
+def read_matrix(stream) -> PolyphaseMatrix | np.ndarray:
+    """The matrix in a seekable text stream: a polyphase matrix when its
+    first nonblank line starts with POLYPHASE, else a 0/1 incidence."""
+    if next(filter(str.strip, stream), "").startswith("POLYPHASE"):
+        return _read_polyphase(lambda: stream.seek(0) or stream)  # seek returns 0
+    stream.seek(0)
+    return parse_incidence(stream.read())
+
+
 def parse_polyphase(text: str) -> PolyphaseMatrix:
-    # the rows are counted first, then read one span of lines at a time
-    count = sum(1 for _ in _nonblank_lines(text))
-    lines = _nonblank_lines(text)
-    header = next(lines, "")
+    """The polyphase matrix in text, whose lines end only at LF."""
+    return _read_polyphase(lambda: map(re.Match.group, re.finditer(".*\n?", text)))
+
+
+def _read_polyphase(lines) -> PolyphaseMatrix:
+    """The polyphase matrix in the nonblank lines of lines(), a new pass over
+    the text at each call: the first takes their lengths, which check the
+    row count and cut the row spans; the second reads one span at a time."""
+    sizes = np.fromiter(map(len, filter(str.strip, lines())), np.intp)
+    rest = filter(str.strip, lines())
+    header = next(rest, "")
     if not header.startswith("POLYPHASE"):
         raise ValueError("missing POLYPHASE header")
-    fields = {}
-    for tok in header.split()[1:]:
-        key, _, val = tok.partition("=")
-        fields[key] = val
+    fields = dict(tok.partition("=")[::2] for tok in header.split()[1:])
     try:
         rows, cols = int(fields["rows"]), int(fields["cols"])
         group = AbelianGroup.from_name(fields["group"])
@@ -316,14 +320,12 @@ def parse_polyphase(text: str) -> PolyphaseMatrix:
         raise ValueError(f"header missing field {exc}") from exc
     if rows < 1 or cols < 1:
         raise ValueError(f"need rows >= 1 and cols >= 1, got rows={rows}, cols={cols}")
-    if count - 1 != rows:
-        raise ValueError(f"expected {rows} rows, found {count - 1}")
-    # each span's cells; a row is stored only once it is read, so no
-    # allocation runs ahead of the text
-    lut = {label.encode(): i for i, label in enumerate(_cell_labels(group)[:-1])}
+    if len(sizes) - 1 != rows:
+        raise ValueError(f"expected {rows} rows, found {len(sizes) - 1}")
+    lut = {label: i for i, label in enumerate(_cell_labels(group))}
     cells = []
-    for r0, r1 in row_spans(np.full(rows, cols), WRITE_SPAN_CELLS):
-        at, codes = _span_cells(list(itertools.islice(lines, r1 - r0)), cols, group, lut)
+    for r0, r1 in row_spans(sizes[1:], WRITE_SPAN_CELLS):
+        at, codes = _span_cells(list(itertools.islice(rest, r1 - r0)), cols, group, lut)
         cells.append((at // cols + r0, at % cols, codes))
     return PolyphaseMatrix(group, (rows, cols), *map(np.concatenate, zip(*cells)))
 

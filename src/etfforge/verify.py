@@ -435,7 +435,7 @@ def character_reports(a: np.ndarray, shift: int, group: AbelianGroup, gammas=(),
     else:
         for i in todo:
             stage(i)
-    tail = [_drackn_report(a, group, c, energy, residuals, proven)] if c is not None else []
+    tail = [_drackn_report(a, group, c, energy, residuals, pairs, proven)] if c is not None else []
     if proven:
         checked = {i: checked.get(i) or _etf_exact(len(a), shift, phi.shape[0]) for i in etf_at}
         if cross and not all(rep.passed for rep in [checked.get(cross[0]), *tail] if rep):
@@ -756,10 +756,10 @@ def verify_drackn(a: np.ndarray, group: AbelianGroup, c: int) -> VerificationRep
     return character_reports(a, 0, group, c=c)[0]
 
 
-def _drackn_report(a, group: AbelianGroup, c: int, energy, residuals: dict,
+def _drackn_report(a, group: AbelianGroup, c: int, energy, residuals: dict, firsts: list,
                    proven: bool = False) -> VerificationReport:
     """verify_drackn's report on a from the energy and the signature
-    residuals, by first of a conjugate pair, that character_reports summed.
+    residuals, by firsts of conjugate pairs, that character_reports summed.
     If proven, a passed bibd and algebraic, so the structural lines and the
     quadratic hold exactly (see the module docstring) and nothing is
     scanned, and a signature line with no residual summed reads 0.0."""
@@ -803,7 +803,7 @@ def _drackn_report(a, group: AbelianGroup, c: int, energy, residuals: dict,
             h = int(np.flatnonzero(counts != want)[0])
             info += f", element {group.elements[h]} got {counts[h]}, want {want[h]}"
         rep.add("quadratic", diff is None, witness=diff, info=info)
-    firsts = first_of_conjugates(chars := characters_of(group))
+    chars = characters_of(group)
     dim = n / 2 * (1 - delta / math.sqrt(delta * delta + 4 * (n - 1)))
     # A at the conjugate of a character is the conjugate matrix, with the
     # same residual, so the pair's second line repeats its first
@@ -922,13 +922,12 @@ def verify(subject, checks=None, character: str = "all-nontrivial", workers: int
                 lift, reason = d.gq, None
             except ValueError as exc:
                 reason = str(exc)
-            else:
-                gq = verify_gq_axioms(lift, s, t, check_spread=True)
         for name in [n for n in ("gq", "srg") if n in wanted]:
             if reason:
                 skip(name, reason)
-            else:
-                reports.append(gq if name == "gq" else verify_srg_collinearity(lift, s, t))
+            else:  # srg reads the axioms that gq counted, or counts them itself
+                reports.append(verify_gq_axioms(lift, s, t, check_spread=True) if name == "gq"
+                               else verify_srg_collinearity(lift, s, t))
     return skips, reports
 
 

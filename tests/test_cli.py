@@ -221,7 +221,7 @@ def test_verify_runs_gq_axioms_once(tmp_path, capsys, monkeypatch):
     assert "spread" in out.split("SRG(27,10,1,5)")[0] and "spread" not in out.split("SRG")[1]
     code, out, _ = run(capsys, "verify", path, "--checks", "srg")
     assert code == 0 and "GQ(2,4) axioms" not in out and "spread" not in out
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_verify_derives_each_object_once(tmp_path, capsys, monkeypatch):
@@ -479,15 +479,30 @@ def test_verify_rejects_header_wider_than_its_rows(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["design.polyphase"]
 
 
-@pytest.mark.parametrize("blank", ["\n", "\r\n"])
+@pytest.mark.parametrize("blank", ["\n", "\r\n", "\r"])
 def test_verify_polyphase_after_a_blank_line(tmp_path, capsys, blank):
+    # with a lone CR, every line of the file ends in one
     run(capsys, "construct", "--family", "example933", "-o", str(tmp_path))
     plain = tmp_path / "example933.polyphase"
     padded = tmp_path / "padded.polyphase"
-    padded.write_bytes(blank.encode() + plain.read_bytes())
+    body = plain.read_bytes()
+    padded.write_bytes(blank.encode() + (body.replace(b"\n", b"\r") if blank == "\r" else body))
     want = run(capsys, "verify", str(plain))
     assert want[0] == 0
     assert run(capsys, "verify", str(padded)) == want
+
+
+def test_invalid_utf8_past_the_first_chunk_exits_2(tmp_path, capsys):
+    # the reader decodes the file as it reads it, so the bad byte sits past
+    # the first 8 KiB read; the position the codec names is not checked
+    run(capsys, "construct", "--family", "example933", "-o", str(tmp_path))
+    path = tmp_path / "bad.polyphase"
+    path.write_bytes((tmp_path / "example933.polyphase").read_bytes() + b"\n" * 9000 + b"\xff\n")
+    for verb in (["verify"], ["export", "--to", "polyphase", "-o", str(tmp_path / "out")]):
+        code, out, err = run(capsys, verb[0], str(path), *verb[1:])
+        assert code == 2 and out == "", verb
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_skips_gq_and_srg_over_the_lift_cap(tmp_path, capsys, monkeypatch):

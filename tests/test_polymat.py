@@ -270,19 +270,35 @@ def test_streamed_write_memory_is_bounded_by_a_span(tmp_path):
     assert peak < 1 << 20, peak
 
 
-def test_parse_memory_is_bounded_by_the_text():
+def test_parse_memory_is_bounded_by_the_text(tmp_path):
     # brouwer q=9: b x v = 4.3 M cells, 59 130 of them nonzero; the lines
-    # are read one row span at a time, so 2.3 MiB is measured against a
-    # text of 8.2 MiB (10.9 MiB when every line was held at once)
-    text = format_polyphase(brouwer_polyphase(9))
+    # are read one row span at a time, so 2.4 MiB is measured against a
+    # text of 8.2 MiB (10.9 MiB when every line was held at once).  affine
+    # q=16: spans of 2^15 characters peak at 0.56 MiB for a 0.16 MiB text
+    # (1.23 MiB with spans of 2^15 cells)
+    texts = {}
+    for m, bound in ((brouwer_polyphase(9), 0.5), (affine_polyphase(16), 3.8)):
+        texts[m.rows] = text = format_polyphase(m)
+        tracemalloc.start()
+        try:
+            back = parse_polyphase(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back == m
+        assert peak < bound * len(text), (m, peak)
+    # read from its file, brouwer q=9 peaks at 2.4 MiB (16.5 MiB when the
+    # whole text was read first)
+    path = tmp_path / "brouwer_q9.polyphase"
+    path.write_bytes(texts[5913].encode())
     tracemalloc.start()
     try:
-        m = parse_polyphase(text)
+        m = cli._load_input(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (m.rows, m.cols, len(m.e)) == (5913, 730, 59130)
-    assert peak < len(text) / 2, peak
+    assert peak < 4 << 20, peak
 
 
 def test_parse_matches_reference_on_text_variants():
@@ -412,7 +428,7 @@ def test_parse_first_bad_line_decides_across_spans(monkeypatch):
         "0 1\n0 1\n0 1\n0 y 2\n": "expected 2 entries",
         "0 y\n0 1\n0 1\n0 1 2\n": "invalid literal",
     }
-    for span in (polymat.WRITE_SPAN_CELLS, 2, 4):  # one span, one row, two rows each
+    for span in (polymat.WRITE_SPAN_CELLS, 2, 8):  # one span, one row, two 4-character rows
         monkeypatch.setattr(polymat, "WRITE_SPAN_CELLS", span)
         for body, kind in bodies.items():
             got = _outcome(parse_polyphase, head + body)
