@@ -21,10 +21,12 @@ of ". " with each nonzero cell's label written over its dot.  The reader
 takes the lines of an open file (read_matrix) or of a str
 (parse_polyphase) in two passes: the first measures the nonblank lines,
 the second reads them one row span at a time as bytes, where a one-byte
-"." word is a zero cell and only the other words are looked up, in a
-bytes-keyed table of the f labels.  It also takes tabs, CR LF, blank
-lines, any Unicode space (a span with non-ASCII text is first respaced)
-and non-canonical cells ("5" over Z3, "+1", "-1", "01"), read as
+"." word is a zero cell and only the other words are looked up, all of a
+span's at once, in one sorted table of the f labels as fixed-width byte
+keys: a word hits when its bytes and its length match a label's.  It
+also takes tabs, CR LF, blank lines, any Unicode space (a span with
+non-ASCII text is first respaced) and non-canonical cells ("5" over Z3,
+"+1", "-1", "01"), which miss the table and are read one at a time as
 integers reduced mod each factor.  It stores a row only once it has read
 it, so a header cannot size an allocation.  A 0/1 incidence is one line
 of "0"/"1" per row, written and read as bytes.
@@ -37,6 +39,7 @@ import operator
 import re
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .groupring import AbelianGroup, Character
 
@@ -255,16 +258,30 @@ def _cell_index(group: AbelianGroup, cell: str) -> int:
 _SPLIT_BYTES = bytes(9 <= b <= 13 or 28 <= b <= 32 for b in range(256))
 
 
-def _span_cells(span: list[str], cols: int, group: AbelianGroup, lut: dict) -> tuple:
+def _label_table(group: AbelianGroup) -> tuple:
+    """The labels of every element as one sorted table: (keys, lengths,
+    element indices), the keys fixed-width bytes as wide as the longest
+    label, padded with NULs."""
+    labels = _cell_labels(group)
+    keys = np.array(labels)
+    order = np.argsort(keys)
+    lens = np.array([len(s) for s in labels])
+    return keys[order], lens[order], order.astype(np.int16)
+
+
+def _span_cells(span: list[str], cols: int, group: AbelianGroup, table: tuple) -> tuple:
     """The row-major positions and element indices of the nonzero cells of
     a span of LF-ended lines (the text's last may lack its LF), as bytes.
-    Only words other than "." are looked up, in lut, then by _cell_index;
+    Only words other than "." are looked up: all at once in the sorted
+    table of _label_table, then the ones it misses by _cell_index;
     non-ASCII text is first respaced by str.split().  The first line of the
     wrong width raises once every line before it is read."""
     if not all(map(str.isascii, span)):
         span = [" ".join(ln.split()) + "\n" for ln in span]
-    # a row end before each line and after the last, perhaps past one LF
-    buf = "".join(["\n", *span, "\n"]).encode()
+    keys, lens, index = table
+    # a row end before each line and after the last, perhaps past one LF,
+    # then enough of them that every word starts a window of a key's width
+    buf = "".join(["\n", *span, "\n" * keys.itemsize]).encode()
     text = np.frombuffer(buf, np.uint8)
     # word edges: where a byte str.split() splits on meets one it keeps
     blank = np.frombuffer(buf.translate(_SPLIT_BYTES), np.bool_)
@@ -278,12 +295,18 @@ def _span_cells(span: list[str], cols: int, group: AbelianGroup, lut: dict) -> t
     dots = text == ord(".")
     dots[:-1] &= blank[1:]
     at = np.flatnonzero(~dots.take(starts[:good * cols]))
-    words = list(map(buf.__getitem__, map(slice, starts.take(at).tolist(), ends.take(at).tolist())))
-    try:
-        codes = np.fromiter(map(lut.__getitem__, words), np.int16, len(words))
-    except KeyError:
-        codes = np.array([lut[w] if w in lut else _cell_index(group, w.decode()) for w in words],
-                         dtype=np.int16)
+    start = starts.take(at)
+    size = ends.take(at) - start
+    # each word as a key: its first bytes, NULs past its end.  A word may
+    # hold a NUL, so a hit matches the key's bytes and its length
+    words = sliding_window_view(text, keys.itemsize)[start]
+    words[np.arange(keys.itemsize) >= size[:, None]] = 0
+    words = words.view(keys.dtype).ravel()
+    slot = np.searchsorted(keys, words).clip(max=len(keys) - 1)
+    codes = index.take(slot)
+    miss = np.flatnonzero((keys.take(slot) != words) | (lens.take(slot) != size))
+    for w, a, n in zip(miss.tolist(), start.take(miss).tolist(), size.take(miss).tolist()):
+        codes[w] = _cell_index(group, buf[a:a + n].decode())
     if good < len(span):
         raise ValueError(f"expected {cols} entries per row, found {per_line[good]}")
     return at, codes
@@ -322,10 +345,10 @@ def _read_polyphase(lines) -> PolyphaseMatrix:
         raise ValueError(f"need rows >= 1 and cols >= 1, got rows={rows}, cols={cols}")
     if len(sizes) - 1 != rows:
         raise ValueError(f"expected {rows} rows, found {len(sizes) - 1}")
-    lut = {label: i for i, label in enumerate(_cell_labels(group))}
+    table = _label_table(group)
     cells = []
     for r0, r1 in row_spans(sizes[1:], WRITE_SPAN_CELLS):
-        at, codes = _span_cells(list(itertools.islice(rest, r1 - r0)), cols, group, lut)
+        at, codes = _span_cells(list(itertools.islice(rest, r1 - r0)), cols, group, table)
         cells.append((at // cols + r0, at % cols, codes))
     return PolyphaseMatrix(group, (rows, cols), *map(np.concatenate, zip(*cells)))
 

@@ -13,7 +13,8 @@ once, among them its one Gram array A = Phi* Phi - sI, narrow and laid
 out (v, f, v), whose shift s is r when r is integral, else 0.  The exact
 routes stay independent: the combinatorial verifier never reads A: it
 gathers whole rows of a column-pair step table for each row span and
-counts the span's triple products, at every column, with one bincount;
+counts the span's triple products, at every column, into one counter
+that it allocates once, with its other span buffers;
 the algebraic verifier never reads the step table: it multiplies each
 span of rows of Phi into A by adding whole rows of A, one support column
 at a time, with no copy of A.  The numeric checks share one pass,
@@ -261,9 +262,11 @@ def verify_polyphase_combinatorial(d: Design) -> VerificationReport:
     k/f times.  The last two factors depend on (j', j) alone, so they are
     read from one v x v step table, narrow enough to hold f^2.  Each
     bounded row span gathers the k whole table rows its blocks select,
-    counts the products at every column with one bincount, and clears its
-    support cells before the search.  The witness is the row-major first
-    offence; its info names the first group element off its quota."""
+    counts the products at every column into a counter that holds k, and
+    clears its support cells before the search; the span buffers are
+    allocated once, as large as the largest span.  The witness is the
+    row-major first offence; its info names the first group element off
+    its quota."""
     rep, ok = _design_head(d, "combinatorial")
     if not ok:
         return rep
@@ -281,17 +284,30 @@ def verify_polyphase_combinatorial(d: Design) -> VerificationReport:
         step[sup[:, t, None], sup] = sub[e, e[:, t, None]]
     add = m.group.add_index.ravel()
     fe = (f * e).astype(step.dtype)
+    # the span buffers, allocated once: the gathered step rows, their
+    # slots and a counter that holds k, each as many rows as the largest span
+    budget = SPAN_CELLS // 16
+    most = min(max(1, budget // (k * v)), m.rows)
+    gathered = np.empty((most, k, v), dtype=step.dtype)
+    slots = np.empty((most, k, v), dtype=np.intp)
+    counter = np.empty((most, v, f), dtype=np.min_scalar_type(k))
+    offsets = (f * np.arange(most * v)).reshape(most, 1, v)
+    one = counter.dtype.type(1)  # a typed value keeps add.at on its fast path
     bad, info = None, f"quota={quota}"
-    for r0, r1 in row_spans(np.full(m.rows, k * v), SPAN_CELLS // 32):
+    for r0, r1 in row_spans(np.full(m.rows, k * v), budget):
         n = r1 - r0
         # g[i, t, j] = e_(ij') + step[j', j] for row r0+i, its t-th block j'
-        # and every column j, offset to slot (i v + j) f of a bincount; the
-        # support columns count junk, cleared before the search
-        g = step.take(sup[r0:r1], axis=0)
+        # and every column j, offset to slot (i v + j) f of the counter; the
+        # support columns count junk, cleared before the search.  Every
+        # index is in range, so "clip" only spares take its buffered copy
+        g, s, counts = gathered[:n], slots[:n], counter[:n]
+        np.take(step, sup[r0:r1], axis=0, out=g, mode="clip")
         g += fe[r0:r1, :, None]
-        g = add.take(g)
-        g += (f * np.arange(n * v)).reshape(n, 1, v)
-        counts = np.bincount(g.ravel(), minlength=n * v * f).reshape(n, v, f)
+        np.copyto(s, g)
+        add.take(s, out=s, mode="clip")  # each slot is read before it is written
+        s += offsets[:n]
+        counts.fill(0)
+        np.add.at(counts.reshape(-1), s.reshape(-1), one)
         counts[np.arange(n)[:, None], sup[r0:r1]] = quota
         off = counts != quota
         if off.any():
@@ -541,9 +557,10 @@ def etf_from_square(gram, e, shift: int, phi, gamma=None, tol=NUMERIC_TOL) -> Ve
 # holds SPAN_CELLS // 16 walks plus counted cells per span, or width^2 / 4
 # if fewer, so its few intp arrays per span take no more bytes than the
 # int64 Z^T Z of that width that they stand in for;
-# combinatorial gathers SPAN_CELLS // 32 cells of its step table per span,
-# k v per row, and counts them with one bincount (256 KiB of intp slots;
-# at affine q=16 on a 2-core VM, 5.0 ms against 7.4 ms at twice that);
+# combinatorial gathers SPAN_CELLS // 16 cells of its step table per span,
+# k v per row, into buffers it allocates once (at most 512 KiB of intp
+# slots; on a 2-core VM, affine q=27 took 57, 64 and 65 ms at this budget,
+# at half and at a quarter of it, affine q=16 4.9, 5.3 and 5.8 ms);
 # algebraic holds SPAN_CELLS // 8 sums, f v per row, at most 256 KiB at
 # int16, and adds into them one gathered support column at a time;
 # square_at evaluates SPAN_CELLS // 16 cells of A per span

@@ -314,6 +314,12 @@ def test_parse_matches_reference_on_text_variants():
         # int() reads underscores and other scripts' digits; str.split() any
         # Unicode space
         "POLYPHASE rows=1 cols=4 group=Z3\n1_0 \u0663 0\u00a0.\n",
+        # the sorted label table: labels of 9 bytes, wider than 8, and a
+        # word wider than any label; labels that prefix one another; one
+        # span of hits and misses
+        "POLYPHASE rows=2 cols=3 group=Z2xZ2xZ2xZ2xZ2\n1,0,1,0,1 . 0,0,0,0,1\n. 1,1,1,1,1 1,0,1,0,+1\n",
+        "POLYPHASE rows=1 cols=4 group=Z12\n1 11 . 10\n",
+        "POLYPHASE rows=1 cols=3 group=Z3\n2 +2 02\n",
     ]
     for text in variants:
         _assert_parses_like_reference(text)
@@ -321,7 +327,34 @@ def test_parse_matches_reference_on_text_variants():
     assert parse_polyphase(variants[0]) == parse_polyphase(base)
     assert parse_polyphase(variants[1]) == parse_polyphase(base)
     assert parse_polyphase(variants[2]) == parse_polyphase(base)
-    assert dense_codes(parse_polyphase(variants[-2])).tolist() == [[2, 1, 2, 1]]
+    assert dense_codes(parse_polyphase(variants[5])).tolist() == [[2, 1, 2, 1]]
+    assert dense_codes(parse_polyphase(variants[-3])).tolist() == [[21, 32, 1], [32, 31, 21]]
+    assert dense_codes(parse_polyphase(variants[-2])).tolist() == [[1, 11, 12, 10]]
+    assert dense_codes(parse_polyphase(variants[-1])).tolist() == [[2, 2, 2]]
+    # a NUL after a label: the key's bytes match, its length does not, so
+    # the word misses the table and int() refuses it
+    text = "POLYPHASE rows=1 cols=2 group=Z12\n1\x00 11\n"
+    _assert_parses_like_reference(text)
+    assert "invalid literal" in _outcome(parse_polyphase, text)
+
+
+def test_only_non_canonical_cells_miss_the_label_table(monkeypatch):
+    # every canonical label is found in the sorted table, whatever its
+    # length, and only the other cells are read one at a time
+    misses, cell_index = [], polymat._cell_index
+
+    def counted(group, cell):
+        misses.append(cell)
+        return cell_index(group, cell)
+
+    monkeypatch.setattr(polymat, "_cell_index", counted)
+    for text in (format_polyphase(affine_polyphase(16)),
+                 "POLYPHASE rows=2 cols=4 group=Z12\n1 11 . 10\n11 0 1 .\n",
+                 "POLYPHASE rows=1 cols=2 group=Z2xZ2xZ2xZ2xZ2\n1,0,1,0,1 0,0,0,0,1\n"):
+        parse_polyphase(text)
+    assert misses == []
+    parse_polyphase("POLYPHASE rows=1 cols=4 group=Z12\n2 +2 11 02\n")
+    assert misses == ["+2", "02"]
 
 
 def test_parse_matches_reference_on_every_space(monkeypatch):

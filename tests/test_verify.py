@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,7 +333,7 @@ def _late_offence(m):
 
 def test_exact_checks_match_references_across_span_boundaries(families, monkeypatch):
     # one row per span, then spans of s rows with s not dividing the row
-    # count (combinatorial spans SPAN_CELLS // 32 of its k v gathered
+    # count (combinatorial spans SPAN_CELLS // 16 of its k v gathered
     # cells per row, algebraic SPAN_CELLS // 8 of its f v sums per row),
     # so the last span is short; the late mutant crosses every clean
     # span before its first offence, pinning the early stop and the
@@ -350,7 +354,7 @@ def test_exact_checks_match_references_across_span_boundaries(families, monkeypa
         late, met = _late_offence(m)
         cases = [m, late] + [_change_exponent(m, seed) for seed in range(12)]
         for n, case in enumerate(cases):
-            checks = ((verify_polyphase_combinatorial, _reference_triple_products(case), 32 * k * v),
+            checks = ((verify_polyphase_combinatorial, _reference_triple_products(case), 16 * k * v),
                       (verify_polyphase_algebraic, _reference_triple_identity(case), 8 * f * v))
             for check, want, cost in checks:
                 if n == 1:
@@ -400,6 +404,32 @@ def test_exact_checks_memory_at_affine_q27():
     assert peak < v * f * v + 3 * 2**18, peak
     rep, peak = _traced_peak(verify_polyphase_algebraic, d)
     assert rep.passed and peak < 2**19, peak
+
+
+def test_combinatorial_maps_no_pages_per_span():
+    # affine q=16 runs 17 row spans.  A fresh process maps its per-call
+    # buffers anew, 184 pages (16 rows of 16 x 256 gathered uint16 cells
+    # and intp slots, a uint8 counter and the slot offsets), but no page
+    # per span: the second call must fault fewer than those pages and a
+    # margin of 300.  Fresh arrays per span took 1632 faults where glibc
+    # mapped each anew, and none where an earlier free had raised its mmap
+    # threshold, so the count is taken in a child with a fixed history
+    code = (
+        "import resource\n"
+        "from etfforge.construct import affine_polyphase\n"
+        "from etfforge.verify import Design, verify_polyphase_combinatorial\n"
+        "d = Design(affine_polyphase(16))\n"
+        "for _ in range(2):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    assert verify_polyphase_combinatorial(d).passed\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    src = str(Path(verify_module.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 184 + 300, proc.stdout
 
 
 def test_algebraic_matches_dense_reference_on_int16_grams():
