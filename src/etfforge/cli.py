@@ -7,8 +7,11 @@ Four verbs:
   screen     enumerate feasible design parameters, optionally cross-checked
   export     convert between the text formats
 
-Identical invocations write byte-identical files: manifests carry no
-timestamps, JSON keys are sorted, and all numeric formatting is fixed.
+Identical invocations print the same stdout and write byte-identical
+.polyphase files and manifests: manifests carry no timestamps, JSON keys
+are sorted, and all numeric formatting is fixed.  A verify --json
+report writes residuals in full, so their last digits can follow the
+BLAS library's thread count.
 Files are written to a temporary name and renamed into place.
 """
 
@@ -42,16 +45,6 @@ from .polymat import (
     read_matrix,
 )
 from . import verify as V
-
-
-def _thread_count() -> int:
-    env = os.environ.get("ETFFORGE_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"ETFFORGE_THREADS must be an integer, got {env!r}") from None
-    return min(8, os.cpu_count() or 1)
 
 
 def _atomic_write(path: Path, text):
@@ -152,7 +145,7 @@ def _load_input(path: Path):
 
 def cmd_verify(args) -> int:
     checks = None if args.checks is None else args.checks.split(",")
-    skips, reports = V.verify(_load_input(Path(args.input)), checks, args.character, _thread_count())
+    skips, reports = V.verify(_load_input(Path(args.input)), checks, args.character)
     ok = all(rep.passed for rep in reports)
     print(*skips, *[rep.as_text() for rep in reports], f"overall: {'PASS' if ok else 'FAIL'}",
           sep="\n")

@@ -25,11 +25,11 @@ with O(v^2) more work; the DRACKN check reads its signature residuals
 and, by Parseval over the group, A^2 exactly under an a-priori float
 guard.  Evaluation at a conjugate character conjugates every entry and
 changes no reported quantity, so the stage runs once per conjugate pair,
-the trivial one included: in the calling thread for one worker, else in
-a thread pool.  That full pass, and so the float guard, runs only where
-bibd (lambda = 1) or algebraic fails, and for verify_drackn and
-verify_etf_numeric: once both pass, verify derives every nontrivial etf
-and DRACKN line and forms one square to cross-check them.  Proof:
+the trivial one included, in the calling thread.  That full pass, and so
+the float guard, runs only where bibd (lambda = 1) or algebraic fails,
+and for verify_drackn and verify_etf_numeric: once both pass, verify
+derives every nontrivial etf and DRACKN line and forms one square to
+cross-check them.  Proof:
 algebraic gives Phi A = (k-1) Phi + (k/f) G (J - X), X the support; as
 G z = G and X^T X = (r-1) I + J, Phi* G (J - X) = (r-1) G (J - I), so
 A^2 = (k-1-r) A + r(k-1) I + c G (J - I), c = k(r-1)/f: the DRACKN
@@ -63,8 +63,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -412,16 +410,14 @@ def verify_etf_numeric(phi, tol: float = NUMERIC_TOL, *, gamma: Character | None
 
 def character_reports(a: np.ndarray, shift: int, group: AbelianGroup, gammas=(),
                       c: int | None = None, *, phi=None, tol: float = NUMERIC_TOL,
-                      workers: int = 1, proven: bool = False) -> list:
+                      proven: bool = False) -> list:
     """The one numeric pass over the characters of group, on the (n, f, n)
     a = Phi* Phi - shift I: the etf report on phi at each of gammas, then,
     if c is given, the DRACKN report on a with that c.  Each is read at the
     first character of its conjugate pair, and each such first (with c,
     every first, the trivial one included) takes one square_at: the DRACKN
-    reads S and S S before etf writes G and G^2 over them.  Past one
-    worker and one first, the firsts run in a pool of at most workers
-    threads, each holding one square, and add into one DRACKN energy under
-    a lock; otherwise they run in the calling thread.  If proven, Phi
+    reads S and S S before etf writes G and G^2 over them.  The firsts run
+    in the calling thread, one square at a time.  If proven, Phi
     passed bibd and algebraic (shift r), so each line at a nontrivial
     character is derived but at one cross-check first: the first real one
     of etf's nontrivial firsts, else the first, or with none, of every
@@ -436,21 +432,13 @@ def character_reports(a: np.ndarray, shift: int, group: AbelianGroup, gammas=(),
         cross = sorted(set(etf_at) - {0}) or [i for i in todo if i]
         cross = [i for i in cross if chars[i].is_real()] + cross
         todo = sorted({0} & set(etf_at) | set(cross[:1]))
-    energy, residuals, checked, lock = np.zeros((len(a), len(a))), {}, {}, threading.Lock()
-
-    def stage(i):
+    energy, residuals, checked = np.zeros((len(a), len(a))), {}, {}
+    for i in todo:
         s, p = square_at(a, chars[i])
         if c is not None:
-            residuals[i] = signature_term(s, p, chars[i], c, energy, lock)
+            residuals[i] = signature_term(s, p, chars[i], c, energy)
         if i in etf_at:
             checked[i] = etf_from_square(s, p, shift, phi, chars[i], tol)
-
-    if (workers := min(workers, len(todo))) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(stage, todo))
-    else:
-        for i in todo:
-            stage(i)
     tail = [_drackn_report(a, group, c, energy, residuals, pairs, proven)] if c is not None else []
     if proven:
         checked = {i: checked.get(i) or _etf_exact(len(a), shift, phi.shape[0]) for i in etf_at}
@@ -513,17 +501,20 @@ def etf_from_square(gram, e, shift: int, phi, gamma=None, tol=NUMERIC_TOL) -> Ve
     e -= a * gram
     res = float(np.max(np.abs(e)))
     if res > tol:
-        # Phi = QR and R share their singular values; R is refactored with each
-        # n/2 rows of Phi's cells stacked under it, ~4 n^2 cells with qr's copy
+        # Phi = QR and R share their singular values; R is refactored with
+        # each span of Phi's cells stacked under it, in one buffer of n + n/2
+        # rows that the first span fills whole.  qr holds two more copies of
+        # the stack, so the QR peaks at 3 (n + n/2) n cells, whatever b is
         ii, jj = np.nonzero(phi) if gamma is None else (phi.ii, phi.jj)
         cells = phi[ii, jj] if gamma is None else gamma.typed_values[phi.e]
-        step = max(1, n // 2)
-        buf, top = np.zeros((n + step, n), dtype=cells.dtype), 0
-        for r0, r1 in row_spans(np.full(phi.shape[0], n), n * step):
+        b = phi.shape[0]
+        buf, top, r0 = np.zeros((min(b, n + max(1, n // 2)), n), dtype=cells.dtype), 0, 0
+        while r0 < b:
+            r1 = min(b, r0 + len(buf) - top)
             lo, hi = np.searchsorted(ii, (r0, r1))
             buf[top:] = 0
             buf[top + ii[lo:hi] - r0, jj[lo:hi]] = cells[lo:hi]
-            rows, top = top + r1 - r0, min(top + r1 - r0, n)
+            rows, top, r0 = top + r1 - r0, min(top + r1 - r0, n), r1
             buf[:top] = np.linalg.qr(buf[:rows], mode="r")
         sv = np.linalg.svd(buf[:top], compute_uv=False)
         d, a_est = int(np.sum(sv > RANK_REL_TOL * sv[0])), a
@@ -831,9 +822,9 @@ def _drackn_report(a, group: AbelianGroup, c: int, energy, residuals: dict, firs
     return rep
 
 
-def signature_term(s, p, gamma: Character, c: int, energy, lock) -> float:
+def signature_term(s, p, gamma: Character, c: int, energy) -> float:
     """verify_drackn's reading of S = A at gamma and p = S S: adds |E|^2 to
-    energy holding lock, twice unless gamma is real, and returns the largest
+    energy, twice unless gamma is real, and returns the largest
     deviation of S from a signature matrix: S* = S, hollow, unimodular, E = 0."""
     n, f, off = len(s), gamma.group.order, ~np.eye(len(s), dtype=bool)
     deviation = [np.max(np.abs(s.diagonal())), np.max(np.abs(np.abs(s) - 1)[off])]
@@ -847,8 +838,7 @@ def signature_term(s, p, gamma: Character, c: int, energy, lock) -> float:
         e -= c * f * off
     e = np.abs(e)  # and the complex E is freed
     e *= (1 + (not gamma.is_real())) * e
-    with lock:
-        energy += e
+    energy += e
     return residual
 
 
@@ -878,7 +868,7 @@ def verify_srg_collinearity(z, s: int, t: int) -> VerificationReport:
     return rep
 
 
-def verify(subject, checks=None, character: str = "all-nontrivial", workers: int = 1
+def verify(subject, checks=None, character: str = "all-nontrivial"
            ) -> tuple[list[str], list[VerificationReport]]:
     """The check plan: (SKIP lines, reports) for each of checks (default
     CHECK_NAMES) on subject, a PolyphaseMatrix or a 0/1 incidence array, in
@@ -886,8 +876,7 @@ def verify(subject, checks=None, character: str = "all-nontrivial", workers: int
     (reason)", or a FAIL `applicable` report if checks names it; an
     incidence gets the BIBD report and a SKIP line for every other check.
     etf runs at the characters that character selects, read only then, and
-    each of its reports names its character; workers caps the numeric
-    pass's threads."""
+    each of its reports names its character."""
     wanted = list(CHECK_NAMES if checks is None else checks)
     for name in wanted:
         if name not in CHECK_NAMES:
@@ -921,7 +910,7 @@ def verify(subject, checks=None, character: str = "all-nontrivial", workers: int
     drackn = "drackn" in wanted and not bibd_fail and d.drackn is not None
     if gammas or drackn:
         checked = character_reports(*d.gram, d.m.group, gammas, d.drackn[1].c if drackn else None,
-                                    phi=d.m, workers=workers, proven=d.algebraic.passed)
+                                    phi=d.m, proven=d.algebraic.passed)
         reports += [VerificationReport(f"{rep.subject} at character {gamma.exponents}",
                                        list(rep.checks), rep.numerics)
                     for gamma, rep in zip(gammas, checked)] + checked[len(gammas):]

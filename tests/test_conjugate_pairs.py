@@ -15,9 +15,6 @@ residuals agree to rounding.
 import ast
 import json
 import math
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -182,7 +179,6 @@ def _recorded_squares(monkeypatch):
 
 def test_verify_checks_each_conjugate_pair_once(tmp_path, monkeypatch):
     # brouwer q=5 is over Z6: characters 1 and 5, 2 and 4 pair, and 3 is real
-    monkeypatch.setenv("ETFFORGE_THREADS", "1")
     # on a design that passes bibd and fails algebraic, one stage forms S S
     # once per first of a pair: the DRACKN reads every first, the trivial
     # character included, and etf its selected ones
@@ -243,31 +239,6 @@ def test_cross_check_contradiction_fails_verify(tmp_path, monkeypatch, capsys):
         assert code == 1 and "PASS triple-identity" in out, out
         assert out.count("FAIL cross-check witness=() [the square at (3,) fails, though "
                          "bibd and algebraic pass]") == 1, out
-
-
-def test_signature_terms_add_into_one_energy_across_threads():
-    # verify's workers add their |E|^2 into one DRACKN energy under a lock;
-    # the terms here are integers, so any order sums exactly, and a lost
-    # update would leave the energy below 160 times one term
-    rng = np.random.default_rng(7)
-    s = rng.integers(-3, 4, size=(384, 384)).astype(np.float64)
-    gamma = characters_of(AbelianGroup([2]))[0]
-    p, energy, lock = s @ s, np.zeros(s.shape), threading.Lock()
-    residual = verify_module.signature_term(s, p, gamma, 1, energy, lock)
-    term, energy[:] = energy.copy(), 0
-
-    def add(_):
-        for _ in range(20):
-            assert verify_module.signature_term(s, p, gamma, 1, energy, lock) == residual
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            list(pool.map(add, range(8)))
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(energy, 160 * term)
 
 
 @pytest.mark.parametrize("factors", [(6,), (2, 4), (3, 3), (2, 2, 2), (4, 5)], ids=str)

@@ -146,7 +146,11 @@ def _svd_rank(phi):
 
 def test_failing_tightness_reports_the_svd_rank(monkeypatch):
     # a generic frame and the mutants at every nontrivial character: the
-    # SVD runs exactly when tightness fails, and then sets d
+    # SVD runs exactly when tightness fails, and then sets d.  The first QR
+    # span fills a buffer of n + n/2 rows, each later one the n/2 below R:
+    # one span for the generic 6 x 9 and affine q=4's 20 x 16, three for
+    # brouwer q=3's 63 x 28 (42 + 14 + 7 rows), seven for brouwer q=5's
+    # 525 x 126 (189 + 5 x 63 + 21 rows)
     rng = np.random.default_rng(3)
     generic = rng.normal(size=(6, 9)) + 1j * rng.normal(size=(6, 9))
     cases = [(lambda: verify_etf_numeric(generic), _svd_rank(generic))]
@@ -154,19 +158,22 @@ def test_failing_tightness_reports_the_svd_rank(monkeypatch):
         m = _mutant(_golden(name), kind, seed)
         cases += [(lambda m=m, g=g: verify_etf_numeric(m, gamma=g), _svd_rank(m.evaluate(g)))
                   for g in characters_of(m.group)[1:]]
-    calls = []
-    svd = np.linalg.svd
+    calls, spans, span_counts = [], [], set()
+    svd, qr = np.linalg.svd, np.linalg.qr
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: spans.append(1) or qr(*a, **k))
     failing = 0
     for check, rank in cases:
         calls.clear()
+        spans.clear()
         rep = check()
         tight = next(c for c in rep.checks if c.name == "tightness")
         assert len(calls) == (not tight.passed)
         if not tight.passed:
             failing += 1
+            span_counts.add(len(spans))
             assert rep.numerics.d == rank and tight.info.endswith(f"d={rank}")
-    assert failing >= 5
+    assert failing >= 5 and span_counts == {1, 3, 7}
 
 
 def test_polyphase_matrix_needs_a_character_of_its_group():

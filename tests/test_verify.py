@@ -388,7 +388,7 @@ def _traced_peak(fn, *args):
 
 def test_exact_checks_memory_at_affine_q27():
     # 756 x 729 over Z3^3.  combinatorial holds its uint16 step table, 2 v^2
-    # bytes, and one span: 1.8 MB measured, 13.5 MB with the intp table and
+    # bytes, and one span: 2030 KiB measured, 13.5 MB with the intp table and
     # its b k^2 scatter arrays.  algebraic holds A (v f v int8 cells,
     # 14.3 MB) and one span's sums, and A's build only a span's row pairs
     # beyond A: 0.46 MB past a cached A and 0.60 MB past A with its build,
@@ -969,7 +969,6 @@ def test_derived_lines_and_table_walks_match_the_full_pass(tmp_path, monkeypatch
     designs = _golden_designs()[:-1]
     cases = _seeded_cases(designs)
     assert len(cases) - len(designs) >= 40
-    monkeypatch.setenv("ETFFORGE_THREADS", "1")
     full_pass = verify_module.character_reports
     derived = 0
     for m in cases:
@@ -990,23 +989,21 @@ def test_derived_lines_and_table_walks_match_the_full_pass(tmp_path, monkeypatch
     assert derived > 0
 
 
-def test_library_verify_matches_the_cli(tmp_path, monkeypatch, capsys):
+def test_library_verify_matches_the_cli(tmp_path, capsys):
     # on the cases above, verify() returns the SKIP lines and reports that
-    # cli verify prints and writes to --json, at one worker and at two
+    # cli verify prints and writes to --json
     path, out = tmp_path / "design.polyphase", tmp_path / "report.json"
     for m in _seeded_cases(_golden_designs()[:-1]):
         path.write_text(format_polyphase(m))
-        for workers in (1, 2):
-            monkeypatch.setenv("ETFFORGE_THREADS", str(workers))
-            code = cli.main(["verify", str(path), "--json", str(out)])
-            skips, reports = verify_module.verify(m, workers=workers)
-            ok = all(rep.passed for rep in reports)
-            lines = skips + [rep.as_text() for rep in reports] + [f"overall: {'PASS' if ok else 'FAIL'}"]
-            assert (code, capsys.readouterr().out) == (0 if ok else 1, "".join(f"{x}\n" for x in lines))
-            payload = json.loads(out.read_text())
-            assert payload["passed"] == ok, repr(m)
-            want = [rep.as_dict() for rep in reports]
-            assert json.dumps(payload["reports"], sort_keys=True) == json.dumps(want, sort_keys=True)
+        code = cli.main(["verify", str(path), "--json", str(out)])
+        skips, reports = verify_module.verify(m)
+        ok = all(rep.passed for rep in reports)
+        lines = skips + [rep.as_text() for rep in reports] + [f"overall: {'PASS' if ok else 'FAIL'}"]
+        assert (code, capsys.readouterr().out) == (0 if ok else 1, "".join(f"{x}\n" for x in lines))
+        payload = json.loads(out.read_text())
+        assert payload["passed"] == ok, repr(m)
+        want = [rep.as_dict() for rep in reports]
+        assert json.dumps(payload["reports"], sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 def test_character_reports_need_phi_for_etf(families, monkeypatch):
