@@ -13,8 +13,8 @@ once, among them its one Gram array A = Phi* Phi - sI, narrow and laid
 out (v, f, v), whose shift s is r when r is integral, else 0.  The exact
 routes stay independent: the combinatorial verifier never reads A: it
 gathers whole rows of a column-pair step table for each row span and
-counts the span's triple products, at every column, into one counter
-that it allocates once, with its other span buffers;
+counts the span's triple products at every column as digit sums (below),
+in span buffers it allocates once;
 the algebraic verifier never reads the step table: it multiplies each
 span of rows of Phi into A by adding whole rows of A, one support column
 at a time, with no copy of A.  The numeric checks share one pass,
@@ -37,6 +37,21 @@ quadratic.  A is self-adjoint (a Gram), hollow (col-sums = r) and
 monomial off its diagonal (pair-balance = 1).  At a nontrivial gamma,
 gamma(G) = 0: S is a signature matrix, S^2 = delta S + (n-1) I, and
 G = rI + S has G^2 = (r+k-1) G, an ETF at the Welch bound.
+
+The combinatorial count is positional.  With quota = k/f and
+B = quota + 1, the group's elements are split into lanes, runs of w
+elements from h0, and element h weighs B^(h-h0) in its lane.  A zero
+cell passes iff, in every lane, its k products' weights sum to B^w - 1,
+the number whose w base-B digits all equal quota.  Proof: counts
+c_h >= 0 with sum c_h B^(h-h0) = B^w - 1 have sum c_h >= quota w, with
+equality only for the base-B digits, as each carry of a c_h >= B into
+the next digit lowers sum c_h by B - 1 = quota >= 1 (none carries past
+the top digit, as the sum is below B^w).  The lanes' counts add to
+k = quota f, so every lane sits at its minimum and every c_h = quota.
+A lane's sum is at most k B^(w-1), all k products on its top element;
+lanes are as few as keep that below LANE_LIMIT = 2^63, so intp weights
+and sums hold it.  At quota 1 (B = 2) one lane holds up to 57 elements
+at k = 64.
 
 The GQ and SRG checks count from the nonzero cells of a 0/1 incidence Z
 (a dense array's, or a Design's GQ lift cells) by walks over its two hop
@@ -260,11 +275,13 @@ def verify_polyphase_combinatorial(d: Design) -> VerificationReport:
     k/f times.  The last two factors depend on (j', j) alone, so they are
     read from one v x v step table, narrow enough to hold f^2.  Each
     bounded row span gathers the k whole table rows its blocks select,
-    counts the products at every column into a counter that holds k, and
-    clears its support cells before the search; the span buffers are
-    allocated once, as large as the largest span.  The witness is the
-    row-major first offence; its info names the first group element off
-    its quota."""
+    as slots of the flat add table, takes each product's weight in every
+    lane and sums the k weights at every column, its support cells set
+    to the target before the search (see the module docstring); the span
+    buffers are allocated once, as large as the largest span.  The
+    witness is the row-major first cell where any lane misses; its info
+    names the first group element off its quota, counted from that
+    cell's k products alone."""
     rep, ok = _design_head(d, "combinatorial")
     if not ok:
         return rep
@@ -274,47 +291,66 @@ def verify_polyphase_combinatorial(d: Design) -> VerificationReport:
     # step[j', j] = e_(i'j) - e_(i'j') along the row i' through both
     # columns, unique under the BIBD; the diagonal reaches only support
     # cells.  It adds f e below, so it is typed to hold f^2, the size of
-    # the flat add table, and is written one block j' of every row at a
-    # time, so no b x k x k array forms
+    # the flat add table, and is written by flat index one block j' of
+    # every row at a time, so no b x k x k array forms
     step = np.zeros((v, v), dtype=np.min_scalar_type(f * f))
-    sub = m.group.add_index[:, m.group.neg_index].astype(step.dtype)  # sub[a, b] = a - b
-    for t in range(k):
-        step[sup[:, t, None], sup] = sub[e, e[:, t, None]]
+    sub = m.group.add_index[:, m.group.neg_index].astype(step.dtype).ravel()  # a - b at a f + b
+    fe = f * e
+    for t in range(k):  # a flat setitem scatters about 3x faster than put
+        step.reshape(-1)[sup[:, t, None] * v + sup] = sub.take(fe + e[:, t, None])
     add = m.group.add_index.ravel()
-    fe = (f * e).astype(step.dtype)
-    # the span buffers, allocated once: the gathered step rows, their
-    # slots and a counter that holds k, each as many rows as the largest span
+    fe = fe.astype(step.dtype)
+    # the intp weight of each flat add table slot in each lane, and the
+    # sums the lanes must reach, B^w - 1
+    plan = _lanes(k, f)
+    weight = np.zeros((f, len(plan)), dtype=np.intp)
+    for lane, (h0, w) in enumerate(plan):
+        weight[h0:h0 + w, lane] = (quota + 1) ** np.arange(w)
+    table, want = weight[add], np.array([(quota + 1) ** w - 1 for _, w in plan])
+    # the span buffers, allocated once, each as many rows as the largest
+    # span: the gathered step rows, their intp slots (take reads any other
+    # index type through a fresh intp copy), the lanes' weights, written
+    # over the slots when there is one lane, and the sums
     budget = SPAN_CELLS // 16
     most = min(max(1, budget // (k * v)), m.rows)
     gathered = np.empty((most, k, v), dtype=step.dtype)
     slots = np.empty((most, k, v), dtype=np.intp)
-    counter = np.empty((most, v, f), dtype=np.min_scalar_type(k))
-    offsets = (f * np.arange(most * v)).reshape(most, 1, v)
-    one = counter.dtype.type(1)  # a typed value keeps add.at on its fast path
+    lanes = slots[..., None] if len(plan) == 1 else np.empty((most, k, v, len(plan)), np.intp)
+    sums = np.empty((most, v, len(plan)), dtype=np.intp)
     bad, info = None, f"quota={quota}"
     for r0, r1 in row_spans(np.full(m.rows, k * v), budget):
         n = r1 - r0
-        # g[i, t, j] = e_(ij') + step[j', j] for row r0+i, its t-th block j'
-        # and every column j, offset to slot (i v + j) f of the counter; the
-        # support columns count junk, cleared before the search.  Every
-        # index is in range, so "clip" only spares take its buffered copy
-        g, s, counts = gathered[:n], slots[:n], counter[:n]
+        # s[i, t, j] = f e_(ij') + step[j', j], the flat add table slot of
+        # the product for row r0+i, its t-th block j' and every column j;
+        # the support columns sum junk, set to the target before the
+        # search.  Every index is in range, so "clip" only spares take its
+        # buffered copy, and each slot is read before it is written
+        g, s, total = gathered[:n], slots[:n], sums[:n]
         np.take(step, sup[r0:r1], axis=0, out=g, mode="clip")
-        g += fe[r0:r1, :, None]
-        np.copyto(s, g)
-        add.take(s, out=s, mode="clip")  # each slot is read before it is written
-        s += offsets[:n]
-        counts.fill(0)
-        np.add.at(counts.reshape(-1), s.reshape(-1), one)
-        counts[np.arange(n)[:, None], sup[r0:r1]] = quota
-        off = counts != quota
+        np.add(g, fe[r0:r1, :, None], out=s)
+        np.add.reduce(table.take(s, axis=0, out=lanes[:n], mode="clip"), axis=1, out=total)
+        total[np.arange(n)[:, None], sup[r0:r1]] = want
+        off = (total != want).any(axis=2)
         if off.any():
-            i, j, h = _first_bad(off)
+            i, j = _first_bad(off)
+            counts = np.bincount(add.take(g[i, :, j] + fe[r0 + i]), minlength=f)
+            h = int(np.flatnonzero(counts != quota)[0])
             bad = (r0 + i, j)
-            info += f", element {m.group.elements[h]} counted {counts[i, j, h]}"
+            info += f", element {m.group.elements[h]} counted {counts[h]}"
             break
     rep.add("triple-products", bad is None, witness=bad, info=info)
     return rep
+
+
+def _lanes(k: int, f: int) -> list[tuple[int, int]]:
+    """(first element h0, width w) of each lane of the combinatorial count:
+    the f group elements split into as few runs of equal width as keep
+    each lane's largest sum, k B^(w-1) for B = k/f + 1, below LANE_LIMIT."""
+    base, most = k // f + 1, 1
+    while most < f and k * base**most < LANE_LIMIT:
+        most += 1
+    w = -(-f // -(-f // most))
+    return [(h0, min(w, f - h0)) for h0 in range(0, f, w)]
 
 
 def verify_polyphase_algebraic(d: Design) -> VerificationReport:
@@ -432,7 +468,8 @@ def character_reports(a: np.ndarray, shift: int, group: AbelianGroup, gammas=(),
         cross = sorted(set(etf_at) - {0}) or [i for i in todo if i]
         cross = [i for i in cross if chars[i].is_real()] + cross
         todo = sorted({0} & set(etf_at) | set(cross[:1]))
-    energy, residuals, checked = np.zeros((len(a), len(a))), {}, {}
+    energy = np.zeros((len(a), len(a))) if c is not None else None  # DRACKN's alone
+    residuals, checked = {}, {}
     for i in todo:
         s, p = square_at(a, chars[i])
         if c is not None:
@@ -550,12 +587,15 @@ def etf_from_square(gram, e, shift: int, phi, gamma=None, tol=NUMERIC_TOL) -> Ve
 # int64 Z^T Z of that width that they stand in for;
 # combinatorial gathers SPAN_CELLS // 16 cells of its step table per span,
 # k v per row, into buffers it allocates once (at most 512 KiB of intp
-# slots; on a 2-core VM, affine q=27 took 57, 64 and 65 ms at this budget,
-# at half and at a quarter of it, affine q=16 4.9, 5.3 and 5.8 ms);
+# slots; on a 2-core VM, affine q=27 took 31, 39 and 39 ms at this budget,
+# at half and at a quarter of it, and 33 ms at twice it, affine q=16 4.6,
+# 4.9, 5.7 and 4.5 ms);
 # algebraic holds SPAN_CELLS // 8 sums, f v per row, at most 256 KiB at
 # int16, and adds into them one gathered support column at a time;
 # square_at evaluates SPAN_CELLS // 16 cells of A per span
 SPAN_CELLS = 2**20
+# bound on a combinatorial lane's largest sum, so that its intp sums hold it
+LANE_LIMIT = 2**63
 
 
 def _walk_counts(sources, hops, width: int):

@@ -304,16 +304,95 @@ def _reference_triple_products(m):
     return "triple-products", True, None, f"quota={quota}"
 
 
+def _swap_exponents(m, seed):
+    """Swap two different exponents within one row.  The row keeps its
+    multiset of exponents, so the mutant is the likeliest one for a count
+    by sums to miss."""
+    rng = np.random.default_rng(seed)
+    e = m.e.reshape(m.rows, -1).copy()
+    i = int(rng.choice(np.flatnonzero((e != e[:, :1]).any(axis=1))))
+    p = int(rng.integers(e.shape[1]))
+    q = int(rng.choice(np.flatnonzero(e[i] != e[i, p])))
+    e[i, [p, q]] = e[i, [q, p]]
+    return PolyphaseMatrix(m.group, m.shape, m.ii, m.jj, e.ravel())
+
+
+def _random_phases(m, seed, group=None):
+    """Seeded random exponents over group (default m's) on the support of m:
+    its first offence has many counts off their quota at once."""
+    group = group or m.group
+    noise = np.random.default_rng(seed).integers(0, group.order, len(m.e))
+    return PolyphaseMatrix(group, m.shape, m.ii, m.jj, noise)
+
+
+def _combinatorial_line(m):
+    rep = verify_polyphase_combinatorial(Design(m))
+    *frame, last = [(c.name, c.passed, c.witness, c.info) for c in rep.checks]
+    assert all(passed for _, passed, _, _ in frame), rep.as_text()
+    return last
+
+
 def test_combinatorial_matches_zero_cell_loop(families):
-    witnesses = set()
+    # exponent mutants, swap mutants, which keep each row's exponents, and
+    # random phases, whose first offence a count by sums of h (not B^h)
+    # misses at affine q=4 and q=5 and brouwer q=3
+    witnesses, swaps_failed = set(), 0
     for m in _algebraic_fixtures(families):
-        for case in [m] + [_change_exponent(m, seed) for seed in range(12)]:
-            rep = verify_polyphase_combinatorial(Design(case))
-            *frame, last = [(c.name, c.passed, c.witness, c.info) for c in rep.checks]
-            assert all(passed for _, passed, _, _ in frame), rep.as_text()
-            assert last == _reference_triple_products(case), rep.subject
+        cases = [m] + [_change_exponent(m, seed) for seed in range(12)]
+        cases += [_swap_exponents(m, seed) for seed in range(8)]
+        cases += [_random_phases(m, seed) for seed in range(4)]
+        for n, case in enumerate(cases):
+            last = _combinatorial_line(case)
+            assert last == _reference_triple_products(case), (case.shape, n)
             witnesses.add(last[2])
+            swaps_failed += 12 < n <= 20 and not last[1]
     assert len(witnesses) > 20
+    assert swaps_failed > 40, swaps_failed  # 48 of 64 fail
+
+
+def test_combinatorial_lanes_match_zero_cell_loop(families, monkeypatch):
+    # LANE_LIMIT is patched so that each design's f elements split into two
+    # lanes, then into one lane per element, as the span tests patch
+    # SPAN_CELLS.  The fixtures, random Z2 phases on affine q=4 (k = 4,
+    # quota 2, base-3 digits), affine q=9 read in Z3 (quota 3, base 4),
+    # and their exponent and swap mutants and random phases must each
+    # match the zero-cell loop.  Reading the exponents through a
+    # homomorphism onto a quotient group keeps a design passing, as it
+    # maps each triple product to the product of the images, so affine
+    # q=9 over Z3 x Z3 passes over Z3, each element counted 3 times
+    a9 = affine_polyphase(9)
+    quota_three = PolyphaseMatrix(AbelianGroup((3,)), a9.shape, a9.ii, a9.jj, a9.e // 3)
+    quota_two = _random_phases(families["affine4"], 5, AbelianGroup((2,)))
+    assert _reference_triple_products(quota_three) == ("triple-products", True, None, "quota=3")
+    for m in _algebraic_fixtures(families) + [quota_two, quota_three]:
+        k, f = int(np.searchsorted(m.ii, 1)), m.group.order
+        base, half = k // f + 1, -(-f // 2)
+        cases = [m] + [_change_exponent(m, seed) for seed in range(4)]
+        cases += [_swap_exponents(m, seed) for seed in range(4)]
+        cases += [_random_phases(m, seed) for seed in range(4)]
+        wants = [_reference_triple_products(case) for case in cases]
+        for limit, lanes in ((k * base ** (half - 1) + 1, 2), (1, f)):
+            monkeypatch.setattr(verify_module, "LANE_LIMIT", limit)
+            assert len(verify_module._lanes(k, f)) == lanes, (m.shape, limit)
+            for case, want in zip(cases, wants):
+                assert _combinatorial_line(case) == want, (case.shape, limit)
+
+
+def test_lane_plan_keeps_each_lane_sum_in_int64():
+    # at quota 1 (B = 2) a lane of w elements sums to at most k 2^(w-1),
+    # below 2^63 for w = f = k up to 58, and for w up to 57 at k = 64, so
+    # f = k = 64 takes two lanes of 32; each lane's largest sum, all k
+    # products on its top element, is k B^(w-1), and its intp sums hold it
+    plan = verify_module._lanes(64, 64)
+    assert plan == [(0, 32), (32, 32)]
+    for _, w in plan:
+        assert 64 * 2 ** (w - 1) <= np.iinfo(np.intp).max
+    assert verify_module._lanes(58, 58) == [(0, 58)]
+    assert verify_module._lanes(59, 59) == [(0, 30), (30, 29)]
+    # (k, f) of the ladder designs: brouwer q = 5, 7, 9 and affine
+    # q = 7, 16, 25, 27, 32 each take one lane
+    for k in (6, 8, 10, 7, 16, 25, 27, 32):
+        assert verify_module._lanes(k, k) == [(0, k)], k
 
 
 def _late_offence(m):
@@ -388,12 +467,13 @@ def _traced_peak(fn, *args):
 
 def test_exact_checks_memory_at_affine_q27():
     # 756 x 729 over Z3^3.  combinatorial holds its uint16 step table, 2 v^2
-    # bytes, and one span: 2030 KiB measured, 13.5 MB with the intp table and
-    # its b k^2 scatter arrays.  algebraic holds A (v f v int8 cells,
-    # 14.3 MB) and one span's sums, and A's build only a span's row pairs
-    # beyond A: 0.46 MB past a cached A and 0.60 MB past A with its build,
-    # where summing a whole gather and counting A in int64 spans took 0.76
-    # and 0.88 MB
+    # bytes, and one span's gathered cells, their intp slots and the sums:
+    # 1890 KiB measured (2030 KiB with a per-element counter, 13.5 MB with
+    # the intp table and its b k^2 scatter arrays).  algebraic holds A
+    # (v f v int8 cells, 14.3 MB) and one span's sums, and A's build only a
+    # span's row pairs beyond A: 0.46 MB past a cached A and 0.60 MB past A
+    # with its build, where summing a whole gather and counting A in int64
+    # spans took 0.76 and 0.88 MB
     m = affine_polyphase(27)
     v, f = m.cols, m.group.order
     rep, peak = _traced_peak(verify_polyphase_combinatorial, Design(m))
@@ -408,12 +488,13 @@ def test_exact_checks_memory_at_affine_q27():
 
 def test_combinatorial_maps_no_pages_per_span():
     # affine q=16 runs 17 row spans.  A fresh process maps its per-call
-    # buffers anew, 184 pages (16 rows of 16 x 256 gathered uint16 cells
-    # and intp slots, a uint8 counter and the slot offsets), but no page
-    # per span: the second call must fault fewer than those pages and a
-    # margin of 300.  Fresh arrays per span took 1632 faults where glibc
-    # mapped each anew, and none where an earlier free had raised its mmap
-    # threshold, so the count is taken in a child with a fixed history
+    # buffers anew, 168 pages (16 rows of 16 x 256 gathered uint16 cells
+    # and their intp slots, and 16 x 256 intp sums), but no page per span:
+    # the second call faulted 96 pages, under the bound of 484, set when
+    # the buffers took 184 pages, plus a margin of 300.  Fresh arrays per
+    # span took 1632 faults where glibc mapped each anew, and none where an
+    # earlier free had raised its mmap threshold, so the count is taken in
+    # a child with a fixed history
     code = (
         "import resource\n"
         "from etfforge.construct import affine_polyphase\n"
@@ -513,6 +594,21 @@ def test_etf_numeric_real_characters(families):
         rep = verify_etf_numeric(phi)
         assert rep.passed
         assert (rep.numerics.d, rep.numerics.n) == want
+
+
+def test_etf_pass_holds_no_drackn_energy():
+    # with no c the pass runs etf alone, so it holds no more than its one
+    # stage, square_at and etf_from_square, run bare; the DRACKN energy,
+    # an n x n float64 array (8 n^2 bytes), is allocated only with c
+    for m, exponents in ((affine_polyphase(16), (0, 0, 0, 1)), (brouwer_polyphase(5), (1,))):
+        a, n = m.gram(), m.cols
+        gamma = next(g for g in characters_of(m.group) if g.exponents == exponents)
+        _, stage = _traced_peak(lambda: verify_module.etf_from_square(
+            *verify_module.square_at(a, gamma), 0, m, gamma))
+        (rep,), peak = _traced_peak(lambda: verify_module.character_reports(
+            a, 0, m.group, [gamma], phi=m))
+        assert rep.passed
+        assert peak < stage + n * n, (peak, stage)
 
 
 def test_etf_numeric_orthonormal_is_vacuous():
