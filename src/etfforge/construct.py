@@ -16,10 +16,16 @@ Conventions shared by everything below:
 The constructions are array programs that list the nonzero cells of a
 PolyphaseMatrix row-major, with no b x v array.  affine_polyphase and
 simplex_phased refuse a b x v matrix over MAX_DENSE_CELLS before they
-allocate anything.  brouwer_polyphase threads all ovoid points in one
-search over z2, which is free because an ovoid point always has y3 or
-y4 nonzero, and finds each row's cells among the q^2+1 points of its
-polar line, in row spans of WRITE_SPAN_CELLS candidates.
+allocate anything.  brouwer_polyphase finds each row's q+1 cells, in row
+spans of WRITE_SPAN_CELLS cells, and each column's threading vector with
+one exact solver.  Over GF(q^2), N(x) = x^(q+1) and Tr(x) = x + x^q, the
+line {p + w d} u {d} has sum_l N(p_l + w d_l) = alpha + Tr(beta w) +
+gamma N(w), alpha = sum N(p_l), beta = sum p_l^q d_l, gamma = sum N(d_l).
+If gamma != 0, N(w + c) = N(beta/gamma) - alpha/gamma =: nu with
+c = (beta/gamma)^q, so the roots are u - c over the norm fibre of nu.  If
+gamma = 0 they are z/beta over the trace fibre of -alpha, and d is
+isotropic too.  A row x's polar line lies in its tangent plane x^perp but
+misses x, so it meets each of the cone's q+1 lines once: q+1 roots per row.
 """
 
 from __future__ import annotations
@@ -156,14 +162,15 @@ def affine_polyphase(q: int) -> PolyphaseMatrix:
     # row-major, i.e. with the digits reversed
     place = p ** np.arange(m)
     group_index = np.arange(q)[:, None] // place % p @ place[::-1]
-    # row (i, x) meets column (j, x - i j) at each intercept j, in column order
-    i_idx, x_idx, j_idx = np.indices((q, q, q))
-    i, x, j = els[i_idx], els[x_idx], els[j_idx]
-    y = fld.add[x, fld.neg[fld.mul[i, j]]]
+    # row (i, x) meets column (j, x - i j) at each intercept j, in column
+    # order, on axes (i, x, j); a + b and a b are 1-d takes at a q + b
+    add, mul, at = fld.add.ravel(), fld.mul.ravel(), q * np.arange(q)
+    col = at[els][:, None]
+    y = add.take(col + fld.neg[mul.take(col + els)][:, None, :])
     # then infinity row x meets the q columns of intercept j = x, unphased
-    ii = np.concatenate(((i_idx * q + x_idx).ravel(), v + np.arange(v) // q))
-    jj = np.concatenate(((j_idx * q + pos[y]).ravel(), np.arange(v)))
-    e = np.concatenate((group_index[fld.mul[j, fld.add[x, y]]].ravel(), np.zeros(v, np.intp)))
+    ii = np.arange(v + q).repeat(q)
+    jj = np.concatenate(((at + pos.take(y)).ravel(), np.arange(v)))
+    e = np.concatenate((group_index.take(mul.take(at[add.take(col + y)] + els)).ravel(), np.zeros(v, np.intp)))
     return PolyphaseMatrix(group, (v + q, v), ii, jj, e)
 
 
@@ -174,19 +181,27 @@ class _HermitianForm:
     """GF(q^2) tables for the form sum_l frob(x_l) y_l on GF(q^2)^4: the
     Frobenius x^q, the norm x^(q+1) onto GF(q), and the powers and
     discrete log (-1 off the subgroup) of beta = alpha^(q-1), a generator
-    of the norm-one subgroup of order q+1."""
+    of the norm-one subgroup of order q+1.  fibres lists GF(q^2) by norm,
+    then by trace x + x^q, each fibre in ascending order from fibre_at[v]
+    for norm v and fibre_at[n + v] for trace v, then GF(q^2) from 2n."""
 
     def __init__(self, q: int):
         if q > BROUWER_SIZE_GUARD:
             raise ValueError(f"q = {q} exceeds the size guard {BROUWER_SIZE_GUARD}")
         p, m = prime_power_split(q)
         self.q = q
-        self.field = field_create(p, 2 * m)
+        self.field = fld = field_create(p, 2 * m)
+        n = fld.order
+        self._add, self._mul, self._row = fld.add.ravel(), fld.mul.ravel(), n * np.arange(n)
         self.frob = self._power(q)
         self.norm = self._power(q + 1)
-        self.beta_pows = self.field.exp[(q - 1) * np.arange(q + 1)]
-        self.beta_dlog = np.full(self.field.order, -1, dtype=np.int16)
+        self.beta_pows = fld.exp[(q - 1) * np.arange(q + 1)]
+        self.beta_dlog = np.full(n, -1, dtype=np.int16)
         self.beta_dlog[self.beta_pows] = np.arange(q + 1)
+        keys = np.concatenate((self.norm, n + self.plus(np.arange(n), self.frob)))
+        size = np.bincount(keys, minlength=2 * n)
+        self.norm_size, self.fibre_at = size[:n], np.cumsum(size) - size
+        self.fibres = np.concatenate((np.argsort(keys, kind="stable") % n, np.arange(n))).astype(np.int16)
 
     def _power(self, e: int) -> np.ndarray:
         """The table x -> x^e, with 0^e = 0."""
@@ -195,17 +210,30 @@ class _HermitianForm:
         out[1:] = fld.exp[fld.log[1:].astype(np.int64) * e % (fld.order - 1)]
         return out
 
-    def dot(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Sum of frob(x_l) * y_l over the last axis (four coordinates),
-        broadcasting the others; conjugate-linear in x.  Each product and
-        sum is a 1-d take from a raveled table at a * n + b."""
-        add, mul = self.field.add.ravel(), self.field.mul.ravel()
-        row = self.field.order * np.arange(self.field.order)
-        frob_row = row[self.frob]
-        acc = mul.take(frob_row[x[..., 0]] + y[..., 0])
-        for l in range(1, 4):
-            acc = add.take(row[acc] + mul.take(frob_row[x[..., l]] + y[..., l]))
-        return acc
+    def plus(self, a, b) -> np.ndarray:
+        """a + b, broadcasting: a 1-d take from the raveled table at a n + b."""
+        return self._add.take(self._row[a] + b)
+
+    def times(self, a, b) -> np.ndarray:
+        """a * b, broadcasting, as plus does."""
+        return self._mul.take(self._row[a] + b)
+
+    def roots(self, alpha, beta, gamma) -> tuple[np.ndarray, np.ndarray]:
+        """The roots w of gamma N(w) + Tr(beta w) + alpha = 0, alpha and gamma
+        in GF(q), broadcasting the arguments, as in the module docstring:
+        (w, count), q+1 candidates on a new last axis whose first count are
+        the roots.  If every w is one, they are the q+1 least, 0, ..., q."""
+        q, n, neg, inv = self.q, self.field.order, self.field.neg, self.field.inv
+        alpha, beta, gamma = np.broadcast_arrays(alpha, beta, gamma)
+        b = self.times(beta, inv[gamma])  # beta / gamma, or 0
+        nu = self.plus(self.norm[b], neg[self.times(alpha, inv[gamma])])
+        on_norm, on_trace = gamma != 0, (gamma == 0) & (beta != 0)
+        at = np.where(on_norm, self.fibre_at[nu], np.where(on_trace, self.fibre_at[n + neg[alpha]], 2 * n))
+        count = np.where(on_norm, self.norm_size[nu], np.where(on_trace, q, (alpha == 0) * (q + 1)))
+        u = self.fibres.take(at[..., None] + np.arange(q + 1))
+        w = self.plus(u, neg[self.frob[b]][..., None])  # u - (beta/gamma)^q on a norm fibre
+        w[on_trace] = self.times(u[on_trace], inv[beta[on_trace], None])  # u / beta on a trace fibre
+        return w, count
 
 
 def _points(*coords) -> np.ndarray:
@@ -222,12 +250,10 @@ def _isotropic_points(t: _HermitianForm) -> tuple[np.ndarray, np.ndarray]:
     add, neg, norm = t.field.add, t.field.neg, t.norm
     n = t.field.order
     one_plus = add[1, norm]  # 1 + N(x)
-    by_norm = np.argsort(norm, kind="stable").astype(np.int16)
-    size = np.bincount(norm, minlength=n)
     fibre = neg[add[one_plus[:, None], norm]].ravel()  # the N(x4) of each (x2, x3)
-    start, reps = (np.cumsum(size) - size)[fibre], size[fibre]
+    reps = t.norm_size[fibre]
     x2, x3 = np.repeat(np.indices((n, n), dtype=np.int16).reshape(2, -1), reps, axis=1)
-    finite = _points(1, x2, x3, by_norm[ragged_ranges(start, reps)])
+    finite = _points(1, x2, x3, t.fibres[ragged_ranges(t.fibre_at[fibre], reps)])
     ovoid = np.concatenate(
         [
             _points(0, 1, *np.nonzero(add[one_plus[:, None], norm] == 0)),
@@ -262,31 +288,29 @@ def _threading_vectors(t: _HermitianForm, cols: np.ndarray) -> np.ndarray:
     spanned by y with the norm-one orbit of z.
 
     Every ovoid point has y3 or y4 nonzero, so the last of them pivots:
-    y.z = 0 solves z3 or z4 from the other two, and z2 is always free.
-    One search serves all points: for z2 = 0, 1, ... it tabulates the n
-    values of the other free coordinate for the points still unthreaded,
-    takes the least z3 n + z4 that is isotropic, and stops once every
-    point is threaded."""
-    add, mul, neg, norm = t.field.add, t.field.mul, t.field.neg, t.norm
-    n = t.field.order
-    c2, c3, c4 = t.frob[cols[:, 1:].T[:, :, None]]  # y.z coefficients, one column each
-    z4_pivot = c4 != 0
-    c_free, c_piv = np.where(z4_pivot, c3, c4), np.where(z4_pivot, c4, c3)
-    w = np.arange(n)
-    keys = np.empty(len(cols), dtype=np.intp)  # z2 n^2 + z3 n + z4 per point
-    todo = np.arange(len(cols))
-    for z2 in range(n):
-        zp = mul[t.field.inv[c_piv[todo]], neg[add[mul[c2[todo], z2], mul[c_free[todo], w]]]]
-        z3 = np.where(z4_pivot[todo], w, zp)
-        z4 = np.where(z4_pivot[todo], zp, w)
-        iso = add[add[add[1, norm[z2]], norm[z3]], norm[z4]] == 0
-        key = np.where(iso, (z2 * n + z3) * n + z4, n**3).min(axis=1)
-        hit = key < n**3
-        keys[todo[hit]] = key[hit]
-        todo = todo[~hit]
-        if not len(todo):
-            return _points(1, keys // (n * n), keys // n % n, keys % n)
-    raise AssertionError("no threading vector; some column is not an isotropic point")
+    y.z = 0 makes it c z2 + r w, w the other of z3 and z4 (r = 0 if z3
+    pivots).  At fixed z2 the least z is the least root w of z.z = 0, with
+    alpha = 1 + N(z2) (1 + N(c)), beta = frob(c z2) r, gamma = 1 + N(r).
+    One solve takes z2 = 0 for every point and each z2 > 0 for the q+1
+    points with gamma = 0, (0, 0, 1, y4), which alone have no root at 0."""
+    n, q, neg, inv, norm = t.field.order, t.q, t.field.neg, t.field.inv, t.norm
+    c2, c3, c4 = t.frob[cols[:, 1:].T]  # y.z coefficients, one column each
+    c, r = neg[t.times(c2, inv[np.where(c4 != 0, c4, c3)])], neg[t.times(c3, inv[c4])]
+    gamma = t.plus(1, norm[r])
+    late = np.flatnonzero(gamma == 0)
+    at = np.concatenate((np.arange(len(cols)), late.repeat(n - 1)))
+    z2 = np.concatenate((np.zeros(len(cols), dtype=np.intp), np.tile(np.arange(1, n), len(late))))
+    w, count = t.roots(t.plus(1, t.times(norm[z2], t.plus(1, norm[c[at]]))),
+                       t.times(t.frob[t.times(c[at], z2)], r[at]), gamma[at])
+    w = np.where(np.arange(q + 1) < count[:, None], w, n).min(axis=1)
+    keys = np.where(w < n, z2 * n + w, n * n)  # the least z2 n + w per point
+    keys, rest = keys[:len(cols)], keys[len(cols):].reshape(len(late), n - 1)
+    keys[late] = rest.min(axis=1, initial=n * n)
+    if np.any(keys == n * n):
+        raise AssertionError("no threading vector; some column is not an isotropic point")
+    z2, w = np.divmod(keys, n)
+    pivot = t.plus(t.times(c, z2), t.times(r, w))
+    return _points(1, z2, *np.where(c4 != 0, [w, pivot], [pivot, w]))
 
 
 def brouwer_polyphase(q: int) -> PolyphaseMatrix:
@@ -296,61 +320,53 @@ def brouwer_polyphase(q: int) -> PolyphaseMatrix:
     ovoid points in lexicographic order.  Where x is orthogonal to y the
     entry is z^g with B^g = 1 - x.z_y, which makes each lifted block the
     translation permutation that records which block through y each
-    orbit member lands in.  The threading vectors z_y come from one
-    search over all columns, z2 = 0, 1, ... in turn; at z2 = 0 only the
-    q+1 columns (0, 0, 1, c) have no isotropic z, and at q <= 9 every
-    column is threaded by z2 = 17.
+    orbit member lands in.
 
-    The columns orthogonal to x are the isotropic points of its polar
-    line a2 y2 + a3 y3 + a4 y4 = 0 (a = frob x) in the plane y1 = 0, q+1
-    of its q^2+1 points, as on every secant of the Hermitian curve.  So
-    each row tests those q^2+1 candidates, not all q^3+1 columns, and a
-    hit finds its column by its key (y2 n + y3) n + y4, which increases
-    in column order.
+    The columns orthogonal to x are the q+1 isotropic points of its polar
+    line a2 y2 + a3 y3 + a4 y4 = 0 (a = frob x) in the plane y1 = 0, the
+    roots of the module docstring's solver; each finds its column in a
+    table over the 2n^2 leading-one keys (y2 n + y3) n + y4, y2 <= 1.
     """
     t = _HermitianForm(q)
-    add, mul, neg, inv, norm = t.field.add, t.field.mul, t.field.neg, t.field.inv, t.norm
-    n = t.field.order
+    neg, inv, norm, n = t.field.neg, t.field.inv, t.norm, t.field.order
     finite, ovoid = _isotropic_points(t)
     rows = _orbit_reps(t, finite)
     cols = ovoid[np.lexsort(ovoid.T[::-1])]
-    col_keys = (cols[:, 1].astype(np.intp) * n + cols[:, 2]) * n + cols[:, 3]
-    threading = _threading_vectors(t, cols)
+    col_of = np.full(2 * n * n, -1, dtype=np.intp)
+    col_of[(cols[:, 1].astype(np.intp) * n + cols[:, 2]) * n + cols[:, 3]] = np.arange(len(cols))
+    z = _threading_vectors(t, cols)[:, 1:].T
     # the polar line as the n points p + w d and the point d, in leading-one
-    # (y2, y3, y4) form: p = (1, 0, -a2/a4), d = (0, 1, -a3/a4) if a4 != 0;
-    # else d = (0, 0, 1), never isotropic, and p = (1, -a2/a3, 0), or
-    # (0, 1, 0) if a3 = 0 too, which is the one orbit of (1, x2, 0, 0)
-    a2, a3, a4 = t.frob[rows[:, 1:].T]
-    zero, one = np.zeros_like(a2), np.ones_like(a2)
-    p = np.where(
-        a4 != 0,
-        [one, zero, mul[neg[a2], inv[a4]]],
-        np.where(a3 != 0, [one, mul[neg[a2], inv[a3]], zero], [zero, one, zero]),
-    )
-    d = np.where(a4 != 0, [zero, one, mul[neg[a3], inv[a4]]], [zero, zero, one])
-    # each sum a 1-d take from a raveled table at u n + v
-    row = n * np.arange(n)
-    minus_norms = neg[add[norm[:, None], norm]]  # -(N(u) + N(v))
-    cells = []
-    for r0, r1 in row_spans(np.full(len(rows), n + 1), WRITE_SPAN_CELLS):
-        y = np.empty((3, r1 - r0, n + 1), dtype=np.int16)
-        y[..., n] = d[:, r0:r1]
-        for l in range(3):  # one coordinate at a time keeps the intp index small
-            y[l, :, :n] = add.take(row[p[l, r0:r1, None]] + mul[d[l, r0:r1]])
-        r, w = np.nonzero(norm[y[2]] == minus_norms.take(row[y[0]] + y[1]))
-        y2, y3, y4 = y[:, r, w].astype(np.intp)
-        key = (y2 * n + y3) * n + y4
-        c = np.searchsorted(col_keys, key)
-        if not np.array_equal(col_keys.take(c, mode="clip"), key):
+    # (y2, y3, y4) form: p = (1, 0, s), d = (0, 1, r), s = -a2/a4, r = -a3/a4
+    # if a4 != 0; else d = (0, 0, 1), never isotropic, and p = (1, s, 0),
+    # s = -a2/a3, or (0, 1, 0) if a3 = 0 too: the orbit of (1, x2, 0, 0).
+    # With s = r = 0 where undefined, alpha = 1 + N(s), beta = frob(s) r,
+    # gamma = 1 + N(r), and p + w d has key base + n w [a4 != 0] + p4 + w d4
+    a2, a3, a4 = a = t.frob[rows[:, 1:].T]
+    on_a4 = a4 != 0
+    s, r = neg[t.times(a2, inv[np.where(on_a4, a4, a3)])], neg[t.times(a3, inv[a4])]
+    alpha, beta, gamma = t.plus(1, norm[s]), t.times(t.frob[s], r), t.plus(1, norm[r])
+    base = np.where(on_a4, n * n, np.where(a3 != 0, (n + s.astype(np.intp)) * n, n))
+    p4, d4, w_step = np.where(on_a4, s, 0), np.where(on_a4, r, 1), n * on_a4
+    jj, e = np.empty(len(rows) * (q + 1), dtype=np.intp), np.empty(len(rows) * (q + 1), dtype=np.int16)
+    for r0, r1 in row_spans(np.full(len(rows), q + 1), WRITE_SPAN_CELLS):
+        w, count = t.roots(alpha[r0:r1], beta[r0:r1], gamma[r0:r1])
+        at_d = gamma[r0:r1] == 0
+        if np.any(count + at_d != q + 1):
+            raise AssertionError("a polar line must meet the Hermitian surface in q+1 points")
+        key = t.plus(p4[r0:r1, None], t.times(w, d4[r0:r1, None])) + base[r0:r1, None]
+        key += w_step[r0:r1, None] * w
+        key[at_d, q] = n + r[r0:r1][at_d]  # d = (0, 1, r)
+        c = np.sort(col_of.take(key), axis=1)
+        if c[:, 0].min() < 0:
             raise AssertionError("an isotropic point of a polar line is not an ovoid column")
-        r += r0
-        g = t.beta_dlog[add[1, neg[t.dot(rows[r], threading[c])]]]  # 1 - x.z
+        # 1 - x.z_y = -(a2 z2 + a3 z3 + a4 z4), as x1 = z1 = 1
+        xz = [t.times(a[l, r0:r1, None], z[l].take(c)) for l in range(3)]
+        g = t.beta_dlog[neg[t.plus(t.plus(xz[0], xz[1]), xz[2])]]
         if np.any(g < 0):
             raise AssertionError("1 - x.z must have norm one when x is orthogonal to y")
-        order = np.argsort(r * len(cols) + c)
-        cells.append((r[order], c[order], g[order]))
+        jj[r0 * (q + 1):r1 * (q + 1)], e[r0 * (q + 1):r1 * (q + 1)] = c.ravel(), g.ravel()
     return PolyphaseMatrix(AbelianGroup([q + 1]), (len(rows), len(cols)),
-                           *map(np.concatenate, zip(*cells)))
+                           np.arange(len(rows)).repeat(q + 1), jj, e)
 
 
 def _gq_shape(m: PolyphaseMatrix) -> tuple[int, int]:

@@ -522,7 +522,7 @@ def test_orbit_reps_refuse_a_non_free_action(reps, monkeypatch):
         reps(t, finite)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_threading_vectors_match_per_point_search(q):
     t = _HermitianForm(q)
     _, ovoid = _isotropic_points(t)
@@ -535,10 +535,11 @@ def test_threading_vectors_match_per_point_search(q):
     assert np.array_equal(late, (ovoid[:, 1] == 0) & (t.norm[ovoid[:, 3]] == t.field.neg[1]))
 
 
-@pytest.mark.parametrize("cells", [1, 3 * 50 + 17, 3 * 344 + 17])
+@pytest.mark.parametrize("cells", [1, 3 * 8 + 5, 21 * 8 + 5])
 def test_brouwer_support_spans_match_whole_matrix(monkeypatch, cells):
-    # one row per span, then uneven splits of brouwer q=7's 50 polar-line
-    # candidates per row: just over 3 rows, then about 21 rows per span
+    # one row per span, then uneven splits of brouwer q=7's q+1 = 8 cells
+    # per row: 3 rows, then 21 rows per span, each leaving a shorter last
+    # span (2107 rows)
     want = brouwer_polyphase(7)
     monkeypatch.setattr(construct, "WRITE_SPAN_CELLS", cells)
     assert brouwer_polyphase(7) == want
@@ -553,14 +554,13 @@ def test_brouwer_polyphase_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 1.57 MiB measured: the cell lists, with no b x v array, and row-span
-    # temporaries, the largest the intp index of the isotropy test over a
-    # span's polar-line candidates
+    # 1.16 MiB measured: the cell lists, with no b x v array, and row-span
+    # temporaries, the largest the intp keys of a span's q+1 roots per row
     assert peak <= 3 * 2**20
 
 
 def test_brouwer_polyphase_9_allocates_less_than_its_dense_codes():
-    # 3.3 MiB measured at q=9, where the b x v int16 codes alone took 8.2 MiB
+    # 2.8 MiB measured at q=9, where the b x v int16 codes alone took 8.2 MiB
     brouwer_polyphase(9)
     tracemalloc.start()
     try:
@@ -569,6 +569,40 @@ def test_brouwer_polyphase_9_allocates_less_than_its_dense_codes():
     finally:
         tracemalloc.stop()
     assert peak < 2 * m.rows * m.cols, peak
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_roots_match_brute_force_zero_set(q):
+    # every (alpha, beta, gamma) in GF(q) x GF(q^2) x GF(q): circles,
+    # tangents (nu = 0), trace lines, empty sets and the all-w equation
+    t = _HermitianForm(q)
+    add, mul, n = t.field.add, t.field.mul, t.field.order
+    sub = np.flatnonzero(t.frob == np.arange(n))  # GF(q), the fixed points of x^q
+    alpha, beta, gamma = (a.ravel() for a in np.meshgrid(sub, np.arange(n), sub, indexing="ij"))
+    bw = mul[beta[:, None], np.arange(n)]
+    value = add[add[mul[gamma[:, None], t.norm], add[bw, t.frob[bw]]], alpha[:, None]]
+    w, count = t.roots(alpha, beta, gamma)
+    assert w.shape == (len(alpha), q + 1)
+    for k in range(len(alpha)):
+        want = np.flatnonzero(value[k] == 0)
+        got = w[k, :count[k]]
+        if len(want) == n:
+            assert got.tolist() == list(range(q + 1)), (alpha[k], beta[k], gamma[k])
+        else:
+            assert sorted(got.tolist()) == want.tolist(), (alpha[k], beta[k], gamma[k])
+    assert sorted(set(count.tolist())) == [0, 1, q, q + 1]
+
+
+def test_brouwer_polyphase_refuses_a_polar_line_short_of_q_plus_1_points(monkeypatch):
+    solve = _HermitianForm.roots
+
+    def one_root_short(t, *args):
+        w, count = solve(t, *args)
+        return w, count - 1
+
+    monkeypatch.setattr(_HermitianForm, "roots", one_root_short)
+    with pytest.raises(AssertionError, match="a polar line must meet the Hermitian surface"):
+        brouwer_polyphase(3)
 
 
 def test_brouwer_polyphase_builds_no_geometry():

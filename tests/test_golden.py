@@ -4,13 +4,17 @@ Each `.polyphase` file the CLI writes is pinned by the SHA-256 of its
 bytes, and each brouwer geometry by the SHA-256 of the repr of its
 vertices, ovoid, orbit representatives and blocks.  The repr also pins
 the element types: a numpy scalar prints differently from a Python int.
+Brouwer q = 11 and 13, beyond the size guard, are built with the guard
+raised and pinned by the SHA-256 of their text chunks, with no file.
 """
 
 import hashlib
 
 import pytest
 
+from etfforge import construct
 from etfforge.cli import main
+from etfforge.polymat import polyphase_chunks
 from reference_geometry import brouwer_geometry
 
 POLYPHASE_SHA256 = {
@@ -38,6 +42,11 @@ POLYPHASE_SHA256 = {
 BROUWER_PAST_GUARD_SHA256 = {
     8: "c6c95750e3795f511b94299210dbdc2d3a8019d2e9b77ed54339595dcef0bd8f",
     9: "769935b2857c8061e321800e8bff2f4c093c9b0767a03b6b8a3a9bedf03e3733",
+}
+
+BROUWER_BEYOND_GUARD_SHA256 = {
+    11: "08d3e21f9508293a692c0de6859815999b5dbc25515b3cb6e1eb48a87e25b225",
+    13: "bc75237d61f7a97c16e0d0838f2f5e4ece013cb3c72dc64ae1e7ad2f786b4b3c",
 }
 
 GEOMETRY_SHA256 = {
@@ -68,6 +77,15 @@ def test_brouwer_past_the_size_guard_pinned(q, tmp_path, capsys):
     capsys.readouterr()
     path = tmp_path / f"brouwer_q{q}.polyphase"
     assert _sha256(path.read_bytes()) == BROUWER_PAST_GUARD_SHA256[q]
+
+
+@pytest.mark.parametrize("q", sorted(BROUWER_BEYOND_GUARD_SHA256))
+def test_brouwer_beyond_the_size_guard_pinned(q, monkeypatch):
+    monkeypatch.setattr(construct, "BROUWER_SIZE_GUARD", q)
+    digest = hashlib.sha256()
+    for chunk in polyphase_chunks(construct.brouwer_polyphase(q)):
+        digest.update(chunk)
+    assert digest.hexdigest() == BROUWER_BEYOND_GUARD_SHA256[q]
 
 
 @pytest.mark.parametrize("q", sorted(GEOMETRY_SHA256))
